@@ -3,8 +3,12 @@
 The engine here bounds E(X_1 + ... + X_n)^m for even m, for variables that
 satisfy strong negative correlation (E X_i (X_1+...+X_{i-1})^l <= 0 for odd
 l < m) together with per-variable bounds on conditional even moments
-E(X_i^l | X_1+...+X_{i-1}).  Tail probabilities follow by Markov's
-inequality applied to the m-th moment, optionally minimized over m.
+E(X_i^l | X_1+...+X_{i-1}).  Every bound is computed in two steps: a
+moment curve (orders, log_bounds) holding the log moment bound for each
+even order up to a cap, then tail_curve, which applies Markov's
+inequality to each order and keeps the best at every t of a grid.  The
+fixed-order Chernoff corollaries pick m by a rule instead and give one t
+at a time.
 
 All moment bounds are computed and stored in natural-log domain:
 (48*n*m)^(m/2) overflows double precision already for modest m.
@@ -13,9 +17,9 @@ All moment bounds are computed and stored in natural-log domain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -28,10 +32,17 @@ __all__ = [
     "MomentProfile",
     "TypicalProfile",
     "TailBoundResult",
+    "TailCurve",
     "theorem1_closed_bound",
+    "theorem1_closed_curve",
     "theorem1_recursion_bound",
+    "theorem1_recursion_curve",
+    "jl_envelope_curve",
     "main_theorem_bound",
+    "main_theorem_curve",
     "markov_tail",
+    "tail_curve",
+    "tail_bound",
     "optimize_m",
     "chernoff_corollary_bound",
     "general_chernoff_bound",
@@ -259,59 +270,88 @@ class TailBoundResult:
             )
 
 
-def theorem1_closed_bound(n, m, constants: BoundConstants = DEFAULT_CONSTANTS):
-    """log of the closed-form moment bound (c1*n*m)^(m/2).
+def _orders_through(m_max):
+    """The even orders 2, 4, ..., m_max of a moment curve."""
+    _check_even_order(m_max, "m_max")
+    return np.arange(2, m_max + 1, 2)
+
+
+def theorem1_closed_curve(n, m_max, constants: BoundConstants = DEFAULT_CONSTANTS):
+    """Moment curve (orders, log bounds) of the closed form (c1*n*m)^(m/2)
+    for every even m <= m_max.
 
     Valid as a bound on E(sum X_i)^m when the variables satisfy strong
     negative correlation and E(X_i^l | X_1+...+X_{i-1}) <= (n/m)^((l-2)/2) l!
     for even l <= m; the caller asserts that hypothesis.
     """
-    _check_even_order(m)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    return (m / 2.0) * math.log(constants.c_theorem1 * n * m)
+    orders = _orders_through(m_max)
+    return orders, (orders / 2.0) * np.log(constants.c_theorem1 * n * orders)
 
 
-def theorem1_recursion_bound(profile: MomentProfile, m):
-    """log of g(n, m), the dynamic-programming moment bound.
+def theorem1_closed_bound(n, m, constants: BoundConstants = DEFAULT_CONSTANTS):
+    """log of the closed-form moment bound (c1*n*m)^(m/2): the last point
+    of theorem1_closed_curve(n, m)."""
+    _check_even_order(m)
+    return float(theorem1_closed_curve(n, m, constants)[1][-1])
 
-    g(i, 0) = 1; g(1, q) = M_{1,q}; and for i >= 2,
 
+def jl_envelope_curve(n, k, constants: BoundConstants = DEFAULT_CONSTANTS):
+    """Moment curve of the random-projection envelope: the closed form for k
+    coordinates scaled by n^-m, for every even m <= k."""
+    orders, log_bounds = theorem1_closed_curve(k, max(2, _even_floor(k)), constants)
+    return orders, log_bounds - orders * math.log(n)
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)), shifted by each row's maximum; a row of
+    -inf gives -inf."""
+    top = a.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top[:, None]).sum(axis=1)) + top
+
+
+def theorem1_recursion_curve(profile: MomentProfile, m_max):
+    """Moment curve (orders, log g(n, m)) for every even m <= m_max, from
+    one pass of the dynamic program
+
+        g(i, 0) = 1; g(1, q) = M_{1,q}; and for i >= 2,
         g(i, q) = g(i-1, q) + (11/5) * sum over even t in [2, q] of
                   (q^t / t!) * M_{i,t} * g(i-1, q-t).
 
     g(n, m) upper-bounds E(sum X_i)^m whenever the profile's conditional
     moment bounds hold and the variables are strongly negatively
-    correlated.  All arithmetic is log-sum-exp.
+    correlated.  g(i, q) reads only g(i-1, q') with q' <= q, so the pass to
+    m_max yields every smaller order too.  Each step over i is vectorised
+    over q: row q/2 of the term matrix holds g(i-1, q) and the terms for
+    t = 2, 4, ..., q, in log domain.
     """
+    orders = _orders_through(m_max)
+    profile.require_orders_through(m_max)
+    log_m = profile.log_m[:, [profile._order_pos[int(o)] for o in orders]]
+    qs = np.arange(0, m_max + 1, 2)
+    valid = orders[None, :] <= qs[:, None]
+    # math.log and math.lgamma keep each term bitwise equal to a term-by-term
+    # evaluation of the recursion; only the order of summation inside the
+    # log-sum-exp differs.
+    log_q = np.array([math.log(q) if q else 0.0 for q in qs])
+    log_fact = np.array([math.lgamma(t + 1) for t in orders])
+    coef = _LOG_11_5 + orders[None, :] * log_q[:, None] - log_fact[None, :]
+    lag = np.where(valid, (qs[:, None] - orders[None, :]) // 2, 0)
+    g = np.concatenate(([0.0], log_m[0]))
+    for row in log_m[1:]:
+        terms = np.where(valid, coef + row + g[lag], -np.inf)
+        g = _logsumexp_rows(np.column_stack((g, terms)))
+    return orders, g[1:]
+
+
+def theorem1_recursion_bound(profile: MomentProfile, m):
+    """log of g(n, m), the dynamic-programming moment bound: the last point
+    of theorem1_recursion_curve(profile, m)."""
     _check_even_order(m)
-    profile.require_orders_through(m)
-    if profile.n < 1:
-        raise InvalidArgumentError("profile must cover at least one variable")
-    qs = list(range(0, m + 1, 2))
-    qpos = {q: j for j, q in enumerate(qs)}
-    # i = 1 base row: g(1,0)=1, g(1,q)=M_{1,q}.
-    g_prev = np.empty(len(qs))
-    g_prev[0] = 0.0
-    for q in qs[1:]:
-        g_prev[qpos[q]] = profile.log_bound(1, q)
-    for i in range(2, profile.n + 1):
-        g_next = np.empty_like(g_prev)
-        g_next[0] = 0.0
-        for q in qs[1:]:
-            terms = [g_prev[qpos[q]]]
-            logq = math.log(q)
-            for t in range(2, q + 1, 2):
-                terms.append(
-                    _LOG_11_5
-                    + t * logq
-                    - math.lgamma(t + 1)
-                    + profile.log_bound(i, t)
-                    + g_prev[qpos[q - t]]
-                )
-            g_next[qpos[q]] = logsumexp(terms)
-        g_prev = g_next
-    return float(g_prev[qpos[m]])
+    return float(theorem1_recursion_curve(profile, m)[1][-1])
 
 
 def main_theorem_bound(profile: TypicalProfile, m,
@@ -359,6 +399,16 @@ def main_theorem_bound(profile: TypicalProfile, m,
     return float(np.logaddexp(log_term1, log_term2))
 
 
+def main_theorem_curve(profile: TypicalProfile, m_max,
+                       constants: BoundConstants = DEFAULT_CONSTANTS):
+    """Moment curve (orders, log bounds) of main_theorem_bound for every
+    even m <= m_max: the bound depends on m throughout, so one evaluation
+    per order."""
+    orders = _orders_through(m_max)
+    return orders, np.array([main_theorem_bound(profile, int(m), constants)
+                             for m in orders])
+
+
 def markov_tail(moment_bound, m, t):
     """min(1, exp(moment_bound - m*log t)): Markov's inequality applied to
     the m-th moment, with moment_bound in log domain."""
@@ -369,26 +419,61 @@ def markov_tail(moment_bound, m, t):
     return 1.0 if log_p >= 0.0 else math.exp(log_p)
 
 
+class TailCurve(NamedTuple):
+    """Markov's inequality minimised over m at each point of a t-grid."""
+
+    m_used: np.ndarray
+    moment_bound: np.ndarray  # log domain
+    tail_probability: np.ndarray
+
+
+def tail_curve(orders, log_bounds, t_grid):
+    """Minimise markov_tail over a moment curve at every t of t_grid.
+
+    (orders, log_bounds) is a moment curve: ascending even orders and their
+    log-domain moment bounds.  At each t the order with the smallest
+    p = min(1, exp(log_bound - m*log t)) wins; ties resolve to the smaller
+    m (weakest hypothesis), including when every p is clamped to 1 or
+    underflows to 0.
+    """
+    orders = np.asarray(orders)
+    log_bounds = np.asarray(log_bounds, dtype=float)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    bad = t_grid[~(t_grid > 0)]
+    if bad.size:
+        raise InvalidArgumentError(f"t must be > 0, got {float(bad[0])!r}")
+    # math.log and math.exp, as in markov_tail: each p is bitwise the value
+    # a scan over m computes, so near-ties break the same way.
+    log_t = np.array([math.log(t) for t in t_grid])
+    log_p = log_bounds[None, :] - orders[None, :] * log_t[:, None]
+    p = np.array([[1.0 if x >= 0.0 else math.exp(x) for x in row] for row in log_p])
+    best = np.argmin(p, axis=1)  # first minimum: the smallest m
+    return TailCurve(m_used=orders[best], moment_bound=log_bounds[best],
+                     tail_probability=p[np.arange(len(t_grid)), best])
+
+
+def tail_bound(orders, log_bounds, t, method: BoundMethod):
+    """tail_curve of the moment curve (orders, log_bounds) at the single
+    point t, as a TailBoundResult."""
+    curve = tail_curve(orders, log_bounds, [t])
+    return TailBoundResult(t=float(t), m_used=int(curve.m_used[0]),
+                           moment_bound=float(curve.moment_bound[0]),
+                           tail_probability=float(curve.tail_probability[0]),
+                           method=method)
+
+
 def optimize_m(bound_fn: Callable[[int], float], t, m_max,
                method: BoundMethod = BoundMethod.THEOREM1_CLOSED):
-    """Exhaustively minimize markov_tail(bound_fn(m), m, t) over even m in
-    [2, m_max]; ties resolve to the smaller m (weakest hypothesis).
+    """Minimise markov_tail(bound_fn(m), m, t) over even m in [2, m_max];
+    ties resolve to the smaller m (weakest hypothesis).
 
-    bound_fn maps an even order m to a log-domain moment bound.  Callers
-    that know the number of variables n should pass m_max <= n.
+    bound_fn maps an even order m to a log-domain moment bound.  This is
+    the single-t view of tail_curve over the moment curve of bound_fn;
+    callers with a whole t-grid build the curve once and call tail_curve.
+    Callers that know the number of variables n should pass m_max <= n.
     """
-    _check_even_order(m_max, "m_max")
-    if not t > 0:
-        raise InvalidArgumentError(f"t must be > 0, got {t!r}")
-    best = None
-    for m in range(2, m_max + 1, 2):
-        mb = bound_fn(m)
-        p = markov_tail(mb, m, t)
-        if best is None or p < best[0]:
-            best = (p, m, mb)
-    p, m, mb = best
-    return TailBoundResult(t=float(t), m_used=m, moment_bound=mb,
-                           tail_probability=p, method=method)
+    orders = _orders_through(m_max)
+    return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)
 
 
 def chernoff_corollary_bound(n, sigma2, t,
@@ -448,16 +533,11 @@ def general_chernoff_bound(nu, t, constants: BoundConstants = DEFAULT_CONSTANTS)
 def hoeffding_azuma_bound(n, t, constants: BoundConstants = DEFAULT_CONSTANTS,
                           m_max=None):
     """Tail bound for |X_i| <= 1 martingale-difference-style variables:
-    the closed-form moment bound minimized over even m <= n."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    the closed-form moment curve minimized over even m <= n."""
     if m_max is None:
         m_max = max(2, _even_floor(n))
-    res = optimize_m(lambda m: theorem1_closed_bound(n, m, constants), t, m_max,
-                     method=BoundMethod.HOEFFDING_AZUMA)
+    res = tail_bound(*theorem1_closed_curve(n, m_max, constants), t,
+                     BoundMethod.HOEFFDING_AZUMA)
     p = res.tail_probability
     rate = 0.0 if p >= 1.0 else -math.log(p) * n / (t * t)
-    return TailBoundResult(t=res.t, m_used=res.m_used,
-                           moment_bound=res.moment_bound, tail_probability=p,
-                           method=BoundMethod.HOEFFDING_AZUMA,
-                           rate_constant=rate)
+    return replace(res, rate_constant=rate)

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
+The CLI maps these onto process exit codes: ConfigError,
+InvalidArgumentError, IncompleteProfileError and OutOfRegimeError -> 2,
 HypothesisViolationError -> 3, SizeLimitError -> 4.
 """
 

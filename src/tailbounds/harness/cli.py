@@ -4,8 +4,8 @@ Subcommands: bound (evaluate a tail bound from a profile or closed form),
 run (execute an experiment config), scale (scaling study over sizes),
 report (recompute a summary from a record CSV).
 
-Exit codes: 0 success, 2 config error, 3 hypothesis-violation refusal,
-4 size-limit error.
+Exit codes: 0 success, 2 config error or an argument outside a bound's
+domain or regime, 3 hypothesis-violation refusal, 4 size-limit error.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import json
 import sys
 
 from ..bounds import BoundMethod, BoundConstants, MomentProfile, TypicalProfile, \
-    chernoff_corollary_bound, general_chernoff_bound, main_theorem_bound, \
-    optimize_m, theorem1_closed_bound, theorem1_recursion_bound
-from ..errors import ConfigError, HypothesisViolationError, SizeLimitError
+    chernoff_corollary_bound, general_chernoff_bound, main_theorem_curve, \
+    tail_bound, theorem1_closed_curve, theorem1_recursion_curve
+from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
+    InvalidArgumentError, OutOfRegimeError, SizeLimitError
 from .config import load_config
 from .runner import records_from_csv, run_experiment, scaling_study, summarize
 
@@ -25,6 +26,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_SIZE = 4
+
+# The options each bound method reads, by argparse dest.
+METHOD_OPTIONS = {
+    "chernoff-corollary": ("n", "sigma2"),
+    "general-chernoff": ("nu",),
+    "theorem1-closed": ("n",),
+    "theorem1-recursion": ("profile",),
+    "main": ("profile",),
+}
 
 
 def _values_map(n, spec, path):
@@ -76,6 +86,9 @@ def _result_json(res):
 
 
 def cmd_bound(args):
+    for dest in METHOD_OPTIONS[args.method]:
+        if getattr(args, dest) is None:
+            raise ConfigError(f"--{dest}", f"required by --method {args.method}")
     constants = BoundConstants()
     if args.method == "chernoff-corollary":
         res = chernoff_corollary_bound(args.n, args.sigma2, args.t, constants)
@@ -83,23 +96,23 @@ def cmd_bound(args):
         res = general_chernoff_bound(args.nu, args.t, constants)
     elif args.method == "theorem1-closed":
         m_max = args.m_max or max(2, args.n - args.n % 2)
-        res = optimize_m(lambda m: theorem1_closed_bound(args.n, m, constants),
-                         args.t, m_max, method=BoundMethod.THEOREM1_CLOSED)
+        res = tail_bound(*theorem1_closed_curve(args.n, m_max, constants), args.t,
+                         BoundMethod.THEOREM1_CLOSED)
     elif args.method == "theorem1-recursion":
         profile = load_profile(args.profile)
         if isinstance(profile, TypicalProfile):
             profile = profile.base
         m_max = args.m_max or max(profile.orders)
-        res = optimize_m(lambda m: theorem1_recursion_bound(profile, m),
-                         args.t, m_max, method=BoundMethod.THEOREM1_RECURSION)
+        res = tail_bound(*theorem1_recursion_curve(profile, m_max), args.t,
+                         BoundMethod.THEOREM1_RECURSION)
     else:  # main
         profile = load_profile(args.profile)
         if not isinstance(profile, TypicalProfile):
             raise ConfigError("$", "the main bound needs a typical profile "
                                    "(with 'L' and 'delta')")
         m_max = args.m_max or max(profile.base.orders)
-        res = optimize_m(lambda m: main_theorem_bound(profile, m, constants),
-                         args.t, m_max, method=BoundMethod.MAIN_THEOREM)
+        res = tail_bound(*main_theorem_curve(profile, m_max, constants), args.t,
+                         BoundMethod.MAIN_THEOREM)
     print(_result_json(res))
     return EXIT_OK
 
@@ -199,6 +212,9 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (InvalidArgumentError, IncompleteProfileError, OutOfRegimeError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisViolationError as exc:
         print(f"refusing to emit a bound: {exc}", file=sys.stderr)

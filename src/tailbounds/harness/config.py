@@ -242,11 +242,13 @@ def parse_config(raw: dict):
     exp = raw.get("experiment")
     _require(exp in EXPERIMENTS, "$.experiment",
              f"must be one of {', '.join(EXPERIMENTS)}")
+    # bool is a subclass of int, so true/false would pass a bare isinstance.
     replicates = raw.get("replicates")
-    _require(isinstance(replicates, int) and replicates >= 1, "$.replicates",
-             "must be an integer >= 1")
+    _require(isinstance(replicates, int) and not isinstance(replicates, bool)
+             and replicates >= 1, "$.replicates", "must be an integer >= 1")
     base_seed = raw.get("base_seed", 0)
-    _require(isinstance(base_seed, int), "$.base_seed", "must be an integer")
+    _require(isinstance(base_seed, int) and not isinstance(base_seed, bool),
+             "$.base_seed", "must be an integer")
     params = raw.get("parameters", {})
     _require(isinstance(params, dict), "$.parameters", "must be an object")
     validated = _VALIDATORS[exp](params, "$.parameters")

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import bounds as bounds_mod
 from ..bounds import BoundMethod, DEFAULT_CONSTANTS, MomentProfile, TypicalProfile, \
-    chernoff_corollary_bound, general_chernoff_bound, optimize_m, \
-    theorem1_closed_bound, theorem1_recursion_bound
+    chernoff_corollary_bound, general_chernoff_bound, main_theorem_curve, \
+    jl_envelope_curve, tail_curve, theorem1_recursion_curve
 from ..errors import InvalidArgumentError
 from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS
@@ -30,6 +29,7 @@ T_GRID_POINTS = 20
 T_GRID_LO = 0.5   # in units of the empirical standard deviation
 T_GRID_HI = 6.0
 VERDICT_SE_MULTIPLIER = 3.0
+MIN_BOUND_RECORDS = 100
 
 
 @dataclass
@@ -197,23 +197,30 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
 
 
 def _attach_default_bound(config, records, summary):
-    """Attach the analytic bound curve for experiments that define one."""
+    """Attach the analytic bound curve for experiments that define one.
+
+    A run with fewer than MIN_BOUND_RECORDS replicates keeps its summary
+    without a bound curve and gets a warning instead."""
+    params = config.parameters
     if config.experiment == "chernoff":
-        profile = {"kind": "hetero_bernoulli"} if "nus" in config.parameters \
-            else {"kind": "bernoulli", "n": config.parameters["n"],
-                  "nu": config.parameters["nu"]}
-        if "nus" in config.parameters:
-            n = config.parameters["n"]
-            pattern = np.resize(np.array(config.parameters["nus"]["values"]), n)
+        if "nus" in params:
+            pattern = np.resize(np.array(params["nus"]["values"]), params["n"])
+            method = "general_chernoff"
             profile = {"kind": "hetero_bernoulli", "nus": pattern.tolist()}
-        method = "chernoff_corollary" if profile["kind"] == "bernoulli" \
-            else "general_chernoff"
-        return compare_bound(records, method, profile, summary=summary)
-    if config.experiment == "jl":
-        profile = {"kind": "jl", "n": config.parameters["n"],
-                   "k": config.parameters["k"]}
-        return compare_bound(records, "jl_envelope", profile, summary=summary)
-    return summary
+        else:
+            method = "chernoff_corollary"
+            profile = {"kind": "bernoulli", "n": params["n"], "nu": params["nu"]}
+    elif config.experiment == "jl":
+        method = "jl_envelope"
+        profile = {"kind": "jl", "n": params["n"], "k": params["k"]}
+    else:
+        return summary
+    if len(records) < MIN_BOUND_RECORDS:
+        summary.warnings.append(
+            f"{config.experiment}: no bound curve attached; the bound comparison "
+            f"needs at least {MIN_BOUND_RECORDS} replicates, got {len(records)}")
+        return summary
+    return compare_bound(records, method, profile, summary=summary)
 
 
 def _binomial_se(p_hat, n):
@@ -233,35 +240,27 @@ def compare_bound(records, bound_method, profile_source, summary=None,
                                                 TypicalProfile
       {"kind": "empirical", "samples", "orders"} estimated from a
                                                 SampleMatrix via max-over-bins
+
+    The Chernoff corollaries fix m per t by their own rule; every other
+    source gives a moment curve, and one tail_curve call turns it into the
+    bound at every t.
     """
-    if len(records) < 100:
-        raise InvalidArgumentError("compare_bound needs at least 100 records")
+    if len(records) < MIN_BOUND_RECORDS:
+        raise InvalidArgumentError(
+            f"compare_bound needs at least {MIN_BOUND_RECORDS} records")
     if summary is None:
         summary = summarize(records)
     kind = profile_source["kind"]
     t_grid = summary.t_grid
     n_rec = len(records)
 
-    def theorem1_curve(profile, n_vars):
-        cap = m_max or max(2, n_vars if n_vars % 2 == 0 else n_vars - 1)
-        cap = min(cap, max(profile.orders))
-        values = []
-        for t in t_grid:
-            res = optimize_m(lambda m: theorem1_recursion_bound(profile, m),
-                             float(t), cap, method=BoundMethod.THEOREM1_RECURSION)
-            values.append(res.tail_probability)
-        return np.array(values), BoundMethod.THEOREM1_RECURSION.value
-
     if kind == "bernoulli":
         n, nu = profile_source["n"], profile_source["nu"]
-        curve = []
-        for t in t_grid:
-            if t > n * nu:
-                curve.append(math.nan)  # outside the corollary's regime
-            else:
-                curve.append(chernoff_corollary_bound(n, nu, float(t),
-                                                      constants).tail_probability)
-        curve = np.array(curve)
+        curve = np.array([
+            chernoff_corollary_bound(n, nu, float(t), constants).tail_probability
+            if t <= n * nu else math.nan  # outside the corollary's regime
+            for t in t_grid
+        ])
         method_name = BoundMethod.CHERNOFF_COROLLARY.value
     elif kind == "hetero_bernoulli":
         nu = float(np.sum(profile_source["nus"]))
@@ -270,46 +269,10 @@ def compare_bound(records, bound_method, profile_source, summary=None,
             for t in t_grid
         ])
         method_name = BoundMethod.GENERAL_CHERNOFF.value
-    elif kind == "jl":
-        n, k = profile_source["n"], profile_source["k"]
-        curve = []
-        for t in t_grid:
-            cap = max(2, k if k % 2 == 0 else k - 1)
-            res = optimize_m(
-                lambda m: theorem1_closed_bound(k, m, constants) - m * math.log(n),
-                float(t), cap, method=BoundMethod.THEOREM1_CLOSED,
-            )
-            curve.append(res.tail_probability)
-        curve = np.array(curve)
-        method_name = "JlMomentEnvelope"
-    elif kind == "profile":
-        profile = profile_source["profile"]
-        if isinstance(profile, TypicalProfile):
-            cap = m_max or max(profile.base.orders)
-            curve = []
-            for t in t_grid:
-                res = optimize_m(
-                    lambda m: bounds_mod.main_theorem_bound(profile, m, constants),
-                    float(t), cap, method=BoundMethod.MAIN_THEOREM)
-                curve.append(res.tail_probability)
-            curve = np.array(curve)
-            method_name = BoundMethod.MAIN_THEOREM.value
-        else:
-            curve, method_name = theorem1_curve(profile, profile.n)
-    elif kind == "empirical":
-        samples: SampleMatrix = profile_source["samples"]
-        orders = profile_source.get("orders", (2, 4))
-        values = {}
-        for i in range(1, samples.n + 1):
-            for l in orders:
-                est = estimate_conditional_moment(samples, i, l,
-                                                  profile_source.get("bin_count", 10))
-                values[(i, l)] = est.max_over_bins
-        profile = MomentProfile.from_values(samples.n, values)
-        curve, method_name = theorem1_curve(profile, samples.n)
-        profile_source = {"kind": "profile", "profile": profile}  # for the log
     else:
-        raise InvalidArgumentError(f"unknown profile source {kind!r}")
+        orders, log_bounds, method_name, profile_source = _moment_curve(
+            profile_source, constants, m_max)
+        curve = tail_curve(orders, log_bounds, t_grid).tail_probability
 
     verdicts = []
     for emp, bnd in zip(summary.empirical, curve):
@@ -323,6 +286,41 @@ def compare_bound(records, bound_method, profile_source, summary=None,
     summary.verdicts = verdicts
     summary.extras["bound_profile"] = _describe_profile(profile_source)
     return summary
+
+
+def _moment_curve(profile_source, constants, m_max):
+    """(orders, log moment bounds, method name, profile source to log) of a
+    source whose tail bound minimises Markov's inequality over m.
+
+    For a MomentProfile the order cap is m_max, else the number of
+    variables rounded down to even, and never above the profile's highest
+    order; for a TypicalProfile it is m_max, else its highest order.  An
+    empirical source is logged as the profile it estimates.
+    """
+    kind = profile_source["kind"]
+    if kind == "jl":
+        return (*jl_envelope_curve(profile_source["n"], profile_source["k"], constants),
+                "JlMomentEnvelope", profile_source)
+    if kind == "empirical":
+        samples: SampleMatrix = profile_source["samples"]
+        values = {}
+        for i in range(1, samples.n + 1):
+            for l in profile_source.get("orders", (2, 4)):
+                est = estimate_conditional_moment(samples, i, l,
+                                                  profile_source.get("bin_count", 10))
+                values[(i, l)] = est.max_over_bins
+        profile_source = {"kind": "profile",
+                          "profile": MomentProfile.from_values(samples.n, values)}
+    elif kind != "profile":
+        raise InvalidArgumentError(f"unknown profile source {kind!r}")
+    profile = profile_source["profile"]
+    if isinstance(profile, TypicalProfile):
+        cap = m_max or max(profile.base.orders)
+        return (*main_theorem_curve(profile, cap, constants),
+                BoundMethod.MAIN_THEOREM.value, profile_source)
+    cap = min(m_max or max(2, profile.n - profile.n % 2), max(profile.orders))
+    return (*theorem1_recursion_curve(profile, cap),
+            BoundMethod.THEOREM1_RECURSION.value, profile_source)
 
 
 def _describe_profile(profile_source):

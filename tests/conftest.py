@@ -1,11 +1,13 @@
 """Shared independent oracles: brute-force and enumeration references that
 the implementation under test must match or stay on the right side of."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def rademacher_moment_exact(n, m):
@@ -15,6 +17,49 @@ def rademacher_moment_exact(n, m):
     for k in range(n + 1):
         total += comb(n, k) * Fraction(n - 2 * k) ** m
     return total / Fraction(2) ** n
+
+
+def theorem1_recursion_oracle(profile, m):
+    """log g(n, m) by the scalar Theorem 1 recursion, one order at a time:
+
+        g(i, 0) = 1; g(1, q) = M_{1,q}; and for i >= 2,
+        g(i, q) = g(i-1, q) + (11/5) * sum over even t in [2, q] of
+                  (q^t / t!) * M_{i,t} * g(i-1, q-t),
+
+    with every sum a log-sum-exp over Python lists."""
+    log_11_5 = math.log(11.0 / 5.0)
+    qs = list(range(0, m + 1, 2))
+    qpos = {q: j for j, q in enumerate(qs)}
+    g_prev = np.empty(len(qs))
+    g_prev[0] = 0.0
+    for q in qs[1:]:
+        g_prev[qpos[q]] = profile.log_bound(1, q)
+    for i in range(2, profile.n + 1):
+        g_next = np.empty_like(g_prev)
+        g_next[0] = 0.0
+        for q in qs[1:]:
+            terms = [g_prev[qpos[q]]]
+            logq = math.log(q)
+            for t in range(2, q + 1, 2):
+                terms.append(log_11_5 + t * logq - math.lgamma(t + 1)
+                             + profile.log_bound(i, t) + g_prev[qpos[q - t]])
+            g_next[qpos[q]] = logsumexp(terms)
+        g_prev = g_next
+    return float(g_prev[qpos[m]])
+
+
+def optimize_m_oracle(bound_fn, t, m_max):
+    """(tail, m, log moment bound) minimizing min(1, exp(bound_fn(m) -
+    m*log t)) by a scan over even m <= m_max; a strict comparison keeps
+    the smallest m on ties."""
+    best = None
+    for m in range(2, m_max + 1, 2):
+        mb = bound_fn(m)
+        log_p = mb - m * math.log(t)
+        p = 1.0 if log_p >= 0.0 else math.exp(log_p)
+        if best is None or p < best[0]:
+            best = (p, m, mb)
+    return best
 
 
 def tour_length_oracle(points, order):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import rademacher_moment_exact
+from conftest import optimize_m_oracle, rademacher_moment_exact, theorem1_recursion_oracle
 from tailbounds.bounds import (
     BoundConstants,
     BoundMethod,
@@ -15,12 +16,17 @@ from tailbounds.bounds import (
     chernoff_corollary_bound,
     general_chernoff_bound,
     hoeffding_azuma_bound,
+    jl_envelope_curve,
     main_theorem_bound,
+    main_theorem_curve,
     markov_tail,
     nearest_even,
     optimize_m,
+    tail_curve,
     theorem1_closed_bound,
+    theorem1_closed_curve,
     theorem1_recursion_bound,
+    theorem1_recursion_curve,
 )
 from tailbounds.errors import (
     IncompleteProfileError,
@@ -331,6 +337,145 @@ class TestHoeffdingAzuma:
         ps = [hoeffding_azuma_bound(100, t).tail_probability
               for t in (20, 60, 120, 200)]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
+
+
+@st.composite
+def moment_profiles(draw, max_n=60, max_half=12):
+    """Random profiles through order m_max = 2*half, zero entries included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    half = draw(st.integers(min_value=1, max_value=max_half))
+    log_m = draw(arrays(np.float64, (n, half), elements=st.one_of(
+        st.just(-np.inf), st.floats(min_value=-30.0, max_value=30.0))))
+    return MomentProfile(n, range(2, 2 * half + 1, 2), log_m)
+
+
+t_grids = st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=20)
+
+
+def _same_log(got, want):
+    """Equal within 1e-12 relative, or both the same infinity.  The absolute
+    floor covers log values near 0, where 1e-12 in the log is 1e-12
+    relative on the moment itself."""
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return got == want
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _assert_matches_scan(orders, log_bounds, t_grid, bound_fn):
+    """tail_curve agrees point by point with a per-t scan over bound_fn."""
+    m_max = int(orders[-1])
+    curve = tail_curve(orders, log_bounds, t_grid)
+    for j, t in enumerate(t_grid):
+        p, m, mb = optimize_m_oracle(bound_fn, t, m_max)
+        assert curve.m_used[j] == m
+        assert _same_log(curve.moment_bound[j], mb)
+        assert math.isclose(curve.tail_probability[j], p, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestMomentCurves:
+    @given(moment_profiles())
+    @settings(max_examples=30, deadline=None)
+    def test_recursion_curve_matches_scalar_dp(self, profile):
+        m_max = max(profile.orders)
+        orders, log_bounds = theorem1_recursion_curve(profile, m_max)
+        assert list(orders) == list(range(2, m_max + 1, 2))
+        for m, got in zip(orders, log_bounds):
+            assert _same_log(got, theorem1_recursion_oracle(profile, int(m)))
+
+    def test_recursion_curve_on_normal_moments(self):
+        # The benchmark's profile: E Z^l = (l-1)!! for l <= 16, n = 40.
+        profile = MomentProfile.uniform(
+            40, {l: float(math.prod(range(l - 1, 0, -2))) for l in range(2, 17, 2)})
+        orders, log_bounds = theorem1_recursion_curve(profile, 16)
+        for m, got in zip(orders, log_bounds):
+            assert _same_log(got, theorem1_recursion_oracle(profile, int(m)))
+
+    def test_scalar_evaluators_are_curve_endpoints(self):
+        profile = MomentProfile.uniform(7, {2: 1.5, 4: 6.0, 6: 40.0})
+        _, rec = theorem1_recursion_curve(profile, 6)
+        _, closed = theorem1_closed_curve(7, 6)
+        for j, m in enumerate((2, 4, 6)):
+            assert theorem1_recursion_bound(profile, m) == rec[j]
+            assert theorem1_closed_bound(7, m) == closed[j]
+
+    def test_curve_needs_every_order(self):
+        profile = MomentProfile.uniform(3, {2: 1.0, 6: 1.0})
+        with pytest.raises(IncompleteProfileError):
+            theorem1_recursion_curve(profile, 6)
+        with pytest.raises(InvalidArgumentError):
+            theorem1_recursion_curve(profile, 5)
+
+
+class TestTailCurve:
+    @given(moment_profiles(max_n=30, max_half=8), t_grids)
+    @settings(max_examples=40, deadline=None)
+    def test_theorem1_matches_scan(self, profile, t_grid):
+        m_max = max(profile.orders)
+        oracle = {m: theorem1_recursion_oracle(profile, m)
+                  for m in range(2, m_max + 1, 2)}
+        _assert_matches_scan(*theorem1_recursion_curve(profile, m_max), t_grid,
+                             oracle.__getitem__)
+
+    @given(moment_profiles(max_n=20, max_half=6),
+           st.floats(min_value=0.0, max_value=1.0), t_grids)
+    @settings(max_examples=40, deadline=None)
+    def test_main_theorem_matches_scan(self, base, delta, t_grid):
+        profile = TypicalProfile(base, base.log_m - 1.0, np.full(base.log_m.shape, delta))
+        m_max = max(base.orders)
+        _assert_matches_scan(*main_theorem_curve(profile, m_max), t_grid,
+                             lambda m: main_theorem_bound(profile, m))
+
+    @given(st.integers(min_value=1, max_value=400),
+           st.integers(min_value=1, max_value=40), t_grids)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_scan(self, n, half, t_grid):
+        _assert_matches_scan(*theorem1_closed_curve(n, 2 * half), t_grid,
+                             lambda m: theorem1_closed_bound(n, m))
+
+    @given(st.integers(min_value=1, max_value=10_000),
+           st.integers(min_value=1, max_value=200), t_grids)
+    @settings(max_examples=60, deadline=None)
+    def test_jl_matches_scan(self, n, k, t_grid):
+        _assert_matches_scan(*jl_envelope_curve(n, k), t_grid,
+                             lambda m: theorem1_closed_bound(k, m) - m * math.log(n))
+
+    def test_tie_resolves_to_smaller_order(self):
+        # At t = 1 each p is exp(log bound): orders 4 and 6 tie below order 2.
+        curve = tail_curve([2, 4, 6], [-1.0, -2.0, -2.0], [1.0])
+        assert curve.m_used[0] == 4
+        assert curve.tail_probability[0] == math.exp(-2.0)
+
+    def test_every_p_clamped_to_one(self):
+        curve = tail_curve([2, 4, 6], [5.0, 9.0, 20.0], [0.5, 1.0])
+        assert list(curve.m_used) == [2, 2]
+        assert list(curve.tail_probability) == [1.0, 1.0]
+        assert list(curve.moment_bound) == [5.0, 5.0]
+
+    def test_every_p_underflows_to_zero(self):
+        curve = tail_curve([2, 4, 6], [-800.0, -900.0, -1000.0], [1.0])
+        assert curve.m_used[0] == 2
+        assert curve.tail_probability[0] == 0.0
+
+    def test_underflow_beats_a_positive_tail(self):
+        # exp(-700) > 0 loses to the orders whose p underflows; of those
+        # the smaller wins.
+        curve = tail_curve([2, 4, 6], [-700.0, -800.0, -900.0], [1.0])
+        assert curve.m_used[0] == 4
+        assert curve.tail_probability[0] == 0.0
+
+    def test_each_t_minimised_separately(self):
+        orders, log_bounds = theorem1_closed_curve(100, 40)
+        ts = [0.5, 200.0, 1e6]
+        curve = tail_curve(orders, log_bounds, ts)
+        for j, t in enumerate(ts):
+            res = optimize_m(lambda m: theorem1_closed_bound(100, m), t, 40)
+            assert curve.m_used[j] == res.m_used
+            assert curve.tail_probability[j] == res.tail_probability
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_rejects_nonpositive_t(self, t):
+        with pytest.raises(InvalidArgumentError):
+            tail_curve([2, 4], [1.0, 2.0], [1.0, t])
 
 
 class TestMomentProfile:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailbounds
 from tailbounds.bounds import MomentProfile
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError
 from tailbounds.harness import cli
@@ -87,6 +92,11 @@ class TestConfigSchema:
                           parameters={"dist": {"kind": "lower_bound", "k": 4},
                                       "n_items": 2000})
         assert any("regime" in w for w in cfg.warnings)
+
+    @pytest.mark.parametrize("field", ["replicates", "base_seed"])
+    def test_bool_is_not_an_integer(self, field):
+        with pytest.raises(ConfigError, match=rf"\$\.{field}"):
+            make_config(**{field: True})
 
     def test_param_hash_stable(self):
         a = make_config().param_hash()
@@ -222,6 +232,35 @@ class TestCompareBound:
                                 {"kind": "profile", "profile": profile})
         assert summary.dominated
 
+    def test_one_moment_curve_per_bound_curve(self, monkeypatch):
+        # One recursion pass for the whole t-grid, and one main-theorem
+        # evaluation per order, not one per (order, t).
+        from tailbounds import bounds
+        from tailbounds.bounds import TypicalProfile
+        from tailbounds.harness import runner
+
+        calls = {"recursion": 0, "main": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runner, "theorem1_recursion_curve",
+                            counted("recursion", bounds.theorem1_recursion_curve))
+        monkeypatch.setattr(bounds, "main_theorem_bound",
+                            counted("main", bounds.main_theorem_bound))
+        records = [ExperimentRecord("x", i, i, "h", float(i % 7), {}) for i in range(200)]
+        moments = {2: 1.0, 4: 3.0, 6: 15.0}
+        deltas = {2: 0.1, 4: 0.1, 6: 0.1}
+        compare_bound(records, "theorem1_recursion",
+                      {"kind": "profile", "profile": MomentProfile.uniform(10, moments)})
+        compare_bound(records, "main_theorem", {
+            "kind": "profile",
+            "profile": TypicalProfile.uniform(10, moments, moments, deltas)})
+        assert calls == {"recursion": 1, "main": 3}
+
     def test_needs_enough_records(self):
         records = [ExperimentRecord("x", i, i, "h", float(i), {}) for i in range(10)]
         with pytest.raises(InvalidArgumentError):
@@ -348,6 +387,85 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["rows"]) == 3
         assert 0.3 < payload["slope"] < 0.7
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(tailbounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tailbounds.harness.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestCliBadInput:
+    """Bad input ends with exit 2 and a message naming the flag or field,
+    never with a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--method", "chernoff-corollary", "--t", "5"], "--n"),
+        (["--method", "chernoff-corollary", "--t", "5", "--n", "100"], "--sigma2"),
+        (["--method", "general-chernoff", "--t", "5"], "--nu"),
+        (["--method", "theorem1-closed", "--t", "5"], "--n"),
+        (["--method", "theorem1-recursion", "--t", "5"], "--profile"),
+        (["--method", "main", "--t", "5"], "--profile"),
+        # InvalidArgumentError and OutOfRegimeError from the bound itself.
+        (["--method", "general-chernoff", "--nu", "100", "--t", "-1"], "t must be > 0"),
+        (["--method", "chernoff-corollary", "--n", "10", "--sigma2", "0.1",
+          "--t", "5"], "n*sigma2"),
+    ])
+    def test_bound_arguments(self, argv, named):
+        code, _, err = run_cli("bound", *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
+
+    def test_incomplete_profile(self, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"n": 4, "M": {"2": 1.0}}))
+        code, _, err = run_cli("bound", "--method", "theorem1-recursion",
+                               "--profile", str(profile), "--t", "3", "--m-max", "4")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "order l=4" in err
+
+    @pytest.mark.parametrize("field", ["replicates", "base_seed"])
+    def test_bool_config_field(self, tmp_path, field):
+        raw = {"schema_version": 1, "experiment": "lis", "replicates": 5,
+               "base_seed": 0, "parameters": {"n": 10}}
+        raw[field] = True
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run_cli("run", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"$.{field}" in err
+
+    def test_small_chernoff_run_keeps_csv_and_warns(self, tmp_path):
+        out = tmp_path / "records.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "chernoff", "replicates": 50,
+            "base_seed": 9, "parameters": {"n": 100, "nu": 0.5}, "output": str(out),
+        }))
+        code, stdout, err = run_cli("run", str(cfg))
+        assert code == 0
+        assert "Traceback" not in err
+        assert len(records_from_csv(out.read_text())) == 50
+        summary = json.loads(stdout)
+        assert summary["bound"] is None
+        assert any("no bound curve" in w and "50" in w for w in summary["warnings"])
+        assert "warning: chernoff: no bound curve" in err
+
+
+@pytest.mark.parametrize("replicates, attached", [(99, False), (100, True)])
+def test_default_bound_needs_100_replicates(replicates, attached):
+    cfg = make_config(experiment="chernoff", replicates=replicates,
+                      parameters={"n": 100, "nu": 0.5})
+    _, summary = run_experiment(cfg)
+    assert (summary.bound is not None) is attached
+    assert any("no bound curve" in w for w in summary.warnings) is not attached
 
 
 class TestExperimentExtras:
