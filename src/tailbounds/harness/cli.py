@@ -11,6 +11,7 @@ domain or regime, 3 hypothesis-violation refusal, 4 size-limit error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,7 +20,7 @@ from ..bounds import BoundMethod, BoundConstants, MomentProfile, TypicalProfile,
     tail_bound, theorem1_closed_curve, theorem1_recursion_curve
 from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
     InvalidArgumentError, OutOfRegimeError, SizeLimitError
-from .config import load_config
+from .config import load_config, read_json, typed_field, typed_value
 from .runner import records_from_csv, run_experiment, scaling_study, summarize
 
 EXIT_OK = 0
@@ -39,29 +40,34 @@ METHOD_OPTIONS = {
 
 def _values_map(n, spec, path):
     """Order -> value map or per-variable lists from profile JSON."""
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "must be an object mapping orders to values")
     out = {}
     for key, val in spec.items():
         try:
             order = int(key)
         except ValueError:
             raise ConfigError(path, f"orders must be integers, got {key!r}") from None
+        where = f"{path}.{key}"
         if isinstance(val, list):
             if len(val) != n:
                 raise ConfigError(path, f"order {order}: expected {n} values")
             for i, v in enumerate(val, start=1):
-                out[(i, order)] = float(v)
+                out[(i, order)] = typed_value(v, f"{where}[{i - 1}]", float)
         else:
+            value = typed_value(val, where, float)
             for i in range(1, n + 1):
-                out[(i, order)] = float(val)
+                out[(i, order)] = value
     return out
 
 
 def load_profile(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError("$", "profile file must be a JSON object")
     if "n" not in raw or "M" not in raw:
         raise ConfigError("$", "profile file needs 'n' and 'M'")
-    n = int(raw["n"])
+    n = typed_field(raw, "n", "$", int, low=1)
     base = MomentProfile.from_values(n, _values_map(n, raw["M"], "$.M"))
     if "L" in raw or "delta" in raw:
         if not ("L" in raw and "delta" in raw):
@@ -120,7 +126,7 @@ def cmd_bound(args):
 def cmd_run(args):
     config = load_config(args.config)
     if args.seed is not None:
-        config.base_seed = args.seed
+        config = dataclasses.replace(config, base_seed=args.seed)
     out = args.out or config.output
     records, summary = run_experiment(config, workers=args.workers, out=out)
     for warning in summary.warnings:
@@ -132,7 +138,7 @@ def cmd_run(args):
 def cmd_scale(args):
     config = load_config(args.config)
     if args.seed is not None:
-        config.base_seed = args.seed
+        config = dataclasses.replace(config, base_seed=args.seed)
     study = scaling_study(config, args.n_list, workers=args.workers)
     payload = {
         "experiment": config.experiment,

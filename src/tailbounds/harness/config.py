@@ -1,14 +1,21 @@
 """Experiment configuration: a versioned JSON schema validated before any
-replicate runs.  Unknown keys are rejected with the offending field path."""
+replicate runs.  Unknown keys are rejected with the offending field path.
+
+Validation is the one place that turns JSON into run inputs: it builds
+each domain object once and stores it in place of its JSON spec."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import ConfigError
+from ..graphs import EdgeProbabilityMatrix
+from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution
 from ..pointproc import Deterministic, PlacementStrategy, Poisson, TruncatedZeta, TwoPoint
 from ..seq import RadialBetaMixture, SphereUniform
 
@@ -17,21 +24,26 @@ SCHEMA_VERSION = 1
 EXPERIMENTS = ("tsp", "mwst", "chromatic", "jl", "binpack", "lis", "chernoff",
                "gauss_sum")
 
+_REQUIRED = object()
 
-@dataclass
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    parameters: dict
+    parameters: dict          # validated: built domain objects
+    raw_parameters: dict      # the JSON object they were built from
     replicates: int
     base_seed: int
     output: str | None = None
-    warnings: list = field(default_factory=list)
 
     def param_hash(self):
-        # Validated parameters may hold dataclasses/enums; their reprs are
-        # stable, so default=str keeps the hash canonical.
-        canon = json.dumps(self.parameters, sort_keys=True, default=str)
+        """First 12 hex digits of SHA-256 over the canonical raw JSON."""
+        canon = json.dumps(self.raw_parameters, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+    @property
+    def warnings(self):
+        return _regime_warnings(self.experiment, self.parameters)
 
 
 def _require(cond, path, message):
@@ -45,23 +57,68 @@ def _check_keys(mapping, allowed, path):
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
-def _count_dist(spec, path):
+# The JSON values a typed field accepts, and how it names them, by the type
+# it returns.
+_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            tuple: ((list,), "a list")}
+
+
+def typed_value(value, path, kind, low=None):
+    """value as kind (int, float or tuple), at least low.  bool is refused:
+    it is a subclass of int, so true and false would pass a bare isinstance."""
+    accepts, name = _ACCEPTS[kind]
+    ok = isinstance(value, accepts) and not isinstance(value, bool) \
+        and (low is None or value >= low)
+    _require(ok, path, f"must be {name}" + ("" if low is None else f" >= {low}"))
+    return kind(value)
+
+
+def typed_field(spec, key, path, kind, low=None, default=_REQUIRED):
+    """typed_value of spec[key], or default when the key is absent."""
+    if key not in spec:
+        _require(default is not _REQUIRED, f"{path}.{key}", "is required")
+        return default
+    return typed_value(spec[key], f"{path}.{key}", kind, low)
+
+
+def _build(path, ctor, *args):
+    """ctor(*args), with a domain error reported as a ConfigError at path."""
+    try:
+        return ctor(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+# kind -> (constructor, its arguments as (key, type, lower bound, default)).
+_COUNT_DISTS = {
+    "poisson": (Poisson, [("mean", float, None, 1.0)]),
+    "zeta": (TruncatedZeta, [("s", float, None, _REQUIRED), ("cap", int, 1, 10**6),
+                             ("p0", float, None, 0.0)]),
+    "two_point": (TwoPoint, [("p0", float, None, _REQUIRED), ("value", int, 1, _REQUIRED)]),
+    "deterministic": (Deterministic, [("k", int, 0, _REQUIRED)]),
+}
+_VECTOR_FAMILIES = {
+    "sphere": (SphereUniform, []),
+    "radial_beta": (RadialBetaMixture, [("scale", float, None, 1.2),
+                                        ("a", float, None, 8.0), ("b", float, None, 2.0)]),
+}
+_ITEM_DISTS = {
+    "lower_bound": (lower_bound_distribution, [("k", int, 4, _REQUIRED)]),
+    "explicit": (ItemDistribution, [("sizes", tuple, None, _REQUIRED),
+                                    ("probs", tuple, None, _REQUIRED)]),
+}
+
+
+def _from_kind(spec, path, table, what):
+    """The object a {"kind": ..., ...} spec describes, built from table."""
     _require(isinstance(spec, dict), path, "must be an object with a 'kind'")
     kind = spec.get("kind")
-    if kind == "poisson":
-        _check_keys(spec, {"kind", "mean"}, path)
-        return Poisson(float(spec.get("mean", 1.0)))
-    if kind == "zeta":
-        _check_keys(spec, {"kind", "s", "cap", "p0"}, path)
-        return TruncatedZeta(float(spec["s"]), int(spec.get("cap", 10**6)),
-                             float(spec.get("p0", 0.0)))
-    if kind == "two_point":
-        _check_keys(spec, {"kind", "p0", "value"}, path)
-        return TwoPoint(float(spec["p0"]), int(spec["value"]))
-    if kind == "deterministic":
-        _check_keys(spec, {"kind", "k"}, path)
-        return Deterministic(int(spec["k"]))
-    raise ConfigError(f"{path}.kind", f"unknown count distribution {kind!r}")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}.kind", f"unknown {what} {kind!r}")
+    ctor, fields = table[kind]
+    _check_keys(spec, {"kind", *(key for key, *_ in fields)}, path)
+    return _build(path, ctor, *(typed_field(spec, key, path, typ, low, default)
+                                for key, typ, low, default in fields))
 
 
 def _placement(spec, path):
@@ -71,139 +128,109 @@ def _placement(spec, path):
         raise ConfigError(path, f"unknown placement {spec!r}") from None
 
 
-def _vector_family(spec, path):
-    _require(isinstance(spec, dict), path, "must be an object with a 'kind'")
-    kind = spec.get("kind")
-    if kind == "sphere":
-        _check_keys(spec, {"kind"}, path)
-        return SphereUniform()
-    if kind == "radial_beta":
-        _check_keys(spec, {"kind", "scale", "a", "b"}, path)
-        return RadialBetaMixture(scale=float(spec.get("scale", 1.2)),
-                                 a=float(spec.get("a", 8.0)),
-                                 b=float(spec.get("b", 2.0)))
-    raise ConfigError(f"{path}.kind", f"unknown vector family {kind!r}")
-
-
 def _validate_grid(params, path):
     out = dict(params)
     _check_keys(params, {"n_cells", "count_dist", "placement", "max_passes"}, path)
-    n_cells = params.get("n_cells")
-    _require(isinstance(n_cells, int) and n_cells >= 4, f"{path}.n_cells",
-             "must be an integer >= 4")
+    n_cells = typed_field(params, "n_cells", path, int, low=4)
     side = math.isqrt(n_cells)
     _require(side * side == n_cells, f"{path}.n_cells", "must be a perfect square")
-    out["count_dist"] = _count_dist(params.get("count_dist", {"kind": "poisson", "mean": 1.0}),
-                                    f"{path}.count_dist")
+    out["count_dist"] = _from_kind(params.get("count_dist", {"kind": "poisson"}),
+                                   f"{path}.count_dist", _COUNT_DISTS, "count distribution")
     out["placement"] = _placement(params.get("placement", "uniform_in_cell"),
                                   f"{path}.placement")
-    out["max_passes"] = int(params.get("max_passes", 40))
+    out["max_passes"] = typed_field(params, "max_passes", path, int, low=0, default=40)
     return out
+
+
+def _probability(spec, key, path):
+    p = typed_field(spec, key, path, float)
+    _require(0 <= p <= 1, f"{path}.{key}", "must be in [0,1]")
+    return p
+
+
+def _probability_matrix(n, spec, path):
+    """The n x n EdgeProbabilityMatrix of a p_spec."""
+    _require(isinstance(spec, dict), path, "must be an object")
+    kind = spec.get("kind")
+    if kind == "uniform":
+        _check_keys(spec, {"kind", "p"}, path)
+        return EdgeProbabilityMatrix.uniform(n, _probability(spec, "p", path))
+    if kind == "two_block":
+        _check_keys(spec, {"kind", "p_in", "p_out", "split"}, path)
+        p_in, p_out = _probability(spec, "p_in", path), _probability(spec, "p_out", path)
+        split = typed_field(spec, "split", path, float)
+        _require(0 < split < 1, f"{path}.split", "must be in (0,1)")
+        split = int(round(split * n))
+        p = np.full((n, n), p_out)
+        p[:split, :split] = p_in
+        p[split:, split:] = p_in
+        np.fill_diagonal(p, 0.0)
+        return EdgeProbabilityMatrix(p)
+    if kind == "matrix":
+        _check_keys(spec, {"kind", "p"}, path)
+        P = _build(f"{path}.p", EdgeProbabilityMatrix, typed_field(spec, "p", path, tuple))
+        _require(P.n == n, f"{path}.p", f"must be n x n = {n} x {n}, got {P.n} x {P.n}")
+        return P
+    raise ConfigError(f"{path}.kind", f"unknown matrix spec {kind!r}")
 
 
 def _validate_chromatic(params, path):
     _check_keys(params, {"n", "p_spec", "method", "exact_cap"}, path)
-    out = dict(params)
-    n = params.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "must be an integer >= 1")
-    spec = params.get("p_spec", {"kind": "uniform", "p": 0.5})
-    _require(isinstance(spec, dict), f"{path}.p_spec", "must be an object")
-    kind = spec.get("kind")
-    if kind == "uniform":
-        _check_keys(spec, {"kind", "p"}, f"{path}.p_spec")
-        _require(0 <= spec.get("p", -1) <= 1, f"{path}.p_spec.p", "must be in [0,1]")
-    elif kind == "two_block":
-        _check_keys(spec, {"kind", "p_in", "p_out", "split"}, f"{path}.p_spec")
-        for key in ("p_in", "p_out"):
-            _require(0 <= spec.get(key, -1) <= 1, f"{path}.p_spec.{key}",
-                     "must be in [0,1]")
-        _require(0 < spec.get("split", 0) < 1, f"{path}.p_spec.split",
-                 "must be in (0,1)")
-    elif kind == "matrix":
-        _check_keys(spec, {"kind", "p"}, f"{path}.p_spec")
-        _require(isinstance(spec.get("p"), list), f"{path}.p_spec.p",
-                 "must be a matrix (list of rows)")
-    else:
-        raise ConfigError(f"{path}.p_spec.kind", f"unknown matrix spec {kind!r}")
+    n = typed_field(params, "n", path, int, low=1)
+    P = _probability_matrix(n, params.get("p_spec", {"kind": "uniform", "p": 0.5}),
+                            f"{path}.p_spec")
     method = params.get("method", "auto")
     _require(method in ("auto", "exact", "greedy"), f"{path}.method",
              "must be auto, exact, or greedy")
-    out["p_spec"] = spec
-    out["method"] = method
-    out["exact_cap"] = int(params.get("exact_cap", 30))
-    return out
+    exact_cap = typed_field(params, "exact_cap", path, int, low=0, default=30)
+    if method == "auto":
+        method = "exact" if n <= exact_cap else "greedy"
+    return {"n": n, "P": P, "method": method, "exact_cap": exact_cap}
 
 
 def _validate_jl(params, path):
     _check_keys(params, {"n", "k", "family", "gate_samples"}, path)
     out = dict(params)
-    n, k = params.get("n"), params.get("k")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "must be an integer >= 1")
-    _require(isinstance(k, int) and 1 <= k <= n, f"{path}.k",
-             "must be an integer in 1..n")
-    out["family"] = _vector_family(params.get("family", {"kind": "sphere"}),
-                                   f"{path}.family")
-    out["gate_samples"] = int(params.get("gate_samples", 2000))
+    n = typed_field(params, "n", path, int, low=1)
+    k = typed_field(params, "k", path, int, low=1)
+    _require(k <= n, f"{path}.k", "must be an integer in 1..n")
+    out["family"] = _from_kind(params.get("family", {"kind": "sphere"}),
+                               f"{path}.family", _VECTOR_FAMILIES, "vector family")
+    out["gate_samples"] = typed_field(params, "gate_samples", path, int, low=0,
+                                      default=2000)
     return out
 
 
 def _validate_binpack(params, path):
     _check_keys(params, {"dist", "n_items", "maximal_only"}, path)
-    out = dict(params)
-    n_items = params.get("n_items")
-    _require(isinstance(n_items, int) and n_items >= 1, f"{path}.n_items",
-             "must be an integer >= 1")
-    spec = params.get("dist")
-    _require(isinstance(spec, dict), f"{path}.dist", "must be an object")
-    kind = spec.get("kind")
-    if kind == "lower_bound":
-        _check_keys(spec, {"kind", "k"}, f"{path}.dist")
-        _require(isinstance(spec.get("k"), int) and spec["k"] >= 4,
-                 f"{path}.dist.k", "must be an integer >= 4")
-    elif kind == "explicit":
-        _check_keys(spec, {"kind", "sizes", "probs"}, f"{path}.dist")
-        _require(isinstance(spec.get("sizes"), list) and isinstance(spec.get("probs"), list),
-                 f"{path}.dist", "needs 'sizes' and 'probs' lists")
-    else:
-        raise ConfigError(f"{path}.dist.kind", f"unknown distribution {kind!r}")
-    out["dist"] = spec
-    out["maximal_only"] = bool(params.get("maximal_only", True))
-    return out
+    n_items = typed_field(params, "n_items", path, int, low=1)
+    dist = _from_kind(params.get("dist"), f"{path}.dist", _ITEM_DISTS, "distribution")
+    bin_types = _build(f"{path}.dist", enumerate_bin_types, dist,
+                       bool(params.get("maximal_only", True)))
+    return {"dist": dist, "bin_types": bin_types, "n_items": n_items}
 
 
-def _validate_lis(params, path):
+def _validate_n(params, path):
     _check_keys(params, {"n"}, path)
-    n = params.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "must be an integer >= 1")
-    return dict(params)
+    return {"n": typed_field(params, "n", path, int, low=1)}
 
 
 def _validate_chernoff(params, path):
     _check_keys(params, {"n", "nu", "nus"}, path)
-    out = dict(params)
-    n = params.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "must be an integer >= 1")
+    n = typed_field(params, "n", path, int, low=1)
     if "nus" in params:
         spec = params["nus"]
         _require(isinstance(spec, dict) and spec.get("kind") == "alternating",
                  f"{path}.nus", "must be {'kind': 'alternating', 'values': [...]}")
         _check_keys(spec, {"kind", "values"}, f"{path}.nus")
-        values = spec.get("values")
-        _require(isinstance(values, list) and values
-                 and all(0 < v < 1 for v in values),
-                 f"{path}.nus.values", "must be probabilities in (0,1)")
-    else:
-        nu = params.get("nu", 0.5)
-        _require(0 < nu < 1, f"{path}.nu", "must be in (0,1)")
-        out["nu"] = float(nu)
-    return out
-
-
-def _validate_gauss(params, path):
-    _check_keys(params, {"n"}, path)
-    n = params.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "must be an integer >= 1")
-    return dict(params)
+        values = [typed_value(v, f"{path}.nus.values[{i}]", float)
+                  for i, v in enumerate(typed_field(spec, "values", f"{path}.nus", tuple))]
+        _require(values and all(0 < v < 1 for v in values), f"{path}.nus.values",
+                 "must be nonempty probabilities in (0,1)")
+        return {"n": n, "nus": np.resize(np.array(values), n)}
+    nu = typed_field(params, "nu", path, float, default=0.5)
+    _require(0 < nu < 1, f"{path}.nu", "must be in (0,1)")
+    return {"n": n, "nu": nu, "nus": np.full(n, nu)}
 
 
 _VALIDATORS = {
@@ -212,9 +239,9 @@ _VALIDATORS = {
     "chromatic": _validate_chromatic,
     "jl": _validate_jl,
     "binpack": _validate_binpack,
-    "lis": _validate_lis,
+    "lis": _validate_n,
     "chernoff": _validate_chernoff,
-    "gauss_sum": _validate_gauss,
+    "gauss_sum": _validate_n,
 }
 
 # Parameter that a scaling study varies, per experiment.
@@ -242,51 +269,53 @@ def parse_config(raw: dict):
     exp = raw.get("experiment")
     _require(exp in EXPERIMENTS, "$.experiment",
              f"must be one of {', '.join(EXPERIMENTS)}")
-    # bool is a subclass of int, so true/false would pass a bare isinstance.
-    replicates = raw.get("replicates")
-    _require(isinstance(replicates, int) and not isinstance(replicates, bool)
-             and replicates >= 1, "$.replicates", "must be an integer >= 1")
-    base_seed = raw.get("base_seed", 0)
-    _require(isinstance(base_seed, int) and not isinstance(base_seed, bool),
-             "$.base_seed", "must be an integer")
+    replicates = typed_field(raw, "replicates", "$", int, low=1)
+    base_seed = typed_field(raw, "base_seed", "$", int, default=0)
     params = raw.get("parameters", {})
     _require(isinstance(params, dict), "$.parameters", "must be an object")
-    validated = _VALIDATORS[exp](params, "$.parameters")
-    cfg = ExperimentConfig(experiment=exp, parameters=validated,
-                           replicates=replicates, base_seed=base_seed,
-                           output=raw.get("output"))
-    _post_validate(cfg)
-    return cfg
+    return ExperimentConfig(
+        experiment=exp, parameters=_VALIDATORS[exp](params, "$.parameters"),
+        raw_parameters=params, replicates=replicates, base_seed=base_seed,
+        output=raw.get("output"))
+
+
+def with_parameters(config, raw_parameters):
+    """config with raw_parameters in place of its own, validated as
+    parse_config validates them."""
+    return dataclasses.replace(
+        config, raw_parameters=raw_parameters,
+        parameters=_VALIDATORS[config.experiment](raw_parameters, "$.parameters"))
+
+
+def read_json(path):
+    """The JSON value in the file at path; invalid JSON is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("$", f"invalid JSON: {exc}") from exc
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(read_json(path))
 
 
-def _post_validate(cfg: ExperimentConfig):
+def _regime_warnings(experiment, params):
     """Regime checks that warn rather than refuse."""
-    if cfg.experiment == "binpack":
-        from ..packing import ItemDistribution, lower_bound_distribution
-
-        spec = cfg.parameters["dist"]
-        if spec["kind"] == "lower_bound":
-            dist = lower_bound_distribution(spec["k"])
-        else:
-            dist = ItemDistribution(tuple(spec["sizes"]), tuple(spec["probs"]))
-        n = cfg.parameters["n_items"]
-        logn = math.log(n) if n > 1 else 1.0
-        if min(dist.probs) < 1.0 / logn:
-            cfg.warnings.append(
-                "binpack: some atom probability is below 1/log(n_items); the "
-                "concentration regime is not guaranteed"
-            )
-        if dist.mu > 1.0 / (dist.r**2 * logn):
-            cfg.warnings.append(
-                "binpack: mean item size exceeds 1/(r^2 log n); the "
-                "concentration regime is not guaranteed"
-            )
+    if experiment != "binpack":
+        return []
+    dist = params["dist"]
+    n = params["n_items"]
+    logn = math.log(n) if n > 1 else 1.0
+    warnings = []
+    if min(dist.probs) < 1.0 / logn:
+        warnings.append(
+            "binpack: some atom probability is below 1/log(n_items); the "
+            "concentration regime is not guaranteed"
+        )
+    if dist.mu > 1.0 / (dist.r**2 * logn):
+        warnings.append(
+            "binpack: mean item size exceeds 1/(r^2 log n); the "
+            "concentration regime is not guaranteed"
+        )
+    return warnings

@@ -3,19 +3,26 @@
 Each experiment maps (parameters, base_seed, replicate) to a functional
 value plus auxiliary metrics; all randomness flows through per-replicate
 counter-based streams so results do not depend on execution order.
+
+The parameters are the validated dict of config.parse_config, so every
+domain object is built once per config and only read here:
+  tsp, mwst   n_cells, count_dist, placement, max_passes
+  chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy),
+              exact_cap
+  jl          n, k, family, gate_samples
+  binpack     dist (ItemDistribution), bin_types (BinTypeSet), n_items
+  chernoff    n, nus (per-variable means), nu when they are all equal
+  lis, gauss_sum  n
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import HypothesisViolationError
 from ..euclid import mst_weight, tsp_2opt, tsp_exact, tsp_strip, TSP_EXACT_MAX_POINTS
-from ..graphs import EdgeProbabilityMatrix, chromatic_exact, chromatic_greedy, mad, sample_graph
-from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution, \
-    lp_round_up, solve_packing_lp
+from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
+from ..packing import lp_round_up, solve_packing_lp
 from ..pointproc import sample_point_set
 from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit_vector
 from .rng import derived_seed, substream
@@ -49,27 +56,9 @@ def run_mwst(params, base_seed, replicate):
     return value, {"n_points": len(points), "solver": "prim"}
 
 
-def probability_matrix(n, spec):
-    if spec["kind"] == "uniform":
-        return EdgeProbabilityMatrix.uniform(n, spec["p"])
-    if spec["kind"] == "two_block":
-        split = int(round(spec["split"] * n))
-        p = np.full((n, n), spec["p_out"])
-        p[:split, :split] = spec["p_in"]
-        p[split:, split:] = spec["p_in"]
-        np.fill_diagonal(p, 0.0)
-        return EdgeProbabilityMatrix(p)
-    p = np.array(spec["p"], dtype=float)
-    return EdgeProbabilityMatrix(p)
-
-
 def run_chromatic(params, base_seed, replicate):
-    seed = derived_seed(base_seed, replicate)
-    P = probability_matrix(params["n"], params["p_spec"])
-    g = sample_graph(P, seed)
+    g = sample_graph(params["P"], derived_seed(base_seed, replicate))
     method = params["method"]
-    if method == "auto":
-        method = "exact" if P.n <= params["exact_cap"] else "greedy"
     if method == "exact":
         chi = chromatic_exact(g, cap=params["exact_cap"])
     else:
@@ -84,22 +73,10 @@ def run_jl(params, base_seed, replicate):
     return stat.total, {"centered": stat.centered}
 
 
-def binpack_distribution(params):
-    spec = params["dist"]
-    if spec["kind"] == "lower_bound":
-        return lower_bound_distribution(spec["k"])
-    return ItemDistribution(tuple(spec["sizes"]), tuple(spec["probs"]))
-
-
-def run_binpack(params, base_seed, replicate, _cache={}):
-    dist = binpack_distribution(params)
-    key = (dist.sizes, params["maximal_only"])
-    if key not in _cache:
-        _cache[key] = enumerate_bin_types(dist, maximal_only=params["maximal_only"])
-    types = _cache[key]
+def run_binpack(params, base_seed, replicate):
     rng = substream(derived_seed(base_seed, replicate), "binpack")
-    counts = dist.sample_counts(rng, params["n_items"])
-    sol = solve_packing_lp(types, counts.tolist())
+    counts = params["dist"].sample_counts(rng, params["n_items"])
+    sol = solve_packing_lp(params["bin_types"], counts.tolist())
     return sol.value, {"rounded": lp_round_up(sol), "duality_gap": sol.duality_gap}
 
 
@@ -111,13 +88,8 @@ def run_lis(params, base_seed, replicate):
 
 def run_chernoff(params, base_seed, replicate):
     rng = substream(derived_seed(base_seed, replicate), "chernoff")
-    n = params["n"]
-    if "nus" in params:
-        pattern = np.array(params["nus"]["values"], dtype=float)
-        nus = np.resize(pattern, n)
-    else:
-        nus = np.full(n, params["nu"])
-    draws = rng.random(n) < nus
+    nus = params["nus"]
+    draws = rng.random(params["n"]) < nus
     return float(draws.sum() - nus.sum()), {}
 
 
@@ -159,7 +131,7 @@ def pre_run_gate(config):
 def experiment_extras(config):
     """Experiment-level reported quantities that do not depend on replicates."""
     if config.experiment == "chromatic":
-        P = probability_matrix(config.parameters["n"], config.parameters["p_spec"])
+        P = config.parameters["P"]
         n = P.n
         pbar = P.mean_probability
         extras = {
@@ -171,7 +143,7 @@ def experiment_extras(config):
             extras["envelope_mad_logn"] = extras["mad_p"] * math.log(max(n, 2))
         return extras
     if config.experiment == "binpack":
-        dist = binpack_distribution(config.parameters)
+        dist = config.parameters["dist"]
         return {"mu": dist.mu, "sigma2": dist.sigma2,
                 "variance_scale": config.parameters["n_items"] * (dist.mu**3 + dist.sigma2)}
     return {}

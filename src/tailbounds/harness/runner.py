@@ -21,7 +21,7 @@ from ..bounds import BoundMethod, DEFAULT_CONSTANTS, MomentProfile, TypicalProfi
     jl_envelope_curve, tail_curve, theorem1_recursion_curve
 from ..errors import InvalidArgumentError
 from ..moments import SampleMatrix, estimate_conditional_moment
-from .config import ExperimentConfig, SCALE_KEYS
+from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import REPLICATE_FNS, experiment_extras, pre_run_gate
 from .rng import derived_seed
 
@@ -137,18 +137,26 @@ def _one_replicate(args):
     )
 
 
-def run_replicates(config: ExperimentConfig, workers=1):
-    """All replicate records, in replicate order, worker-count independent."""
+def run_replicates(config: ExperimentConfig, workers=1, records=None):
+    """All replicate records, in replicate order, worker-count independent.
+
+    They are appended to `records` (a new list by default) as they arrive,
+    so when a replicate raises the caller's list holds the completed
+    prefix: every earlier replicate with one worker, every earlier whole
+    chunk of tasks with more."""
+    records = [] if records is None else records
+    param_hash = config.param_hash()
     tasks = [
-        (config.experiment, config.parameters, config.base_seed, rep,
-         config.param_hash())
+        (config.experiment, config.parameters, config.base_seed, rep, param_hash)
         for rep in range(config.replicates)
     ]
     if workers <= 1:
-        return [_one_replicate(t) for t in tasks]
+        records.extend(map(_one_replicate, tasks))
+        return records
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        return list(pool.map(_one_replicate, tasks, chunksize=chunk))
+        records.extend(pool.map(_one_replicate, tasks, chunksize=chunk))
+    return records
 
 
 def summarize(records, extras=None, warnings=None):
@@ -178,7 +186,7 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
     path = out or config.output
     records = []
     try:
-        records = run_replicates(config, workers=workers)
+        run_replicates(config, workers=workers, records=records)
     except Exception as exc:
         if path:
             with open(path, "w") as fh:
@@ -203,13 +211,12 @@ def _attach_default_bound(config, records, summary):
     without a bound curve and gets a warning instead."""
     params = config.parameters
     if config.experiment == "chernoff":
-        if "nus" in params:
-            pattern = np.resize(np.array(params["nus"]["values"]), params["n"])
-            method = "general_chernoff"
-            profile = {"kind": "hetero_bernoulli", "nus": pattern.tolist()}
-        else:
+        if "nu" in params:
             method = "chernoff_corollary"
             profile = {"kind": "bernoulli", "n": params["n"], "nu": params["nu"]}
+        else:
+            method = "general_chernoff"
+            profile = {"kind": "hetero_bernoulli", "nus": params["nus"]}
     elif config.experiment == "jl":
         method = "jl_envelope"
         profile = {"kind": "jl", "n": params["n"], "k": params["k"]}
@@ -367,14 +374,11 @@ def scaling_study(config: ExperimentConfig, n_list, workers=1):
     if len(n_list) < 3:
         raise InvalidArgumentError("need at least 3 sizes for a slope fit")
     key = SCALE_KEYS[config.experiment]
+    # Every size is validated before any runs.
+    subs = [with_parameters(config, {**config.raw_parameters, key: int(n)})
+            for n in n_list]
     rows = []
-    for n in n_list:
-        params = dict(config.parameters)
-        params[key] = int(n)
-        sub = ExperimentConfig(
-            experiment=config.experiment, parameters=params,
-            replicates=config.replicates, base_seed=config.base_seed,
-        )
+    for n, sub in zip(n_list, subs):
         records = run_replicates(sub, workers=workers)
         fs = np.array([rec.f for rec in records])
         rows.append(ScalingRow(n=int(n), mean=float(fs.mean()),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -102,6 +103,54 @@ class TestConfigSchema:
         a = make_config().param_hash()
         b = make_config().param_hash()
         assert a == b and len(a) == 12
+        # SHA-256 of the canonical raw JSON: key order does not matter.
+        assert a == "4ebf4dcdf2a4"
+        params = {"n_cells": 16, "placement": "corner_bunch", "max_passes": 5,
+                  "count_dist": {"p0": 0.35, "s": 6.0, "kind": "zeta"}}
+        reordered = {"count_dist": {"kind": "zeta", "s": 6.0, "p0": 0.35},
+                     "max_passes": 5, "placement": "corner_bunch", "n_cells": 16}
+        assert make_config(experiment="tsp", parameters=params).param_hash() \
+            == make_config(experiment="tsp", parameters=reordered).param_hash()
+
+    @pytest.mark.parametrize("experiment, parameters, path", [
+        ("lis", {"n": True}, "n"),
+        ("tsp", {"n_cells": True}, "n_cells"),
+        ("tsp", {"n_cells": 16, "max_passes": True}, "max_passes"),
+        ("tsp", {"n_cells": 16, "count_dist": {"kind": "zeta", "s": 6.0, "cap": True}},
+         "count_dist.cap"),
+        ("tsp", {"n_cells": 16, "count_dist": {"kind": "two_point", "p0": 0.5,
+                                               "value": True}}, "count_dist.value"),
+        ("tsp", {"n_cells": 16, "count_dist": {"kind": "deterministic", "k": True}},
+         "count_dist.k"),
+        ("chromatic", {"n": 5, "exact_cap": True}, "exact_cap"),
+        ("jl", {"n": 10, "k": True}, "k"),
+        ("jl", {"n": 10, "k": 2, "gate_samples": True}, "gate_samples"),
+        ("binpack", {"n_items": True, "dist": {"kind": "lower_bound", "k": 4}}, "n_items"),
+        ("binpack", {"n_items": 10, "dist": {"kind": "lower_bound", "k": True}}, "dist.k"),
+        ("chernoff", {"n": 10.5}, "n"),
+    ])
+    def test_integer_fields_refuse_bool_and_non_integers(self, experiment, parameters,
+                                                         path):
+        with pytest.raises(ConfigError, match=rf"\$\.parameters\.{path}: must be an integer"):
+            make_config(experiment=experiment, parameters=parameters)
+
+    @pytest.mark.parametrize("matrix, problem", [
+        ([[0, 0.5], [0.4, 0]], "symmetric"),
+        ([[0.1, 0.5], [0.5, 0]], "zero diagonal"),
+        ([[0, 1.5], [1.5, 0]], r"\[0, 1\]"),
+        ([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]], "must be n x n = 2 x 2"),
+        ([[0, 0.5], [0.5]], "inhomogeneous"),
+        ([[0, "x"], ["x", 0]], "could not convert"),
+    ])
+    def test_chromatic_matrix_checked_at_parse(self, matrix, problem):
+        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p: .*{problem}"):
+            make_config(experiment="chromatic",
+                        parameters={"n": 2, "p_spec": {"kind": "matrix", "p": matrix}})
+
+    def test_config_is_frozen(self):
+        cfg = make_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.base_seed = 1
 
 
 class TestRecordsCsv:
@@ -156,9 +205,10 @@ class TestRunExperiment:
         cfg = make_config(replicates=6)
         out = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match="exploded"):
-            run_experiment(cfg, out=str(out))
+            run_experiment(cfg, workers=1, out=str(out))
         text = out.read_text()
         assert "# error" in text.splitlines()[-1]
+        assert [r.replicate for r in records_from_csv(text)] == [0, 1, 2]
 
     def test_jl_gate_refuses_bad_family(self):
         cfg = make_config(
@@ -286,6 +336,59 @@ class TestCompareBound:
         assert np.allclose(np.nan_to_num(redo), np.nan_to_num(summary.bound))
 
 
+class TestBuiltOnce:
+    """Validation builds each domain object once; replicates only read it."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        # Patch every binding of owner.name in a loaded tailbounds module,
+        # so the count does not depend on which module calls it.
+        original = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
+            return calls
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("tailbounds") and module is not None \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_chromatic_matrix_built_once(self, monkeypatch):
+        from tailbounds.graphs import EdgeProbabilityMatrix
+
+        built = self._count(monkeypatch, EdgeProbabilityMatrix, "__post_init__")
+        cfg = make_config(experiment="chromatic", replicates=20,
+                          parameters={"n": 8, "p_spec": {"kind": "uniform", "p": 0.3}})
+        records, summary = run_experiment(cfg, workers=1)
+        assert len(records) == 20 and "mad_p" in summary.extras
+        assert len(built) == 1
+
+    def test_binpack_distribution_and_bin_types_built_once(self, monkeypatch):
+        from tailbounds import packing
+
+        built = self._count(monkeypatch, packing.ItemDistribution, "__post_init__")
+        enumerated = self._count(monkeypatch, packing, "enumerate_bin_types")
+        cfg = make_config(experiment="binpack", replicates=20,
+                          parameters={"dist": {"kind": "lower_bound", "k": 5},
+                                      "n_items": 200})
+        records, summary = run_experiment(cfg, workers=1)
+        assert len(records) == 20 and "variance_scale" in summary.extras
+        assert (len(built), len(enumerated)) == (1, 1)
+
+    def test_param_hash_computed_once_per_run(self, monkeypatch):
+        from tailbounds.harness.config import ExperimentConfig
+
+        hashed = self._count(monkeypatch, ExperimentConfig, "param_hash")
+        run_experiment(make_config(replicates=20), workers=1)
+        assert len(hashed) == 1
+
+
 class TestScalingStudy:
     def test_gauss_reference_slope(self):
         cfg = make_config(experiment="gauss_sum", replicates=800,
@@ -315,6 +418,19 @@ class TestCli:
         assert cli.main(["report", str(out_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mean"] == payload["mean"]
+
+    def test_seed_flag_overrides_config(self, tmp_path, capsys):
+        raw = {"schema_version": 1, "experiment": "lis", "replicates": 25,
+               "base_seed": 3, "parameters": {"n": 40}}
+        outputs = []
+        for base_seed, argv in ((3, ["--seed", "8"]), (8, [])):
+            cfg_path = tmp_path / f"cfg{base_seed}.json"
+            cfg_path.write_text(json.dumps({**raw, "base_seed": base_seed}))
+            out = tmp_path / f"records{base_seed}.csv"
+            assert cli.main(["run", str(cfg_path), "--out", str(out), *argv]) == 0
+            outputs.append(out.read_text())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -441,6 +557,63 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert f"$.{field}" in err
+
+    @pytest.mark.parametrize("experiment, parameters, named", [
+        ("lis", {"n": True}, "$.parameters.n"),
+        ("chernoff", {"n": 10, "nu": "x"}, "$.parameters.nu"),
+        ("tsp", {"n_cells": 16, "max_passes": "x"}, "$.parameters.max_passes"),
+        ("jl", {"n": 10, "k": 2, "gate_samples": "many"}, "$.parameters.gate_samples"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "uniform", "p": "x"}},
+         "$.parameters.p_spec.p"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], [0.5]]}},
+         "$.parameters.p_spec.p"),
+    ])
+    def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
+        out = tmp_path / "records.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": experiment,
+                                   "replicates": 5, "parameters": parameters}))
+        code, _, err = run_cli("run", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, parameters, n_list, named", [
+        # A 3 x 3 matrix cannot serve n = 6: every size is validated.
+        ("chromatic", {"n": 3, "p_spec": {"kind": "matrix", "p": [
+            [0, 0.5, 0.2], [0.5, 0, 0.9], [0.2, 0.9, 0]]}}, ["3", "6", "12"],
+         "$.parameters.p_spec.p"),
+        ("tsp", {"n_cells": 16}, ["16", "20", "36"], "$.parameters.n_cells"),
+    ])
+    def test_scale_validates_every_size(self, tmp_path, experiment, parameters, n_list,
+                                        named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": experiment,
+                                   "replicates": 5, "parameters": parameters}))
+        code, stdout, err = run_cli("scale", str(cfg), "--n-list", *n_list)
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("text, named", [
+        ("{bad", "$: invalid JSON"),
+        ("[1, 2]", "$: profile file must be a JSON object"),
+        ('{"n": "6", "M": {"2": 1.0}}', "$.n"),
+        ('{"n": true, "M": {"2": 1.0}}', "$.n"),
+        ('{"n": 6, "M": [1.0]}', "$.M"),
+        ('{"n": 6, "M": {"2": "x"}}', "$.M.2"),
+        ('{"n": 2, "M": {"2": [1.0, null]}}', "$.M.2[1]"),
+    ])
+    def test_bad_profile_file(self, tmp_path, text, named):
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        code, _, err = run_cli("bound", "--method", "theorem1-recursion",
+                               "--profile", str(profile), "--t", "3")
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
 
     def test_small_chernoff_run_keeps_csv_and_warns(self, tmp_path):
         out = tmp_path / "records.csv"
