@@ -4,6 +4,12 @@ certified length bound, and exact minimum spanning trees.
 The exact tour solver is the oracle for the heuristics and is capped at 13
 points; larger instances use the deterministic strip + 2-opt pipeline,
 which is itself a well-defined functional of the point set.
+
+2-opt and Prim work on the coordinates in O(s) memory: they compute the
+distances they need, a block of rows or one row at a time, with the same
+floating-point expression as the s x s matrix of _distance_matrix (used
+only by the exact solver), so their results are bit-identical to the
+dense-matrix versions kept as oracles in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -164,12 +170,36 @@ def tsp_strip(points, alpha):
     return tour
 
 
+def _dist(x0, y0, x1, y1):
+    """Euclidean distances between (x0, y0) and (x1, y1), broadcast.  The
+    same floating-point expression as _distance_matrix, so each entry is
+    bit-identical to the matching matrix entry (squares drop the sign)."""
+    dx = x0 - x1
+    dy = y0 - y1
+    return np.sqrt(dx * dx + dy * dy)
+
+
+# Most rows of the 2-opt sweep tested in one distance block.
+_SWEEP_BLOCK_CAP = 64
+
+
 def tsp_2opt(points, start: Tour, max_passes=50):
     """Improve a tour by 2-exchanges until no improvement remains or
     max_passes full sweeps have run.
 
     Deterministic: sweeps i in fixed ascending order and applies the first
-    improving exchange for each i (segment order[i..j] is reversed).
+    improving exchange for each i (segment order[i..j] is reversed), where
+    exchange j improves when d[a,seg] + d[b,nxt] - d[a,b] - d[seg,nxt] <
+    -1e-12 for a, b = order[i-1], order[i] and seg, nxt = order[j],
+    order[j+1] (order[n] = order[0]).
+
+    Works on the coordinates in tour order in O(s) memory, never on an
+    s x s matrix.  A block of rows i..i+B-1 is tested at once from one
+    (B+1) x (n-i+1) block of distances: row i's d[b,nxt] terms are row
+    i+1's d[a,seg] terms.  Nothing in the tour changes before the first
+    row with a hit, so that row and its first j are exactly those of the
+    row-by-row sweep; the sweep applies it and resumes at the next row
+    with B = 1, and doubles B after each block without a hit.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
@@ -177,40 +207,59 @@ def tsp_2opt(points, start: Tour, max_passes=50):
         raise InvalidArgumentError("start tour must cover exactly the given points")
     if n < 4:
         return Tour.of(pts, start.order)
-    d = _distance_matrix(pts)
     order = start.order.copy()
+    closed = np.append(order, order[0])
+    xs, ys = pts[closed, 0], pts[closed, 1]    # xs[n] = xs[0]: the closing point
+    edge = _dist(xs[:-1], ys[:-1], xs[1:], ys[1:])  # edge[k] = d[order[k], order[k+1]]
+    upper = ~np.tri(_SWEEP_BLOCK_CAP, k=-1, dtype=bool)   # upper[r, c]: c >= r
     eps = 1e-12
     for _ in range(max_passes):
         improved = False
-        for i in range(1, n - 1):
-            a = order[i - 1]
-            b = order[i]
-            seg = order[i:]                      # candidates order[j], j >= i
-            nxt = np.empty(n - i, dtype=np.int64)
-            nxt[:-1] = order[i + 1:]
-            nxt[-1] = order[0]
-            delta = d[a, seg] + d[b, nxt] - d[a, b] - d[seg, nxt]
-            hit = np.flatnonzero(delta < -eps)
-            if len(hit):
-                j = i + int(hit[0])
-                order[i:j + 1] = order[i:j + 1][::-1]
-                improved = True
+        i, rows = 1, 1
+        while i < n - 1:
+            rows = min(rows, n - 1 - i)
+            # near[r, c] = d[order[i-1+r], order[i+c]], c in 0..n-i
+            near = _dist(xs[i - 1:i + rows, None], ys[i - 1:i + rows, None],
+                         xs[None, i:], ys[None, i:])
+            delta = near[:-1, :-1] + near[1:, 1:] - edge[i - 1:i - 1 + rows, None] \
+                - edge[None, i:]
+            hit = delta < -eps
+            hit[:, :rows] &= upper[:rows, :rows]   # row i+r tests j >= i+r only
+            first = int(hit.argmax())
+            r, c = divmod(first, n - i)
+            if not hit[r, c]:
+                i += rows
+                rows = min(2 * rows, _SWEEP_BLOCK_CAP)
+                continue
+            lo, hi = i + r, i + c
+            for arr in (order, xs, ys):
+                arr[lo:hi + 1] = arr[lo:hi + 1][::-1]
+            edge[lo:hi] = edge[lo:hi][::-1]
+            ends = np.array([lo - 1, hi])
+            edge[ends] = _dist(xs[ends], ys[ends], xs[ends + 1], ys[ends + 1])
+            improved = True
+            i, rows = lo + 1, 1
         if not improved:
             break
     return Tour.of(pts, order)
 
 
 def mst_weight(points):
-    """Exact Euclidean minimum spanning tree by dense Prim."""
+    """Exact Euclidean minimum spanning tree by Prim's algorithm, each
+    distance row computed from the coordinates (O(s) memory, O(s^2) time).
+
+    Ties go to the smallest point index, so edges and weight are a fixed
+    function of the point order.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n < 1:
         raise InvalidArgumentError("need at least one point")
     if n == 1:
         return SpanningTree(edges=[], weight=0.0)
-    d = _distance_matrix(pts)
+    xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
     in_tree = np.zeros(n, dtype=bool)
-    best = d[0].copy()
+    best = _dist(xs[0], ys[0], xs, ys)
     parent = np.zeros(n, dtype=np.int64)
     in_tree[0] = True
     best[0] = np.inf
@@ -221,9 +270,10 @@ def mst_weight(points):
         total += float(best[v])
         edges.append((int(parent[v]), v))
         in_tree[v] = True
-        closer = d[v] < best
+        row = _dist(xs[v], ys[v], xs, ys)
+        closer = row < best
         closer &= ~in_tree
         parent[closer] = v
-        best = np.where(closer, d[v], best)
+        best = np.where(closer, row, best)
         best[v] = np.inf
     return SpanningTree(edges=edges, weight=total)

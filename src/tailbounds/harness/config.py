@@ -37,8 +37,10 @@ class ExperimentConfig:
     output: str | None = None
 
     def param_hash(self):
-        """First 12 hex digits of SHA-256 over the canonical raw JSON."""
-        canon = json.dumps(self.raw_parameters, sort_keys=True)
+        """First 12 hex digits of SHA-256 over the canonical JSON of the
+        experiment and its raw parameters."""
+        canon = json.dumps({"experiment": self.experiment,
+                            "parameters": self.raw_parameters}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     @property
@@ -60,14 +62,15 @@ def _check_keys(mapping, allowed, path):
 # The JSON values a typed field accepts, and how it names them, by the type
 # it returns.
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-            tuple: ((list,), "a list")}
+            tuple: ((list,), "a list"), bool: ((bool,), "true or false")}
 
 
 def typed_value(value, path, kind, low=None):
-    """value as kind (int, float or tuple), at least low.  bool is refused:
-    it is a subclass of int, so true and false would pass a bare isinstance."""
+    """value as kind (int, float, tuple or bool), at least low.  Only the
+    bool kind takes true and false: bool is a subclass of int, so they
+    would pass a bare isinstance for the numeric kinds."""
     accepts, name = _ACCEPTS[kind]
-    ok = isinstance(value, accepts) and not isinstance(value, bool) \
+    ok = isinstance(value, accepts) and (kind is bool or not isinstance(value, bool)) \
         and (low is None or value >= low)
     _require(ok, path, f"must be {name}" + ("" if low is None else f" >= {low}"))
     return kind(value)
@@ -205,8 +208,8 @@ def _validate_binpack(params, path):
     _check_keys(params, {"dist", "n_items", "maximal_only"}, path)
     n_items = typed_field(params, "n_items", path, int, low=1)
     dist = _from_kind(params.get("dist"), f"{path}.dist", _ITEM_DISTS, "distribution")
-    bin_types = _build(f"{path}.dist", enumerate_bin_types, dist,
-                       bool(params.get("maximal_only", True)))
+    maximal_only = typed_field(params, "maximal_only", path, bool, default=True)
+    bin_types = _build(f"{path}.dist", enumerate_bin_types, dist, maximal_only)
     return {"dist": dist, "bin_types": bin_types, "n_items": n_items}
 
 

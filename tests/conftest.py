@@ -9,6 +9,8 @@ from math import comb
 import numpy as np
 from scipy.special import logsumexp
 
+from tailbounds.euclid import SpanningTree, Tour
+
 
 def rademacher_moment_exact(n, m):
     """E(X_1+...+X_n)^m for i.i.d. +/-1 signs, exact by enumerating the
@@ -66,6 +68,72 @@ def tour_length_oracle(points, order):
     pts = np.asarray(points, dtype=float)
     seq = pts[list(order) + [order[0]]]
     return float(np.sqrt(((seq[1:] - seq[:-1]) ** 2).sum(axis=1)).sum())
+
+
+def _distance_matrix_oracle(points):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def tsp_2opt_oracle(points, start, max_passes=50):
+    """The 2-opt sweep row by row on the dense s x s distance matrix: for
+    each i in ascending order, reverse order[i..j] for the first j with
+    d[a,seg] + d[b,nxt] - d[a,b] - d[seg,nxt] < -1e-12; stop after a sweep
+    without an exchange or after max_passes sweeps."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if n < 4:
+        return Tour.of(pts, start.order)
+    d = _distance_matrix_oracle(pts)
+    order = start.order.copy()
+    eps = 1e-12
+    for _ in range(max_passes):
+        improved = False
+        for i in range(1, n - 1):
+            a = order[i - 1]
+            b = order[i]
+            seg = order[i:]                      # candidates order[j], j >= i
+            nxt = np.empty(n - i, dtype=np.int64)
+            nxt[:-1] = order[i + 1:]
+            nxt[-1] = order[0]
+            delta = d[a, seg] + d[b, nxt] - d[a, b] - d[seg, nxt]
+            hit = np.flatnonzero(delta < -eps)
+            if len(hit):
+                j = i + int(hit[0])
+                order[i:j + 1] = order[i:j + 1][::-1]
+                improved = True
+        if not improved:
+            break
+    return Tour.of(pts, order)
+
+
+def mst_prim_oracle(points):
+    """Prim's algorithm on the dense s x s distance matrix, growing from
+    point 0; ties go to the smallest index."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    if n == 1:
+        return SpanningTree(edges=[], weight=0.0)
+    d = _distance_matrix_oracle(pts)
+    in_tree = np.zeros(n, dtype=bool)
+    best = d[0].copy()
+    parent = np.zeros(n, dtype=np.int64)
+    in_tree[0] = True
+    best[0] = np.inf
+    edges = []
+    total = 0.0
+    for _ in range(n - 1):
+        v = int(np.argmin(best))
+        total += float(best[v])
+        edges.append((int(parent[v]), v))
+        in_tree[v] = True
+        closer = d[v] < best
+        closer &= ~in_tree
+        parent[closer] = v
+        best = np.where(closer, d[v], best)
+        best[v] = np.inf
+    return SpanningTree(edges=edges, weight=total)
 
 
 def best_random_permutation_tour(points, trials, rng):

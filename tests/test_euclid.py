@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import best_random_permutation_tour, mst_weight_brute
+from conftest import (best_random_permutation_tour, mst_prim_oracle, mst_weight_brute,
+                      tsp_2opt_oracle)
 from tailbounds.errors import InvalidArgumentError, SizeLimitError
 from tailbounds.euclid import (
     STRIP_TOUR_COEFF,
@@ -17,6 +19,7 @@ from tailbounds.euclid import (
     tsp_exact,
     tsp_strip,
 )
+from tailbounds.pointproc import PlacementStrategy, Poisson, TruncatedZeta, sample_point_set
 
 
 class TestTspExact:
@@ -198,6 +201,103 @@ class TestPermutationInvariance:
         assert mst_weight(pts).weight == pytest.approx(mst_weight(shuffled).weight)
         assert tsp_strip(pts, 1.0).length == pytest.approx(
             tsp_strip(shuffled, 1.0).length)
+
+
+def _assert_same_tour(points, start, max_passes):
+    got = tsp_2opt(points, start, max_passes=max_passes)
+    want = tsp_2opt_oracle(points, start, max_passes=max_passes)
+    assert got.order.tolist() == want.order.tolist()
+    assert got.length == want.length
+
+
+def _assert_same_tree(points):
+    got = mst_weight(points)
+    want = mst_prim_oracle(points)
+    assert got.edges == want.edges
+    assert got.weight == want.weight
+
+
+def _start(points, rng, strip):
+    if strip:
+        return tsp_strip(points, 1.0)
+    return Tour.of(points, rng.permutation(len(points)))
+
+
+_PASSES = st.sampled_from([0, 1, 2, 40])
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestCoordinateSolversMatchDenseOracles:
+    """tsp_2opt and mst_weight work on coordinates; the dense-matrix
+    versions in conftest are their oracles, and they must agree exactly."""
+
+    @given(st.integers(min_value=4, max_value=400), _SEEDS, _PASSES, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_clouds(self, n, seed, max_passes, strip):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 2))
+        _assert_same_tour(pts, _start(pts, rng, strip), max_passes)
+        _assert_same_tree(pts)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=4,
+                    max_size=150), _SEEDS, _PASSES, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_coincident_lattice_points(self, cells, seed, max_passes, strip):
+        # at most 16 distinct sites, so most edges have length zero
+        rng = np.random.default_rng(seed)
+        pts = np.array(cells, dtype=float) / 4.0
+        _assert_same_tour(pts, _start(pts, rng, strip), max_passes)
+        _assert_same_tree(pts)
+
+    @pytest.mark.parametrize("placement", [PlacementStrategy.CORNER_BUNCH,
+                                           PlacementStrategy.ADVERSARIAL_DIAGONAL])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_placements(self, placement, seed):
+        for n_cells, counts in [(16, Poisson(6.0)), (100, TruncatedZeta(2.0, 40, 0.35))]:
+            pts = sample_point_set(n_cells, counts, placement, seed).all_points()
+            _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
+            _assert_same_tree(pts)
+
+    @given(st.integers(min_value=4, max_value=200), _SEEDS, _PASSES, st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_collinear_points(self, n, seed, max_passes, strip):
+        rng = np.random.default_rng(seed)
+        t = rng.random(n)
+        if n % 2:
+            t = np.round(t * 8) / 8  # repeated positions on the line
+        direction = rng.random(2)
+        pts = rng.random(2) * 0.2 + t[:, None] * direction / direction.sum() * 0.8
+        _assert_same_tour(pts, _start(pts, rng, strip), max_passes)
+        _assert_same_tree(pts)
+
+    @pytest.mark.parametrize("max_passes", [0, 1, 2, 40])
+    def test_every_pass_count(self, max_passes):
+        rng = np.random.default_rng(12)
+        pts = rng.random((150, 2))
+        _assert_same_tour(pts, _start(pts, rng, strip=False), max_passes)
+
+    @pytest.mark.parametrize("n_cells", [100, 400, 900])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tsp_scale_instances(self, n_cells, seed):
+        pts = sample_point_set(n_cells, Poisson(1.0), PlacementStrategy.UNIFORM_IN_CELL,
+                               seed).all_points()
+        _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
+        _assert_same_tree(pts)
+
+
+def test_solvers_memory_is_linear_in_points():
+    # one s x s float64 matrix of 10^4 points would take 800 MB
+    rng = np.random.default_rng(5)
+    pts = rng.random((10_000, 2))
+    start = tsp_strip(pts, 1.0)
+    tracemalloc.start()
+    try:
+        tsp_2opt(pts, start, max_passes=1)
+        mst_weight(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_tour_validates_permutation():

@@ -103,14 +103,35 @@ class TestConfigSchema:
         a = make_config().param_hash()
         b = make_config().param_hash()
         assert a == b and len(a) == 12
-        # SHA-256 of the canonical raw JSON: key order does not matter.
-        assert a == "4ebf4dcdf2a4"
+        # SHA-256 of the canonical JSON of experiment and raw parameters:
+        # key order does not matter.
+        assert a == "efd50435ad06"
         params = {"n_cells": 16, "placement": "corner_bunch", "max_passes": 5,
                   "count_dist": {"p0": 0.35, "s": 6.0, "kind": "zeta"}}
         reordered = {"count_dist": {"kind": "zeta", "s": 6.0, "p0": 0.35},
                      "max_passes": 5, "placement": "corner_bunch", "n_cells": 16}
         assert make_config(experiment="tsp", parameters=params).param_hash() \
             == make_config(experiment="tsp", parameters=reordered).param_hash()
+
+    @pytest.mark.parametrize("first, second", [("tsp", "mwst"), ("chernoff", "gauss_sum")])
+    def test_param_hash_names_the_experiment(self, first, second):
+        params = {"n_cells": 16} if first == "tsp" else {"n": 100}
+        assert make_config(experiment=first, parameters=params).param_hash() \
+            != make_config(experiment=second, parameters=params).param_hash()
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_maximal_only_must_be_a_json_bool(self, value):
+        with pytest.raises(ConfigError, match=r"\$\.parameters\.maximal_only"):
+            make_config(experiment="binpack",
+                        parameters={"dist": {"kind": "lower_bound", "k": 4},
+                                    "n_items": 10, "maximal_only": value})
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_maximal_only_bool(self, value):
+        cfg = make_config(experiment="binpack",
+                          parameters={"dist": {"kind": "lower_bound", "k": 4},
+                                      "n_items": 10, "maximal_only": value})
+        assert cfg.parameters["bin_types"].maximal_only is value
 
     @pytest.mark.parametrize("experiment, parameters, path", [
         ("lis", {"n": True}, "n"),
@@ -567,6 +588,8 @@ class TestCliBadInput:
          "$.parameters.p_spec.p"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], [0.5]]}},
          "$.parameters.p_spec.p"),
+        ("binpack", {"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10,
+                     "maximal_only": "false"}, "$.parameters.maximal_only"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
