@@ -60,6 +60,7 @@ class BoundMethod(str, Enum):
     CHERNOFF_COROLLARY = "ChernoffCorollary"
     GENERAL_CHERNOFF = "GeneralChernoff"
     HOEFFDING_AZUMA = "HoeffdingAzuma"
+    JL_ENVELOPE = "JlMomentEnvelope"
 
 
 @dataclass(frozen=True)

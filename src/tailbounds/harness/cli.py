@@ -15,13 +15,12 @@ import dataclasses
 import json
 import sys
 
-from ..bounds import BoundMethod, BoundConstants, MomentProfile, TypicalProfile, \
-    chernoff_corollary_bound, general_chernoff_bound, main_theorem_curve, \
-    tail_bound, theorem1_closed_curve, theorem1_recursion_curve
+from ..bounds import MomentProfile, TypicalProfile
 from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
     InvalidArgumentError, OutOfRegimeError, SizeLimitError
 from .config import load_config, read_json, typed_field, typed_value
-from .runner import records_from_csv, run_experiment, scaling_study, summarize
+from .runner import bound_source, records_from_csv, run_experiment, scaling_study, \
+    summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,35 +90,32 @@ def _result_json(res):
     }, indent=2)
 
 
+def _bound_request(args):
+    """The bound source and order cap of a bound command.  Without --m-max
+    the closed form stops at n rounded down to even, and a profile runs to
+    its highest order, even above n."""
+    if args.method == "chernoff-corollary":
+        return {"kind": "bernoulli", "n": args.n, "nu": args.sigma2}, None
+    if args.method == "general-chernoff":
+        return {"kind": "hetero_bernoulli", "nus": [args.nu]}, None
+    if args.method == "theorem1-closed":
+        return {"kind": "closed", "n": args.n}, args.m_max
+    profile = load_profile(args.profile)
+    if args.method == "theorem1-recursion":
+        base = profile.base if isinstance(profile, TypicalProfile) else profile
+        return {"kind": "profile", "profile": base}, args.m_max or max(base.orders)
+    if not isinstance(profile, TypicalProfile):
+        raise ConfigError("$", "the main bound needs a typical profile "
+                               "(with 'L' and 'delta')")
+    return {"kind": "profile", "profile": profile}, args.m_max
+
+
 def cmd_bound(args):
     for dest in METHOD_OPTIONS[args.method]:
         if getattr(args, dest) is None:
             raise ConfigError(f"--{dest}", f"required by --method {args.method}")
-    constants = BoundConstants()
-    if args.method == "chernoff-corollary":
-        res = chernoff_corollary_bound(args.n, args.sigma2, args.t, constants)
-    elif args.method == "general-chernoff":
-        res = general_chernoff_bound(args.nu, args.t, constants)
-    elif args.method == "theorem1-closed":
-        m_max = args.m_max or max(2, args.n - args.n % 2)
-        res = tail_bound(*theorem1_closed_curve(args.n, m_max, constants), args.t,
-                         BoundMethod.THEOREM1_CLOSED)
-    elif args.method == "theorem1-recursion":
-        profile = load_profile(args.profile)
-        if isinstance(profile, TypicalProfile):
-            profile = profile.base
-        m_max = args.m_max or max(profile.orders)
-        res = tail_bound(*theorem1_recursion_curve(profile, m_max), args.t,
-                         BoundMethod.THEOREM1_RECURSION)
-    else:  # main
-        profile = load_profile(args.profile)
-        if not isinstance(profile, TypicalProfile):
-            raise ConfigError("$", "the main bound needs a typical profile "
-                                   "(with 'L' and 'delta')")
-        m_max = args.m_max or max(profile.base.orders)
-        res = tail_bound(*main_theorem_curve(profile, m_max, constants), args.t,
-                         BoundMethod.MAIN_THEOREM)
-    print(_result_json(res))
+    _, _, tail_at = bound_source(*_bound_request(args))
+    print(_result_json(tail_at(args.t)))
     return EXIT_OK
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bounds import BoundMethod, DEFAULT_CONSTANTS, MomentProfile, TypicalProfile, \
-    chernoff_corollary_bound, general_chernoff_bound, main_theorem_curve, \
-    jl_envelope_curve, tail_curve, theorem1_recursion_curve
-from ..errors import InvalidArgumentError
+from ..bounds import BoundMethod, MomentProfile, TypicalProfile, \
+    chernoff_corollary_bound, general_chernoff_bound, jl_envelope_curve, \
+    main_theorem_curve, tail_bound, theorem1_closed_curve, theorem1_recursion_curve
+from ..errors import InvalidArgumentError, OutOfRegimeError
 from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import REPLICATE_FNS, experiment_extras, pre_run_gate
@@ -211,15 +211,10 @@ def _attach_default_bound(config, records, summary):
     without a bound curve and gets a warning instead."""
     params = config.parameters
     if config.experiment == "chernoff":
-        if "nu" in params:
-            method = "chernoff_corollary"
-            profile = {"kind": "bernoulli", "n": params["n"], "nu": params["nu"]}
-        else:
-            method = "general_chernoff"
-            profile = {"kind": "hetero_bernoulli", "nus": params["nus"]}
+        source = ({"kind": "bernoulli", "n": params["n"], "nu": params["nu"]}
+                  if "nu" in params else {"kind": "hetero_bernoulli", "nus": params["nus"]})
     elif config.experiment == "jl":
-        method = "jl_envelope"
-        profile = {"kind": "jl", "n": params["n"], "k": params["k"]}
+        source = {"kind": "jl", "n": params["n"], "k": params["k"]}
     else:
         return summary
     if len(records) < MIN_BOUND_RECORDS:
@@ -227,128 +222,107 @@ def _attach_default_bound(config, records, summary):
             f"{config.experiment}: no bound curve attached; the bound comparison "
             f"needs at least {MIN_BOUND_RECORDS} replicates, got {len(records)}")
         return summary
-    return compare_bound(records, method, profile, summary=summary)
+    return compare_bound(records, None, source, summary=summary)
 
 
 def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)
 
 
-def compare_bound(records, bound_method, profile_source, summary=None,
-                  constants=DEFAULT_CONSTANTS, m_max=None):
-    """Evaluate the selected bound over the summary's t-grid and attach
-    per-t dominance verdicts (empirical <= bound + 3 binomial SEs).
+def bound_source(source, m_max=None):
+    """(method, JSON-able record of the source, tail_at) of a bound source,
+    where tail_at(t) is the TailBoundResult of Pr(|sum| >= t).
 
-    profile_source selects how moment information is obtained:
+    source selects how moment information is obtained:
       {"kind": "bernoulli", "n", "nu"}          analytic, corollary bound
       {"kind": "hetero_bernoulli", "nus"}       analytic, general bound
+      {"kind": "closed", "n"}                   closed form (c1*n*m)^(m/2)
       {"kind": "jl", "n", "k"}                  analytic projection envelope
       {"kind": "profile", "profile": ...}       explicit MomentProfile /
                                                 TypicalProfile
       {"kind": "empirical", "samples", "orders"} estimated from a
                                                 SampleMatrix via max-over-bins
 
-    The Chernoff corollaries fix m per t by their own rule; every other
-    source gives a moment curve, and one tail_curve call turns it into the
-    bound at every t.
+    The Chernoff corollaries fix m per t by their own rule, and tail_at
+    raises OutOfRegimeError outside their regime.  Every other source
+    builds its moment curve here, once, and tail_at minimises Markov's
+    inequality over it.  An explicit m_max is used as given.  Without one,
+    the closed form and a MomentProfile stop at n rounded down to even (a
+    MomentProfile also at its highest order) and a TypicalProfile at its
+    highest order.  An empirical source is recorded as the profile it
+    estimates.
+    """
+    kind = source["kind"]
+    if kind == "bernoulli":
+        n, nu = source["n"], source["nu"]
+        return (BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu},
+                lambda t: chernoff_corollary_bound(n, nu, t))
+    if kind == "hetero_bernoulli":
+        nu = float(np.sum(source["nus"]))
+        return (BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu},
+                lambda t: general_chernoff_bound(nu, t))
+    if kind == "closed":
+        n = source["n"]
+        method, record = BoundMethod.THEOREM1_CLOSED, {"kind": kind, "n": n}
+        curve = theorem1_closed_curve(n, m_max or max(2, n - n % 2))
+    elif kind == "jl":
+        method = BoundMethod.JL_ENVELOPE
+        record = {"kind": kind, "n": source["n"], "k": source["k"]}
+        curve = jl_envelope_curve(source["n"], source["k"])
+    elif kind in ("profile", "empirical"):
+        if kind == "empirical":
+            samples: SampleMatrix = source["samples"]
+            profile = MomentProfile.from_values(samples.n, {
+                (i, l): estimate_conditional_moment(
+                    samples, i, l, source.get("bin_count", 10)).max_over_bins
+                for i in range(1, samples.n + 1) for l in source.get("orders", (2, 4))})
+        else:
+            profile = source["profile"]
+        typical = isinstance(profile, TypicalProfile)
+        base = profile.base if typical else profile
+        record = {"kind": "profile", "n": base.n, "orders": list(base.orders),
+                  "log_M": base.log_m.tolist()}
+        if typical:
+            record.update(log_L=profile.log_l.tolist(), delta=profile.delta.tolist())
+            method = BoundMethod.MAIN_THEOREM
+            curve = main_theorem_curve(profile, m_max or max(base.orders))
+        else:
+            method = BoundMethod.THEOREM1_RECURSION
+            curve = theorem1_recursion_curve(
+                profile, m_max or min(max(2, base.n - base.n % 2), max(base.orders)))
+    else:
+        raise InvalidArgumentError(f"unknown profile source {kind!r}")
+    return method, record, lambda t: tail_bound(*curve, t, method)
+
+
+def compare_bound(records, bound_method, profile_source, summary=None):
+    """Evaluate the bound of profile_source (see bound_source) over the
+    summary's t-grid and attach per-t dominance verdicts (empirical <=
+    bound + 3 binomial SEs).  bound_method is a caller's label and is not
+    read: the source determines the method.  Where a Chernoff corollary is
+    out of its regime the bound is nan and the verdict True.
     """
     if len(records) < MIN_BOUND_RECORDS:
         raise InvalidArgumentError(
             f"compare_bound needs at least {MIN_BOUND_RECORDS} records")
     if summary is None:
         summary = summarize(records)
-    kind = profile_source["kind"]
-    t_grid = summary.t_grid
-    n_rec = len(records)
-
-    if kind == "bernoulli":
-        n, nu = profile_source["n"], profile_source["nu"]
-        curve = np.array([
-            chernoff_corollary_bound(n, nu, float(t), constants).tail_probability
-            if t <= n * nu else math.nan  # outside the corollary's regime
-            for t in t_grid
-        ])
-        method_name = BoundMethod.CHERNOFF_COROLLARY.value
-    elif kind == "hetero_bernoulli":
-        nu = float(np.sum(profile_source["nus"]))
-        curve = np.array([
-            general_chernoff_bound(nu, float(t), constants).tail_probability
-            for t in t_grid
-        ])
-        method_name = BoundMethod.GENERAL_CHERNOFF.value
-    else:
-        orders, log_bounds, method_name, profile_source = _moment_curve(
-            profile_source, constants, m_max)
-        curve = tail_curve(orders, log_bounds, t_grid).tail_probability
-
-    verdicts = []
-    for emp, bnd in zip(summary.empirical, curve):
-        if math.isnan(bnd):
-            verdicts.append(True)  # out of the bound's regime: nothing claimed
-        else:
+    method, record, tail_at = bound_source(profile_source)
+    curve, verdicts = [], []
+    for t, emp in zip(summary.t_grid, summary.empirical):
+        try:
+            bnd = tail_at(float(t)).tail_probability
             verdicts.append(bool(emp <= bnd + VERDICT_SE_MULTIPLIER
-                                 * _binomial_se(emp, n_rec)))
-    summary.bound = curve
-    summary.bound_method = method_name
+                                 * _binomial_se(emp, len(records))))
+        except OutOfRegimeError:
+            bnd = math.nan
+            verdicts.append(True)  # out of the bound's regime: nothing claimed
+        curve.append(bnd)
+    summary.bound = np.array(curve)
+    summary.bound_method = method.value
     summary.verdicts = verdicts
-    summary.extras["bound_profile"] = _describe_profile(profile_source)
+    summary.extras["bound_profile"] = record
     return summary
-
-
-def _moment_curve(profile_source, constants, m_max):
-    """(orders, log moment bounds, method name, profile source to log) of a
-    source whose tail bound minimises Markov's inequality over m.
-
-    For a MomentProfile the order cap is m_max, else the number of
-    variables rounded down to even, and never above the profile's highest
-    order; for a TypicalProfile it is m_max, else its highest order.  An
-    empirical source is logged as the profile it estimates.
-    """
-    kind = profile_source["kind"]
-    if kind == "jl":
-        return (*jl_envelope_curve(profile_source["n"], profile_source["k"], constants),
-                "JlMomentEnvelope", profile_source)
-    if kind == "empirical":
-        samples: SampleMatrix = profile_source["samples"]
-        values = {}
-        for i in range(1, samples.n + 1):
-            for l in profile_source.get("orders", (2, 4)):
-                est = estimate_conditional_moment(samples, i, l,
-                                                  profile_source.get("bin_count", 10))
-                values[(i, l)] = est.max_over_bins
-        profile_source = {"kind": "profile",
-                          "profile": MomentProfile.from_values(samples.n, values)}
-    elif kind != "profile":
-        raise InvalidArgumentError(f"unknown profile source {kind!r}")
-    profile = profile_source["profile"]
-    if isinstance(profile, TypicalProfile):
-        cap = m_max or max(profile.base.orders)
-        return (*main_theorem_curve(profile, cap, constants),
-                BoundMethod.MAIN_THEOREM.value, profile_source)
-    cap = min(m_max or max(2, profile.n - profile.n % 2), max(profile.orders))
-    return (*theorem1_recursion_curve(profile, cap),
-            BoundMethod.THEOREM1_RECURSION.value, profile_source)
-
-
-def _describe_profile(profile_source):
-    """A JSON-able record sufficient to re-evaluate the bound curve."""
-    kind = profile_source["kind"]
-    if kind == "bernoulli":
-        return {"kind": kind, "n": profile_source["n"], "nu": profile_source["nu"]}
-    if kind == "hetero_bernoulli":
-        return {"kind": kind, "nu_total": float(np.sum(profile_source["nus"]))}
-    if kind == "jl":
-        return {"kind": kind, "n": profile_source["n"], "k": profile_source["k"]}
-    if kind == "profile":
-        profile = profile_source["profile"]
-        base = profile.base if isinstance(profile, TypicalProfile) else profile
-        desc = {"kind": kind, "n": base.n, "orders": list(base.orders),
-                "log_M": base.log_m.tolist()}
-        if isinstance(profile, TypicalProfile):
-            desc["log_L"] = profile.log_l.tolist()
-            desc["delta"] = profile.delta.tolist()
-        return desc
-    return {"kind": kind}
 
 
 @dataclass
