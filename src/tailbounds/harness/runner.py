@@ -8,6 +8,7 @@ order, so the output bytes do not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -87,8 +88,7 @@ def _aux_keys(records):
 def records_to_csv(records):
     keys = _aux_keys(records)
     buf = io.StringIO()
-    header = ["experiment", "replicate", "seed", "param_hash", "f"]
-    header += [f"aux_{k}" for k in keys]
+    header = CSV_HEADER + [f"aux_{k}" for k in keys]
     buf.write(",".join(header) + "\n")
     for rec in records:
         row = [rec.experiment, str(rec.replicate), str(rec.seed),
@@ -102,14 +102,30 @@ def records_to_csv(records):
     return buf.getvalue()
 
 
+CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
+
+
 def records_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
+    """Records of a CSV written by records_to_csv; '#' lines are skipped.
+
+    A missing header, a row with the wrong number of cells, or a
+    non-numeric replicate, seed or f raises InvalidArgumentError naming the
+    line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln and not ln.startswith("#")]
+    if not lines or lines[0][1].split(",")[:5] != CSV_HEADER:
+        no = lines[0][0] if lines else 1
+        raise InvalidArgumentError(
+            f"line {no}: expected a header starting {','.join(CSV_HEADER)}")
+    header = lines[0][1].split(",")
     aux_cols = [(idx, name[4:]) for idx, name in enumerate(header)
                 if name.startswith("aux_")]
     records = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise InvalidArgumentError(
+                f"line {no}: expected {len(header)} cells, got {len(parts)}")
         aux = {}
         for idx, name in aux_cols:
             raw = parts[idx]
@@ -119,10 +135,14 @@ def records_from_csv(text):
                 aux[name] = float(raw)
             except ValueError:
                 aux[name] = raw
-        records.append(ExperimentRecord(
-            experiment=parts[0], replicate=int(parts[1]), seed=int(parts[2]),
-            param_hash=parts[3], f=float(parts[4]), aux=aux,
-        ))
+        try:
+            records.append(ExperimentRecord(
+                experiment=parts[0], replicate=int(parts[1]), seed=int(parts[2]),
+                param_hash=parts[3], f=float(parts[4]), aux=aux,
+            ))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"line {no}: replicate and seed must be "
+                                       f"integers and f a number ({exc})") from None
     return records
 
 
@@ -185,16 +205,17 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
     gate_report = pre_run_gate(config)
     path = out or config.output
     records = []
-    try:
-        run_replicates(config, workers=workers, records=records)
-    except Exception as exc:
-        if path:
-            with open(path, "w") as fh:
+    # Opened before the first replicate, so a bad path fails before any work.
+    with open(path, "w") if path else contextlib.nullcontext() as fh:
+        try:
+            run_replicates(config, workers=workers, records=records)
+        except Exception as exc:
+            if fh:
+                message = " ".join(str(exc).splitlines())  # keep the trailer one line
                 fh.write(records_to_csv(records))
-                fh.write(f"# error experiment={config.experiment} message={exc}\n")
-        raise
-    if path:
-        with open(path, "w") as fh:
+                fh.write(f"# error experiment={config.experiment} message={message}\n")
+            raise
+        if fh:
             fh.write(records_to_csv(records))
     extras = experiment_extras(config)
     if gate_report is not None:

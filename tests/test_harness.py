@@ -192,6 +192,20 @@ class TestRecordsCsv:
         back = records_from_csv(records_to_csv(records))
         assert back[0].f == value
 
+    @pytest.mark.parametrize("text, named", [
+        ("", "line 1: expected a header"),
+        ("# only a comment\n", "line 1: expected a header"),
+        ("replicate,f\n0,1.0\n", "line 1: expected a header"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h\n", "line 2: expected 5 cells"),
+        ("experiment,replicate,seed,param_hash,f\n# note\nlis,x,1,h,1.0\n", "line 3:"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1.5,h,1.0\n", "line 2:"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,abc\n", "line 2:"),
+    ], ids=["empty", "comment-only", "wrong-header", "short-row", "bad-replicate",
+            "bad-seed", "bad-f"])
+    def test_bad_csv_names_the_line(self, text, named):
+        with pytest.raises(InvalidArgumentError, match=named):
+            records_from_csv(text)
+
 
 class TestRunExperiment:
     def test_records_in_order_and_reproducible(self, tmp_path):
@@ -217,19 +231,37 @@ class TestRunExperiment:
     def test_partial_csv_on_failure(self, tmp_path, monkeypatch):
         from tailbounds.harness import experiments
 
-        def broken(params, base_seed, replicate):
-            if replicate == 3:
-                raise RuntimeError("replicate exploded")
+        # A multi-line message still leaves a one-line trailer.
+        for message in ("replicate exploded", "replicate exploded\nsecond line\r\n"):
+            def broken(params, base_seed, replicate):
+                if replicate == 3:
+                    raise RuntimeError(message)
+                return 1.0, {}
+
+            monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", broken)
+            cfg = make_config(replicates=6)
+            out = tmp_path / "partial.csv"
+            with pytest.raises(RuntimeError, match="exploded"):
+                run_experiment(cfg, workers=1, out=str(out))
+            text = out.read_text()
+            trailer = text.splitlines()[-1]
+            assert trailer.startswith("# error") and "exploded" in trailer
+            assert [r.replicate for r in records_from_csv(text)] == [0, 1, 2]
+
+    def test_output_path_checked_before_first_replicate(self, tmp_path, monkeypatch):
+        from tailbounds.harness import experiments
+
+        calls = []
+
+        def counted(params, base_seed, replicate):
+            calls.append(replicate)
             return 1.0, {}
 
-        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", broken)
-        cfg = make_config(replicates=6)
-        out = tmp_path / "partial.csv"
-        with pytest.raises(RuntimeError, match="exploded"):
-            run_experiment(cfg, workers=1, out=str(out))
-        text = out.read_text()
-        assert "# error" in text.splitlines()[-1]
-        assert [r.replicate for r in records_from_csv(text)] == [0, 1, 2]
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", counted)
+        for bad in (tmp_path / "missing" / "records.csv", tmp_path):
+            with pytest.raises(OSError):
+                run_experiment(make_config(replicates=6), workers=1, out=str(bad))
+        assert calls == []
 
     def test_jl_gate_refuses_bad_family(self):
         cfg = make_config(
@@ -513,6 +545,50 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "MainTheorem"
 
+    def test_bound_profile_runs_to_highest_order_above_n(self, tmp_path, capsys):
+        # Without --m-max the command runs the recursion to the profile's
+        # highest order even above n; capping at n would give m 4, p 0.0241.
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"n": 4, "M": {"2": 1, "4": 3, "6": 15, "8": 105}}))
+        assert cli.main(["bound", "--method", "theorem1-recursion",
+                         "--profile", str(profile), "--t", "12"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["m_used"] == 8
+        assert payload["tail_probability"] == 0.004160013453223825
+
+    @pytest.mark.parametrize("method, profile", [
+        ("theorem1-recursion", {"n": 10, "M": {"2": 1, "4": 3, "6": 15, "8": 105}}),
+        ("main", {"n": 10, "M": {"2": 1, "4": 3, "6": 15, "8": 105},
+                  "L": {"2": 0.5, "4": 2, "6": 9, "8": 50},
+                  "delta": {"2": 0.01, "4": 0.02, "6": 0.05, "8": 0.1}}),
+    ])
+    def test_bound_command_matches_compare_bound(self, tmp_path, capsys, method, profile):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
+        records = [ExperimentRecord("x", i, i, "h", float(i % 11), {}) for i in range(200)]
+        summary = compare_bound(records, None,
+                                {"kind": "profile", "profile": cli.load_profile(str(path))})
+        for j in (0, 7, 19):
+            t = float(summary.t_grid[j])
+            assert cli.main(["bound", "--method", method, "--profile", str(path),
+                             "--t", repr(t)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["tail_probability"] == summary.bound[j]
+
+    def test_jl_tail_at_matches_compare_bound(self):
+        # The bound command has no jl method; it prints bound_source's
+        # tail_at, which compare_bound evaluates over the grid.
+        from tailbounds.harness.runner import bound_source
+
+        records = [ExperimentRecord("x", i, i, "h", 1e-3 * (i % 13), {}) for i in range(200)]
+        source = {"kind": "jl", "n": 50, "k": 9}
+        summary = compare_bound(records, None, source)
+        method, record, tail_at = bound_source(source)
+        assert summary.bound_method == method.value == "JlMomentEnvelope"
+        assert summary.extras["bound_profile"] == record
+        for j, t in enumerate(summary.t_grid):
+            assert tail_at(float(t)).tail_probability == summary.bound[j]
+
     def test_scale_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "g.json"
         cfg.write_text(json.dumps({
@@ -637,6 +713,38 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "line 1"),
+        ("experiment,replicate,seed,param_hash,f\nlis,zero,1,h,1.0\n", "line 2"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,1.0\nlis,1,2,h\n", "line 3"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,one\n", "line 2"),
+    ], ids=["empty", "bad-replicate", "short-row", "bad-f"])
+    def test_report_bad_records_file(self, tmp_path, text, named):
+        records = tmp_path / "records.csv"
+        records.write_text(text)
+        code, _, err = run_cli("report", str(records))
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
+
+    def test_report_directory(self, tmp_path):
+        code, _, err = run_cli("report", str(tmp_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(tmp_path) in err
+
+    def test_run_out_directory(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "lis", "replicates": 5,
+            "base_seed": 9, "parameters": {"n": 20},
+        }))
+        code, stdout, err = run_cli("run", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(tmp_path) in err
+        assert stdout == ""
 
     def test_small_chernoff_run_keeps_csv_and_warns(self, tmp_path):
         out = tmp_path / "records.csv"
