@@ -31,6 +31,7 @@ T_GRID_LO = 0.5   # in units of the empirical standard deviation
 T_GRID_HI = 6.0
 VERDICT_SE_MULTIPLIER = 3.0
 MIN_BOUND_RECORDS = 100
+CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
 
 
 @dataclass
@@ -100,9 +101,6 @@ def records_to_csv(records):
             row.append(str(v))
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
 
 
 def records_from_csv(text):

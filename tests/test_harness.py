@@ -388,6 +388,20 @@ class TestCompareBound:
         ]
         assert np.allclose(np.nan_to_num(redo), np.nan_to_num(summary.bound))
 
+    def test_jl_tail_at_matches_compare_bound(self):
+        # The bound command has no jl method; it prints bound_source's
+        # tail_at, which compare_bound evaluates over the grid.
+        from tailbounds.harness.runner import bound_source
+
+        records = [ExperimentRecord("x", i, i, "h", 1e-3 * (i % 13), {}) for i in range(200)]
+        source = {"kind": "jl", "n": 50, "k": 9}
+        summary = compare_bound(records, None, source)
+        method, record, tail_at = bound_source(source)
+        assert summary.bound_method == method.value == "JlMomentEnvelope"
+        assert summary.extras["bound_profile"] == record
+        for j, t in enumerate(summary.t_grid):
+            assert tail_at(float(t)).tail_probability == summary.bound[j]
+
 
 class TestBuiltOnce:
     """Validation builds each domain object once; replicates only read it."""
@@ -574,20 +588,6 @@ class TestCli:
                              "--t", repr(t)]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["tail_probability"] == summary.bound[j]
-
-    def test_jl_tail_at_matches_compare_bound(self):
-        # The bound command has no jl method; it prints bound_source's
-        # tail_at, which compare_bound evaluates over the grid.
-        from tailbounds.harness.runner import bound_source
-
-        records = [ExperimentRecord("x", i, i, "h", 1e-3 * (i % 13), {}) for i in range(200)]
-        source = {"kind": "jl", "n": 50, "k": 9}
-        summary = compare_bound(records, None, source)
-        method, record, tail_at = bound_source(source)
-        assert summary.bound_method == method.value == "JlMomentEnvelope"
-        assert summary.extras["bound_profile"] == record
-        for j, t in enumerate(summary.t_grid):
-            assert tail_at(float(t)).tail_probability == summary.bound[j]
 
     def test_scale_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "g.json"
