@@ -11,6 +11,7 @@ domain or regime, 3 hypothesis-violation refusal, 4 size-limit error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -131,34 +132,42 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _open_out(path):
+    """The --out file, opened before the command's work so that a bad path
+    fails first, the way run_experiment opens its records file."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def cmd_scale(args):
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-    study = scaling_study(config, args.n_list, workers=args.workers)
-    payload = {
-        "experiment": config.experiment,
-        "rows": [{"n": r.n, "mean": r.mean, "sd": r.sd} for r in study.rows],
-        "slope": study.slope,
-        "slope_se": study.slope_se,
-    }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        study = scaling_study(config, args.n_list, workers=args.workers)
+        payload = {
+            "experiment": config.experiment,
+            "rows": [{"n": r.n, "mean": r.mean, "sd": r.sd} for r in study.rows],
+            "slope": study.slope,
+            "slope_se": study.slope_se,
+        }
+        text = json.dumps(payload, indent=2)
+        if fh:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
 
 
 def cmd_report(args):
+    # The records are read before --out is opened, so an --out naming the
+    # records file does not empty it first.
     with open(args.records) as fh:
         records = records_from_csv(fh.read())
     if not records:
         raise ConfigError("$", "record file contains no records")
-    summary = summarize(records)
-    text = summary.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        summary = summarize(records)
+        text = summary.to_json()
+        if fh:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK

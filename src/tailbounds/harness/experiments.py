@@ -1,8 +1,10 @@
 """Per-experiment replicate functions.
 
-Each experiment maps (parameters, base_seed, replicate) to a functional
-value plus auxiliary metrics; all randomness flows through per-replicate
-counter-based streams so results do not depend on execution order.
+Each replicate function maps (parameters, seed) to a functional value
+plus auxiliary metrics.  The seed is derived_seed(base_seed, replicate),
+which the runner computes once per replicate and writes to the record's
+seed column.  All randomness flows from that seed through counter-based
+streams, so results do not depend on execution order.
 
 The parameters are the validated dict of config.parse_config, so every
 domain object is built once per config and only read here:
@@ -25,7 +27,7 @@ from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
 from ..packing import lp_round_up, solve_packing_lp
 from ..pointproc import sample_point_set
 from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit_vector
-from .rng import derived_seed, substream
+from .rng import substream
 
 
 def _tsp_value(points, params):
@@ -38,8 +40,7 @@ def _tsp_value(points, params):
     return tsp_2opt(points, start, max_passes=params["max_passes"]).length, "2opt_strip"
 
 
-def run_tsp(params, base_seed, replicate):
-    seed = derived_seed(base_seed, replicate)
+def run_tsp(params, seed):
     ps = sample_point_set(params["n_cells"], params["count_dist"],
                           params["placement"], seed)
     points = ps.all_points()
@@ -47,8 +48,7 @@ def run_tsp(params, base_seed, replicate):
     return value, {"n_points": len(points), "solver": solver}
 
 
-def run_mwst(params, base_seed, replicate):
-    seed = derived_seed(base_seed, replicate)
+def run_mwst(params, seed):
     ps = sample_point_set(params["n_cells"], params["count_dist"],
                           params["placement"], seed)
     points = ps.all_points()
@@ -56,8 +56,8 @@ def run_mwst(params, base_seed, replicate):
     return value, {"n_points": len(points), "solver": "prim"}
 
 
-def run_chromatic(params, base_seed, replicate):
-    g = sample_graph(params["P"], derived_seed(base_seed, replicate))
+def run_chromatic(params, seed):
+    g = sample_graph(params["P"], seed)
     method = params["method"]
     if method == "exact":
         chi = chromatic_exact(g, cap=params["exact_cap"])
@@ -66,35 +66,34 @@ def run_chromatic(params, base_seed, replicate):
     return float(chi), {"solver": method, "edges": int(g.adj.sum() // 2)}
 
 
-def run_jl(params, base_seed, replicate):
-    seed = derived_seed(base_seed, replicate)
+def run_jl(params, seed):
     v = sample_unit_vector(params["n"], params["family"], seed)
     stat = jl_projection_statistic(v, params["k"], params["family"])
     return stat.total, {"centered": stat.centered}
 
 
-def run_binpack(params, base_seed, replicate):
-    rng = substream(derived_seed(base_seed, replicate), "binpack")
+def run_binpack(params, seed):
+    rng = substream(seed, "binpack")
     counts = params["dist"].sample_counts(rng, params["n_items"])
     sol = solve_packing_lp(params["bin_types"], counts.tolist())
     return sol.value, {"rounded": lp_round_up(sol), "duality_gap": sol.duality_gap}
 
 
-def run_lis(params, base_seed, replicate):
-    rng = substream(derived_seed(base_seed, replicate), "lis")
+def run_lis(params, seed):
+    rng = substream(seed, "lis")
     values = rng.random(params["n"])
     return float(lis(values)), {}
 
 
-def run_chernoff(params, base_seed, replicate):
-    rng = substream(derived_seed(base_seed, replicate), "chernoff")
+def run_chernoff(params, seed):
+    rng = substream(seed, "chernoff")
     nus = params["nus"]
     draws = rng.random(params["n"]) < nus
     return float(draws.sum() - nus.sum()), {}
 
 
-def run_gauss_sum(params, base_seed, replicate):
-    rng = substream(derived_seed(base_seed, replicate), "gauss")
+def run_gauss_sum(params, seed):
+    rng = substream(seed, "gauss")
     return float(rng.standard_normal(params["n"]).sum()), {}
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["substream", "derived_seed"]
 
@@ -32,8 +33,25 @@ def derived_seed(base_seed, replicate):
     return int.from_bytes(d[:8], "little")
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two key words as its seed state.
+
+    Philox(key=...) still seeds a SeedSequence from OS entropy before
+    overwriting the key; seeding from this sequence skips that and leaves
+    the same state: this key, a zero counter and an empty buffer."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 2 and dtype == np.uint64, (n_words, dtype)
+        return self.words
+
+
 def substream(base_seed, *tags):
-    """A numpy Generator on a Philox stream keyed by (base_seed, *tags)."""
+    """A numpy Generator on a new Philox stream keyed by (base_seed, *tags)."""
     d = _digest(base_seed, tags)
     key = np.frombuffer(d[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))

@@ -9,6 +9,7 @@ order, so the output bytes do not depend on the worker count.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -144,36 +145,55 @@ def records_from_csv(text):
     return records
 
 
-def _one_replicate(args):
-    experiment, params, base_seed, replicate, param_hash = args
+def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
+    """Columns (seeds, fs, auxes) of replicates start..stop-1, one
+    derived_seed call per replicate.  The columns are filled in place, so
+    after a replicate raises, the columns passed in hold the completed
+    prefix."""
+    seeds, fs, auxes = columns = ([], [], []) if columns is None else columns
     fn = REPLICATE_FNS[experiment]
-    f, aux = fn(params, base_seed, replicate)
-    return ExperimentRecord(
-        experiment=experiment, replicate=replicate,
-        seed=derived_seed(base_seed, replicate), param_hash=param_hash,
-        f=float(f), aux=aux,
-    )
+    for replicate in range(start, stop):
+        seed = derived_seed(base_seed, replicate)
+        f, aux = fn(params, seed)
+        seeds.append(seed)
+        fs.append(float(f))
+        auxes.append(aux)
+    return columns
 
 
 def run_replicates(config: ExperimentConfig, workers=1, records=None):
     """All replicate records, in replicate order, worker-count independent.
 
-    They are appended to `records` (a new list by default) as they arrive,
+    With several workers the pool runs contiguous blocks of
+    max(1, replicates // (workers * 8)) replicates, each returning its
+    columns.  Records are appended to `records` (a new list by default),
     so when a replicate raises the caller's list holds the completed
     prefix: every earlier replicate with one worker, every earlier whole
-    chunk of tasks with more."""
+    block with more."""
     records = [] if records is None else records
+    n = config.replicates
     param_hash = config.param_hash()
-    tasks = [
-        (config.experiment, config.parameters, config.base_seed, rep, param_hash)
-        for rep in range(config.replicates)
-    ]
+    block = functools.partial(_replicate_block, config.experiment,
+                              config.parameters, config.base_seed)
+
+    def extend(start, columns):
+        records.extend(
+            ExperimentRecord(config.experiment, start + i, seed, param_hash, f, aux)
+            for i, (seed, f, aux) in enumerate(zip(*columns)))
+
     if workers <= 1:
-        records.extend(map(_one_replicate, tasks))
+        columns = ([], [], [])
+        try:
+            block(0, n, columns)
+        finally:
+            extend(0, columns)
         return records
+    size = max(1, n // (workers * 8))
+    starts = range(0, n, size)
+    stops = [min(start + size, n) for start in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        records.extend(pool.map(_one_replicate, tasks, chunksize=chunk))
+        for start, columns in zip(starts, pool.map(block, starts, stops)):
+            extend(start, columns)
     return records
 
 
@@ -356,10 +376,6 @@ class ScalingStudy:
     rows: list
     slope: float
     slope_se: float
-
-    def slope_interval(self, multiplier=2.0):
-        return (self.slope - multiplier * self.slope_se,
-                self.slope + multiplier * self.slope_se)
 
 
 def scaling_study(config: ExperimentConfig, n_list, workers=1):

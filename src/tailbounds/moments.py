@@ -181,9 +181,6 @@ class DoobDecomposition:
     ef_estimates: np.ndarray    # (outer,) per-replicate estimates of Ef
     inner_resamples: int
 
-    def sample_matrix(self):
-        return SampleMatrix(self.x)
-
 
 def doob_decompose(generator, functional, n, outer, inner, base_seed=0):
     """Estimate the martingale differences of functional(Y_1..Y_n).

@@ -1,6 +1,7 @@
 """Shared independent oracles: brute-force and enumeration references that
 the implementation under test must match or stay on the right side of."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from tailbounds.euclid import SpanningTree, Tour
+
+
+def substream_oracle(base_seed, *tags):
+    """The stream keyed by (base_seed, *tags) built as numpy documents it:
+    Philox(key=...) with the first 16 bytes of SHA-256 over str(base_seed)
+    and each str(tag), joined by 0x1f, as the two little-endian key words."""
+    text = b"\x1f".join(str(part).encode() for part in (int(base_seed), *tags))
+    key = np.frombuffer(hashlib.sha256(text).digest()[:16], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rademacher_moment_exact(n, m):

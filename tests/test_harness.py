@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailbounds
 from tailbounds.bounds import MomentProfile
@@ -26,6 +28,11 @@ from tailbounds.harness.runner import (
     summarize,
 )
 from tailbounds.moments import SampleMatrix
+from tailbounds.packing import lower_bound_distribution
+from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
+from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
+
+from conftest import substream_oracle
 
 
 def make_config(**overrides):
@@ -40,7 +47,58 @@ def make_config(**overrides):
     return parse_config(raw)
 
 
+# Every kind of draw the program makes from a stream.
+STREAM_DRAWS = {
+    "random": lambda rng: rng.random(5),
+    "standard_normal": lambda rng: rng.standard_normal(5),
+    "poisson": lambda rng: rng.poisson(2.5, size=5),
+    "beta": lambda rng: rng.beta(0.5, 2.0, size=5),
+    "multinomial": lambda rng: rng.multinomial(40, [0.2, 0.3, 0.5]),
+    "item_counts": lambda rng: lower_bound_distribution(5).sample_counts(rng, 100),
+    "poisson_counts": lambda rng: Poisson(1.0).sample(rng, 9),
+    "zeta_counts": lambda rng: TruncatedZeta(6.0, p0=0.35).sample(rng, 9),
+    "two_point_counts": lambda rng: TwoPoint(0.3, 4).sample(rng, 9),
+    "sphere": lambda rng: _draw_vectors(rng, 6, SphereUniform(), 2),
+    "gaussian_iid": lambda rng: _draw_vectors(rng, 6, GaussianIid(), 2),
+    "radial_beta": lambda rng: _draw_vectors(rng, 6, RadialBetaMixture(), 2),
+}
+stream_seeds = st.integers(0, 2**64 - 1)
+stream_tags = st.lists(st.one_of(st.text(max_size=6), st.integers(-10**6, 10**6)),
+                       max_size=3).map(tuple)
+draw_names = st.lists(st.sampled_from(sorted(STREAM_DRAWS)), min_size=1, max_size=6)
+
+
+def _draws(rng, names):
+    return [STREAM_DRAWS[name](rng) for name in names]
+
+
+def _same_draws(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestRngStreams:
+    @given(stream_seeds, stream_tags, draw_names)
+    @settings(max_examples=60, deadline=None)
+    def test_substream_matches_philox_key_construction(self, seed, tags, names):
+        rng, oracle = substream(seed, *tags), substream_oracle(seed, *tags)
+        assert _same_draws(_draws(rng, names), _draws(oracle, names))
+        assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+    @given(stream_seeds, stream_tags, stream_tags, st.booleans(), draw_names)
+    @settings(max_examples=60, deadline=None)
+    def test_live_streams_are_independent(self, seed, tags_a, tags_b, same_key, names):
+        # Two live streams, even on one key, never share a bit generator,
+        # so drawing them interleaved gives what each gives alone.
+        tags_b = tags_a if same_key else tags_b
+        a, b = substream(seed, *tags_a), substream(seed, *tags_b)
+        assert a.bit_generator is not b.bit_generator
+        interleaved_a, interleaved_b = [], []
+        for name in names:
+            interleaved_a.append(STREAM_DRAWS[name](a))
+            interleaved_b.append(STREAM_DRAWS[name](b))
+        assert _same_draws(interleaved_a, _draws(substream_oracle(seed, *tags_a), names))
+        assert _same_draws(interleaved_b, _draws(substream_oracle(seed, *tags_b), names))
+
     def test_substream_deterministic(self):
         a = substream(7, "site", 3).random(5)
         b = substream(7, "site", 3).random(5)
@@ -223,6 +281,20 @@ class TestRunExperiment:
         b = records_to_csv(run_replicates(cfg, workers=3))
         assert a == b
 
+    def test_blocks_give_serial_bytes(self, tmp_path):
+        # 37 replicates on 2 workers run in blocks of 2 and a last block of 1.
+        cfg = make_config(experiment="chernoff", replicates=37,
+                          parameters={"n": 50, "nu": 0.3})
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"records_w{workers}.csv"
+            records, _ = run_experiment(cfg, workers=workers, out=str(out))
+            texts.append(out.read_bytes())
+            assert [r.replicate for r in records] == list(range(37))
+            assert [r.seed for r in records] == [derived_seed(cfg.base_seed, i)
+                                                 for i in range(37)]
+        assert texts[0] == texts[1]
+
     def test_single_replicate_sd_undefined(self):
         cfg = make_config(replicates=1)
         records, summary = run_experiment(cfg)
@@ -232,14 +304,14 @@ class TestRunExperiment:
         from tailbounds.harness import experiments
 
         # A multi-line message still leaves a one-line trailer.
+        cfg = make_config(replicates=6)
         for message in ("replicate exploded", "replicate exploded\nsecond line\r\n"):
-            def broken(params, base_seed, replicate):
-                if replicate == 3:
+            def broken(params, seed):
+                if seed == derived_seed(cfg.base_seed, 3):
                     raise RuntimeError(message)
                 return 1.0, {}
 
             monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", broken)
-            cfg = make_config(replicates=6)
             out = tmp_path / "partial.csv"
             with pytest.raises(RuntimeError, match="exploded"):
                 run_experiment(cfg, workers=1, out=str(out))
@@ -253,8 +325,8 @@ class TestRunExperiment:
 
         calls = []
 
-        def counted(params, base_seed, replicate):
-            calls.append(replicate)
+        def counted(params, seed):
+            calls.append(seed)
             return 1.0, {}
 
         monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", counted)
@@ -448,6 +520,15 @@ class TestBuiltOnce:
         assert len(records) == 20 and "variance_scale" in summary.extras
         assert (len(built), len(enumerated)) == (1, 1)
 
+    def test_seed_derived_once_per_replicate(self, monkeypatch):
+        from tailbounds.harness import rng
+
+        derived = self._count(monkeypatch, rng, "derived_seed")
+        cfg = make_config(experiment="chernoff", replicates=25,
+                          parameters={"n": 30, "nu": 0.5})
+        assert len(run_replicates(cfg, workers=1)) == 25
+        assert len(derived) == 25
+
     def test_param_hash_computed_once_per_run(self, monkeypatch):
         from tailbounds.harness.config import ExperimentConfig
 
@@ -601,6 +682,43 @@ class TestCli:
         assert len(payload["rows"]) == 3
         assert 0.3 < payload["slope"] < 0.7
 
+
+    def test_scale_out_checked_before_first_replicate(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from tailbounds.harness import experiments
+
+        calls = []
+
+        def counted(params, seed):
+            calls.append(seed)
+            return 1.0, {}
+
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "gauss_sum", counted)
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "gauss_sum", "replicates": 200,
+            "base_seed": 5, "parameters": {"n": 50},
+        }))
+        bad = tmp_path / "missing" / "s.json"
+        code = cli.main(["scale", str(cfg), "--n-list", "100", "400", "900",
+                         "--out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(bad) in captured.err and captured.out == ""
+        assert calls == []
+
+    def test_report_out_checked_before_summary(self, tmp_path, capsys, monkeypatch):
+        records = tmp_path / "r.csv"
+        run_experiment(make_config(replicates=20), out=str(records))
+        summarized = []
+        monkeypatch.setattr(cli, "summarize",
+                            lambda recs: summarized.append(recs) or summarize(recs))
+        bad = tmp_path / "missing" / "s.json"
+        code = cli.main(["report", str(records), "--out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(bad) in captured.err and captured.out == ""
+        assert summarized == []
 
 def run_cli(*argv):
     """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
