@@ -108,6 +108,36 @@ def _even_floor(n):
     return n if n % 2 == 0 else n - 1
 
 
+def _profile_table(name, values, n, orders, log):
+    """The (n, len(orders)) array of a map (i, l) -> value with 1-based
+    variable index i.  With log, values are stored in log domain (0 as
+    -inf) and a negative value is refused.  An index outside 1..n or an
+    order outside orders raises InvalidArgumentError, and an unset (or
+    NaN) entry IncompleteProfileError."""
+    pos = {o: j for j, o in enumerate(orders)}
+    table = np.full((n, len(orders)), np.nan)
+    for (i, l), v in values.items():
+        if not 1 <= i <= n:
+            raise InvalidArgumentError(f"{name}[{i},{l}]: variable index {i} outside 1..{n}")
+        if l not in pos:
+            raise InvalidArgumentError(
+                f"{name}[{i},{l}]: order {l} is not one of the orders {list(orders)} of M")
+        if log:
+            if v < 0:
+                raise InvalidArgumentError(f"{name}[{i},{l}] must be >= 0")
+            v = -np.inf if v == 0 else math.log(v)
+        table[i - 1, pos[l]] = v
+    if np.isnan(table).any():
+        i, j = map(int, np.argwhere(np.isnan(table))[0])
+        raise IncompleteProfileError(i + 1, orders[j])
+    return table
+
+
+def _uniform_values(n, by_order):
+    """The map (i, l) -> by_order[l] for every variable i = 1..n."""
+    return {(i, l): v for l, v in by_order.items() for i in range(1, n + 1)}
+
+
 class MomentProfile:
     """Per-variable upper bounds M_{i,l} on conditional even moments.
 
@@ -140,30 +170,12 @@ class MomentProfile:
     def from_values(cls, n, values: Mapping[tuple, float]):
         """Build from a map (i, l) -> M_{i,l} with 1-based variable index i."""
         orders = sorted({l for (_, l) in values})
-        log_m = np.full((n, len(orders)), np.nan)
-        pos = {o: j for j, o in enumerate(orders)}
-        for (i, l), v in values.items():
-            if not 1 <= i <= n:
-                raise InvalidArgumentError(f"variable index {i} outside 1..{n}")
-            if v < 0:
-                raise InvalidArgumentError(f"moment bound M[{i},{l}] must be >= 0")
-            log_m[i - 1, pos[l]] = -np.inf if v == 0 else math.log(v)
-        if np.isnan(log_m).any():
-            i, j = map(int, np.argwhere(np.isnan(log_m))[0])
-            raise IncompleteProfileError(i + 1, orders[j])
-        return cls(n, orders, log_m)
+        return cls(n, orders, _profile_table("M", values, n, orders, log=True))
 
     @classmethod
     def uniform(cls, n, by_order: Mapping[int, float]):
         """Profile with M_{i,l} independent of i."""
-        orders = sorted(by_order)
-        row = []
-        for o in orders:
-            v = by_order[o]
-            if v < 0:
-                raise InvalidArgumentError(f"moment bound for order {o} must be >= 0")
-            row.append(-np.inf if v == 0 else math.log(v))
-        return cls(n, orders, np.tile(row, (n, 1)))
+        return cls.from_values(n, _uniform_values(n, by_order))
 
     def has(self, i, l):
         return 1 <= i <= self.n and l in self._order_pos
@@ -220,31 +232,18 @@ class TypicalProfile:
     @classmethod
     def from_values(cls, base: MomentProfile, l_values: Mapping[tuple, float],
                     delta_values: Mapping[tuple, float]):
+        """Build from maps (i, l) -> L_{i,l} and (i, l) -> delta_{i,l} over
+        the variables and orders of base."""
         n, orders = base.n, base.orders
-        pos = {o: j for j, o in enumerate(orders)}
-        log_l = np.full((n, len(orders)), np.nan)
-        delta = np.full((n, len(orders)), np.nan)
-        for (i, l), v in l_values.items():
-            if v < 0:
-                raise InvalidArgumentError(f"L[{i},{l}] must be >= 0")
-            log_l[i - 1, pos[l]] = -np.inf if v == 0 else math.log(v)
-        for (i, l), v in delta_values.items():
-            delta[i - 1, pos[l]] = v
-        if np.isnan(log_l).any() or np.isnan(delta).any():
-            bad = np.argwhere(np.isnan(log_l) | np.isnan(delta))[0]
-            raise IncompleteProfileError(int(bad[0]) + 1, orders[int(bad[1])])
-        return cls(base, log_l, delta)
+        return cls(base, _profile_table("L", l_values, n, orders, log=True),
+                   _profile_table("delta", delta_values, n, orders, log=False))
 
     @classmethod
     def uniform(cls, n, m_by_order, l_by_order, delta_by_order):
-        base = MomentProfile.uniform(n, m_by_order)
-        orders = base.orders
-        log_l = np.tile(
-            [(-np.inf if l_by_order[o] == 0 else math.log(l_by_order[o])) for o in orders],
-            (n, 1),
-        )
-        delta = np.tile([float(delta_by_order[o]) for o in orders], (n, 1))
-        return cls(base, log_l, delta)
+        """Profile with M, L and delta independent of i."""
+        return cls.from_values(MomentProfile.uniform(n, m_by_order),
+                               _uniform_values(n, l_by_order),
+                               _uniform_values(n, delta_by_order))
 
     @property
     def n(self):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SizeLimitError
 from ..graphs import EdgeProbabilityMatrix
 from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution
 from ..pointproc import Deterministic, PlacementStrategy, Poisson, TruncatedZeta, TwoPoint
@@ -25,6 +25,12 @@ EXPERIMENTS = ("tsp", "mwst", "chromatic", "jl", "binpack", "lis", "chernoff",
                "gauss_sum")
 
 _REQUIRED = object()
+
+# Size caps on grid configs, checked before any table or point array is
+# built: a zeta law keeps two float64 tables of `cap` entries (160 MB at the
+# cap), and sampling a point set peaks near 120 bytes a point (120 MB).
+MAX_ZETA_CAP = 10**7
+MAX_EXPECTED_POINTS = 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,8 +143,14 @@ def _validate_grid(params, path):
     n_cells = typed_field(params, "n_cells", path, int, low=4)
     side = math.isqrt(n_cells)
     _require(side * side == n_cells, f"{path}.n_cells", "must be a perfect square")
-    out["count_dist"] = _from_kind(params.get("count_dist", {"kind": "poisson"}),
-                                   f"{path}.count_dist", _COUNT_DISTS, "count distribution")
+    dist = out["count_dist"] = _from_kind(params.get("count_dist", {"kind": "poisson"}),
+                                          f"{path}.count_dist", _COUNT_DISTS,
+                                          "count distribution")
+    if isinstance(dist, TruncatedZeta) and dist.cap > MAX_ZETA_CAP:
+        raise SizeLimitError(f"{path}.count_dist.cap: above MAX_ZETA_CAP = {MAX_ZETA_CAP}")
+    if n_cells * dist.moment(1) > MAX_EXPECTED_POINTS:
+        raise SizeLimitError(f"{path}.count_dist: n_cells * E[count] is above "
+                             f"MAX_EXPECTED_POINTS = {MAX_EXPECTED_POINTS}")
     out["placement"] = _placement(params.get("placement", "uniform_in_cell"),
                                   f"{path}.placement")
     out["max_passes"] = typed_field(params, "max_passes", path, int, low=0, default=40)

@@ -41,17 +41,15 @@ def _tsp_value(points, params):
 
 
 def run_tsp(params, seed):
-    ps = sample_point_set(params["n_cells"], params["count_dist"],
-                          params["placement"], seed)
-    points = ps.all_points()
+    points = sample_point_set(params["n_cells"], params["count_dist"],
+                              params["placement"], seed).points
     value, solver = _tsp_value(points, params)
     return value, {"n_points": len(points), "solver": solver}
 
 
 def run_mwst(params, seed):
-    ps = sample_point_set(params["n_cells"], params["count_dist"],
-                          params["placement"], seed)
-    points = ps.all_points()
+    points = sample_point_set(params["n_cells"], params["count_dist"],
+                              params["placement"], seed).points
     value = mst_weight(points).weight if len(points) else 0.0
     return value, {"n_points": len(points), "solver": "prim"}
 

@@ -4,12 +4,18 @@ Cell counts are i.i.d. from a configurable (possibly heavy-tailed)
 distribution; once counts are fixed, the points inside a cell may be
 placed uniformly, bunched, spread, or adversarially, which models
 within-cell collusion.
+
+A PointSet holds one (s, 2) array of points and an (s,) column giving
+each row's owning cell, with rows grouped by ascending cell and kept in
+placement order inside a cell.  The stream substream(seed, "pointset")
+gives the n_cells counts first.  Only uniform_in_cell draws more: one
+uniform per coordinate, each cell's x block and then its y block, cell
+by cell.  The other placements are functions of the counts.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +40,8 @@ __all__ = [
     "cell_bounds",
     "point_cell",
 ]
+
+CSV_HEADER = "cell_index,x,y"
 
 
 @dataclass(frozen=True)
@@ -235,98 +243,95 @@ def point_cell(n_cells, x, y):
     return r * side + c
 
 
-def _clip_open(value, low, high, closed):
-    # Keep a coordinate strictly below the open upper edge of its cell.
-    if closed or value < high:
-        return min(max(value, low), high if closed else np.nextafter(high, low))
-    return np.nextafter(high, low)
-
-
 @dataclass
 class PointSet:
     n_cells: int
-    cells: list  # per-cell (k, 2) float arrays
+    points: np.ndarray  # (s, 2) floats, rows grouped by ascending cell
+    cell: np.ndarray  # (s,) int64 owning cell of each row
     seed: int
     config_label: str
 
     @property
     def total_points(self):
-        return sum(len(c) for c in self.cells)
-
-    def all_points(self):
-        parts = [c for c in self.cells if len(c)]
-        if not parts:
-            return np.empty((0, 2))
-        return np.vstack(parts)
+        return len(self.points)
 
     def config_hash(self):
         h = hashlib.sha256(f"{self.n_cells}|{self.config_label}".encode())
         return h.hexdigest()[:12]
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write(f"# config={self.config_hash()} seed={self.seed}\n")
-        buf.write("cell_index,x,y\n")
-        for idx, pts in enumerate(self.cells):
-            for x, y in pts:
-                buf.write(f"{idx},{float(x)!r},{float(y)!r}\n")
-        return buf.getvalue()
+        lines = [f"# config={self.config_hash()} seed={self.seed}", CSV_HEADER]
+        lines += [f"{i},{x!r},{y!r}"
+                  for i, (x, y) in zip(self.cell.tolist(), self.points.tolist())]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text, n_cells, config_label=""):
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        seed_line = next(ln for ln in text.splitlines() if ln.startswith("#"))
-        seed = int(seed_line.split("seed=")[1])
-        cells = [[] for _ in range(n_cells)]
-        for ln in lines[1:]:
-            idx, x, y = ln.split(",")
-            cells[int(idx)].append((float(x), float(y)))
-        cells = [np.array(c, dtype=float).reshape(len(c), 2) for c in cells]
-        return PointSet(n_cells=n_cells, cells=cells, seed=seed,
-                        config_label=config_label)
+        """The PointSet of a to_csv text, with the seed of its first '#'
+        line.  Rows may come in any order: a stable sort regroups them by
+        cell.  A malformed line or a cell index outside 0..n_cells-1 raises
+        InvalidArgumentError naming the line."""
+        seed, cell, points = None, [], []
+        for no, ln in enumerate(text.splitlines(), start=1):
+            try:
+                if ln.startswith("#"):
+                    seed = int(ln.split("seed=")[1]) if seed is None else seed
+                elif ln and ln != CSV_HEADER:
+                    idx, x, y = ln.split(",")
+                    cell.append(int(idx))
+                    points.append((float(x), float(y)))
+            except (IndexError, ValueError):
+                raise InvalidArgumentError(
+                    f"line {no}: expected {CSV_HEADER} or '# ... seed=N', got {ln!r}") from None
+            if cell and not 0 <= cell[-1] < n_cells:
+                raise InvalidArgumentError(
+                    f"line {no}: cell index {cell[-1]} outside 0..{n_cells - 1}")
+        if seed is None:
+            raise InvalidArgumentError("no '# ... seed=N' line")
+        cell = np.array(cell, dtype=np.int64)
+        order = np.argsort(cell, kind="stable")
+        return PointSet(n_cells=n_cells, points=np.array(points).reshape(-1, 2)[order],
+                        cell=cell[order], seed=seed, config_label=config_label)
 
 
-def _place(rng, n_cells, index, count, placement):
-    side = _side(n_cells)
-    x0, x1, y0, y1 = cell_bounds(n_cells, index)
-    r, c = divmod(index, side)
-    closed_x = c == side - 1
-    closed_y = r == side - 1
-    h = 1.0 / side
-    if count == 0:
-        return np.empty((0, 2))
-    if placement is PlacementStrategy.UNIFORM_IN_CELL:
-        xs = x0 + rng.random(count) * h
-        ys = y0 + rng.random(count) * h
-        return np.column_stack([xs, ys])
-    if placement is PlacementStrategy.CORNER_BUNCH:
-        return np.tile([x0, y0], (count, 1))
-    if placement is PlacementStrategy.GRID_SPREAD:
-        g = math.isqrt(count - 1) + 1
-        pts = []
-        for j in range(count):
-            gy, gx = divmod(j, g)
-            pts.append((x0 + (gx + 0.5) * h / g, y0 + (gy + 0.5) * h / g))
-        return np.array(pts)
-    if placement is PlacementStrategy.ADVERSARIAL_DIAGONAL:
-        cx = x0 if abs(x0 - 0.5) <= abs(x1 - 0.5) else _clip_open(x1, x0, x1, closed_x)
-        cy = y0 if abs(y0 - 0.5) <= abs(y1 - 0.5) else _clip_open(y1, y0, y1, closed_y)
-        return np.tile([cx, cy], (count, 1))
-    raise InvalidArgumentError(f"unknown placement {placement!r}")
+def _toward_center(index, side, h):
+    """Per row, the edge of its column (or row) index nearest 0.5; an upper
+    edge is open except on the outer boundary, so it is one float inside."""
+    low, high = index * h, (index + 1) * h
+    inside = np.where(index == side - 1, high, np.nextafter(high, low))
+    return np.where(np.abs(low - 0.5) <= np.abs(high - 0.5), low, inside)
 
 
 def sample_point_set(n_cells, count_dist, placement, seed):
     """Draw i.i.d. cell counts from count_dist and place that many points
     in each cell per the placement strategy.  Deterministic in seed."""
-    _side(n_cells)
+    side = _side(n_cells)
     placement = PlacementStrategy(placement)
     rng = substream(seed, "pointset")
     counts = count_dist.sample(rng, n_cells)
-    cells = [
-        _place(rng, n_cells, idx, int(k), placement) for idx, k in enumerate(counts)
-    ]
-    label = f"{count_dist.label()}|{placement.value}"
-    return PointSet(n_cells=n_cells, cells=cells, seed=seed, config_label=label)
+    cell = np.repeat(np.arange(n_cells, dtype=np.int64), counts)
+    row = np.arange(len(cell))
+    ends = np.cumsum(counts)
+    first = (ends - counts)[cell]  # first row of each row's cell
+    h = 1.0 / side
+    r, c = np.divmod(cell, side)
+    x0, y0 = c * h, r * h
+    if placement is PlacementStrategy.UNIFORM_IN_CELL:
+        # Cell i owns rows [S, E) and draws 2S..2S+k-1 (x) then 2S+k..2E-1 (y).
+        u = rng.random(2 * len(cell))
+        xy = (x0 + u[row + first] * h, y0 + u[row + ends[cell]] * h)
+    elif placement is PlacementStrategy.CORNER_BUNCH:
+        xy = (x0, y0)
+    elif placement is PlacementStrategy.GRID_SPREAD:
+        # A g x g lattice with g = ceil(sqrt(k)); isqrt keeps g exact.
+        distinct, which = np.unique(counts[cell], return_inverse=True)
+        g = np.array([math.isqrt(int(k) - 1) + 1 for k in distinct], dtype=np.int64)[which]
+        gy, gx = np.divmod(row - first, g)
+        xy = (x0 + (gx + 0.5) * h / g, y0 + (gy + 0.5) * h / g)
+    else:  # ADVERSARIAL_DIAGONAL
+        xy = (_toward_center(c, side, h), _toward_center(r, side, h))
+    return PointSet(n_cells=n_cells, points=np.column_stack(xy), cell=cell, seed=seed,
+                    config_label=f"{count_dist.label()}|{placement.value}")
 
 
 def layer_order(n_cells):
@@ -334,16 +339,8 @@ def layer_order(n_cells):
     bottom or left boundary first, then each layer one cell further in,
     ending at the top-right cell; row-major inside a layer.  Returns a
     permutation of cell indices."""
-    side = _side(n_cells)
-    order = []
-    for layer in range(side):
-        members = []
-        for idx in range(n_cells):
-            r, c = divmod(idx, side)
-            if min(r, c) == layer:
-                members.append(idx)
-        order.extend(members)
-    return np.array(order, dtype=np.int64)
+    r, c = np.divmod(np.arange(n_cells), _side(n_cells))
+    return np.argsort(np.minimum(r, c), kind="stable")
 
 
 def layer_sizes(n_cells):
@@ -357,22 +354,17 @@ def tau0_by_layer(ps: PointSet, cap=2 * math.sqrt(2)):
     later in layer_order, capped at 2*sqrt(2).  Reported, never asserted:
     the exposure ordering makes this distance small for early layers."""
     order = layer_order(ps.n_cells)
-    sizes = layer_sizes(ps.n_cells)
-    position = np.empty(ps.n_cells, dtype=np.int64)
-    position[order] = np.arange(ps.n_cells)
+    position = np.argsort(order)  # exposure position of each cell
+    row_position = position[ps.cell]
     means = []
     start = 0
-    for size in sizes:
+    for size in layer_sizes(ps.n_cells):
         taus = []
         for idx in order[start:start + size]:
-            later = [
-                pts for cell in order if position[cell] > position[idx]
-                for pts in (ps.cells[cell],) if len(pts)
-            ]
-            if not later:
+            pts = ps.points[row_position > position[idx]]
+            if not len(pts):
                 taus.append(cap)
                 continue
-            pts = np.vstack(later)
             x0, x1, y0, y1 = cell_bounds(ps.n_cells, int(idx))
             dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
             dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)

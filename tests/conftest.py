@@ -336,3 +336,90 @@ def pack_exact_bins(sizes_by_item):
 
     place(0)
     return best
+
+
+def sample_point_set_oracle(n_cells, count_dist, placement, seed):
+    """The per-cell (k, 2) point arrays of sample_point_set, built one cell
+    at a time: the counts, then for each cell in index order its x draws
+    and then its y draws (uniform_in_cell), a bunch at the lower-left
+    corner (corner_bunch), a g x g lattice with g = isqrt(k - 1) + 1
+    (grid_spread), or a bunch at the corner nearest (0.5, 0.5), kept
+    inside an open upper edge (adversarial_diagonal)."""
+    from tailbounds.harness.rng import substream
+    from tailbounds.pointproc import PlacementStrategy, cell_bounds
+
+    side = math.isqrt(n_cells)
+    placement = PlacementStrategy(placement)
+    rng = substream(seed, "pointset")
+    counts = count_dist.sample(rng, n_cells)
+    h = 1.0 / side
+
+    def inside_open_edge(value, low, high, closed):
+        if closed or value < high:
+            return min(max(value, low), high if closed else np.nextafter(high, low))
+        return np.nextafter(high, low)
+
+    cells = []
+    for index, count in enumerate(int(k) for k in counts):
+        x0, x1, y0, y1 = cell_bounds(n_cells, index)
+        r, c = divmod(index, side)
+        if count == 0:
+            cells.append(np.empty((0, 2)))
+        elif placement is PlacementStrategy.UNIFORM_IN_CELL:
+            xs = x0 + rng.random(count) * h
+            ys = y0 + rng.random(count) * h
+            cells.append(np.column_stack([xs, ys]))
+        elif placement is PlacementStrategy.CORNER_BUNCH:
+            cells.append(np.tile([x0, y0], (count, 1)))
+        elif placement is PlacementStrategy.GRID_SPREAD:
+            g = math.isqrt(count - 1) + 1
+            pts = []
+            for j in range(count):
+                gy, gx = divmod(j, g)
+                pts.append((x0 + (gx + 0.5) * h / g, y0 + (gy + 0.5) * h / g))
+            cells.append(np.array(pts))
+        else:
+            cx = x0 if abs(x0 - 0.5) <= abs(x1 - 0.5) \
+                else inside_open_edge(x1, x0, x1, c == side - 1)
+            cy = y0 if abs(y0 - 0.5) <= abs(y1 - 0.5) \
+                else inside_open_edge(y1, y0, y1, r == side - 1)
+            cells.append(np.tile([cx, cy], (count, 1)))
+    return cells
+
+
+def layer_order_oracle(n_cells):
+    """Cells with min(row, col) = 0, then 1, ..., each layer in index order."""
+    side = math.isqrt(n_cells)
+    order = []
+    for layer in range(side):
+        for idx in range(n_cells):
+            r, c = divmod(idx, side)
+            if min(r, c) == layer:
+                order.append(idx)
+    return order
+
+
+def tau0_by_layer_oracle(n_cells, cells, cap=2 * math.sqrt(2)):
+    """tau0_by_layer over per-cell point arrays: for each cell, the distance
+    from its square to the points of every later cell, stacked cell by
+    cell in exposure order."""
+    from tailbounds.pointproc import cell_bounds, layer_sizes
+
+    order = layer_order_oracle(n_cells)
+    means = []
+    start = 0
+    for size in layer_sizes(n_cells):
+        taus = []
+        for at in range(start, start + size):
+            later = [cells[cell] for cell in order[at + 1:] if len(cells[cell])]
+            if not later:
+                taus.append(cap)
+                continue
+            pts = np.vstack(later)
+            x0, x1, y0, y1 = cell_bounds(n_cells, order[at])
+            dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
+            dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
+            taus.append(min(cap, float(np.sqrt(dx**2 + dy**2).min())))
+        means.append(float(np.mean(taus)))
+        start += size
+    return means

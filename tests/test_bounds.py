@@ -178,6 +178,30 @@ class TestMainTheorem:
             TypicalProfile.uniform(3, m_by_order={2: 1.0},
                                    l_by_order={2: 2.0}, delta_by_order={2: 0.1})
 
+    @pytest.mark.parametrize("l_values, delta_values, named", [
+        ({(1, 2): 0.5, (1, 6): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "L[1,6]: order 6"),
+        ({(1, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 6): 0.1}, "delta[1,6]: order 6"),
+        ({(0, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "variable index 0"),
+        ({(1, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (2, 4): 0.1}, "variable index 2"),
+        ({(1, 2): -0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "L[1,2] must be >= 0"),
+    ])
+    def test_from_values_rejects_entry_outside_base(self, l_values, delta_values, named):
+        base = MomentProfile.uniform(1, {2: 1.0, 4: 3.0})
+        with pytest.raises(InvalidArgumentError, match=named.replace("[", r"\[")):
+            TypicalProfile.from_values(base, l_values, delta_values)
+
+    def test_uniform_matches_from_values(self):
+        m, l, d = {2: 2.0, 4: 9.0}, {2: 0.0, 4: 4.5}, {2: 0.25, 4: 0.0}
+        profile = TypicalProfile.uniform(3, m, l, d)
+        rebuilt = TypicalProfile.from_values(
+            MomentProfile.from_values(3, {(i, o): m[o] for i in (1, 2, 3) for o in m}),
+            {(i, o): l[o] for i in (1, 2, 3) for o in l},
+            {(i, o): d[o] for i in (1, 2, 3) for o in d})
+        assert np.array_equal(profile.base.log_m, rebuilt.base.log_m)
+        assert np.array_equal(profile.log_l, rebuilt.log_l)
+        assert np.array_equal(profile.delta, rebuilt.delta)
+        assert profile.log_l[0, 0] == -np.inf
+
     def test_matches_direct_evaluation(self):
         n, m = 4, 4
         rng = np.random.default_rng(3)

@@ -254,7 +254,7 @@ class TestCoordinateSolversMatchDenseOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_placements(self, placement, seed):
         for n_cells, counts in [(16, Poisson(6.0)), (100, TruncatedZeta(2.0, 40, 0.35))]:
-            pts = sample_point_set(n_cells, counts, placement, seed).all_points()
+            pts = sample_point_set(n_cells, counts, placement, seed).points
             _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
             _assert_same_tree(pts)
 
@@ -280,7 +280,7 @@ class TestCoordinateSolversMatchDenseOracles:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tsp_scale_instances(self, n_cells, seed):
         pts = sample_point_set(n_cells, Poisson(1.0), PlacementStrategy.UNIFORM_IN_CELL,
-                               seed).all_points()
+                               seed).points
         _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
         _assert_same_tree(pts)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 import tailbounds
 from tailbounds.bounds import MomentProfile
-from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError
-from tailbounds.harness import cli
-from tailbounds.harness.config import parse_config
+from tailbounds import pointproc
+from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
+    SizeLimitError
+from tailbounds.harness import cli, experiments
+from tailbounds.harness.config import MAX_EXPECTED_POINTS, parse_config
 from tailbounds.harness.rng import derived_seed, substream
 from tailbounds.harness.runner import (
     ExperimentRecord,
@@ -611,6 +614,43 @@ class TestCli:
         }))
         assert cli.main(["run", str(cfg)]) == 4
 
+    @pytest.mark.parametrize("count_dist, named", [
+        ({"kind": "zeta", "s": 6.0, "cap": 10**12}, "$.parameters.count_dist.cap"),
+        ({"kind": "poisson", "mean": 1e12}, "$.parameters.count_dist:"),
+    ])
+    def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                      count_dist, named):
+        def allocate(*args):
+            raise AssertionError("a table or point set was built before the size check")
+
+        monkeypatch.setattr(pointproc, "_zeta_tables", allocate)
+        monkeypatch.setattr(experiments, "sample_point_set", allocate)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "tsp", "replicates": 1,
+            "parameters": {"n_cells": 4, "count_dist": count_dist},
+        }))
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert named in err
+        assert peak < 10**6
+
+    def test_expected_points_cap_is_inclusive(self):
+        raw = {"schema_version": 1, "experiment": "mwst", "replicates": 1,
+               "parameters": {"n_cells": 100, "count_dist": {
+                   "kind": "poisson", "mean": MAX_EXPECTED_POINTS / 100}}}
+        parse_config(raw)
+        raw["parameters"]["count_dist"]["mean"] *= 1 + 1e-9
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.count_dist: "):
+            parse_config(raw)
+
     def test_bound_subcommand(self, capsys):
         code = cli.main(["bound", "--method", "general-chernoff",
                          "--nu", "100", "--t", "50"])
@@ -760,6 +800,19 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert "order l=4" in err
+
+    @pytest.mark.parametrize("typical, named", [
+        ({"L": {"2": 0.5, "6": 1.0}, "delta": {"2": 0.1, "4": 0.1}}, "order 6"),
+        ({"L": {"2": 0.5, "4": 1.0}, "delta": {"2": 0.1, "6": 0.1}}, "order 6"),
+    ])
+    def test_typical_profile_order_missing_from_m(self, tmp_path, capsys, typical, named):
+        profile = tmp_path / "typ.json"
+        profile.write_text(json.dumps({"n": 3, "M": {"2": 1.0, "4": 3.0}, **typical}))
+        assert cli.main(["bound", "--method", "main", "--profile", str(profile),
+                         "--t", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
 
     @pytest.mark.parametrize("field", ["replicates", "base_seed"])
     def test_bool_config_field(self, tmp_path, field):

@@ -9,6 +9,7 @@ from scipy import stats
 from tailbounds.errors import InvalidArgumentError
 from tailbounds.harness.rng import substream
 from tailbounds.pointproc import (
+    CSV_HEADER,
     Deterministic,
     PlacementStrategy,
     PointSet,
@@ -20,7 +21,21 @@ from tailbounds.pointproc import (
     layer_sizes,
     point_cell,
     sample_point_set,
+    tau0_by_layer,
 )
+
+from conftest import layer_order_oracle, sample_point_set_oracle, tau0_by_layer_oracle
+
+_COUNT_LAWS = [
+    Poisson(1.0),
+    Poisson(3.5),
+    TruncatedZeta(6.0, 10**6, p0=0.35),
+    TruncatedZeta(2.0, 50),
+    TwoPoint(0.4, 5),
+    Deterministic(0),
+    Deterministic(1),
+    Deterministic(7),
+]
 
 
 class TestCountDistributions:
@@ -103,7 +118,8 @@ class TestSamplePointSet:
     def test_deterministic_one_per_quadrant(self):
         ps = sample_point_set(4, Deterministic(1), "uniform_in_cell", seed=0)
         assert ps.total_points == 4
-        owners = sorted(point_cell(4, x, y) for x, y in ps.all_points())
+        assert ps.cell.tolist() == [0, 1, 2, 3]
+        owners = [point_cell(4, x, y) for x, y in ps.points]
         assert owners == [0, 1, 2, 3]
 
     def test_poisson_total_concentrates(self):
@@ -118,11 +134,12 @@ class TestSamplePointSet:
     @pytest.mark.parametrize("placement", list(PlacementStrategy))
     def test_containment_exact(self, placement):
         ps = sample_point_set(16, TwoPoint(0.3, 3), placement, seed=9)
-        for idx, cell in enumerate(ps.cells):
-            for x, y in cell:
-                assert point_cell(16, x, y) == idx
-                x0, x1, y0, y1 = cell_bounds(16, idx)
-                assert x0 <= x <= x1 and y0 <= y <= y1
+        assert ps.points.shape == (len(ps.cell), 2)
+        assert (np.diff(ps.cell) >= 0).all()
+        for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
+            assert point_cell(16, x, y) == idx
+            x0, x1, y0, y1 = cell_bounds(16, idx)
+            assert x0 <= x <= x1 and y0 <= y <= y1
 
     def test_reproducibility_bytes(self):
         a = sample_point_set(100, Poisson(2.0), "grid_spread", seed=31)
@@ -133,13 +150,15 @@ class TestSamplePointSet:
 
     def test_corner_bunch_is_coincident(self):
         ps = sample_point_set(9, Deterministic(3), "corner_bunch", seed=2)
-        for cell in ps.cells:
-            assert len({(x, y) for x, y in cell}) == 1
+        for idx in range(9):
+            rows = ps.points[ps.cell == idx]
+            assert len(rows) == 3
+            assert len({(x, y) for x, y in rows}) == 1
 
     def test_adversarial_diagonal_faces_center(self):
         ps = sample_point_set(4, Deterministic(1), "adversarial_diagonal", seed=3)
-        for idx, cell in enumerate(ps.cells):
-            (x, y), = cell
+        assert ps.cell.tolist() == [0, 1, 2, 3]
+        for x, y in ps.points:
             # each point sits within a whisker of the cell corner nearest
             # the unit-square center
             assert abs(x - 0.5) < 0.51 and abs(y - 0.5) < 0.51
@@ -156,16 +175,63 @@ class TestSamplePointSet:
         assert text.startswith("# config=")
         back = PointSet.from_csv(text, 16)
         assert back.seed == 5
-        assert np.array_equal(back.all_points(), ps.all_points())
+        assert back.points.tobytes() == ps.points.tobytes()
+        assert np.array_equal(back.cell, ps.cell)
+        assert back.to_csv().splitlines()[1:] == text.splitlines()[1:]
+
+    @given(st.integers(min_value=2, max_value=30), st.sampled_from(_COUNT_LAWS),
+           st.sampled_from(list(PlacementStrategy)), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle(self, side, counts, placement, seed):
+        ps = sample_point_set(side * side, counts, placement, seed)
+        cells = sample_point_set_oracle(side * side, counts, placement, seed)
+        expected = np.vstack([np.empty((0, 2))] + cells)
+        assert ps.points.dtype == expected.dtype and ps.points.shape == expected.shape
+        assert ps.points.tobytes() == expected.tobytes()
+        assert ps.cell.tolist() == [idx for idx, c in enumerate(cells) for _ in c]
+        assert ps.total_points == len(expected)
+
+    def test_rows_out_of_order_are_regrouped(self):
+        ps = sample_point_set(16, Poisson(2.0), "uniform_in_cell", seed=8)
+        comment, header, *rows = ps.to_csv().splitlines()
+        shuffled = "\n".join([comment, header] + rows[::-1]) + "\n"
+        back = PointSet.from_csv(shuffled, 16)
+        assert np.array_equal(back.cell, ps.cell)
+        # a stable sort keeps each cell's rows in file order
+        for idx in range(16):
+            assert np.array_equal(back.points[back.cell == idx],
+                                  ps.points[ps.cell == idx][::-1])
+
+    @pytest.mark.parametrize("index", ["16", "-1"])
+    def test_from_csv_rejects_cell_outside_grid(self, index):
+        text = f"# config=x seed=1\n{CSV_HEADER}\n0,0.1,0.1\n{index},0.5,0.5\n"
+        with pytest.raises(InvalidArgumentError, match=f"line 4: cell index {index} outside"):
+            PointSet.from_csv(text, 16)
+
+    @pytest.mark.parametrize("row", ["3,0.5", "3,0.5,0.5,0.5", "x,0.5,0.5", "3,0.5,y",
+                                     "3.0,0.5,0.5"])
+    def test_from_csv_rejects_malformed_row(self, row):
+        text = f"# config=x seed=1\n{CSV_HEADER}\n0,0.1,0.1\n{row}\n"
+        with pytest.raises(InvalidArgumentError, match="line 4: expected cell_index,x,y"):
+            PointSet.from_csv(text, 16)
+
+    @pytest.mark.parametrize("text, named", [
+        (f"{CSV_HEADER}\n0,0.1,0.1\n", "no '# ... seed=N' line"),
+        (f"# config=x\n{CSV_HEADER}\n", "line 1: "),
+        (f"# config=x seed=one\n{CSV_HEADER}\n", "line 1: "),
+    ])
+    def test_from_csv_rejects_missing_seed(self, text, named):
+        with pytest.raises(InvalidArgumentError, match=named):
+            PointSet.from_csv(text, 16)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_containment_property(self, side, seed):
         n = side * side
         ps = sample_point_set(n, Poisson(1.5), "uniform_in_cell", seed)
-        for idx, cell in enumerate(ps.cells):
-            for x, y in cell:
-                assert point_cell(n, x, y) == idx
+        assert (np.diff(ps.cell) >= 0).all()
+        for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
+            assert point_cell(n, x, y) == idx
 
 
 class TestLayerOrder:
@@ -195,9 +261,20 @@ class TestLayerOrder:
             assert sorted(order.tolist()) == list(range(n))
             assert sum(layer_sizes(n)) == n
 
-    def test_tau0_diagnostic_scale(self):
-        from tailbounds.pointproc import tau0_by_layer
+    def test_matches_loop_oracle(self):
+        for side in range(2, 61):
+            assert layer_order(side * side).tolist() == layer_order_oracle(side * side)
 
+    @pytest.mark.parametrize("placement", list(PlacementStrategy))
+    @pytest.mark.parametrize("counts", [Poisson(0.7), TwoPoint(0.5, 2), Deterministic(0)])
+    def test_tau0_matches_loop_oracle(self, placement, counts):
+        for side, seed in [(2, 1), (3, 2), (5, 3), (8, 4)]:
+            n = side * side
+            ps = sample_point_set(n, counts, placement, seed)
+            cells = sample_point_set_oracle(n, counts, placement, seed)
+            assert tau0_by_layer(ps) == tau0_by_layer_oracle(n, cells)
+
+    def test_tau0_diagnostic_scale(self):
         ps = sample_point_set(100, Deterministic(1), "uniform_in_cell", seed=6)
         taus = tau0_by_layer(ps)
         assert len(taus) == 10
