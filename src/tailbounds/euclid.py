@@ -6,14 +6,25 @@ points; larger instances use the deterministic strip + 2-opt pipeline,
 which is itself a well-defined functional of the point set.
 
 2-opt and Prim work on the coordinates in O(s) memory: they compute the
-distances they need, a block of rows or one row at a time, with the same
-floating-point expression as the s x s matrix of _distance_matrix (used
-only by the exact solver), so their results are bit-identical to the
-dense-matrix versions kept as oracles in tests/conftest.py.
+distances they need with the same floating-point expression as the s x s
+matrix of _distance_matrix (used only by the exact solver), so their
+results are bit-identical to the dense-matrix versions kept as oracles in
+tests/conftest.py.  2-opt computes a block of rows at a time.
+
+Prim runs on a sparse radius graph G_R (all site pairs at distance <= R,
+from a bucket grid) with a connectivity certificate: while Prim's heap is
+not empty, some edge of weight <= R crosses the cut, so every
+float-minimal crossing edge of the complete graph, ties included, lies in
+G_R, and the tree, its edge order and its summed weight are those of
+dense Prim.  When the heap runs dry first, R doubles and Prim restarts.
+When the grid would hold more than a fixed number of candidate pairs per
+site or in all, counted before any pair is built, Prim scans one distance
+row per step instead (O(s^2) time).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -244,19 +255,192 @@ def tsp_2opt(points, start: Tour, max_passes=50):
     return Tour.of(pts, order)
 
 
-def mst_weight(points):
-    """Exact Euclidean minimum spanning tree by Prim's algorithm, each
-    distance row computed from the coordinates (O(s) memory, O(s^2) time).
+# Prim on the radius graph, see mst_weight.  R starts at _RADIUS_FACTOR
+# mean site spacings, sqrt(bbox area / sites), a little above the longest
+# MST edge of a uniform cloud of 10^3 to 10^4 sites, so most such clouds
+# connect on the first pass.
+_RADIUS_FACTOR = 2.0
+# Candidate pairs per site the grid may generate, each pair counted from
+# both ends: about 35 for a uniform cloud at the starting R, 143 at 2R.
+_PAIRS_PER_SITE = 192
+# Candidate pairs the grid may generate in all, whatever the number of
+# sites: building G_R and running Prim on it peaks near 15 bytes a
+# candidate, about 30 MB at this cap, which a uniform cloud of about 6e4
+# sites reaches.
+_MAX_PAIRS = 1 << 21
+# The bucket side exceeds R by this relative margin.  Rounding in the bucket
+# index and in _dist moves a pair by at most ~4 ulp of the bbox span and of
+# R, so no pair with _dist <= R lands two buckets apart while a grid axis has
+# fewer than ~10^9 buckets (it has at most sites / _RADIUS_FACTOR + 1).
+_BUCKET_MARGIN = 1e-6
+# The 3 x 3 bucket neighbourhood.
+_NEIGHBOURS = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
-    Ties go to the smallest point index, so edges and weight are a fixed
-    function of the point order.
+
+def mst_weight(points):
+    """Exact Euclidean minimum spanning tree by Prim's algorithm grown from
+    point 0, ties to the smallest point index, so edges and weight are a
+    fixed function of the point order: bit-identical to dense Prim on the
+    s x s matrix (mst_prim_oracle in tests/conftest.py).
+
+    Coincident points collapse into sites, each represented by its smallest
+    point index.  Dense Prim reaches a site at its representative and then
+    takes the other copies at once, in ascending index order, as (rep, copy)
+    edges of weight 0; so does this function.
+
+    Between sites, Prim runs with a heap on the radius graph G_R: every site
+    pair whose _dist is <= R, found with a bucket grid of side just above R.
+    Sites are numbered in the order of their representatives, so keys are
+    (distance, site), and a key is lowered only on a strict <, as in dense
+    Prim.  Connectivity is the certificate: while the heap is not empty, an
+    edge of weight <= R crosses the cut between the sites added and the
+    rest, so every float-minimal crossing edge of the complete graph, ties
+    included, has weight <= R and lies in G_R.  Each step then
+    adds the same site with the same parent as dense Prim, and the weights
+    are summed in the same order.  When the heap runs dry before every site
+    is added, R doubles and Prim starts again on the new G_R.
+
+    The row-by-row dense Prim (O(s) memory, O(s^2) time) runs instead when
+    the grid would generate more than _PAIRS_PER_SITE candidate pairs per
+    site or _MAX_PAIRS in all, which is counted from the bucket sizes before
+    any pair exists, so memory stays O(s) plus a bounded graph; when two
+    distinct sites are at float distance 0; and when R or the bounding box
+    would take squared distances out of the normal float range.  Coordinates must be finite.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n < 1:
         raise InvalidArgumentError("need at least one point")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("point coordinates must be finite")
     if n == 1:
         return SpanningTree(edges=[], weight=0.0)
+    xs, ys = pts[:, 0], pts[:, 1]
+    order = np.lexsort((ys, xs))     # stable: a site's copies in index order
+    ox, oy = xs[order], ys[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ox[1:] != ox[:-1]) | (oy[1:] != oy[:-1])
+    bounds = np.append(np.flatnonzero(first), n)
+    rep = np.sort(order[bounds[:-1]])   # sites in the order of their smallest index
+    tree = _mst_sites(xs[rep], ys[rep])
+    if tree is None:
+        return _mst_rows(pts)
+    added, parent, dist = tree
+    copies = {int(order[bounds[k]]): order[bounds[k] + 1:bounds[k + 1]].tolist()
+              for k in np.flatnonzero(np.diff(bounds) > 1)}
+    rep = rep.tolist()
+    edges = [(0, c) for c in copies.get(0, ())]
+    total = 0.0
+    for site in added[1:]:
+        r = rep[site]
+        edges.append((rep[parent[site]], r))
+        total += dist[site]
+        edges.extend((r, c) for c in copies.get(r, ()))
+    return SpanningTree(edges=edges, weight=total)
+
+
+def _mst_sites(x, y):
+    """Prim on the radius graph of the distinct sites (x, y) from site 0:
+    (sites in the order added, parent site, distance to the parent), or
+    None when mst_weight must scan rows."""
+    m = len(x)
+    if m == 1:
+        return [0], [0], [0.0]
+    width, height = float(x.max() - x.min()), float(y.max() - y.min())
+    span = max(width, height)
+    r = _RADIUS_FACTOR * max(math.sqrt(width * height / m), span / m)
+    if not (1e-100 < r and span < 1e100):
+        return None
+    while True:
+        graph = _radius_graph(x, y, r)
+        if graph is None:
+            return None
+        tree = _prim(*graph)
+        if tree is not None:
+            return tree
+        if r > width + height:   # the graph already held every pair
+            return None
+        r *= 2.0
+
+
+def _radius_graph(x, y, r):
+    """Every site pair with _dist <= r, in CSR form: site u's neighbours are
+    nbr[ptr[u]:ptr[u + 1]] at distances wt[...].  None when the grid would
+    generate more than _PAIRS_PER_SITE candidate pairs per site or
+    _MAX_PAIRS in all, or when two distinct sites are at distance 0 (dense
+    Prim would interleave their copies)."""
+    m = len(x)
+    inv = 1.0 / (r * (1.0 + _BUCKET_MARGIN))
+    bx = ((x - x.min()) * inv).astype(np.int64) + 1   # a ring of empty buckets
+    by = ((y - y.min()) * inv).astype(np.int64) + 1   # around the occupied ones
+    row = int(bx.max()) + 2
+    key = by * row + bx
+    count = np.bincount(key, minlength=(int(by.max()) + 2) * row)
+    shifts = [dy * row + dx for dx, dy in _NEIGHBOURS]
+    budget = min(_PAIRS_PER_SITE * m, _MAX_PAIRS)
+    if sum(int(count[key + k].sum()) for k in shifts) - m > budget:
+        return None
+    # the sites of bucket b are by_bucket[start[b]:start[b] + count[b]]
+    by_bucket = np.argsort(key, kind="stable")
+    start = np.cumsum(count) - count
+    sites = np.arange(m)
+    us, vs, ws = [], [], []
+    for k in shifts:   # one neighbour bucket of every site at a time
+        b = key + k
+        c = count[b]
+        u = np.repeat(sites, c)
+        v = by_bucket[np.repeat(start[b] - np.cumsum(c) + c, c) + np.arange(len(u))]
+        once = u < v   # each pair once, never (u, u)
+        u, v = u[once], v[once]
+        w = _dist(x[u], y[u], x[v], y[v])
+        close = w <= r
+        us.append(u[close])
+        vs.append(v[close])
+        ws.append(w[close])
+    us, vs, ws = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    if not ws.all():
+        return None
+    # each array is dropped once used: this is the memory peak of mst_weight
+    tail = np.concatenate([us, vs])
+    by_tail = np.argsort(tail, kind="stable")
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=m), out=ptr[1:])
+    del tail
+    nbr = np.concatenate([vs, us])[by_tail]
+    del us, vs
+    return ptr.tolist(), nbr, np.concatenate([ws, ws])[by_tail]
+
+
+def _prim(ptr, nbr, wt):
+    """Prim's algorithm on the CSR graph (ptr, nbr, wt) from site 0, with a
+    heap of (d, site) keys; a key is lowered only on a strict <, as in
+    dense Prim.  (sites in the order added, parent site, distance to the
+    parent), or None when the graph is not connected."""
+    m = len(ptr) - 1
+    best = [math.inf] * m
+    parent = [0] * m
+    in_tree = [False] * m
+    added = []
+    heap = [(0.0, 0)]
+    while heap:
+        u = heapq.heappop(heap)[1]
+        if in_tree[u]:
+            continue
+        in_tree[u] = True
+        added.append(u)
+        lo, hi = ptr[u], ptr[u + 1]
+        for v, d in zip(nbr[lo:hi].tolist(), wt[lo:hi].tolist()):
+            if d < best[v] and not in_tree[v]:
+                best[v] = d
+                parent[v] = u
+                heapq.heappush(heap, (d, v))
+    return (added, parent, best) if len(added) == m else None
+
+
+def _mst_rows(pts):
+    """Dense Prim on the (s, 2) array pts, each distance row computed from
+    the coordinates: O(s) memory, O(s^2) time."""
+    n = len(pts)
     xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
     in_tree = np.zeros(n, dtype=bool)
     best = _dist(xs[0], ys[0], xs, ys)

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -28,7 +29,9 @@ _REQUIRED = object()
 
 # Size caps on grid configs, checked before any table or point array is
 # built: a zeta law keeps two float64 tables of `cap` entries (160 MB at the
-# cap), and sampling a point set peaks near 120 bytes a point (120 MB).
+# cap), and sampling a point set peaks near 120 bytes a point (120 MB), as
+# does euclid.mst_weight (its radius graph is capped at euclid._MAX_PAIRS
+# candidate pairs, about 30 MB; above that it scans rows in O(s) memory).
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
 
@@ -67,16 +70,20 @@ def _check_keys(mapping, allowed, path):
 
 # The JSON values a typed field accepts, and how it names them, by the type
 # it returns.
-_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
             tuple: ((list,), "a list"), bool: ((bool,), "true or false")}
 
 
 def typed_value(value, path, kind, low=None):
     """value as kind (int, float, tuple or bool), at least low.  Only the
     bool kind takes true and false: bool is a subclass of int, so they
-    would pass a bare isinstance for the numeric kinds."""
+    would pass a bare isinstance for the numeric kinds.  The float kind
+    refuses NaN and +-Infinity, which Python's json reads as floats, and
+    integers too large for a float (the comparison is exact and raises
+    nothing)."""
     accepts, name = _ACCEPTS[kind]
     ok = isinstance(value, accepts) and (kind is bool or not isinstance(value, bool)) \
+        and (kind is not float or abs(value) <= sys.float_info.max) \
         and (low is None or value >= low)
     _require(ok, path, f"must be {name}" + ("" if low is None else f" >= {low}"))
     return kind(value)

@@ -51,7 +51,7 @@ class Poisson:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise InvalidArgumentError("mean must be >= 0")
 
     kind = "poisson"
@@ -111,7 +111,7 @@ class TruncatedZeta:
     p0: float = 0.0
 
     def __post_init__(self):
-        if self.s <= 1 or self.cap < 1:
+        if not self.s > 1 or self.cap < 1:
             raise InvalidArgumentError("need exponent s > 1 and cap >= 1")
         if not 0 <= self.p0 < 1:
             raise InvalidArgumentError("p0 must be in [0, 1)")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (best_random_permutation_tour, mst_prim_oracle, mst_weight_brute,
                       tsp_2opt_oracle)
+from tailbounds import euclid
 from tailbounds.errors import InvalidArgumentError, SizeLimitError
 from tailbounds.euclid import (
     STRIP_TOUR_COEFF,
@@ -189,6 +190,13 @@ class TestMst:
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
         assert tree.weight == pytest.approx(sum(d[u, v] for u, v in tree.edges))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coordinates(self, bad):
+        pts = np.array([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)])
+        pts[1, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            mst_weight(pts)
+
 
 class TestPermutationInvariance:
     @pytest.mark.parametrize("seed", range(4))
@@ -284,20 +292,108 @@ class TestCoordinateSolversMatchDenseOracles:
         _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
         _assert_same_tree(pts)
 
+    @pytest.mark.parametrize("n_cells", [400, 900])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adversarial_diagonal_ties(self, n_cells, seed):
+        # stacked sites one float apart across x = 0.5 and y = 0.5: float
+        # ties that do not follow the exact geometry
+        pts = sample_point_set(n_cells, Poisson(1.0),
+                               PlacementStrategy.ADVERSARIAL_DIAGONAL, seed).points
+        _assert_same_tree(pts)
+
+
+class TestMstPaths:
+    """mst_weight's radius-graph retry and its row-scan fallback, each
+    checked exactly against the dense oracle."""
+
+    @staticmethod
+    def _graph_calls(monkeypatch):
+        """(sites, radius, over budget or refused) per radius graph built."""
+        calls = []
+        real = euclid._radius_graph
+
+        def spy(x, y, r):
+            out = real(x, y, r)
+            calls.append((len(x), r, out is None))
+            return out
+
+        monkeypatch.setattr(euclid, "_radius_graph", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clusters_apart_force_retry(self, monkeypatch, seed):
+        # two 10 x 10 lattices of spacing 1/8, many tied edges, 3/8 apart
+        # and 1/16 out of step, so each site of the left column of the
+        # second has two exactly tied nearest sites in the first: the
+        # starting R (about 0.25) connects each lattice but not the two
+        i, j = np.meshgrid(np.arange(10), np.arange(10))
+        lattice = np.column_stack([i.ravel(), j.ravel()]) / 8
+        pts = np.vstack([lattice, lattice + [1.5, 1 / 16]])
+        pts = pts[np.random.default_rng(seed).permutation(len(pts))]
+        graphs = self._graph_calls(monkeypatch)
+        _assert_same_tree(pts)
+        # the first graph leaves the lattices apart, the second, at 2R, joins them
+        (m0, r0, refused0), (m1, r1, refused1) = graphs
+        assert (m0, m1, r1, refused0, refused1) == (200, 200, 2 * r0, False, False)
+
+    def test_over_budget_falls_back_to_rows(self, monkeypatch):
+        # 250 points in a 1e-3 square share one bucket: at least 250 x 249
+        # candidate pairs, over the budget of 192 x 300 = 57600
+        rng = np.random.default_rng(9)
+        pts = np.vstack([rng.random((250, 2)) * 1e-3 + 0.5, rng.random((50, 2))])
+        pts = pts[rng.permutation(len(pts))]
+        graphs = self._graph_calls(monkeypatch)
+        _assert_same_tree(pts)
+        assert [(m, refused) for m, _, refused in graphs] == [(300, True)]
+
+    def test_distinct_sites_at_distance_zero_fall_back_to_rows(self, monkeypatch):
+        # (0, 0) and (1e-200, 0) are distinct sites, but the square of 1e-200
+        # underflows: dense Prim takes point 2 before point 4, the copy of 1
+        pts = np.array([(0.5, 0.5), (0.0, 0.0), (1e-200, 0.0), (1.0, 1.0), (0.0, 0.0)])
+        graphs = self._graph_calls(monkeypatch)
+        _assert_same_tree(pts)
+        assert [(m, refused) for m, _, refused in graphs] == [(4, True)]
+        assert mst_weight(pts).edges == [(0, 1), (1, 2), (1, 4), (0, 3)]
+
 
 def test_solvers_memory_is_linear_in_points():
-    # one s x s float64 matrix of 10^4 points would take 800 MB
+    # one s x s float64 matrix of 10^4 points would take 800 MB; in two tight
+    # clusters the bucket grid of mst_weight would see 5e7 candidate pairs,
+    # so its budget must be checked before any pair array exists
     rng = np.random.default_rng(5)
     pts = rng.random((10_000, 2))
+    clusters = np.vstack([rng.random((5000, 2)) * 1e-3 + 0.1,
+                          rng.random((5000, 2)) * 1e-3 + 0.9])
     start = tsp_strip(pts, 1.0)
     tracemalloc.start()
     try:
         tsp_2opt(pts, start, max_passes=1)
         mst_weight(pts)
+        mst_weight(clusters)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_mst_memory_at_the_pair_cap(monkeypatch):
+    # 10700 points packed into a square of side 0.432 and joined to (1, 1)
+    # by a chain: about 1.9e6 candidate pairs, within 10% of the cap, most
+    # of them within R, so G_R is about as large as the cap admits
+    rng = np.random.default_rng(1)
+    chain = np.linspace(0.432, 1.0, 200)[:, None].repeat(2, axis=1)
+    pts = np.vstack([rng.random((10_700, 2)) * 0.432, chain])
+    monkeypatch.setattr(euclid, "_mst_rows", lambda pts: None)   # no row scan
+    tracemalloc.start()
+    try:
+        tree = mst_weight(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.edges) == len(pts) - 1
+    assert peak < 20 * euclid._MAX_PAIRS
+    monkeypatch.setattr(euclid, "_MAX_PAIRS", int(0.9 * euclid._MAX_PAIRS))
+    assert mst_weight(pts) is None   # over the cap: rows
 
 
 def test_tour_validates_permutation():

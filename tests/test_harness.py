@@ -814,6 +814,27 @@ class TestCliBadInput:
         assert "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize("count_dist, named", [
+        ({"kind": "poisson", "mean": math.nan}, "$.parameters.count_dist.mean"),
+        ({"kind": "poisson", "mean": -math.inf}, "$.parameters.count_dist.mean"),
+        ({"kind": "zeta", "s": math.nan}, "$.parameters.count_dist.s"),
+        ({"kind": "zeta", "s": math.inf}, "$.parameters.count_dist.s"),
+        ({"kind": "poisson", "mean": 10**400}, "$.parameters.count_dist.mean"),
+    ], ids=["poisson-nan", "poisson-minus-infinity", "zeta-nan", "zeta-infinity",
+            "poisson-integer-above-float-range"])
+    def test_non_finite_float_field(self, tmp_path, capsys, count_dist, named):
+        # json writes and reads NaN and Infinity as floats, and 10**400 as an
+        # integer that no float holds
+        out = tmp_path / "records.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "mwst",
+                                   "replicates": 2,
+                                   "parameters": {"n_cells": 4, "count_dist": count_dist}}))
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named}: must be a finite number" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["replicates", "base_seed"])
     def test_bool_config_field(self, tmp_path, field):
         raw = {"schema_version": 1, "experiment": "lis", "replicates": 5,

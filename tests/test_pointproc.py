@@ -81,6 +81,13 @@ class TestCountDistributions:
         assert (d.sample(rng, 10) == 2).all()
         assert d.zero_prob() == 0.0
 
+    @pytest.mark.parametrize("build", [lambda: Poisson(math.nan), lambda: Poisson(-1.0),
+                                       lambda: TruncatedZeta(math.nan, 50)],
+                             ids=["poisson-nan", "poisson-negative", "zeta-nan"])
+    def test_rejects_nan_and_out_of_domain_parameters(self, build):
+        with pytest.raises(InvalidArgumentError):
+            build()
+
     @pytest.mark.parametrize("dist", [
         Poisson(1.3),
         TruncatedZeta(6.0, 50, p0=0.2),
