@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import IncompleteProfileError, InvalidArgumentError, OutOfRegimeError
 
@@ -304,6 +303,25 @@ def jl_envelope_curve(n, k, constants: BoundConstants = DEFAULT_CONSTANTS):
     return orders, log_bounds - orders * math.log(n)
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D real array, step by step as
+    scipy.special.logsumexp (scipy 1.17) computes it, so the result is
+    bit-identical: the maxima are taken out of the shifted sum and counted,
+    and a result that is not finite (an all -inf or a +inf input) is
+    recomputed as log(sum(exp(a)))."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(keepdims=True)
+        at_top = a == top
+        count = at_top.sum(keepdims=True, dtype=float)
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + top
+        if not np.isfinite(out[0]):
+            out = np.log(np.exp(a).sum(keepdims=True))
+    return out[0]
+
+
 def _logsumexp_rows(a):
     """log(sum(exp(a), axis=1)), shifted by each row's maximum; a row of
     -inf gives -inf."""
@@ -385,17 +403,17 @@ def main_theorem_bound(profile: TypicalProfile, m,
     for l in range(1, half + 1):
         j = opos[2 * l]
         # typical part: (m^(1-1/l)/l^2) * (sum_i L_{i,2l})^(1/l)
-        log_sum_l = logsumexp(profile.log_l[:, j])
+        log_sum_l = _logsumexp(profile.log_l[:, j])
         typ_terms.append((1.0 - 1.0 / l) * math.log(m) - 2.0 * math.log(l)
                          + log_sum_l / l)
         # worst part: (1/(n l^2)) * sum_i (n M delta^(2/(m-2l+2)))^(m/2l)
         expo = 2.0 / (m - 2 * l + 2)
         log_hat = math.log(n) + base.log_m[:, j] + expo * log_delta[:, j]
-        log_inner = logsumexp((m / (2.0 * l)) * log_hat)
+        log_inner = _logsumexp((m / (2.0 * l)) * log_hat)
         worst_terms.append(-math.log(n) - 2.0 * math.log(l) + log_inner)
 
-    log_term1 = (m / 2.0) * (math.log(c * m) + logsumexp(typ_terms))
-    log_term2 = m * math.log(c * m) + logsumexp(worst_terms)
+    log_term1 = (m / 2.0) * (math.log(c * m) + _logsumexp(typ_terms))
+    log_term2 = m * math.log(c * m) + _logsumexp(worst_terms)
     return float(np.logaddexp(log_term1, log_term2))
 
 

@@ -190,8 +190,12 @@ def _dist(x0, y0, x1, y1):
     return np.sqrt(dx * dx + dy * dy)
 
 
-# Most rows of the 2-opt sweep tested in one distance block.
+# Most rows of the 2-opt sweep tested in one distance block, and most
+# distances in one block: rows * (n - i + 1) <= 2^17, so a block and its
+# temporaries stay near 7 MB up to about 1.3e5 points, where a single row
+# fills a block.  Tours of up to 2048 points keep 64-row blocks.
 _SWEEP_BLOCK_CAP = 64
+_SWEEP_BLOCK_ENTRIES = 1 << 17
 
 
 def tsp_2opt(points, start: Tour, max_passes=50):
@@ -228,7 +232,7 @@ def tsp_2opt(points, start: Tour, max_passes=50):
         improved = False
         i, rows = 1, 1
         while i < n - 1:
-            rows = min(rows, n - 1 - i)
+            rows = min(rows, n - 1 - i, max(1, _SWEEP_BLOCK_ENTRIES // (n - i + 1)))
             # near[r, c] = d[order[i-1+r], order[i+c]], c in 0..n-i
             near = _dist(xs[i - 1:i + rows, None], ys[i - 1:i + rows, None],
                          xs[None, i:], ys[None, i:])

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 from ..bounds import MomentProfile, TypicalProfile
@@ -173,6 +174,18 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _finite_float(text):
+    """argparse type of a float flag: NaN and +-inf are refused, so no bound
+    is evaluated at them and no Infinity reaches the JSON output."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tailbounds",
@@ -186,10 +199,10 @@ def build_parser():
                                   "main", "chernoff-corollary",
                                   "general-chernoff"])
     p_bound.add_argument("--profile", help="JSON moment-profile file")
-    p_bound.add_argument("--t", type=float, required=True)
+    p_bound.add_argument("--t", type=_finite_float, required=True)
     p_bound.add_argument("--n", type=int)
-    p_bound.add_argument("--sigma2", type=float)
-    p_bound.add_argument("--nu", type=float)
+    p_bound.add_argument("--sigma2", type=_finite_float)
+    p_bound.add_argument("--nu", type=_finite_float)
     p_bound.add_argument("--m-max", dest="m_max", type=int)
     p_bound.set_defaults(fn=cmd_bound)
 

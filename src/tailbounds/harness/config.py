@@ -32,6 +32,9 @@ _REQUIRED = object()
 # cap), and sampling a point set peaks near 120 bytes a point (120 MB), as
 # does euclid.mst_weight (its radius graph is capped at euclid._MAX_PAIRS
 # candidate pairs, about 30 MB; above that it scans rows in O(s) memory).
+# euclid.tsp_2opt tests distance blocks of at most euclid._SWEEP_BLOCK_ENTRIES
+# entries, about 7 MB with their temporaries, up to about 1.3e5 points; past
+# that one row fills a block and it peaks near 130 bytes a point (130 MB).
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
 

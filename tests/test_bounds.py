@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from conftest import optimize_m_oracle, rademacher_moment_exact, theorem1_recursion_oracle
 from tailbounds.bounds import (
     BoundConstants,
+    _logsumexp,
     BoundMethod,
     MomentProfile,
     TailBoundResult,
@@ -221,6 +223,32 @@ class TestMainTheorem:
         )
         got = math.exp(main_theorem_bound(profile, m))
         assert got == pytest.approx(term1 + term2, rel=1e-9)
+
+
+# Few distinct values, so ties at the maximum are common, with infinities
+# and magnitudes where exp over- and underflows.
+_lse_entries = st.one_of(
+    st.sampled_from([-np.inf, np.inf, 0.0, 1.0, -745.0, 709.0, 710.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+class TestLogSumExp:
+    @given(st.lists(_lse_entries, min_size=1, max_size=39), st.booleans())
+    @example([-np.inf] * 3, False)
+    @example([np.inf, -np.inf, 2.0], False)
+    @example([2.5], False)
+    @example([1.0, 3.0, 3.0, -np.inf], True)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scipy(self, values, strided):
+        # main_theorem_bound passes profile columns, which are strided views
+        a = np.array(values)
+        if strided:
+            a = np.repeat(a, 2)[::2]
+        got, want = _logsumexp(a), logsumexp(a)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert _logsumexp(values) == got
 
 
 class TestMarkovTail:

@@ -359,7 +359,9 @@ class TestMstPaths:
 def test_solvers_memory_is_linear_in_points():
     # one s x s float64 matrix of 10^4 points would take 800 MB; in two tight
     # clusters the bucket grid of mst_weight would see 5e7 candidate pairs,
-    # so its budget must be checked before any pair array exists
+    # so its budget must be checked before any pair array exists.  The 2-opt
+    # sweep holds 2^17-entry distance blocks (6.6 MiB here); 64-row blocks
+    # would take 8.9 MiB, and 1.3 KB a point at 2 * 10^4 points.
     rng = np.random.default_rng(5)
     pts = rng.random((10_000, 2))
     clusters = np.vstack([rng.random((5000, 2)) * 1e-3 + 0.1,
@@ -368,11 +370,14 @@ def test_solvers_memory_is_linear_in_points():
     tracemalloc.start()
     try:
         tsp_2opt(pts, start, max_passes=1)
+        _, sweep_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         mst_weight(pts)
         mst_weight(clusters)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert sweep_peak < 8 * 2**20
     assert peak < 64 * 2**20
 
 

@@ -760,14 +760,31 @@ class TestCli:
         assert str(bad) in captured.err and captured.out == ""
         assert summarized == []
 
-def run_cli(*argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+def run_python(*argv):
+    """A fresh interpreter that imports this package: (exit code, stdout,
+    stderr)."""
     src = str(Path(tailbounds.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "tailbounds.harness.cli", *argv],
+    proc = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    return run_python("-m", "tailbounds.harness.cli", *argv)
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test oracle only; importing scipy.special alone would
+    # double the start-up time and memory of every tailbounds process
+    code, stdout, err = run_python("-c", (
+        "import sys, tailbounds, tailbounds.harness.cli, tailbounds.harness.runner, "
+        "tailbounds.harness.config\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+    assert code == 0, err
+    assert stdout.strip() == "[]"
 
 
 class TestCliBadInput:
@@ -791,6 +808,20 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--method", "general-chernoff", "--nu", "100", "--t", "inf"], "--t"),
+        (["--method", "general-chernoff", "--nu", "100", "--t", "nan"], "--t"),
+        (["--method", "general-chernoff", "--nu", "100", "--t", "x"], "--t"),
+        (["--method", "general-chernoff", "--nu", "inf", "--t", "5"], "--nu"),
+        (["--method", "chernoff-corollary", "--n", "100", "--sigma2=-inf", "--t", "5"],
+         "--sigma2"),
+    ])
+    def test_non_finite_float_flag(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["bound", *argv])
+        assert exit_.value.code == 2
+        assert f"argument {named}: must be a finite number" in capsys.readouterr().err
 
     def test_incomplete_profile(self, tmp_path):
         profile = tmp_path / "profile.json"
