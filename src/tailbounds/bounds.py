@@ -23,10 +23,10 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import IncompleteProfileError, InvalidArgumentError, OutOfRegimeError
+from .errors import IncompleteProfileError, InvalidArgumentError, OutOfRegimeError, \
+    SizeLimitError
 
 __all__ = [
-    "BoundConstants",
     "BoundMethod",
     "MomentProfile",
     "TypicalProfile",
@@ -62,28 +62,22 @@ class BoundMethod(str, Enum):
     JL_ENVELOPE = "JlMomentEnvelope"
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Generic constants of the bound family.
+# Generic constants of the bound family.  C_THEOREM1 is the explicit
+# constant of the closed-form moment bound (48*n*m)^(m/2).  C_MAIN plays the
+# same role in the typical/worst-case bound.  C_MOPT is the c in the
+# moment-order rule m = t^2/(c*n); the Markov-minimizing choice for a
+# (c1*n*m)^(m/2) moment bound is C_MOPT = e*c1.  None of these are sharp;
+# tests treat them as dominance/shape parameters, never as reproducible
+# absolutes.
+C_THEOREM1 = 48.0
+C_MAIN = 48.0
+C_MOPT = 48.0 * math.e
 
-    c_theorem1 is the explicit constant of the closed-form moment bound
-    (48*n*m)^(m/2).  c_main plays the same role in the typical/worst-case
-    bound.  c_mopt is the c in the moment-order rule m = t^2/(c*n); the
-    Markov-minimizing choice for a (c1*n*m)^(m/2) moment bound is
-    c_mopt = e*c1.  None of these are sharp; tests treat them as
-    dominance/shape parameters, never as reproducible absolutes.
-    """
-
-    c_theorem1: float = 48.0
-    c_main: float = 48.0
-    c_mopt: float = 48.0 * math.e
-
-    def __post_init__(self):
-        if min(self.c_theorem1, self.c_main, self.c_mopt) <= 0:
-            raise InvalidArgumentError("bound constants must be strictly positive")
-
-
-DEFAULT_CONSTANTS = BoundConstants()
+# The highest order of a moment curve.  A curve holds m_max/2 orders, and
+# the closed form costs about 40 bytes an order: at the cap it peaks near
+# 120 MB of RSS, and n = 10^9 would need about 20 GB, so such a request is
+# refused before np.arange runs.
+MAX_CURVE_ORDER = 2**22
 
 
 def _check_even_order(m, name="m"):
@@ -176,32 +170,10 @@ class MomentProfile:
         """Profile with M_{i,l} independent of i."""
         return cls.from_values(n, _uniform_values(n, by_order))
 
-    def has(self, i, l):
-        return 1 <= i <= self.n and l in self._order_pos
-
     def log_bound(self, i, l):
-        if not self.has(i, l):
+        if not (1 <= i <= self.n and l in self._order_pos):
             raise IncompleteProfileError(i, l)
         return float(self.log_m[i - 1, self._order_pos[l]])
-
-    def bound(self, i, l):
-        return float(math.exp(self.log_bound(i, l))) if self.log_bound(i, l) > -np.inf else 0.0
-
-    def is_uniform(self, rtol=1e-12):
-        first = self.log_m[0]
-        return bool(
-            np.all(
-                (self.log_m == first[None, :])
-                | np.isclose(self.log_m, first[None, :], rtol=rtol, atol=0.0)
-            )
-        )
-
-    def to_uniform(self):
-        """Round-trip a uniform profile to its order -> value map."""
-        if not self.is_uniform():
-            raise InvalidArgumentError("profile is not uniform across variables")
-        return {o: (0.0 if self.log_m[0, j] == -np.inf else math.exp(self.log_m[0, j]))
-                for j, o in enumerate(self.orders)}
 
     def require_orders_through(self, m):
         for l in range(2, m + 1, 2):
@@ -270,12 +242,16 @@ class TailBoundResult:
 
 
 def _orders_through(m_max):
-    """The even orders 2, 4, ..., m_max of a moment curve."""
+    """The even orders 2, 4, ..., m_max of a moment curve; above
+    MAX_CURVE_ORDER, SizeLimitError."""
     _check_even_order(m_max, "m_max")
+    if m_max > MAX_CURVE_ORDER:
+        raise SizeLimitError(f"m_max={m_max}: moment curves stop at order "
+                             f"MAX_CURVE_ORDER = {MAX_CURVE_ORDER}")
     return np.arange(2, m_max + 1, 2)
 
 
-def theorem1_closed_curve(n, m_max, constants: BoundConstants = DEFAULT_CONSTANTS):
+def theorem1_closed_curve(n, m_max):
     """Moment curve (orders, log bounds) of the closed form (c1*n*m)^(m/2)
     for every even m <= m_max.
 
@@ -286,20 +262,20 @@ def theorem1_closed_curve(n, m_max, constants: BoundConstants = DEFAULT_CONSTANT
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     orders = _orders_through(m_max)
-    return orders, (orders / 2.0) * np.log(constants.c_theorem1 * n * orders)
+    return orders, (orders / 2.0) * np.log(C_THEOREM1 * n * orders)
 
 
-def theorem1_closed_bound(n, m, constants: BoundConstants = DEFAULT_CONSTANTS):
+def theorem1_closed_bound(n, m):
     """log of the closed-form moment bound (c1*n*m)^(m/2): the last point
     of theorem1_closed_curve(n, m)."""
     _check_even_order(m)
-    return float(theorem1_closed_curve(n, m, constants)[1][-1])
+    return float(theorem1_closed_curve(n, m)[1][-1])
 
 
-def jl_envelope_curve(n, k, constants: BoundConstants = DEFAULT_CONSTANTS):
+def jl_envelope_curve(n, k):
     """Moment curve of the random-projection envelope: the closed form for k
     coordinates scaled by n^-m, for every even m <= k."""
-    orders, log_bounds = theorem1_closed_curve(k, max(2, _even_floor(k)), constants)
+    orders, log_bounds = theorem1_closed_curve(k, max(2, _even_floor(k)))
     return orders, log_bounds - orders * math.log(n)
 
 
@@ -372,11 +348,10 @@ def theorem1_recursion_bound(profile: MomentProfile, m):
     return float(theorem1_recursion_curve(profile, m)[1][-1])
 
 
-def main_theorem_bound(profile: TypicalProfile, m,
-                       constants: BoundConstants = DEFAULT_CONSTANTS):
+def main_theorem_bound(profile: TypicalProfile, m):
     """log of the typical/worst-case moment bound.
 
-    With c = c_main, n variables, and hat-M_{i,2l} = M_{i,2l} *
+    With c = C_MAIN, n variables, and hat-M_{i,2l} = M_{i,2l} *
     delta_{i,2l}^(2/(m-2l+2)), the bound on E(sum X_i)^m is
 
         (c*m)^(m/2) * ( sum_{l=1}^{m/2} (m^(1-1/l)/l^2)
@@ -391,7 +366,6 @@ def main_theorem_bound(profile: TypicalProfile, m,
     base = profile.base
     base.require_orders_through(m)
     n = base.n
-    c = constants.c_main
     half = m // 2
     opos = base._order_pos
 
@@ -412,18 +386,17 @@ def main_theorem_bound(profile: TypicalProfile, m,
         log_inner = _logsumexp((m / (2.0 * l)) * log_hat)
         worst_terms.append(-math.log(n) - 2.0 * math.log(l) + log_inner)
 
-    log_term1 = (m / 2.0) * (math.log(c * m) + _logsumexp(typ_terms))
-    log_term2 = m * math.log(c * m) + _logsumexp(worst_terms)
+    log_term1 = (m / 2.0) * (math.log(C_MAIN * m) + _logsumexp(typ_terms))
+    log_term2 = m * math.log(C_MAIN * m) + _logsumexp(worst_terms)
     return float(np.logaddexp(log_term1, log_term2))
 
 
-def main_theorem_curve(profile: TypicalProfile, m_max,
-                       constants: BoundConstants = DEFAULT_CONSTANTS):
+def main_theorem_curve(profile: TypicalProfile, m_max):
     """Moment curve (orders, log bounds) of main_theorem_bound for every
     even m <= m_max: the bound depends on m throughout, so one evaluation
     per order."""
     orders = _orders_through(m_max)
-    return orders, np.array([main_theorem_bound(profile, int(m), constants)
+    return orders, np.array([main_theorem_bound(profile, int(m))
                              for m in orders])
 
 
@@ -494,15 +467,14 @@ def optimize_m(bound_fn: Callable[[int], float], t, m_max,
     return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)
 
 
-def chernoff_corollary_bound(n, sigma2, t,
-                             constants: BoundConstants = DEFAULT_CONSTANTS):
+def chernoff_corollary_bound(n, sigma2, t):
     """Tail bound for variables with all conditional even moments <= sigma2
     (through the order used) and strong negative correlation, for
     0 < t <= n*sigma2.
 
     Applies the closed-form bound to the sigma-scaled variables with the
-    moment order m = nearest even integer to t^2/(c_mopt*n*sigma2), clamped
-    to [2, n]: tail <= (c_theorem1*n*m*sigma2/t^2)^(m/2).  rate_constant is
+    moment order m = nearest even integer to t^2/(C_MOPT*n*sigma2), clamped
+    to [2, n]: tail <= (C_THEOREM1*n*m*sigma2/t^2)^(m/2).  rate_constant is
     the realized c in the equivalent form exp(-c*t^2/(n*sigma2)).
     """
     if n < 1:
@@ -515,9 +487,9 @@ def chernoff_corollary_bound(n, sigma2, t,
         raise OutOfRegimeError(
             f"t={t} exceeds n*sigma2={n * sigma2}; the bound requires t <= n*sigma2"
         )
-    m = nearest_even(t * t / (constants.c_mopt * n * sigma2),
+    m = nearest_even(t * t / (C_MOPT * n * sigma2),
                      lo=2, hi=max(2, _even_floor(n)))
-    moment = (m / 2.0) * math.log(constants.c_theorem1 * n * m * sigma2)
+    moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
     p = markov_tail(moment, m, t)
     rate = 0.0 if p >= 1.0 else -math.log(p) * (n * sigma2) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
@@ -526,12 +498,12 @@ def chernoff_corollary_bound(n, sigma2, t,
                            rate_constant=rate)
 
 
-def general_chernoff_bound(nu, t, constants: BoundConstants = DEFAULT_CONSTANTS):
+def general_chernoff_bound(nu, t):
     """Tail bound for sums of independent centered Bernoulli-type variables
     with nu = sum of the individual means.
 
     Uses m = nearest even integer >= 2 to t^2/(2*(nu+t)) and the moment
-    bound (c_main*m*(nu+m))^(m/2), so tail <= (c_main*m*(nu+m)/t^2)^(m/2).
+    bound (C_MAIN*m*(nu+m))^(m/2), so tail <= (C_MAIN*m*(nu+m)/t^2)^(m/2).
     rate_constant is the realized c in exp(-c*t^2/(2*(nu+t))).
     """
     if not nu > 0:
@@ -539,7 +511,7 @@ def general_chernoff_bound(nu, t, constants: BoundConstants = DEFAULT_CONSTANTS)
     if not t > 0:
         raise InvalidArgumentError("t must be > 0")
     m = nearest_even(t * t / (2.0 * (nu + t)), lo=2)
-    moment = (m / 2.0) * math.log(constants.c_main * m * (nu + m))
+    moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
     p = markov_tail(moment, m, t)
     rate = 0.0 if p >= 1.0 else -math.log(p) * 2.0 * (nu + t) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
@@ -548,13 +520,10 @@ def general_chernoff_bound(nu, t, constants: BoundConstants = DEFAULT_CONSTANTS)
                            rate_constant=rate)
 
 
-def hoeffding_azuma_bound(n, t, constants: BoundConstants = DEFAULT_CONSTANTS,
-                          m_max=None):
+def hoeffding_azuma_bound(n, t):
     """Tail bound for |X_i| <= 1 martingale-difference-style variables:
     the closed-form moment curve minimized over even m <= n."""
-    if m_max is None:
-        m_max = max(2, _even_floor(n))
-    res = tail_bound(*theorem1_closed_curve(n, m_max, constants), t,
+    res = tail_bound(*theorem1_closed_curve(n, max(2, _even_floor(n))), t,
                      BoundMethod.HOEFFDING_AZUMA)
     p = res.tail_probability
     rate = 0.0 if p >= 1.0 else -math.log(p) * n / (t * t)

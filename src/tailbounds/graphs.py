@@ -174,12 +174,12 @@ def _greedy_clique(masks, n):
     return best
 
 
-def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP,
-                    time_budget=CHROMATIC_TIME_BUDGET):
+def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
     """Exact chromatic number by DSATUR-seeded branch and bound.
 
-    Raises SizeLimitError above the vertex cap or when the time budget is
-    exhausted, so callers never silently get a heuristic value.
+    Raises SizeLimitError above the vertex cap or when the branch and bound
+    runs past CHROMATIC_TIME_BUDGET seconds, so callers never silently get
+    a heuristic value.
     """
     n = G.n
     if n > cap:
@@ -191,7 +191,7 @@ def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP,
     lb = _greedy_clique(masks, n)
     if lb == ub:
         return ub
-    deadline = time.monotonic() + time_budget
+    deadline = time.monotonic() + CHROMATIC_TIME_BUDGET
     best = ub
     color = [-1] * n
     sat = [0] * n

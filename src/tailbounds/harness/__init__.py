@@ -1,35 +1,7 @@
 """Experiment orchestration: configs, counter-based streams, runners, and
 the command-line interface.
 
-Submodules are re-exported lazily: the low-level stream helpers in
-harness.rng are imported by the core modules, so loading this package must
-not pull in the runner (which imports those core modules back).
+Nothing is re-exported: the core modules import harness.rng, so loading
+this package must not pull in the runner (which imports those core modules
+back).
 """
-
-from .rng import derived_seed, substream
-
-_LAZY = {
-    "ExperimentConfig": "config",
-    "load_config": "config",
-    "parse_config": "config",
-    "ConcentrationSummary": "runner",
-    "ExperimentRecord": "runner",
-    "compare_bound": "runner",
-    "records_from_csv": "runner",
-    "records_to_csv": "runner",
-    "run_experiment": "runner",
-    "run_replicates": "runner",
-    "scaling_study": "runner",
-    "summarize": "runner",
-}
-
-__all__ = ["derived_seed", "substream", *sorted(_LAZY)]
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
-
-        module = import_module(f".{_LAZY[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

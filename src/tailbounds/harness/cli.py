@@ -29,14 +29,16 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_SIZE = 4
 
-# The options each bound method reads, by argparse dest.
+# The options each bound method reads, by argparse dest; all but m_max are
+# required.  A set option that the method does not read is refused.
 METHOD_OPTIONS = {
     "chernoff-corollary": ("n", "sigma2"),
     "general-chernoff": ("nu",),
-    "theorem1-closed": ("n",),
-    "theorem1-recursion": ("profile",),
-    "main": ("profile",),
+    "theorem1-closed": ("n", "m_max"),
+    "theorem1-recursion": ("profile", "m_max"),
+    "main": ("profile", "m_max"),
 }
+BOUND_OPTIONS = ("profile", "n", "sigma2", "nu", "m_max")
 
 
 def _values_map(n, spec, path):
@@ -105,7 +107,8 @@ def _bound_request(args):
     profile = load_profile(args.profile)
     if args.method == "theorem1-recursion":
         base = profile.base if isinstance(profile, TypicalProfile) else profile
-        return {"kind": "profile", "profile": base}, args.m_max or max(base.orders)
+        m_max = max(base.orders) if args.m_max is None else args.m_max
+        return {"kind": "profile", "profile": base}, m_max
     if not isinstance(profile, TypicalProfile):
         raise ConfigError("$", "the main bound needs a typical profile "
                                "(with 'L' and 'delta')")
@@ -113,9 +116,14 @@ def _bound_request(args):
 
 
 def cmd_bound(args):
-    for dest in METHOD_OPTIONS[args.method]:
+    reads = METHOD_OPTIONS[args.method]
+    for dest in BOUND_OPTIONS:
+        flag = "--" + dest.replace("_", "-")
         if getattr(args, dest) is None:
-            raise ConfigError(f"--{dest}", f"required by --method {args.method}")
+            if dest in reads and dest != "m_max":
+                raise ConfigError(flag, f"required by --method {args.method}")
+        elif dest not in reads:
+            raise ConfigError(flag, f"not read by --method {args.method}")
     _, _, tail_at = bound_source(*_bound_request(args))
     print(_result_json(tail_at(args.t)))
     return EXIT_OK

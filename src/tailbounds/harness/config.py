@@ -147,9 +147,12 @@ def _placement(spec, path):
         raise ConfigError(path, f"unknown placement {spec!r}") from None
 
 
-def _validate_grid(params, path):
+_GRID_KEYS = ("n_cells", "count_dist", "placement")
+
+
+def _validate_grid(params, path, keys=_GRID_KEYS):
     out = dict(params)
-    _check_keys(params, {"n_cells", "count_dist", "placement", "max_passes"}, path)
+    _check_keys(params, keys, path)
     n_cells = typed_field(params, "n_cells", path, int, low=4)
     side = math.isqrt(n_cells)
     _require(side * side == n_cells, f"{path}.n_cells", "must be a perfect square")
@@ -163,6 +166,13 @@ def _validate_grid(params, path):
                              f"MAX_EXPECTED_POINTS = {MAX_EXPECTED_POINTS}")
     out["placement"] = _placement(params.get("placement", "uniform_in_cell"),
                                   f"{path}.placement")
+    return out
+
+
+def _validate_tsp(params, path):
+    """The grid fields plus max_passes, the 2-opt sweep cap, which mwst
+    does not read."""
+    out = _validate_grid(params, path, (*_GRID_KEYS, "max_passes"))
     out["max_passes"] = typed_field(params, "max_passes", path, int, low=0, default=40)
     return out
 
@@ -259,7 +269,7 @@ def _validate_chernoff(params, path):
 
 
 _VALIDATORS = {
-    "tsp": _validate_grid,
+    "tsp": _validate_tsp,
     "mwst": _validate_grid,
     "chromatic": _validate_chromatic,
     "jl": _validate_jl,

@@ -8,7 +8,8 @@ streams, so results do not depend on execution order.
 
 The parameters are the validated dict of config.parse_config, so every
 domain object is built once per config and only read here:
-  tsp, mwst   n_cells, count_dist, placement, max_passes
+  tsp         n_cells, count_dist, placement, max_passes
+  mwst        n_cells, count_dist, placement
   chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy),
               exact_cap
   jl          n, k, family, gate_samples

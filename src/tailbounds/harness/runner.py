@@ -285,11 +285,11 @@ def bound_source(source, m_max=None):
     The Chernoff corollaries fix m per t by their own rule, and tail_at
     raises OutOfRegimeError outside their regime.  Every other source
     builds its moment curve here, once, and tail_at minimises Markov's
-    inequality over it.  An explicit m_max is used as given.  Without one,
-    the closed form and a MomentProfile stop at n rounded down to even (a
-    MomentProfile also at its highest order) and a TypicalProfile at its
-    highest order.  An empirical source is recorded as the profile it
-    estimates.
+    inequality over it.  An m_max other than None is used as given (so 0 is
+    refused).  With None, the closed form and a MomentProfile stop at n
+    rounded down to even (a MomentProfile also at its highest order) and a
+    TypicalProfile at its highest order.  An empirical source is recorded
+    as the profile it estimates.
     """
     kind = source["kind"]
     if kind == "bernoulli":
@@ -303,7 +303,9 @@ def bound_source(source, m_max=None):
     if kind == "closed":
         n = source["n"]
         method, record = BoundMethod.THEOREM1_CLOSED, {"kind": kind, "n": n}
-        curve = theorem1_closed_curve(n, m_max or max(2, n - n % 2))
+        if m_max is None:
+            m_max = max(2, n - n % 2)
+        curve = theorem1_closed_curve(n, m_max)
     elif kind == "jl":
         method = BoundMethod.JL_ENVELOPE
         record = {"kind": kind, "n": source["n"], "k": source["k"]}
@@ -312,8 +314,7 @@ def bound_source(source, m_max=None):
         if kind == "empirical":
             samples: SampleMatrix = source["samples"]
             profile = MomentProfile.from_values(samples.n, {
-                (i, l): estimate_conditional_moment(
-                    samples, i, l, source.get("bin_count", 10)).max_over_bins
+                (i, l): estimate_conditional_moment(samples, i, l).max_over_bins
                 for i in range(1, samples.n + 1) for l in source.get("orders", (2, 4))})
         else:
             profile = source["profile"]
@@ -324,11 +325,14 @@ def bound_source(source, m_max=None):
         if typical:
             record.update(log_L=profile.log_l.tolist(), delta=profile.delta.tolist())
             method = BoundMethod.MAIN_THEOREM
-            curve = main_theorem_curve(profile, m_max or max(base.orders))
+            if m_max is None:
+                m_max = max(base.orders)
+            curve = main_theorem_curve(profile, m_max)
         else:
             method = BoundMethod.THEOREM1_RECURSION
-            curve = theorem1_recursion_curve(
-                profile, m_max or min(max(2, base.n - base.n % 2), max(base.orders)))
+            if m_max is None:
+                m_max = min(max(2, base.n - base.n % 2), max(base.orders))
+            curve = theorem1_recursion_curve(profile, m_max)
     else:
         raise InvalidArgumentError(f"unknown profile source {kind!r}")
     return method, record, lambda t: tail_bound(*curve, t, method)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .harness.rng import substream
 
 __all__ = [
     "SampleMatrix",
@@ -194,7 +195,6 @@ def doob_decompose(generator, functional, n, outer, inner, base_seed=0):
         raise InvalidArgumentError("inner must be >= 1")
     if outer < 1:
         raise InvalidArgumentError("outer must be >= 1")
-    from .harness.rng import substream
 
     f_values = np.empty(outer)
     x = np.empty((outer, n))

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "cell_index,x,y"
+TAU0_CAP = 2 * math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -348,10 +349,10 @@ def layer_sizes(n_cells):
     return [2 * (side - layer) - 1 for layer in range(side)]
 
 
-def tau0_by_layer(ps: PointSet, cap=2 * math.sqrt(2)):
+def tau0_by_layer(ps: PointSet):
     """Diagnostic: per layer, the mean over its cells of the minimum
     distance from the cell's square to any point owned by a cell exposed
-    later in layer_order, capped at 2*sqrt(2).  Reported, never asserted:
+    later in layer_order, capped at TAU0_CAP.  Reported, never asserted:
     the exposure ordering makes this distance small for early layers."""
     order = layer_order(ps.n_cells)
     position = np.argsort(order)  # exposure position of each cell
@@ -363,12 +364,12 @@ def tau0_by_layer(ps: PointSet, cap=2 * math.sqrt(2)):
         for idx in order[start:start + size]:
             pts = ps.points[row_position > position[idx]]
             if not len(pts):
-                taus.append(cap)
+                taus.append(TAU0_CAP)
                 continue
             x0, x1, y0, y1 = cell_bounds(ps.n_cells, int(idx))
             dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
             dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
-            taus.append(min(cap, float(np.sqrt(dx**2 + dy**2).min())))
+            taus.append(min(TAU0_CAP, float(np.sqrt(dx**2 + dy**2).min())))
         means.append(float(np.mean(taus)))
         start += size
     return means

@@ -263,7 +263,6 @@ class JlHypothesisReport:
     monotone_flagged: bool
     moment_constants: dict    # even l -> realized c
     moment_flagged: bool
-    moment_limit: float
 
     @property
     def passed(self):
@@ -281,26 +280,29 @@ class JlHypothesisReport:
             worst = max(self.moment_constants.values())
             out.append(
                 f"even-moment growth constant {worst:.2f} exceeds the "
-                f"admissible limit {self.moment_limit}"
+                f"admissible limit {MOMENT_LIMIT}"
             )
         return out
 
 
 TREND_Z_LIMIT = 3.0
 PAIR_Z_LIMIT = 4.5  # single-pair jumps face ~(probes * bins) comparisons
+TREND_BINS = 10
+MOMENT_ORDERS = (2, 4, 6)
+MOMENT_LIMIT = 8.0
 
 
-def check_jl_hypotheses(family, n, k, samples, seed=0, bin_count=10,
-                        orders=(2, 4, 6), moment_limit=8.0):
+def check_jl_hypotheses(family, n, k, samples, seed=0):
     """Empirical test of the projection hypotheses on `samples` draws.
 
     (i) is tested at a spread of indices i <= k by quantile-binning
-    W = Y_1^2+...+Y_{i-1}^2: the isotonic-violation statistic is the
-    precision-weighted trend of the binned means of Y_i^2 (flagged above
-    z = 3), backed by a multiplicity-corrected check on any single
-    adjacent rise (z = 4.5).  (ii) reports, for each even l, the max over
-    probed i of n * (E Y_i^l)^(2/l) / l, i.e. the realized c in the bound
-    (c*l)^(l/2)/n^(l/2); values above moment_limit are flagged.
+    W = Y_1^2+...+Y_{i-1}^2 into TREND_BINS bins: the isotonic-violation
+    statistic is the precision-weighted trend of the binned means of Y_i^2
+    (flagged above z = 3), backed by a multiplicity-corrected check on any
+    single adjacent rise (z = 4.5).  (ii) reports, for each even l in
+    MOMENT_ORDERS, the max over probed i of n * (E Y_i^l)^(2/l) / l, i.e.
+    the realized c in the bound (c*l)^(l/2)/n^(l/2); values above
+    MOMENT_LIMIT are flagged.
     """
     if samples < 100:
         raise InvalidArgumentError("samples must be >= 100")
@@ -316,7 +318,7 @@ def check_jl_hypotheses(family, n, k, samples, seed=0, bin_count=10,
         w = sq[:, : i - 1].sum(axis=1)
         target = sq[:, i - 1]
         order = np.argsort(w, kind="stable")
-        groups = np.array_split(order, bin_count)
+        groups = np.array_split(order, TREND_BINS)
         means = np.array([target[g].mean() for g in groups])
         ses = np.array([
             max(target[g].std(ddof=1) / math.sqrt(len(g)), 1e-300)
@@ -334,16 +336,16 @@ def check_jl_hypotheses(family, n, k, samples, seed=0, bin_count=10,
         tz > TREND_Z_LIMIT or rz > PAIR_Z_LIMIT for _, tz, rz in mono
     )
     constants = {}
-    for l in orders:
+    for l in MOMENT_ORDERS:
         worst = 0.0
         for i in probe:
             ml = float((sq[:, i - 1] ** (l // 2)).mean())
             if ml > 0:
                 worst = max(worst, n * ml ** (2.0 / l) / l)
         constants[l] = worst
-    moment_flagged = any(c > moment_limit for c in constants.values())
+    moment_flagged = any(c > MOMENT_LIMIT for c in constants.values())
     return JlHypothesisReport(
         n=n, k=k, samples=samples, monotone_stats=mono,
         monotone_flagged=monotone_flagged, moment_constants=constants,
-        moment_flagged=moment_flagged, moment_limit=moment_limit,
+        moment_flagged=moment_flagged,
     )

@@ -9,7 +9,8 @@ from scipy.special import logsumexp
 
 from conftest import optimize_m_oracle, rademacher_moment_exact, theorem1_recursion_oracle
 from tailbounds.bounds import (
-    BoundConstants,
+    MAX_CURVE_ORDER,
+    _orders_through,
     _logsumexp,
     BoundMethod,
     MomentProfile,
@@ -34,6 +35,7 @@ from tailbounds.errors import (
     IncompleteProfileError,
     InvalidArgumentError,
     OutOfRegimeError,
+    SizeLimitError,
 )
 
 
@@ -52,9 +54,10 @@ class TestClosedForm:
         with pytest.raises(InvalidArgumentError):
             theorem1_closed_bound(10, m)
 
-    def test_rejects_bad_constants(self):
-        with pytest.raises(InvalidArgumentError):
-            BoundConstants(c_theorem1=0.0)
+    def test_curve_order_cap_is_inclusive(self):
+        assert _orders_through(MAX_CURVE_ORDER)[-1] == MAX_CURVE_ORDER
+        with pytest.raises(SizeLimitError, match="MAX_CURVE_ORDER"):
+            theorem1_closed_curve(10, MAX_CURVE_ORDER + 2)
 
 
 class TestRecursion:
@@ -369,7 +372,7 @@ class TestGeneralChernoff:
         assert res.tail_probability == 1.0
 
     def test_rate_constant_realized(self):
-        res = general_chernoff_bound(4.0, 120.0, BoundConstants())
+        res = general_chernoff_bound(4.0, 120.0)
         if res.tail_probability < 1:
             back = math.exp(-res.rate_constant * 120.0**2 / (2 * (4.0 + 120.0)))
             assert back == pytest.approx(res.tail_probability, rel=1e-9)
@@ -531,26 +534,6 @@ class TestTailCurve:
 
 
 class TestMomentProfile:
-    def test_uniform_round_trip(self):
-        profile = MomentProfile.uniform(5, {2: 1.5, 4: 9.0})
-        assert profile.is_uniform()
-        back = profile.to_uniform()
-        assert back[2] == pytest.approx(1.5, rel=1e-15)
-        assert back[4] == pytest.approx(9.0, rel=1e-15)
-        rebuilt = MomentProfile.from_values(
-            5, {(i, l): v for i in range(1, 6)
-                for l, v in {2: 1.5, 4: 9.0}.items()}
-        )
-        assert np.allclose(rebuilt.log_m, profile.log_m)
-        assert rebuilt.is_uniform()
-
-    def test_per_variable_not_uniform(self):
-        profile = MomentProfile.from_values(
-            2, {(1, 2): 1.0, (2, 2): 3.0})
-        assert not profile.is_uniform()
-        with pytest.raises(InvalidArgumentError):
-            profile.to_uniform()
-
     def test_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):
             MomentProfile.uniform(2, {2: -1.0})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import chromatic_brute, mad_brute
+from tailbounds import graphs
 from tailbounds.errors import InvalidArgumentError, SizeLimitError
 from tailbounds.graphs import (
     EdgeProbabilityMatrix,
@@ -22,6 +23,13 @@ def petersen():
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
     return Graph(adj=adj)
+
+
+def cycle_adj(n):
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = True
+    return adj
 
 
 class TestSampleGraph:
@@ -63,10 +71,7 @@ class TestChromaticExact:
         assert chromatic_exact(g) == 5
 
     def test_odd_cycle(self):
-        adj = np.zeros((5, 5), dtype=bool)
-        for i in range(5):
-            adj[i, (i + 1) % 5] = adj[(i + 1) % 5, i] = True
-        assert chromatic_exact(Graph(adj=adj)) == 3
+        assert chromatic_exact(Graph(adj=cycle_adj(5))) == 3
 
     def test_petersen(self):
         assert chromatic_exact(petersen()) == 3
@@ -86,6 +91,25 @@ class TestChromaticExact:
 
     def test_empty_graph(self):
         assert chromatic_exact(Graph(adj=np.zeros((4, 4), dtype=bool))) == 1
+
+    def test_time_budget(self, monkeypatch):
+        # The join of the Groetzsch graph (the Mycielskian of C5) and two
+        # 7-cycles: clique number 2 + 2 + 2, chromatic number 4 + 3 + 3, and
+        # about 6000 branch-and-bound nodes, past the first clock check at 2048.
+        c5, c7 = cycle_adj(5), cycle_adj(7)
+        n = 5
+        groetzsch = np.zeros((2 * n + 1, 2 * n + 1), dtype=bool)
+        groetzsch[:n, :n] = groetzsch[:n, n:2 * n] = groetzsch[n:2 * n, :n] = c5
+        groetzsch[n:2 * n, 2 * n] = groetzsch[2 * n, n:2 * n] = True
+        adj = np.ones((25, 25), dtype=bool)
+        for lo, part in ((0, groetzsch), (11, c7), (18, c7)):
+            adj[lo:lo + len(part), lo:lo + len(part)] = part
+        np.fill_diagonal(adj, False)
+        g = Graph(adj=adj)
+        assert chromatic_exact(g) == 10
+        monkeypatch.setattr(graphs, "CHROMATIC_TIME_BUDGET", 0.0)
+        with pytest.raises(SizeLimitError, match="time budget"):
+            chromatic_exact(g)
 
 
 class TestChromaticGreedy:

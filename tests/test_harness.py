@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailbounds
-from tailbounds.bounds import MomentProfile
+from tailbounds.bounds import MAX_CURVE_ORDER, MomentProfile
 from tailbounds import pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
@@ -642,6 +644,21 @@ class TestCli:
         assert named in err
         assert peak < 10**6
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", str(MAX_CURVE_ORDER + 2)],
+        ["--n", "10", "--m-max", str(MAX_CURVE_ORDER + 2)],
+    ])
+    def test_oversized_curve_refused_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = cli.main(["bound", "--method", "theorem1-closed", *argv, "--t", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert f"MAX_CURVE_ORDER = {MAX_CURVE_ORDER}" in capsys.readouterr().err
+        assert peak < 10**6
+
     def test_expected_points_cap_is_inclusive(self):
         raw = {"schema_version": 1, "experiment": "mwst", "replicates": 1,
                "parameters": {"n_cells": 100, "count_dist": {
@@ -772,8 +789,36 @@ def run_python(*argv):
 
 
 def run_cli(*argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
-    return run_python("-m", "tailbounds.harness.cli", *argv)
+    """cli.main in this interpreter: (exit code, stdout, stderr).  An
+    argparse error exits through SystemExit, whose code is returned; any
+    other exception escapes main and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["bound", "run", "scale", "report"])
+def test_cli_in_a_fresh_interpreter(tmp_path, command):
+    # python -m tailbounds.harness.cli gives what cli.main gives in process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis", "replicates": 5,
+                               "base_seed": 9, "parameters": {"n": 20}}))
+    records = tmp_path / "records.csv"
+    records.write_text(records_to_csv(
+        [ExperimentRecord("lis", i, i, "h", float(i % 3), {}) for i in range(5)]))
+    argv = {
+        "bound": ["bound", "--method", "general-chernoff", "--nu", "100", "--t", "50"],
+        "run": ["run", str(cfg), "--out", str(tmp_path / "out.csv")],
+        "scale": ["scale", str(cfg), "--n-list", "10", "20", "40"],
+        "report": ["report", str(records)],
+    }[command]
+    fresh = run_python("-m", "tailbounds.harness.cli", *argv)
+    assert fresh[0] == 0, fresh[2]
+    assert fresh == run_cli(*argv)
 
 
 def test_package_imports_no_scipy():
@@ -802,6 +847,19 @@ class TestCliBadInput:
         (["--method", "general-chernoff", "--nu", "100", "--t", "-1"], "t must be > 0"),
         (["--method", "chernoff-corollary", "--n", "10", "--sigma2", "0.1",
           "--t", "5"], "n*sigma2"),
+        # A set flag the method does not read; the profile is not opened.
+        (["--method", "chernoff-corollary", "--n", "100", "--sigma2", "1", "--t", "5",
+          "--m-max", "8"], "--m-max: not read by --method chernoff-corollary"),
+        (["--method", "general-chernoff", "--nu", "100", "--t", "5", "--m-max", "8"],
+         "--m-max: not read by --method general-chernoff"),
+        (["--method", "general-chernoff", "--nu", "100", "--t", "5", "--profile", "p.json"],
+         "--profile: not read by --method general-chernoff"),
+        (["--method", "main", "--profile", "p.json", "--t", "5", "--n", "10"],
+         "--n: not read by --method main"),
+        (["--method", "theorem1-recursion", "--profile", "p.json", "--t", "5",
+          "--sigma2", "1"], "--sigma2: not read by --method theorem1-recursion"),
+        (["--method", "theorem1-closed", "--n", "10", "--t", "5", "--nu", "1"],
+         "--nu: not read by --method theorem1-closed"),
     ])
     def test_bound_arguments(self, argv, named):
         code, _, err = run_cli("bound", *argv)
@@ -822,6 +880,17 @@ class TestCliBadInput:
             cli.main(["bound", *argv])
         assert exit_.value.code == 2
         assert f"argument {named}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["theorem1-closed", "theorem1-recursion", "main"])
+    def test_m_max_zero(self, tmp_path, method):
+        profile = tmp_path / "typ.json"
+        profile.write_text(json.dumps({"n": 6, "M": {"2": 4.0}, "L": {"2": 1.0},
+                                       "delta": {"2": 0.01}}))
+        source = ["--n", "6"] if method == "theorem1-closed" else ["--profile", str(profile)]
+        code, _, err = run_cli("bound", "--method", method, *source, "--t", "5",
+                               "--m-max", "0")
+        assert code == 2
+        assert "m_max must be an even integer >= 2, got 0" in err
 
     def test_incomplete_profile(self, tmp_path):
         profile = tmp_path / "profile.json"
@@ -889,6 +958,8 @@ class TestCliBadInput:
          "$.parameters.p_spec.p"),
         ("binpack", {"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10,
                      "maximal_only": "false"}, "$.parameters.maximal_only"),
+        # mwst runs no 2-opt, so it has no pass cap to set
+        ("mwst", {"n_cells": 16, "max_passes": 40}, "$.parameters.max_passes"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
