@@ -79,6 +79,12 @@ C_MOPT = 48.0 * math.e
 # refused before np.arange runs.
 MAX_CURVE_ORDER = 2**22
 
+# The most bytes of one (m_max/2 + 1) x (m_max/2) float64 term matrix of
+# theorem1_recursion_curve.  A pass holds about six such arrays at once, so
+# this caps it near 100 MB (m_max <= 2894); a higher m_max is refused
+# before any matrix is built.
+MAX_RECURSION_MATRIX_BYTES = 2**24
+
 
 def _check_even_order(m, name="m"):
     if not isinstance(m, (int, np.integer)) or m < 2 or m % 2 != 0:
@@ -320,8 +326,15 @@ def theorem1_recursion_curve(profile: MomentProfile, m_max):
     correlated.  g(i, q) reads only g(i-1, q') with q' <= q, so the pass to
     m_max yields every smaller order too.  Each step over i is vectorised
     over q: row q/2 of the term matrix holds g(i-1, q) and the terms for
-    t = 2, 4, ..., q, in log domain.
+    t = 2, 4, ..., q, in log domain.  An m_max whose term matrix would
+    pass MAX_RECURSION_MATRIX_BYTES raises SizeLimitError.
     """
+    _check_even_order(m_max, "m_max")
+    matrix_bytes = 8 * (m_max // 2 + 1) * (m_max // 2)
+    if matrix_bytes > MAX_RECURSION_MATRIX_BYTES:
+        raise SizeLimitError(
+            f"m_max={m_max}: the recursion's term matrices would take {matrix_bytes} "
+            f"bytes each, above MAX_RECURSION_MATRIX_BYTES = {MAX_RECURSION_MATRIX_BYTES}")
     orders = _orders_through(m_max)
     profile.require_orders_through(m_max)
     log_m = profile.log_m[:, [profile._order_pos[int(o)] for o in orders]]
@@ -467,6 +480,13 @@ def optimize_m(bound_fn: Callable[[int], float], t, m_max,
     return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)
 
 
+def _neg_log_p(p, moment_bound, m, t):
+    """-log p of p = markov_tail(moment_bound, m, t) < 1.  When p has
+    underflowed to 0.0, the log-domain exponent -(moment_bound - m*log t)
+    gives it instead, so a rate stays finite."""
+    return -math.log(p) if p > 0.0 else -(moment_bound - m * math.log(t))
+
+
 def chernoff_corollary_bound(n, sigma2, t):
     """Tail bound for variables with all conditional even moments <= sigma2
     (through the order used) and strong negative correlation, for
@@ -491,7 +511,7 @@ def chernoff_corollary_bound(n, sigma2, t):
                      lo=2, hi=max(2, _even_floor(n)))
     moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
     p = markov_tail(moment, m, t)
-    rate = 0.0 if p >= 1.0 else -math.log(p) * (n * sigma2) / (t * t)
+    rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * (n * sigma2) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
                            tail_probability=p,
                            method=BoundMethod.CHERNOFF_COROLLARY,
@@ -513,7 +533,7 @@ def general_chernoff_bound(nu, t):
     m = nearest_even(t * t / (2.0 * (nu + t)), lo=2)
     moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
     p = markov_tail(moment, m, t)
-    rate = 0.0 if p >= 1.0 else -math.log(p) * 2.0 * (nu + t) / (t * t)
+    rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * 2.0 * (nu + t) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
                            tail_probability=p,
                            method=BoundMethod.GENERAL_CHERNOFF,
@@ -526,5 +546,5 @@ def hoeffding_azuma_bound(n, t):
     res = tail_bound(*theorem1_closed_curve(n, max(2, _even_floor(n))), t,
                      BoundMethod.HOEFFDING_AZUMA)
     p = res.tail_probability
-    rate = 0.0 if p >= 1.0 else -math.log(p) * n / (t * t)
+    rate = 0.0 if p >= 1.0 else _neg_log_p(p, res.moment_bound, res.m_used, t) * n / (t * t)
     return replace(res, rate_constant=rate)

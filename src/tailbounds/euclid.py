@@ -9,7 +9,8 @@ which is itself a well-defined functional of the point set.
 distances they need with the same floating-point expression as the s x s
 matrix of _distance_matrix (used only by the exact solver), so their
 results are bit-identical to the dense-matrix versions kept as oracles in
-tests/conftest.py.  2-opt computes a block of rows at a time.
+tests/conftest.py.  2-opt computes a block of rows at a time, in place, in
+buffers it allocates once per call.
 
 Prim runs on a sparse radius graph G_R (all site pairs at distance <= R,
 from a bucket grid) with a connectivity certificate: while Prim's heap is
@@ -191,9 +192,9 @@ def _dist(x0, y0, x1, y1):
 
 
 # Most rows of the 2-opt sweep tested in one distance block, and most
-# distances in one block: rows * (n - i + 1) <= 2^17, so a block and its
-# temporaries stay near 7 MB up to about 1.3e5 points, where a single row
-# fills a block.  Tours of up to 2048 points keep 64-row blocks.
+# distances in one block: rows * (n - i + 1) <= 2^17, so the sweep's
+# buffers take 2.2 MB plus 34 bytes a point.  A single row fills a block
+# at about 1.3e5 points; tours of up to 2048 points keep 64-row blocks.
 _SWEEP_BLOCK_CAP = 64
 _SWEEP_BLOCK_ENTRIES = 1 << 17
 
@@ -215,6 +216,12 @@ def tsp_2opt(points, start: Tour, max_passes=50):
     row with a hit, so that row and its first j are exactly those of the
     row-by-row sweep; the sweep applies it and resumes at the next row
     with B = 1, and doubles B after each block without a hit.
+
+    Each block runs the ufuncs of _dist and then the delta sum and
+    comparison with out= views of two float64 buffers and one bool buffer
+    of _SWEEP_BLOCK_ENTRIES + 2*(n+1) entries, allocated once per call, so
+    a block allocates no temporaries and every value is the one the
+    expressions compute.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
@@ -228,17 +235,31 @@ def tsp_2opt(points, start: Tour, max_passes=50):
     edge = _dist(xs[:-1], ys[:-1], xs[1:], ys[1:])  # edge[k] = d[order[k], order[k+1]]
     upper = ~np.tri(_SWEEP_BLOCK_CAP, k=-1, dtype=bool)   # upper[r, c]: c >= r
     eps = 1e-12
+    # A block has (rows + 1) * (n - i + 1) <= _SWEEP_BLOCK_ENTRIES + 2 * (n + 1)
+    # distances, rows = 1 included; its ufuncs write into these buffers.
+    size = _SWEEP_BLOCK_ENTRIES + 2 * (n + 1)
+    buf_a, buf_b, buf_hit = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for _ in range(max_passes):
         improved = False
         i, rows = 1, 1
         while i < n - 1:
             rows = min(rows, n - 1 - i, max(1, _SWEEP_BLOCK_ENTRIES // (n - i + 1)))
-            # near[r, c] = d[order[i-1+r], order[i+c]], c in 0..n-i
-            near = _dist(xs[i - 1:i + rows, None], ys[i - 1:i + rows, None],
-                         xs[None, i:], ys[None, i:])
-            delta = near[:-1, :-1] + near[1:, 1:] - edge[i - 1:i - 1 + rows, None] \
-                - edge[None, i:]
-            hit = delta < -eps
+            # near[r, c] = d[order[i-1+r], order[i+c]], c in 0..n-i, the ufuncs of _dist
+            shape = (rows + 1, n - i + 1)
+            near = buf_a[:shape[0] * shape[1]].reshape(shape)
+            dy = buf_b[:near.size].reshape(shape)
+            np.subtract(xs[i - 1:i + rows, None], xs[None, i:], out=near)
+            np.multiply(near, near, out=near)
+            np.subtract(ys[i - 1:i + rows, None], ys[None, i:], out=dy)
+            np.multiply(dy, dy, out=dy)
+            np.add(near, dy, out=near)
+            np.sqrt(near, out=near)
+            # delta[r, c] = near[r, c] + near[r+1, c+1] - edge[i-1+r] - edge[i+c]
+            delta = buf_b[:rows * (n - i)].reshape(rows, n - i)
+            np.add(near[:-1, :-1], near[1:, 1:], out=delta)
+            np.subtract(delta, edge[i - 1:i - 1 + rows, None], out=delta)
+            np.subtract(delta, edge[None, i:], out=delta)
+            hit = np.less(delta, -eps, out=buf_hit[:delta.size].reshape(delta.shape))
             hit[:, :rows] &= upper[:rows, :rows]   # row i+r tests j >= i+r only
             first = int(hit.argmax())
             r, c = divmod(first, n - i)

@@ -129,7 +129,7 @@ def test_criterion_4_tsp_flatness_with_clt_calibration():
     cfg = _config("tsp", 200, 41, n_cells=100,
                   count_dist={"kind": "poisson", "mean": 1.0},
                   placement="uniform_in_cell")
-    study = scaling_study(cfg, [100, 400, 900])
+    study = scaling_study(cfg, [100, 400, 900], workers=2)
     assert -0.15 <= study.slope <= 0.15, f"tsp slope {study.slope}"
     ref = _config("gauss_sum", 3000, 42, n=100)
     ref_study = scaling_study(ref, [100, 400, 900])
@@ -145,7 +145,7 @@ def test_criterion_5_mwst_flatness():
     cfg = _config("mwst", 200, 51, n_cells=100,
                   count_dist={"kind": "poisson", "mean": 1.0},
                   placement="uniform_in_cell")
-    study = scaling_study(cfg, [100, 400, 900])
+    study = scaling_study(cfg, [100, 400, 900], workers=2)
     elapsed = time.monotonic() - start
     assert -0.15 <= study.slope <= 0.15, f"mwst slope {study.slope}"
     assert elapsed < 300.0
@@ -159,7 +159,7 @@ def test_criterion_6_heavy_tail_robustness():
                   count_dist={"kind": "zeta", "s": 6.0, "cap": 10**6,
                               "p0": 0.35},
                   placement="corner_bunch")
-    study = scaling_study(cfg, [100, 400, 900])
+    study = scaling_study(cfg, [100, 400, 900], workers=2)
     elapsed = time.monotonic() - start
     assert -0.15 <= study.slope <= 0.15, f"heavy-tail slope {study.slope}"
     assert elapsed < 300.0

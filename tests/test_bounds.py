@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from conftest import optimize_m_oracle, rademacher_moment_exact, theorem1_recursion_oracle
+from tailbounds import bounds
 from tailbounds.bounds import (
     MAX_CURVE_ORDER,
     _orders_through,
@@ -114,6 +115,14 @@ class TestRecursion:
         profile = MomentProfile.uniform(3, {2: 0.0})
         # All conditional moments zero: the sum is deterministic.
         assert theorem1_recursion_bound(profile, 2) == -np.inf
+
+    def test_matrix_cap_is_inclusive(self, monkeypatch):
+        # m_max = 8 gives 5 x 4 term matrices, 160 bytes each
+        monkeypatch.setattr(bounds, "MAX_RECURSION_MATRIX_BYTES", 160)
+        profile = MomentProfile.uniform(3, {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0, 10: 945.0})
+        assert theorem1_recursion_curve(profile, 8)[0][-1] == 8
+        with pytest.raises(SizeLimitError, match="MAX_RECURSION_MATRIX_BYTES = 160"):
+            theorem1_recursion_curve(profile, 10)
 
 
 def hypothesis_profile(n, m, c=None):
@@ -392,6 +401,25 @@ class TestHoeffdingAzuma:
         ps = [hoeffding_azuma_bound(100, t).tail_probability
               for t in (20, 60, 120, 200)]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
+
+
+class TestUnderflowedTail:
+    """When Markov's p underflows to 0.0, rate_constant comes from the
+    log-domain exponent -(moment_bound - m*log t) instead of -log p."""
+
+    def test_chernoff_corollary(self):
+        res = chernoff_corollary_bound(100_000, 3.0, 290_000.0)
+        assert res.tail_probability == 0.0
+        log_p = res.moment_bound - res.m_used * math.log(290_000.0)
+        assert res.rate_constant == -log_p * (100_000 * 3.0) / 290_000.0**2
+
+    @pytest.mark.parametrize("t", [1e100, 1e200])
+    def test_hoeffding_azuma(self, t):
+        res = hoeffding_azuma_bound(100, t)
+        assert res.tail_probability == 0.0
+        assert math.isfinite(res.rate_constant)
+        assert res.rate_constant == -(res.moment_bound - res.m_used * math.log(t)) \
+            * 100 / (t * t)
 
 
 @st.composite

@@ -284,6 +284,15 @@ class TestCoordinateSolversMatchDenseOracles:
         pts = rng.random((150, 2))
         _assert_same_tour(pts, _start(pts, rng, strip=False), max_passes)
 
+    @pytest.mark.parametrize("max_passes", [1, 2])
+    def test_entry_cap_binds(self, max_passes):
+        # past 2048 points the early rows' blocks are cut by
+        # _SWEEP_BLOCK_ENTRIES, not by _SWEEP_BLOCK_CAP
+        rng = np.random.default_rng(23)
+        pts = rng.random((2300, 2))
+        assert euclid._SWEEP_BLOCK_ENTRIES // len(pts) < euclid._SWEEP_BLOCK_CAP
+        _assert_same_tour(pts, tsp_strip(pts, 1.0), max_passes)
+
     @pytest.mark.parametrize("n_cells", [100, 400, 900])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tsp_scale_instances(self, n_cells, seed):
@@ -360,8 +369,9 @@ def test_solvers_memory_is_linear_in_points():
     # one s x s float64 matrix of 10^4 points would take 800 MB; in two tight
     # clusters the bucket grid of mst_weight would see 5e7 candidate pairs,
     # so its budget must be checked before any pair array exists.  The 2-opt
-    # sweep holds 2^17-entry distance blocks (6.6 MiB here); 64-row blocks
-    # would take 8.9 MiB, and 1.3 KB a point at 2 * 10^4 points.
+    # sweep computes 2^17-entry distance blocks in buffers it allocates once
+    # (3.6 MiB here); 64-row blocks would need buffers of about 1.1 KB a
+    # point, 10.5 MiB here.
     rng = np.random.default_rng(5)
     pts = rng.random((10_000, 2))
     clusters = np.vstack([rng.random((5000, 2)) * 1e-3 + 0.1,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailbounds
-from tailbounds.bounds import MAX_CURVE_ORDER, MomentProfile
+from tailbounds.bounds import MAX_CURVE_ORDER, MAX_RECURSION_MATRIX_BYTES, MomentProfile
 from tailbounds import pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
@@ -659,6 +659,25 @@ class TestCli:
         assert f"MAX_CURVE_ORDER = {MAX_CURVE_ORDER}" in capsys.readouterr().err
         assert peak < 10**6
 
+    @pytest.mark.parametrize("m_max", [2896, MAX_CURVE_ORDER])
+    def test_oversized_recursion_refused_before_allocating(self, tmp_path, capsys, m_max):
+        # the lowest order past the term-matrix cap, and the highest order
+        # any curve takes, on a profile that lists order 2 only
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"n": 2, "M": {"2": 1.0}}))
+        tracemalloc.start()
+        try:
+            code = cli.main(["bound", "--method", "theorem1-recursion", "--profile",
+                             str(profile), "--m-max", str(m_max), "--t", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert f"MAX_RECURSION_MATRIX_BYTES = {MAX_RECURSION_MATRIX_BYTES}" in err
+        assert peak < 10**6
+
     def test_expected_points_cap_is_inclusive(self):
         raw = {"schema_version": 1, "experiment": "mwst", "replicates": 1,
                "parameters": {"n_cells": 100, "count_dist": {
@@ -675,6 +694,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["m_used"] == 8
         assert payload["method"] == "GeneralChernoff"
+
+    def test_bound_with_underflowed_tail_is_valid_json(self):
+        # Markov's p underflows to 0.0 here; the rate then comes from the
+        # log-domain exponent and must be a finite JSON number
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        code, stdout, err = run_cli("bound", "--method", "chernoff-corollary",
+                                    "--n", "100000", "--sigma2", "3", "--t", "290000")
+        assert code == 0, err
+        assert "Traceback" not in err
+        payload = json.loads(stdout, parse_constant=reject)
+        assert payload["tail_probability"] == 0.0
+        assert math.isfinite(payload["rate_constant"]) and payload["rate_constant"] > 0
 
     def test_bound_with_profile_file(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
