@@ -85,6 +85,14 @@ MAX_CURVE_ORDER = 2**22
 # before any matrix is built.
 MAX_RECURSION_MATRIX_BYTES = 2**24
 
+# The most (m, l) terms of main_theorem_curve, which evaluates
+# main_theorem_bound at every even order m <= m_max, and that loops over
+# l = 1..m/2: (m_max/2)(m_max/2 + 1)/2 terms, each two Python-level
+# log-sum-exps over the variables.  On 20 variables (2 vCPU Xeon, Python
+# 3.11) order 400 (20100 terms) took 1.0 s and order 722, the highest under
+# the cap, 3.9 s; a higher m_max is refused before the first evaluation.
+MAX_MAIN_CURVE_TERMS = 2**16
+
 
 def _check_even_order(m, name="m"):
     if not isinstance(m, (int, np.integer)) or m < 2 or m % 2 != 0:
@@ -407,7 +415,14 @@ def main_theorem_bound(profile: TypicalProfile, m):
 def main_theorem_curve(profile: TypicalProfile, m_max):
     """Moment curve (orders, log bounds) of main_theorem_bound for every
     even m <= m_max: the bound depends on m throughout, so one evaluation
-    per order."""
+    per order.  An m_max with more than MAX_MAIN_CURVE_TERMS terms raises
+    SizeLimitError."""
+    _check_even_order(m_max, "m_max")
+    terms = (m_max // 2) * (m_max // 2 + 1) // 2
+    if terms > MAX_MAIN_CURVE_TERMS:
+        raise SizeLimitError(f"m_max={m_max}: the main-theorem curve would evaluate "
+                             f"{terms} terms, above MAX_MAIN_CURVE_TERMS = "
+                             f"{MAX_MAIN_CURVE_TERMS}")
     orders = _orders_through(m_max)
     return orders, np.array([main_theorem_bound(profile, int(m))
                              for m in orders])
@@ -487,6 +502,14 @@ def _neg_log_p(p, moment_bound, m, t):
     return -math.log(p) if p > 0.0 else -(moment_bound - m * math.log(t))
 
 
+def _require_finite(value, what):
+    """Refuse a value of a Chernoff rule that overflows a double: t*t (past
+    t of about 1.34e154), from which no order can be chosen, or a log moment
+    bound, which the JSON output could not hold."""
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{what} overflows a double")
+
+
 def chernoff_corollary_bound(n, sigma2, t):
     """Tail bound for variables with all conditional even moments <= sigma2
     (through the order used) and strong negative correlation, for
@@ -507,9 +530,11 @@ def chernoff_corollary_bound(n, sigma2, t):
         raise OutOfRegimeError(
             f"t={t} exceeds n*sigma2={n * sigma2}; the bound requires t <= n*sigma2"
         )
+    _require_finite(t * t, f"t={t!r}: t*t")
     m = nearest_even(t * t / (C_MOPT * n * sigma2),
                      lo=2, hi=max(2, _even_floor(n)))
     moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
+    _require_finite(moment, f"n={n}, sigma2={sigma2!r}: the log moment bound")
     p = markov_tail(moment, m, t)
     rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * (n * sigma2) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
@@ -530,8 +555,10 @@ def general_chernoff_bound(nu, t):
         raise InvalidArgumentError("nu must be > 0")
     if not t > 0:
         raise InvalidArgumentError("t must be > 0")
+    _require_finite(t * t, f"t={t!r}: t*t")
     m = nearest_even(t * t / (2.0 * (nu + t)), lo=2)
     moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
+    _require_finite(moment, f"nu={nu!r}, t={t!r}: the log moment bound")
     p = markov_tail(moment, m, t)
     rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * 2.0 * (nu + t) / (t * t)
     return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
@@ -546,5 +573,10 @@ def hoeffding_azuma_bound(n, t):
     res = tail_bound(*theorem1_closed_curve(n, max(2, _even_floor(n))), t,
                      BoundMethod.HOEFFDING_AZUMA)
     p = res.tail_probability
-    rate = 0.0 if p >= 1.0 else _neg_log_p(p, res.moment_bound, res.m_used, t) * n / (t * t)
+    if p >= 1.0:
+        return replace(res, rate_constant=0.0)
+    neg_log_p = _neg_log_p(p, res.moment_bound, res.m_used, t)
+    # Past the overflow of t*t, a division by inf would round the rate to 0;
+    # dividing by t twice keeps it until the rate itself underflows.
+    rate = neg_log_p * n / (t * t) if math.isfinite(t * t) else (neg_log_p / t) * n / t
     return replace(res, rate_constant=rate)

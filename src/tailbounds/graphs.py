@@ -8,7 +8,6 @@ brute-force oracle in the tests uses the same convention.
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -68,7 +67,6 @@ class Graph:
     """Undirected loop-free graph with boolean adjacency."""
 
     adj: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         self.adj = np.asarray(self.adj, dtype=bool)
@@ -95,15 +93,6 @@ class Graph:
             masks.append(m)
         return masks
 
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write(f"# n={self.n} seed={self.seed}\n")
-        buf.write("u,v\n")
-        us, vs = np.nonzero(np.triu(self.adj, 1))
-        for u, v in zip(us, vs):
-            buf.write(f"{u},{v}\n")
-        return buf.getvalue()
-
 
 def sample_graph(P: EdgeProbabilityMatrix, seed):
     """Each edge present independently with probability p_ij."""
@@ -111,7 +100,7 @@ def sample_graph(P: EdgeProbabilityMatrix, seed):
     n = P.n
     u = rng.random((n, n))
     upper = np.triu(u < P.p, 1)
-    return Graph(adj=upper | upper.T, seed=seed)
+    return Graph(adj=upper | upper.T)
 
 
 def chromatic_greedy(G: Graph, order=None):

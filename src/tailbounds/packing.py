@@ -20,7 +20,7 @@ from .errors import CyclingError, InvalidArgumentError, SizeLimitError
 
 __all__ = ["ItemDistribution", "BinTypeSet", "LpSolution", "enumerate_bin_types",
            "solve_packing_lp", "lp_round_up", "lower_bound_distribution",
-           "lp_value_after_insert", "instances_to_csv", "instances_from_csv"]
+           "lp_value_after_insert"]
 
 MAX_BIN_TYPES = 10**6
 MAX_PIVOTS = 10**6
@@ -299,33 +299,3 @@ def lp_value_after_insert(types: BinTypeSet, counts, item_type, exact=False):
     counts = list(counts)
     counts[item_type] += 1
     return solve_packing_lp(types, counts, exact=exact).value
-
-
-def instances_to_csv(dist: ItemDistribution, counts_rows):
-    """Instance file: a `sizes=...; probs=...` header, then one CSV line of
-    item counts per replicate."""
-    lines = [
-        "sizes=" + ",".join(repr(z) for z in dist.sizes)
-        + "; probs=" + ",".join(repr(p) for p in dist.probs)
-    ]
-    for row in counts_rows:
-        if len(row) != dist.r:
-            raise InvalidArgumentError("each row needs one count per item type")
-        lines.append(",".join(str(int(c)) for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def instances_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("sizes="):
-        raise InvalidArgumentError("instance file must start with a sizes= header")
-    sizes_part, probs_part = header.split(";")
-    sizes = tuple(float(v) for v in sizes_part.split("=", 1)[1].split(","))
-    probs = tuple(float(v) for v in probs_part.split("=", 1)[1].split(","))
-    dist = ItemDistribution(sizes, probs)
-    rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
-    for row in rows:
-        if len(row) != dist.r:
-            raise InvalidArgumentError("count row width does not match the sizes")
-    return dist, rows

@@ -15,7 +15,6 @@ by cell.  The other placements are functions of the counts.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +40,6 @@ __all__ = [
     "point_cell",
 ]
 
-CSV_HEADER = "cell_index,x,y"
 TAU0_CAP = 2 * math.sqrt(2)
 
 
@@ -55,14 +53,10 @@ class Poisson:
         if not self.mean >= 0:
             raise InvalidArgumentError("mean must be >= 0")
 
-    kind = "poisson"
     moment_order_valid = math.inf
 
     def sample(self, rng, size):
         return rng.poisson(self.mean, size=size)
-
-    def zero_prob(self):
-        return math.exp(-self.mean)
 
     def moment(self, l):
         """Raw moment E Y^l via the Stirling-number expansion."""
@@ -117,8 +111,6 @@ class TruncatedZeta:
         if not 0 <= self.p0 < 1:
             raise InvalidArgumentError("p0 must be in [0, 1)")
 
-    kind = "zeta"
-
     @property
     def moment_order_valid(self):
         return max(0, math.ceil(self.s - 1) - 1)
@@ -130,9 +122,6 @@ class TruncatedZeta:
         if self.p0:
             counts = np.where(rng.random(size) < self.p0, 0, counts)
         return counts
-
-    def zero_prob(self):
-        return self.p0
 
     def moment(self, l):
         pmf, _ = _zeta_tables(self.s, self.cap)
@@ -163,14 +152,10 @@ class TwoPoint:
         if self.value < 1:
             raise InvalidArgumentError("value must be >= 1")
 
-    kind = "two_point"
     moment_order_valid = math.inf
 
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.p0, 0, self.value).astype(np.int64)
-
-    def zero_prob(self):
-        return self.p0
 
     def moment(self, l):
         return (1 - self.p0) * self.value**l if l > 0 else 1.0
@@ -194,14 +179,10 @@ class Deterministic:
         if self.k < 0:
             raise InvalidArgumentError("k must be >= 0")
 
-    kind = "deterministic"
     moment_order_valid = math.inf
 
     def sample(self, rng, size):
         return np.full(size, self.k, dtype=np.int64)
-
-    def zero_prob(self):
-        return 1.0 if self.k == 0 else 0.0
 
     def moment(self, l):
         return float(self.k**l)
@@ -249,50 +230,10 @@ class PointSet:
     n_cells: int
     points: np.ndarray  # (s, 2) floats, rows grouped by ascending cell
     cell: np.ndarray  # (s,) int64 owning cell of each row
-    seed: int
-    config_label: str
 
     @property
     def total_points(self):
         return len(self.points)
-
-    def config_hash(self):
-        h = hashlib.sha256(f"{self.n_cells}|{self.config_label}".encode())
-        return h.hexdigest()[:12]
-
-    def to_csv(self):
-        lines = [f"# config={self.config_hash()} seed={self.seed}", CSV_HEADER]
-        lines += [f"{i},{x!r},{y!r}"
-                  for i, (x, y) in zip(self.cell.tolist(), self.points.tolist())]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text, n_cells, config_label=""):
-        """The PointSet of a to_csv text, with the seed of its first '#'
-        line.  Rows may come in any order: a stable sort regroups them by
-        cell.  A malformed line or a cell index outside 0..n_cells-1 raises
-        InvalidArgumentError naming the line."""
-        seed, cell, points = None, [], []
-        for no, ln in enumerate(text.splitlines(), start=1):
-            try:
-                if ln.startswith("#"):
-                    seed = int(ln.split("seed=")[1]) if seed is None else seed
-                elif ln and ln != CSV_HEADER:
-                    idx, x, y = ln.split(",")
-                    cell.append(int(idx))
-                    points.append((float(x), float(y)))
-            except (IndexError, ValueError):
-                raise InvalidArgumentError(
-                    f"line {no}: expected {CSV_HEADER} or '# ... seed=N', got {ln!r}") from None
-            if cell and not 0 <= cell[-1] < n_cells:
-                raise InvalidArgumentError(
-                    f"line {no}: cell index {cell[-1]} outside 0..{n_cells - 1}")
-        if seed is None:
-            raise InvalidArgumentError("no '# ... seed=N' line")
-        cell = np.array(cell, dtype=np.int64)
-        order = np.argsort(cell, kind="stable")
-        return PointSet(n_cells=n_cells, points=np.array(points).reshape(-1, 2)[order],
-                        cell=cell[order], seed=seed, config_label=config_label)
 
 
 def _toward_center(index, side, h):
@@ -331,8 +272,7 @@ def sample_point_set(n_cells, count_dist, placement, seed):
         xy = (x0 + (gx + 0.5) * h / g, y0 + (gy + 0.5) * h / g)
     else:  # ADVERSARIAL_DIAGONAL
         xy = (_toward_center(c, side, h), _toward_center(r, side, h))
-    return PointSet(n_cells=n_cells, points=np.column_stack(xy), cell=cell, seed=seed,
-                    config_label=f"{count_dist.label()}|{placement.value}")
+    return PointSet(n_cells=n_cells, points=np.column_stack(xy), cell=cell)
 
 
 def layer_order(n_cells):

@@ -105,9 +105,6 @@ class EssentialEstimate:
     suffix_lis_se: float
     resamples: int
 
-    def positions(self):
-        return np.arange(self.i, self.n + 1)
-
 
 def essential_probability(n, i, prefix, resamples, seed=0):
     """Estimate, for each j >= i, the probability that position j is
@@ -145,16 +142,11 @@ class SphereUniform:
     """Uniform direction on the unit sphere of R^n: normalized standard
     normals; every coordinate has E Y_i^2 = 1/n."""
 
-    kind = "sphere"
-
     def radial_moment(self, l):
         return 1.0
 
     def coord_second_moment(self, n):
         return 1.0 / n
-
-    def label(self):
-        return "sphere"
 
 
 @dataclass(frozen=True)
@@ -162,16 +154,11 @@ class GaussianIid:
     """Independent N(0, 1/n) coordinates: not a unit vector, but the
     natural flat-conditional reference for the hypothesis diagnostics."""
 
-    kind = "gaussian_iid"
-
     def radial_moment(self, l):
         return 1.0
 
     def coord_second_moment(self, n):
         return 1.0 / n
-
-    def label(self):
-        return "gaussian_iid"
 
 
 @dataclass(frozen=True)
@@ -186,8 +173,6 @@ class RadialBetaMixture:
     a: float = 8.0
     b: float = 2.0
 
-    kind = "radial_beta"
-
     def __post_init__(self):
         if self.scale <= 0 or self.a <= 0 or self.b <= 0:
             raise InvalidArgumentError("scale, a, b must be positive")
@@ -201,9 +186,6 @@ class RadialBetaMixture:
 
     def coord_second_moment(self, n):
         return self.radial_moment(1) / n
-
-    def label(self):
-        return f"radial_beta(scale={self.scale},a={self.a},b={self.b})"
 
 
 def sample_unit_vector(n, family, seed):

@@ -144,6 +144,16 @@ class TestDpVersusClosedForm:
 
 
 class TestMainTheorem:
+    def test_curve_term_cap_is_inclusive(self, monkeypatch):
+        # m_max = 8 has 4*5/2 = 10 (m, l) terms, m_max = 10 has 15
+        monkeypatch.setattr(bounds, "MAX_MAIN_CURVE_TERMS", 10)
+        profile = TypicalProfile.uniform(3, {o: 1.0 for o in range(2, 11, 2)},
+                                         {o: 0.5 for o in range(2, 11, 2)},
+                                         {o: 0.1 for o in range(2, 11, 2)})
+        assert main_theorem_curve(profile, 8)[0][-1] == 8
+        with pytest.raises(SizeLimitError, match="15 terms, above MAX_MAIN_CURVE_TERMS = 10"):
+            main_theorem_curve(profile, 10)
+
     def test_zero_delta_drops_worst_case_term(self):
         n, m = 10, 4
         profile = TypicalProfile.uniform(
@@ -420,6 +430,42 @@ class TestUnderflowedTail:
         assert math.isfinite(res.rate_constant)
         assert res.rate_constant == -(res.moment_bound - res.m_used * math.log(t)) \
             * 100 / (t * t)
+
+
+class TestOverflowingSquare:
+    """Past t of about 1.34e154, t*t overflows a double."""
+
+    @pytest.mark.parametrize("bound", [lambda t: general_chernoff_bound(1.0, t),
+                                       lambda t: chernoff_corollary_bound(10, 1e199, t)],
+                             ids=["general", "corollary"])
+    def test_chernoff_rules_refuse_t(self, bound):
+        with pytest.raises(InvalidArgumentError, match=r"t=1e\+200: t\*t overflows"):
+            bound(1e200)
+
+    @pytest.mark.parametrize("bound, named", [
+        (lambda: general_chernoff_bound(1e307, 1.0), "nu=1e+307, t=1.0"),
+        (lambda: general_chernoff_bound(1.0, 1.3e154), "nu=1.0, t=1.3e+154"),
+        (lambda: chernoff_corollary_bound(4, 1.7976931348623157e308, 4e153),
+         "n=4, sigma2=1.7976931348623157e+308"),
+    ])
+    def test_chernoff_rules_refuse_overflowing_moment(self, bound, named):
+        # t*t is finite here, but the log moment bound would be inf
+        with pytest.raises(InvalidArgumentError) as refused:
+            bound()
+        assert str(refused.value) == f"{named}: the log moment bound overflows a double"
+
+    def test_corollary_rate_below_the_overflow(self):
+        n, sigma2, t = 2, 1e300, 1.3e154
+        res = chernoff_corollary_bound(n, sigma2, t)
+        assert 0.0 < res.tail_probability < 1.0
+        assert res.rate_constant == -math.log(res.tail_probability) * (n * sigma2) / (t * t)
+
+    @pytest.mark.parametrize("t", [1e155, 1e160])
+    def test_hoeffding_rate_divides_by_t_twice(self, t):
+        res = hoeffding_azuma_bound(100, t)
+        neg_log_p = -(res.moment_bound - res.m_used * math.log(t))
+        assert res.rate_constant == (neg_log_p / t) * 100 / t
+        assert res.rate_constant > 0.0
 
 
 @st.composite

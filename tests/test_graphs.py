@@ -182,13 +182,3 @@ class TestMad:
                          seed)
         chi = chromatic_exact(g)
         assert chi <= int(mad_realized(g)) + 1
-
-
-class TestSerialization:
-    def test_edge_list_csv(self):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(5, 1.0), seed=3)
-        text = g.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("# n=5 seed=3")
-        assert lines[1] == "u,v"
-        assert len(lines) == 2 + 10  # complete graph on 5 vertices

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailbounds
-from tailbounds.bounds import MAX_CURVE_ORDER, MAX_RECURSION_MATRIX_BYTES, MomentProfile
-from tailbounds import pointproc
+from tailbounds.bounds import MAX_CURVE_ORDER, MAX_MAIN_CURVE_TERMS, \
+    MAX_RECURSION_MATRIX_BYTES, MomentProfile
+from tailbounds import bounds, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
 from tailbounds.harness import cli, experiments
@@ -698,16 +701,39 @@ class TestCli:
     def test_bound_with_underflowed_tail_is_valid_json(self):
         # Markov's p underflows to 0.0 here; the rate then comes from the
         # log-domain exponent and must be a finite JSON number
-        def reject(name):
-            raise ValueError(f"{name} is not valid JSON")
-
         code, stdout, err = run_cli("bound", "--method", "chernoff-corollary",
                                     "--n", "100000", "--sigma2", "3", "--t", "290000")
         assert code == 0, err
         assert "Traceback" not in err
-        payload = json.loads(stdout, parse_constant=reject)
+        payload = strict_json(stdout)
         assert payload["tail_probability"] == 0.0
         assert math.isfinite(payload["rate_constant"]) and payload["rate_constant"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "general-chernoff", "--nu", "1", "--t", "1e200"],
+        ["--method", "chernoff-corollary", "--n", "10", "--sigma2", "1e199", "--t", "1e200"],
+    ], ids=["general", "corollary"])
+    def test_bound_at_overflowing_t_squared(self, argv):
+        # t*t overflows a double, so the order rule cannot choose m
+        code, stdout, err = run_cli("bound", *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "t=1e+200: t*t overflows a double" in err
+        assert stdout == ""
+
+    def test_oversized_main_curve_refused_before_evaluating(self, tmp_path, monkeypatch):
+        def spy(profile, m):
+            raise AssertionError("main_theorem_bound ran before the size check")
+
+        monkeypatch.setattr(bounds, "main_theorem_bound", spy)
+        profile = tmp_path / "typ.json"
+        profile.write_text(json.dumps({"n": 2, "M": {"2": 4.0}, "L": {"2": 1.0},
+                                       "delta": {"2": 0.01}}))
+        code, _, err = run_cli("bound", "--method", "main", "--profile", str(profile),
+                               "--m-max", "724", "--t", "5")
+        assert code == 4
+        assert "Traceback" not in err
+        assert f"MAX_MAIN_CURVE_TERMS = {MAX_MAIN_CURVE_TERMS}" in err
 
     def test_bound_with_profile_file(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
@@ -834,6 +860,15 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity constants, which are not
+    JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("command", ["bound", "run", "scale", "report"])
 def test_cli_in_a_fresh_interpreter(tmp_path, command):
     # python -m tailbounds.harness.cli gives what cli.main gives in process
@@ -854,6 +889,19 @@ def test_cli_in_a_fresh_interpreter(tmp_path, command):
     assert fresh == run_cli(*argv)
 
 
+def test_every_exported_name_resolves():
+    # each name a module lists in __all__ is an attribute of that module
+    names = ["tailbounds"] + [m.name for m in pkgutil.walk_packages(
+        tailbounds.__path__, "tailbounds.")]
+    checked = 0
+    for name in names:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            assert hasattr(module, export), f"{name}.__all__ lists {export!r}"
+            checked += 1
+    assert checked > 50
+
+
 def test_package_imports_no_scipy():
     # scipy is a test oracle only; importing scipy.special alone would
     # double the start-up time and memory of every tailbounds process
@@ -863,6 +911,23 @@ def test_package_imports_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
     assert code == 0, err
     assert stdout.strip() == "[]"
+
+
+# Sizes for --n and --m-max: invalid, small, the recursion's first order
+# past its matrix cap, and past MAX_CURVE_ORDER and every other cap.
+_FUZZ_SIZES = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 16, 1001, 2896, MAX_CURVE_ORDER + 2,
+                               2**63])
+
+
+@pytest.fixture(scope="module")
+def fuzz_profile(tmp_path_factory):
+    """A typical profile through order 16, read by both profile methods."""
+    path = tmp_path_factory.mktemp("fuzz") / "typ.json"
+    orders = [str(o) for o in range(2, 17, 2)]
+    path.write_text(json.dumps({"n": 3, "M": {o: 2.0**int(o) for o in orders},
+                                "L": {o: 1.5**int(o) for o in orders},
+                                "delta": {o: 0.01 for o in orders}}))
+    return str(path)
 
 
 class TestCliBadInput:
@@ -899,6 +964,35 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert named in err
+
+    @given(method=st.sampled_from(sorted(cli.METHOD_OPTIONS)),
+           t=st.floats(allow_nan=False, allow_infinity=False),
+           sigma2=st.floats(allow_nan=False, allow_infinity=False),
+           nu=st.floats(allow_nan=False, allow_infinity=False),
+           n=_FUZZ_SIZES, m_max=st.none() | _FUZZ_SIZES)
+    @example(method="general-chernoff", t=1e200, sigma2=1.0, nu=1.0, n=10, m_max=None)
+    @example(method="chernoff-corollary", t=1e200, sigma2=1e199, nu=1.0, n=10, m_max=None)
+    @example(method="general-chernoff", t=1.3e154, sigma2=1.0, nu=1.0, n=10, m_max=None)
+    @example(method="chernoff-corollary", t=4e153, sigma2=1.7976931348623157e308, nu=1.0,
+             n=4, m_max=None)
+    @settings(max_examples=300, deadline=None)
+    def test_bound_argv_fuzz(self, fuzz_profile, method, t, sigma2, nu, n, m_max):
+        # Every finite float for --t, --sigma2 and --nu, and small, boundary
+        # and past-cap sizes: a documented exit code, no traceback, and
+        # strict JSON on success.
+        values = {"t": repr(t), "sigma2": repr(sigma2), "nu": repr(nu), "n": str(n),
+                  "profile": fuzz_profile, "m_max": None if m_max is None else str(m_max)}
+        argv = ["bound", "--method", method, f"--t={values['t']}"]
+        for dest in cli.METHOD_OPTIONS[method]:
+            if values[dest] is not None:
+                argv.append(f"--{dest.replace('_', '-')}={values[dest]}")
+        code, stdout, err = run_cli(*argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            strict_json(stdout)
+        else:
+            assert err.strip(), argv
 
     @pytest.mark.parametrize("argv, named", [
         (["--method", "general-chernoff", "--nu", "100", "--t", "inf"], "--t"),

@@ -182,33 +182,6 @@ class TestInsertionSandwich:
         assert delta <= zeta + 2 * zeta**2 + 1e-9
 
 
-class TestInstanceFiles:
-    def test_round_trip(self):
-        from tailbounds.packing import instances_from_csv, instances_to_csv
-
-        d = lower_bound_distribution(4)
-        rows = [[3, 4], [5, 0], [0, 0]]
-        text = instances_to_csv(d, rows)
-        first = text.splitlines()[0]
-        assert first.startswith("sizes=") and "probs=" in first
-        d2, rows2 = instances_from_csv(text)
-        assert d2.sizes == d.sizes and d2.probs == d.probs
-        assert rows2 == rows
-
-    def test_rejects_ragged_rows(self):
-        from tailbounds.packing import instances_to_csv
-
-        d = lower_bound_distribution(4)
-        with pytest.raises(InvalidArgumentError):
-            instances_to_csv(d, [[1, 2, 3]])
-
-    def test_rejects_missing_header(self):
-        from tailbounds.packing import instances_from_csv
-
-        with pytest.raises(InvalidArgumentError):
-            instances_from_csv("1,2\n3,4\n")
-
-
 class TestRoundUp:
     def test_integral_solution_unchanged(self):
         d = ItemDistribution((0.5,), (1.0,))

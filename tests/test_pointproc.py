@@ -9,10 +9,8 @@ from scipy import stats
 from tailbounds.errors import InvalidArgumentError
 from tailbounds.harness.rng import substream
 from tailbounds.pointproc import (
-    CSV_HEADER,
     Deterministic,
     PlacementStrategy,
-    PointSet,
     Poisson,
     TruncatedZeta,
     TwoPoint,
@@ -46,7 +44,6 @@ class TestCountDistributions:
         assert d.moment(2) == pytest.approx(2.0)
         assert d.moment(3) == pytest.approx(5.0)
         assert d.moment(4) == pytest.approx(15.0)
-        assert d.zero_prob() == pytest.approx(math.exp(-1))
 
     def test_zeta_moment_validity_order(self):
         assert TruncatedZeta(6.0, 1000).moment_order_valid == 4
@@ -58,11 +55,9 @@ class TestCountDistributions:
         w = z**-6.0
         w /= w.sum()
         assert d.moment(2) == pytest.approx(float((w * z**2).sum()), rel=1e-12)
-        assert d.zero_prob() == 0.0
 
     def test_zero_inflated_zeta(self):
         d = TruncatedZeta(6.0, 1000, p0=0.3)
-        assert d.zero_prob() == pytest.approx(0.3)
         plain = TruncatedZeta(6.0, 1000)
         assert d.moment(2) == pytest.approx(0.7 * plain.moment(2))
         rng = substream(5, "zta")
@@ -71,7 +66,6 @@ class TestCountDistributions:
 
     def test_two_point(self):
         d = TwoPoint(0.25, 3)
-        assert d.zero_prob() == 0.25
         assert d.moment(2) == pytest.approx(0.75 * 9)
         assert d.pmf(3) == 0.75 and d.pmf(0) == 0.25 and d.pmf(1) == 0.0
 
@@ -79,7 +73,6 @@ class TestCountDistributions:
         d = Deterministic(2)
         rng = substream(1, "det")
         assert (d.sample(rng, 10) == 2).all()
-        assert d.zero_prob() == 0.0
 
     @pytest.mark.parametrize("build", [lambda: Poisson(math.nan), lambda: Poisson(-1.0),
                                        lambda: TruncatedZeta(math.nan, 50)],
@@ -151,9 +144,10 @@ class TestSamplePointSet:
     def test_reproducibility_bytes(self):
         a = sample_point_set(100, Poisson(2.0), "grid_spread", seed=31)
         b = sample_point_set(100, Poisson(2.0), "grid_spread", seed=31)
-        assert a.to_csv() == b.to_csv()
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.cell.tobytes() == b.cell.tobytes()
         c = sample_point_set(100, Poisson(2.0), "grid_spread", seed=32)
-        assert a.to_csv() != c.to_csv()
+        assert (a.points.tobytes(), a.cell.tobytes()) != (c.points.tobytes(), c.cell.tobytes())
 
     def test_corner_bunch_is_coincident(self):
         ps = sample_point_set(9, Deterministic(3), "corner_bunch", seed=2)
@@ -176,16 +170,6 @@ class TestSamplePointSet:
         with pytest.raises(InvalidArgumentError):
             sample_point_set(12, Deterministic(1), "uniform_in_cell", 0)
 
-    def test_csv_round_trip(self):
-        ps = sample_point_set(16, Poisson(1.0), "uniform_in_cell", seed=5)
-        text = ps.to_csv()
-        assert text.startswith("# config=")
-        back = PointSet.from_csv(text, 16)
-        assert back.seed == 5
-        assert back.points.tobytes() == ps.points.tobytes()
-        assert np.array_equal(back.cell, ps.cell)
-        assert back.to_csv().splitlines()[1:] == text.splitlines()[1:]
-
     @given(st.integers(min_value=2, max_value=30), st.sampled_from(_COUNT_LAWS),
            st.sampled_from(list(PlacementStrategy)), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
@@ -197,39 +181,6 @@ class TestSamplePointSet:
         assert ps.points.tobytes() == expected.tobytes()
         assert ps.cell.tolist() == [idx for idx, c in enumerate(cells) for _ in c]
         assert ps.total_points == len(expected)
-
-    def test_rows_out_of_order_are_regrouped(self):
-        ps = sample_point_set(16, Poisson(2.0), "uniform_in_cell", seed=8)
-        comment, header, *rows = ps.to_csv().splitlines()
-        shuffled = "\n".join([comment, header] + rows[::-1]) + "\n"
-        back = PointSet.from_csv(shuffled, 16)
-        assert np.array_equal(back.cell, ps.cell)
-        # a stable sort keeps each cell's rows in file order
-        for idx in range(16):
-            assert np.array_equal(back.points[back.cell == idx],
-                                  ps.points[ps.cell == idx][::-1])
-
-    @pytest.mark.parametrize("index", ["16", "-1"])
-    def test_from_csv_rejects_cell_outside_grid(self, index):
-        text = f"# config=x seed=1\n{CSV_HEADER}\n0,0.1,0.1\n{index},0.5,0.5\n"
-        with pytest.raises(InvalidArgumentError, match=f"line 4: cell index {index} outside"):
-            PointSet.from_csv(text, 16)
-
-    @pytest.mark.parametrize("row", ["3,0.5", "3,0.5,0.5,0.5", "x,0.5,0.5", "3,0.5,y",
-                                     "3.0,0.5,0.5"])
-    def test_from_csv_rejects_malformed_row(self, row):
-        text = f"# config=x seed=1\n{CSV_HEADER}\n0,0.1,0.1\n{row}\n"
-        with pytest.raises(InvalidArgumentError, match="line 4: expected cell_index,x,y"):
-            PointSet.from_csv(text, 16)
-
-    @pytest.mark.parametrize("text, named", [
-        (f"{CSV_HEADER}\n0,0.1,0.1\n", "no '# ... seed=N' line"),
-        (f"# config=x\n{CSV_HEADER}\n", "line 1: "),
-        (f"# config=x seed=one\n{CSV_HEADER}\n", "line 1: "),
-    ])
-    def test_from_csv_rejects_missing_seed(self, text, named):
-        with pytest.raises(InvalidArgumentError, match=named):
-            PointSet.from_csv(text, 16)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)
