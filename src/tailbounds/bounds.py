@@ -276,7 +276,10 @@ def theorem1_closed_curve(n, m_max):
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     orders = _orders_through(m_max)
-    return orders, (orders / 2.0) * np.log(C_THEOREM1 * n * orders)
+    with np.errstate(over="ignore"):
+        log_bounds = (orders / 2.0) * np.log(C_THEOREM1 * n * orders)
+    _require_finite(log_bounds[-1], f"n={n}: the log moment bound")
+    return orders, log_bounds
 
 
 def theorem1_closed_bound(n, m):
@@ -503,7 +506,7 @@ def _neg_log_p(p, moment_bound, m, t):
 
 
 def _require_finite(value, what):
-    """Refuse a value of a Chernoff rule that overflows a double: t*t (past
+    """Refuse a value that overflows a double: t*t of a Chernoff rule (past
     t of about 1.34e154), from which no order can be chosen, or a log moment
     bound, which the JSON output could not hold."""
     if not math.isfinite(value):

@@ -194,6 +194,20 @@ def _finite_float(text):
     return value
 
 
+def _float_sized_int(text):
+    """argparse type of --n: an integer no larger in magnitude than the
+    largest float, since the bounds compute with n as a float."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer a float can hold, at most {sys.float_info.max!r} "
+            "in magnitude")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tailbounds",
@@ -208,7 +222,7 @@ def build_parser():
                                   "general-chernoff"])
     p_bound.add_argument("--profile", help="JSON moment-profile file")
     p_bound.add_argument("--t", type=_finite_float, required=True)
-    p_bound.add_argument("--n", type=int)
+    p_bound.add_argument("--n", type=_float_sized_int)
     p_bound.add_argument("--sigma2", type=_finite_float)
     p_bound.add_argument("--nu", type=_finite_float)
     p_bound.add_argument("--m-max", dest="m_max", type=int)

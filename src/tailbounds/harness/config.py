@@ -27,16 +27,20 @@ EXPERIMENTS = ("tsp", "mwst", "chromatic", "jl", "binpack", "lis", "chernoff",
 
 _REQUIRED = object()
 
-# Size caps on grid configs, checked before any table or point array is
-# built: a zeta law keeps two float64 tables of `cap` entries (160 MB at the
-# cap), and sampling a point set peaks near 120 bytes a point (120 MB), as
+# Size caps, checked before any table or array is built.  On grid configs,
+# a zeta law keeps two float64 tables of `cap` entries (160 MB at the cap),
+# and sampling a point set peaks near 120 bytes a point (120 MB), as
 # does euclid.mst_weight (its radius graph is capped at euclid._MAX_PAIRS
 # candidate pairs, about 30 MB; above that it scans rows in O(s) memory).
 # euclid.tsp_2opt tests distance blocks of at most euclid._SWEEP_BLOCK_ENTRIES
 # entries, about 7 MB with their temporaries, up to about 1.3e5 points; past
 # that one row fills a block and it peaks near 130 bytes a point (130 MB).
+# A chernoff replicate block holds the n means, their n raw-word thresholds,
+# one draw of n words and its n-byte comparison: a tracemalloc peak of 25
+# bytes a variable, so 125 MB at MAX_CHERNOFF_N.
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
+MAX_CHERNOFF_N = 5 * 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,6 +257,8 @@ def _validate_n(params, path):
 def _validate_chernoff(params, path):
     _check_keys(params, {"n", "nu", "nus"}, path)
     n = typed_field(params, "n", path, int, low=1)
+    if n > MAX_CHERNOFF_N:
+        raise SizeLimitError(f"{path}.n: above MAX_CHERNOFF_N = {MAX_CHERNOFF_N}")
     if "nus" in params:
         spec = params["nus"]
         _require(isinstance(spec, dict) and spec.get("kind") == "alternating",

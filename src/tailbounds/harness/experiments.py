@@ -6,6 +6,13 @@ which the runner computes once per replicate and writes to the record's
 seed column.  All randomness flows from that seed through counter-based
 streams, so results do not depend on execution order.
 
+A block function in REPLICATE_BLOCKS runs the replicates of a whole block
+of seeds instead, filling the record columns one replicate at a time.
+chernoff runs this way: its block builds one Philox, re-keys it with
+rng.restream for each seed, and compares raw words with per-variable
+thresholds, which gives exactly the values of a new Generator's uniforms
+compared with the means.
+
 The parameters are the validated dict of config.parse_config, so every
 domain object is built once per config and only read here:
   tsp         n_cells, count_dist, placement, max_passes
@@ -22,13 +29,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import HypothesisViolationError
 from ..euclid import mst_weight, tsp_2opt, tsp_exact, tsp_strip, TSP_EXACT_MAX_POINTS
 from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
 from ..packing import lp_round_up, solve_packing_lp
 from ..pointproc import sample_point_set
 from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit_vector
-from .rng import substream
+from .rng import restream, substream
 
 
 def _tsp_value(points, params):
@@ -84,11 +93,28 @@ def run_lis(params, seed):
     return float(lis(values)), {}
 
 
-def run_chernoff(params, seed):
-    rng = substream(seed, "chernoff")
-    nus = params["nus"]
-    draws = rng.random(params["n"]) < nus
-    return float(draws.sum() - nus.sum()), {}
+def run_chernoff_block(params, seeds, columns):
+    """Fill columns (seeds, fs, auxes) with the chernoff replicate of each
+    seed in turn, so that after a raise they hold the completed prefix.
+
+    A replicate is X = #{u_j < nu_j} - sum(nus) over the first n uniforms
+    u_j of the stream at site "chernoff".  One Philox is re-keyed for each
+    seed, and each u_j is tested as the raw word it comes from."""
+    out_seeds, fs, auxes = columns
+    nus, n = params["nus"], params["n"]
+    total = nus.sum()
+    # Generator.random on Philox returns u = (w >> 11) * 2**-53 for the raw
+    # word w.  For the integer q = w >> 11, q * 2**-53 < nu holds iff
+    # q < ceil(nu * 2**53), which holds iff w < ceil(nu * 2**53) * 2**11.
+    # Scaling by 2**53 is exact, and nu < 1 keeps the threshold below 2**64.
+    thresholds = np.ceil(nus * 2.0**53).astype(np.uint64) << 11
+    bit_generator = np.random.Philox(0)
+    for seed in seeds:
+        words = restream(bit_generator, seed, "chernoff").random_raw(n)
+        k = np.count_nonzero(words < thresholds)
+        out_seeds.append(seed)
+        fs.append(float(k - total))
+        auxes.append({})
 
 
 def run_gauss_sum(params, seed):
@@ -103,8 +129,13 @@ REPLICATE_FNS = {
     "jl": run_jl,
     "binpack": run_binpack,
     "lis": run_lis,
-    "chernoff": run_chernoff,
     "gauss_sum": run_gauss_sum,
+}
+
+# Experiments whose replicates run as one call per block of seeds; the
+# runner calls these in place of a REPLICATE_FNS entry.
+REPLICATE_BLOCKS = {
+    "chernoff": run_chernoff_block,
 }
 
 

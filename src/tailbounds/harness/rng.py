@@ -12,9 +12,10 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["substream", "derived_seed"]
+__all__ = ["substream", "restream", "derived_seed"]
 
 _SEP = b"\x1f"
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 def _digest(base_seed, tags):
@@ -31,6 +32,13 @@ def derived_seed(base_seed, replicate):
     for the per-record seed column."""
     d = _digest(base_seed, ("replicate", int(replicate)))
     return int.from_bytes(d[:8], "little")
+
+
+def _key(base_seed, tags):
+    """The two 64-bit Philox key words of (base_seed, *tags): the first 16
+    bytes of the digest, little-endian."""
+    d = _digest(base_seed, tags)
+    return int.from_bytes(d[:8], "little"), int.from_bytes(d[8:16], "little")
 
 
 class _PhiloxKey(ISeedSequence):
@@ -52,6 +60,17 @@ class _PhiloxKey(ISeedSequence):
 
 def substream(base_seed, *tags):
     """A numpy Generator on a new Philox stream keyed by (base_seed, *tags)."""
-    d = _digest(base_seed, tags)
-    key = np.frombuffer(d[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_key(base_seed, tags))))
+
+
+def restream(bit_generator, base_seed, *tags):
+    """bit_generator, a Philox, set to the state substream(base_seed, *tags)
+    starts in: that key, a zero counter, an empty buffer and no saved
+    32-bit half.  The object is reused, not copied: what it returns is
+    valid until the next call on the same bit generator."""
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": _key(base_seed, tags)},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return bit_generator

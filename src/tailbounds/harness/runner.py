@@ -24,7 +24,8 @@ from ..bounds import BoundMethod, MomentProfile, TypicalProfile, \
 from ..errors import InvalidArgumentError, OutOfRegimeError
 from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
-from .experiments import REPLICATE_FNS, experiment_extras, pre_run_gate
+from .experiments import REPLICATE_BLOCKS, REPLICATE_FNS, experiment_extras, \
+    pre_run_gate
 from .rng import derived_seed
 
 T_GRID_POINTS = 20
@@ -147,10 +148,15 @@ def records_from_csv(text):
 
 def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
     """Columns (seeds, fs, auxes) of replicates start..stop-1, one
-    derived_seed call per replicate.  The columns are filled in place, so
-    after a replicate raises, the columns passed in hold the completed
-    prefix."""
+    derived_seed call per replicate.  An experiment in REPLICATE_BLOCKS
+    runs the block in one call, any other one replicate function call per
+    replicate.  The columns are filled in place, so after a replicate
+    raises, the columns passed in hold the completed prefix."""
     seeds, fs, auxes = columns = ([], [], []) if columns is None else columns
+    if experiment in REPLICATE_BLOCKS:
+        REPLICATE_BLOCKS[experiment](
+            params, (derived_seed(base_seed, r) for r in range(start, stop)), columns)
+        return columns
     fn = REPLICATE_FNS[experiment]
     for replicate in range(start, stop):
         seed = derived_seed(base_seed, replicate)

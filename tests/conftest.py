@@ -423,3 +423,14 @@ def tau0_by_layer_oracle(n_cells, cells, cap=2 * math.sqrt(2)):
         means.append(float(np.mean(taus)))
         start += size
     return means
+
+
+def run_chernoff(params, seed):
+    """One chernoff replicate from a new Generator: the first n uniforms of
+    the stream at site "chernoff", X = #{u_j < nu_j} - sum(nus)."""
+    from tailbounds.harness.rng import substream
+
+    rng = substream(seed, "chernoff")
+    nus = params["nus"]
+    draws = rng.random(params["n"]) < nus
+    return float(draws.sum() - nus.sum()), {}

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -9,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from tailbounds import bounds, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
 from tailbounds.harness import cli, experiments
-from tailbounds.harness.config import MAX_EXPECTED_POINTS, parse_config
-from tailbounds.harness.rng import derived_seed, substream
+from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_EXPECTED_POINTS, parse_config
+from tailbounds.harness.rng import derived_seed, restream, substream
 from tailbounds.harness.runner import (
     ExperimentRecord,
     compare_bound,
@@ -34,13 +36,14 @@ from tailbounds.harness.runner import (
     run_replicates,
     scaling_study,
     summarize,
+    _replicate_block,
 )
 from tailbounds.moments import SampleMatrix
 from tailbounds.packing import lower_bound_distribution
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
-from conftest import substream_oracle
+from conftest import run_chernoff, substream_oracle
 
 
 def make_config(**overrides):
@@ -106,6 +109,32 @@ class TestRngStreams:
             interleaved_b.append(STREAM_DRAWS[name](b))
         assert _same_draws(interleaved_a, _draws(substream_oracle(seed, *tags_a), names))
         assert _same_draws(interleaved_b, _draws(substream_oracle(seed, *tags_b), names))
+
+    @pytest.mark.parametrize("dirty, left", [
+        (lambda gen: None, None),
+        (lambda gen: gen.random(3), ("buffer_pos", 3)),
+        (lambda gen: gen.integers(0, 10, size=3, dtype=np.uint32), ("has_uint32", 1)),
+    ], ids=["fresh", "partial_draw", "odd_uint32_draw"])
+    @given(seed=stream_seeds, tags=stream_tags, names=draw_names)
+    @settings(max_examples=40, deadline=None)
+    def test_restream_matches_new_substream(self, dirty, left, seed, tags, names):
+        # Re-keying a used Philox, with words left in its buffer or a
+        # saved 32-bit half, gives the state and draws of a new stream.
+        bit_generator = np.random.Philox(0)
+        dirty(np.random.Generator(bit_generator))
+        if left is not None:
+            assert bit_generator.state[left[0]] == left[1]
+        assert restream(bit_generator, seed, *tags) is bit_generator
+        new = substream(seed, *tags)
+        assert repr(bit_generator.state) == repr(new.bit_generator.state)
+        assert _same_draws(_draws(np.random.Generator(bit_generator), names),
+                           _draws(new, names))
+
+    def test_random_is_the_top_53_bits_of_each_word(self):
+        # the identity the chernoff block's raw-word test rests on
+        words = substream(5, "chernoff").bit_generator.random_raw(1000)
+        assert np.array_equal(substream(5, "chernoff").random(1000),
+                              (words >> 11) * 2.0**-53)
 
     def test_substream_deterministic(self):
         a = substream(7, "site", 3).random(5)
@@ -273,6 +302,73 @@ class TestRecordsCsv:
             records_from_csv(text)
 
 
+_NU_EDGES = (5e-324, 2.0**-53, math.nextafter(1.0, 0.0))
+chernoff_nus = st.sampled_from(_NU_EDGES) | st.floats(0, 1, exclude_min=True,
+                                                      exclude_max=True)
+
+
+class TestChernoffBlock:
+    """Chernoff replicates run as one block against the per-replicate
+    oracle run_chernoff, bit for bit."""
+
+    @given(n=st.integers(1, 2000), values=st.lists(chernoff_nus, min_size=1, max_size=5),
+           alternating=st.booleans(), base_seed=st.integers(0, 2**63 - 1),
+           start=st.integers(0, 10**6), count=st.integers(0, 12))
+    @example(n=1, values=[5e-324], alternating=False, base_seed=0, start=0, count=3)
+    @example(n=7, values=list(_NU_EDGES), alternating=True, base_seed=7, start=0, count=5)
+    @example(n=1000, values=[math.nextafter(1.0, 0.0), 2.0**-53], alternating=True,
+             base_seed=2**63 - 1, start=99, count=4)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_replicate_oracle(self, n, values, alternating, base_seed, start,
+                                          count):
+        parameters = ({"n": n, "nus": {"kind": "alternating", "values": values}}
+                      if alternating else {"n": n, "nu": values[0]})
+        params = make_config(experiment="chernoff", parameters=parameters).parameters
+        seeds, fs, auxes = _replicate_block("chernoff", params, base_seed, start,
+                                            start + count)
+        expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
+        assert seeds == expected
+        assert [f.hex() for f in fs] == [run_chernoff(params, seed)[0].hex()
+                                         for seed in expected]
+        assert auxes == [{}] * count
+
+    def test_threshold_on_crafted_words(self, monkeypatch):
+        # With K = ceil(nu * 2**53), the word K * 2**11 - 1 gives
+        # u = (K - 1) * 2**-53 < nu and the word K * 2**11 gives u >= nu.
+        means = [*_NU_EDGES, 0.3, 0.5, 1 / 3]
+        ks = [math.ceil(Fraction(nu) * 2**53) for nu in means]
+        words = np.array([w for k in ks for w in (k * 2**11 - 1, k * 2**11)], dtype=np.uint64)
+        nus = np.repeat(means, 2)
+        assert np.array_equal((words >> 11) * 2.0**-53 < nus, np.tile([True, False], len(ks)))
+
+        class CraftedWords:
+            def random_raw(self, size):
+                assert size == len(words)
+                return words
+
+        monkeypatch.setattr(experiments, "restream", lambda *args: CraftedWords())
+        columns = ([], [], [])
+        experiments.run_chernoff_block({"n": len(nus), "nus": nus}, [11], columns)
+        assert columns == ([11], [float(len(ks) - nus.sum())], [{}])
+
+    def test_raise_leaves_the_completed_prefix(self, monkeypatch):
+        calls = []
+
+        def restream_failing_third(bit_generator, seed, *tags):
+            calls.append(seed)
+            if len(calls) == 3:
+                raise RuntimeError("restream failed")
+            return restream(bit_generator, seed, *tags)
+
+        monkeypatch.setattr(experiments, "restream", restream_failing_third)
+        params = make_config(experiment="chernoff", parameters={"n": 20, "nu": 0.4}).parameters
+        columns = ([], [], [])
+        with pytest.raises(RuntimeError, match="restream failed"):
+            _replicate_block("chernoff", params, 1234, 5, 10, columns)
+        seeds = [derived_seed(1234, r) for r in (5, 6)]
+        assert columns == (seeds, [run_chernoff(params, s)[0] for s in seeds], [{}, {}])
+
+
 class TestRunExperiment:
     def test_records_in_order_and_reproducible(self, tmp_path):
         cfg = make_config()
@@ -302,6 +398,22 @@ class TestRunExperiment:
             assert [r.seed for r in records] == [derived_seed(cfg.base_seed, i)
                                                  for i in range(37)]
         assert texts[0] == texts[1]
+
+    # SHA-256 of the records CSV of two chernoff configs, as the
+    # per-replicate Generator path wrote them.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("parameters, digest", [
+        ({"n": 300, "nu": 0.3},
+         "2228a6e9fa8776313d8b6cf8a66d947a987bd160adc25cca6d0f87d01a012dbe"),
+        ({"n": 301, "nus": {"kind": "alternating",
+                            "values": [5e-324, 2.0**-53, 0.3, math.nextafter(1.0, 0.0)]}},
+         "0017610bc60a083421ad85faee709471c76eeb6558d04b1cfd2fe072efe5618f"),
+    ], ids=["nu", "nus"])
+    def test_chernoff_records_are_pinned(self, parameters, digest, workers):
+        cfg = make_config(experiment="chernoff", replicates=50, base_seed=20261019,
+                          parameters=parameters)
+        text = records_to_csv(run_replicates(cfg, workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_single_replicate_sd_undefined(self):
         cfg = make_config(replicates=1)
@@ -648,6 +760,50 @@ class TestCli:
         assert peak < 10**6
 
     @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"],
+        ["scale", "{cfg}", "--n-list", "10", "20", str(MAX_CHERNOFF_N + 1)],
+    ], ids=["run", "scale"])
+    @pytest.mark.parametrize("parameters", [
+        {"n": MAX_CHERNOFF_N + 1, "nu": 0.5},
+        {"n": 10**400, "nus": {"kind": "alternating", "values": [0.2, 0.7]}},
+    ], ids=["nu", "nus"])
+    def test_oversized_chernoff_refused_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                          argv, parameters):
+        def spy(real, size_at):
+            def allocate(*args, **kwargs):
+                assert args[size_at] <= MAX_CHERNOFF_N, \
+                    "an array of n means was built before the size check"
+                return real(*args, **kwargs)
+            return allocate
+
+        monkeypatch.setattr(np, "full", spy(np.full, 0))
+        monkeypatch.setattr(np, "resize", spy(np.resize, 1))
+        if argv[0] == "scale":
+            parameters = {**parameters, "n": 10}
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "chernoff",
+                                   "replicates": 100, "parameters": parameters}))
+        tracemalloc.start()
+        try:
+            code = cli.main([arg.format(cfg=cfg) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert f"$.parameters.n: above MAX_CHERNOFF_N = {MAX_CHERNOFF_N}" in err
+        assert peak < 10**6
+
+    def test_chernoff_n_cap_is_inclusive(self):
+        raw = {"schema_version": 1, "experiment": "chernoff", "replicates": 1,
+               "parameters": {"n": MAX_CHERNOFF_N}}
+        assert len(parse_config(raw).parameters["nus"]) == MAX_CHERNOFF_N
+        raw["parameters"]["n"] += 1
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: "):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("argv", [
         ["--n", str(MAX_CURVE_ORDER + 2)],
         ["--n", "10", "--m-max", str(MAX_CURVE_ORDER + 2)],
     ])
@@ -914,9 +1070,10 @@ def test_package_imports_no_scipy():
 
 
 # Sizes for --n and --m-max: invalid, small, the recursion's first order
-# past its matrix cap, and past MAX_CURVE_ORDER and every other cap.
+# past its matrix cap, past MAX_CURVE_ORDER and every other cap, one whose
+# closed-form moment bound overflows a double, and one no double holds.
 _FUZZ_SIZES = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 16, 1001, 2896, MAX_CURVE_ORDER + 2,
-                               2**63])
+                               2**63, 10**308, 10**400])
 
 
 @pytest.fixture(scope="module")
@@ -958,6 +1115,13 @@ class TestCliBadInput:
           "--sigma2", "1"], "--sigma2: not read by --method theorem1-recursion"),
         (["--method", "theorem1-closed", "--n", "10", "--t", "5", "--nu", "1"],
          "--nu: not read by --method theorem1-closed"),
+        # An --n no double holds, and one whose closed-form bound overflows.
+        (["--method", "chernoff-corollary", "--n", str(10**400), "--sigma2", "1", "--t", "5"],
+         "argument --n: must be an integer a float can hold"),
+        (["--method", "theorem1-closed", "--n", str(10**400), "--m-max", "4", "--t", "5"],
+         "argument --n: must be an integer a float can hold"),
+        (["--method", "theorem1-closed", "--n", str(10**308), "--m-max", "4", "--t", "5"],
+         "the log moment bound overflows a double"),
     ])
     def test_bound_arguments(self, argv, named):
         code, _, err = run_cli("bound", *argv)
