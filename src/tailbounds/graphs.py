@@ -125,27 +125,6 @@ def chromatic_greedy(G: Graph, order=None):
     return used
 
 
-def _dsatur_greedy(masks, n):
-    if n == 0:
-        return 0, []
-    color = [-1] * n
-    sat = [0] * n  # bitmask of neighbor colors
-    degs = [bin(m).count("1") for m in masks]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] < 0),
-            key=lambda u: (bin(sat[u]).count("1"), degs[u], -u),
-        )
-        c = 0
-        while sat[v] >> c & 1:
-            c += 1
-        color[v] = c
-        for u in range(n):
-            if masks[v] >> u & 1 and color[u] < 0:
-                sat[u] |= 1 << c
-    return max(color) + 1, color
-
-
 def _greedy_clique(masks, n):
     best = 0
     order = sorted(range(n), key=lambda v: -bin(masks[v]).count("1"))
@@ -164,7 +143,12 @@ def _greedy_clique(masks, n):
 
 
 def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
-    """Exact chromatic number by DSATUR-seeded branch and bound.
+    """Exact chromatic number by DSATUR branch and bound.
+
+    The search colours the uncoloured vertex of most saturated colours
+    (ties: higher degree, then lower index) with each colour in ascending
+    order, so its first leaf is the DSATUR colouring.  It stops when the
+    best colouring reaches the greedy clique bound.
 
     Raises SizeLimitError above the vertex cap or when the branch and bound
     runs past CHROMATIC_TIME_BUDGET seconds, so callers never silently get
@@ -173,15 +157,10 @@ def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
     n = G.n
     if n > cap:
         raise SizeLimitError(f"exact coloring capped at {cap} vertices, got {n}")
-    if n == 0:
-        return 0
     masks = G.neighbor_masks()
-    ub, _ = _dsatur_greedy(masks, n)
     lb = _greedy_clique(masks, n)
-    if lb == ub:
-        return ub
     deadline = time.monotonic() + CHROMATIC_TIME_BUDGET
-    best = ub
+    best = n + 1
     color = [-1] * n
     sat = [0] * n
     degs = [bin(m).count("1") for m in masks]
@@ -192,7 +171,7 @@ def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
         counter[0] += 1
         if counter[0] % 2048 == 0 and time.monotonic() > deadline:
             raise SizeLimitError("exact coloring exceeded its time budget")
-        if used >= best:
+        if used >= best or best == lb:
             return
         if colored == n:
             best = used

@@ -32,13 +32,18 @@ EXIT_SIZE = 4
 # The options each bound method reads, by argparse dest; all but m_max are
 # required.  A set option that the method does not read is refused.
 METHOD_OPTIONS = {
-    "chernoff-corollary": ("n", "sigma2"),
-    "general-chernoff": ("nu",),
     "theorem1-closed": ("n", "m_max"),
     "theorem1-recursion": ("profile", "m_max"),
     "main": ("profile", "m_max"),
+    "chernoff-corollary": ("n", "sigma2"),
+    "general-chernoff": ("nu",),
 }
 BOUND_OPTIONS = ("profile", "n", "sigma2", "nu", "m_max")
+
+# Cap on a profile's (variable, order) entries over M, L and delta, checked
+# before any is expanded.  Loading peaks near 130 bytes an entry under
+# tracemalloc, 180 just past a dict resize, so at most about 110 MB.
+MAX_PROFILE_ENTRIES = 600_000
 
 
 def _values_map(n, spec, path):
@@ -71,6 +76,11 @@ def load_profile(path):
     if "n" not in raw or "M" not in raw:
         raise ConfigError("$", "profile file needs 'n' and 'M'")
     n = typed_field(raw, "n", "$", int, low=1)
+    orders = sum(len(raw[key]) for key in ("M", "L", "delta")
+                 if isinstance(raw.get(key), dict))
+    if n * orders > MAX_PROFILE_ENTRIES:
+        raise SizeLimitError(f"$.n: n times the orders of M, L and delta is {n * orders}, "
+                             f"above MAX_PROFILE_ENTRIES = {MAX_PROFILE_ENTRIES}")
     base = MomentProfile.from_values(n, _values_map(n, raw["M"], "$.M"))
     if "L" in raw or "delta" in raw:
         if not ("L" in raw and "delta" in raw):
@@ -216,10 +226,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate a tail bound")
-    p_bound.add_argument("--method", required=True,
-                         choices=["theorem1-closed", "theorem1-recursion",
-                                  "main", "chernoff-corollary",
-                                  "general-chernoff"])
+    p_bound.add_argument("--method", required=True, choices=METHOD_OPTIONS)
     p_bound.add_argument("--profile", help="JSON moment-profile file")
     p_bound.add_argument("--t", type=_finite_float, required=True)
     p_bound.add_argument("--n", type=_float_sized_int)

@@ -22,9 +22,6 @@ from ..seq import RadialBetaMixture, SphereUniform
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("tsp", "mwst", "chromatic", "jl", "binpack", "lis", "chernoff",
-               "gauss_sum")
-
 _REQUIRED = object()
 
 # Size caps, checked before any table or array is built.  On grid configs,
@@ -308,8 +305,8 @@ def parse_config(raw: dict):
     _require(version == SCHEMA_VERSION, "$.schema_version",
              f"must be {SCHEMA_VERSION}")
     exp = raw.get("experiment")
-    _require(exp in EXPERIMENTS, "$.experiment",
-             f"must be one of {', '.join(EXPERIMENTS)}")
+    _require(isinstance(exp, str) and exp in _VALIDATORS, "$.experiment",
+             f"must be one of {', '.join(_VALIDATORS)}")
     replicates = typed_field(raw, "replicates", "$", int, low=1)
     base_seed = typed_field(raw, "base_seed", "$", int, default=0)
     params = raw.get("parameters", {})

@@ -21,7 +21,7 @@ import numpy as np
 from ..bounds import BoundMethod, MomentProfile, TypicalProfile, \
     chernoff_corollary_bound, general_chernoff_bound, jl_envelope_curve, \
     main_theorem_curve, tail_bound, theorem1_closed_curve, theorem1_recursion_curve
-from ..errors import InvalidArgumentError, OutOfRegimeError
+from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError
 from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import REPLICATE_BLOCKS, REPLICATE_FNS, experiment_extras, \
@@ -381,6 +381,11 @@ class ScalingRow:
     sd: float
 
 
+def _scaling_row(config, n, workers):
+    fs = np.array([rec.f for rec in run_replicates(config, workers=workers)])
+    return ScalingRow(n=int(n), mean=float(fs.mean()), sd=float(fs.std(ddof=1)))
+
+
 @dataclass
 class ScalingStudy:
     rows: list
@@ -389,19 +394,27 @@ class ScalingStudy:
 
 
 def scaling_study(config: ExperimentConfig, n_list, workers=1):
-    """Run the experiment at each n and fit the log-sd versus log-n slope."""
-    if len(n_list) < 3:
-        raise InvalidArgumentError("need at least 3 sizes for a slope fit")
+    """Run the experiment at each n and fit the log-sd versus log-n slope.
+
+    Every size is validated and passed through pre_run_gate before any
+    replicate runs, as run_experiment gates its one size.  Each size's
+    validated config is built again when that size runs, so the study
+    holds one size's arrays at a time."""
+    if config.replicates < 2:
+        raise ConfigError("$.replicates", "must be >= 2 for a scaling study, "
+                                          "which needs each size's sd")
+    distinct = len(set(n_list))
+    if distinct < 3:
+        raise InvalidArgumentError("--n-list: need at least 3 distinct sizes for a "
+                                   f"slope fit, got {distinct}")
     key = SCALE_KEYS[config.experiment]
-    # Every size is validated before any runs.
-    subs = [with_parameters(config, {**config.raw_parameters, key: int(n)})
-            for n in n_list]
-    rows = []
-    for n, sub in zip(n_list, subs):
-        records = run_replicates(sub, workers=workers)
-        fs = np.array([rec.f for rec in records])
-        rows.append(ScalingRow(n=int(n), mean=float(fs.mean()),
-                               sd=float(fs.std(ddof=1))))
+
+    def at_size(n):
+        return with_parameters(config, {**config.raw_parameters, key: int(n)})
+
+    for n in n_list:
+        pre_run_gate(at_size(n))
+    rows = [_scaling_row(at_size(n), n, workers) for n in n_list]
     xs = np.log([row.n for row in rows])
     ys = np.log([max(row.sd, 1e-300) for row in rows])
     xbar = xs.mean()

@@ -68,20 +68,13 @@ def essential_mask(values):
     """Boolean mask of positions whose removal shortens the LIS, i.e. the
     positions present in every maximum-length increasing subsequence.
 
-    Uses the rank decomposition when values are distinct (a position is
-    essential iff it is the unique member of its forward-rank class among
-    positions on maximum chains); falls back to remove-and-recompute when
-    duplicates are present, where rank classes are unreliable.
+    Under the module's comparison rule the forward ranks are exact chain
+    lengths, ties included, and every maximum chain holds exactly one
+    on-chain position of each rank 1..length.  So a position is essential
+    iff it is the only position of its forward rank on a maximum chain.
     """
     values = list(values)
     n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if len(set(values)) != n:
-        base = lis(values)
-        return np.array(
-            [lis(values[:j] + values[j + 1:]) == base - 1 for j in range(n)]
-        )
     length, fwd, bwd = lis_positions(values)
     on_chain = [fwd[j] + bwd[j] - 1 == length for j in range(n)]
     rank_count = {}
@@ -89,7 +82,7 @@ def essential_mask(values):
         if on_chain[j]:
             rank_count[fwd[j]] = rank_count.get(fwd[j], 0) + 1
     return np.array(
-        [on_chain[j] and rank_count[fwd[j]] == 1 for j in range(n)]
+        [on_chain[j] and rank_count[fwd[j]] == 1 for j in range(n)], dtype=bool
     )
 
 

@@ -83,6 +83,12 @@ class TestChromaticExact:
         p = float(rng.uniform(0.1, 0.9))
         g = sample_graph(EdgeProbabilityMatrix.uniform(n, p), seed)
         assert chromatic_exact(g) == chromatic_brute(g.adj)
+        # the zero-vertex graph, and sizes 0-15 at any density
+        assert chromatic_exact(Graph(adj=np.zeros((0, 0), dtype=bool))) == 0
+        n = int(rng.integers(0, 16))
+        g = sample_graph(EdgeProbabilityMatrix.uniform(n, float(rng.uniform(0.05, 0.95))),
+                         seed)
+        assert chromatic_exact(g) == chromatic_brute(g.adj)
 
     def test_size_cap(self):
         g = Graph(adj=np.zeros((31, 31), dtype=bool))

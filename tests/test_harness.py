@@ -173,9 +173,13 @@ class TestConfigSchema:
                           "parameters": {"n": 5}})
 
     def test_unknown_experiment(self):
-        with pytest.raises(ConfigError, match="experiment"):
-            parse_config({"schema_version": 1, "experiment": "nope",
-                          "replicates": 1, "base_seed": 0, "parameters": {}})
+        # a non-string value is refused with the same message, not a TypeError
+        for experiment in ["nope", [], {"kind": "lis"}, None, 3]:
+            with pytest.raises(ConfigError) as info:
+                parse_config({"schema_version": 1, "experiment": experiment,
+                              "replicates": 1, "base_seed": 0, "parameters": {}})
+            assert str(info.value) == ("$.experiment: must be one of tsp, mwst, "
+                                       "chromatic, jl, binpack, lis, chernoff, gauss_sum")
 
     def test_tsp_requires_perfect_square(self):
         with pytest.raises(ConfigError, match="n_cells"):
@@ -669,6 +673,29 @@ class TestScalingStudy:
         with pytest.raises(InvalidArgumentError):
             scaling_study(cfg, [100, 400])
 
+    def test_holds_one_size_at_a_time(self, monkeypatch):
+        # each chernoff size holds 8 bytes a variable once validated; the
+        # study must not keep every size's config while the sizes run
+        from tailbounds.harness import runner
+
+        sizes = [10**6, 11 * 10**5, 12 * 10**5]
+        peaks = []
+
+        def measured(config, workers=1):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return [ExperimentRecord("chernoff", r, r, "h", float(r), {}) for r in range(2)]
+
+        monkeypatch.setattr(runner, "run_replicates", measured)
+        cfg = make_config(experiment="chernoff", replicates=2, parameters={"n": 10})
+        tracemalloc.start()
+        try:
+            study = scaling_study(cfg, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.n for row in study.rows] == sizes and len(peaks) == 3
+        assert peak < 1.5 * 8 * max(sizes)
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -950,10 +977,81 @@ class TestCli:
         }))
         code = cli.main(["scale", str(cfg), "--n-list", "100", "400", "900"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         assert len(payload["rows"]) == 3
         assert 0.3 < payload["slope"] < 0.7
 
+
+    def test_scale_runs_the_hypothesis_gate(self, tmp_path, monkeypatch):
+        # the config test_hypothesis_violation_exit_code refuses from run
+        ran = []
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "jl",
+                            lambda params, seed: ran.append(seed) or (1.0, {}))
+        cfg = tmp_path / "jl.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "jl", "replicates": 5,
+            "base_seed": 0,
+            "parameters": {"n": 200, "k": 60, "gate_samples": 1500,
+                           "family": {"kind": "radial_beta", "scale": 4.0,
+                                      "a": 0.5, "b": 0.5}},
+        }))
+        code, stdout, err = run_cli("scale", str(cfg), "--n-list", "200", "400", "800")
+        assert code == 3
+        assert "projection hypotheses violated" in err and "Traceback" not in err
+        assert stdout == ""
+        assert ran == []
+
+    @pytest.mark.parametrize("replicates, n_list, named", [
+        (1, ["10", "20", "40"], "$.replicates: must be >= 2"),
+        (5, ["10", "10", "20"], "--n-list: need at least 3 distinct sizes"),
+        (5, ["10", "10", "10"], "--n-list: need at least 3 distinct sizes"),
+    ])
+    def test_scale_refuses_what_has_no_slope(self, tmp_path, monkeypatch, replicates,
+                                             n_list, named):
+        # one replicate has no sd and repeated sizes no slope: both printed NaN
+        ran = []
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis",
+                            lambda params, seed: ran.append(seed) or (1.0, {}))
+        cfg = tmp_path / "lis.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
+                                   "replicates": replicates, "parameters": {"n": 10}}))
+        code, stdout, err = run_cli("scale", str(cfg), "--n-list", *n_list)
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert stdout == "" and "NaN" not in err
+        assert ran == []
+
+    def test_oversized_profile_refused_before_allocating(self, tmp_path, monkeypatch):
+        def expand(*args):
+            raise AssertionError("a profile was expanded before the size check")
+
+        monkeypatch.setattr(cli, "_values_map", expand)
+        profile = tmp_path / "big.json"
+        profile.write_text(json.dumps({"n": 10**9, "M": {"2": 1.0, "4": 3.0}}))
+        tracemalloc.start()
+        try:
+            code, stdout, err = run_cli("bound", "--method", "theorem1-recursion",
+                                        "--profile", str(profile), "--t", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "Traceback" not in err and stdout == ""
+        assert f"$.n: n times the orders of M, L and delta is {2 * 10**9}" in err
+        assert f"MAX_PROFILE_ENTRIES = {cli.MAX_PROFILE_ENTRIES}" in err
+        assert peak < 10**6
+
+    def test_profile_entry_cap_is_inclusive(self, tmp_path, monkeypatch):
+        # 2 variables x 2 orders in each of M, L and delta: 12 entries
+        monkeypatch.setattr(cli, "MAX_PROFILE_ENTRIES", 12)
+        profile = tmp_path / "typ.json"
+        raw = {"n": 2, "M": {"2": 4.0, "4": 40.0}, "L": {"2": 1.0, "4": 9.0},
+               "delta": {"2": 0.01, "4": 0.02}}
+        profile.write_text(json.dumps(raw))
+        assert cli.load_profile(str(profile)).base.n == 2
+        profile.write_text(json.dumps({**raw, "n": 3}))
+        with pytest.raises(SizeLimitError, match=r"\$\.n: .* is 18, above "):
+            cli.load_profile(str(profile))
 
     def test_scale_out_checked_before_first_replicate(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -1043,6 +1141,7 @@ def test_cli_in_a_fresh_interpreter(tmp_path, command):
     fresh = run_python("-m", "tailbounds.harness.cli", *argv)
     assert fresh[0] == 0, fresh[2]
     assert fresh == run_cli(*argv)
+    strict_json(fresh[1])
 
 
 def test_every_exported_name_resolves():
@@ -1122,6 +1221,10 @@ class TestCliBadInput:
          "argument --n: must be an integer a float can hold"),
         (["--method", "theorem1-closed", "--n", str(10**308), "--m-max", "4", "--t", "5"],
          "the log moment bound overflows a double"),
+        # argparse lists the choices in the METHOD_OPTIONS order
+        (["--method", "bogus", "--t", "5"],
+         "argument --method: invalid choice: 'bogus' (choose from 'theorem1-closed', "
+         "'theorem1-recursion', 'main', 'chernoff-corollary', 'general-chernoff')\n"),
     ])
     def test_bound_arguments(self, argv, named):
         code, _, err = run_cli("bound", *argv)

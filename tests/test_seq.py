@@ -75,10 +75,16 @@ class TestEssentialMask:
     def test_matches_removal_definition(self, seed):
         rng = np.random.default_rng(4000 + seed)
         values = rng.random(int(rng.integers(1, 11))).tolist()
-        base = lis(values)
-        removal = [lis(values[:j] + values[j + 1:]) == base - 1
-                   for j in range(len(values))]
-        assert essential_mask(values).tolist() == removal
+        # the empty sequence, and tie-heavy integer sequences: lengths 1-30
+        # over 1-7 distinct values
+        ties = [rng.integers(0, rng.integers(1, 8), rng.integers(1, 31)).tolist()
+                for _ in range(20)]
+        for values in [values, [], *ties]:
+            base = lis(values)
+            removal = [lis(values[:j] + values[j + 1:]) == base - 1
+                       for j in range(len(values))]
+            mask = essential_mask(values)
+            assert mask.dtype == bool and mask.tolist() == removal
 
     def test_duplicate_values_fall_back(self):
         values = [0.5, 0.5, 0.2]
