@@ -34,10 +34,14 @@ _REQUIRED = object()
 # that one row fills a block and it peaks near 130 bytes a point (130 MB).
 # A chernoff replicate block holds the n means, their n raw-word thresholds,
 # one draw of n words and its n-byte comparison: a tracemalloc peak of 25
-# bytes a variable, so 125 MB at MAX_CHERNOFF_N.
+# bytes a variable, so 125 MB at MAX_CHERNOFF_N.  A gauss_sum or lis
+# replicate holds one draw of n float64 values (lis adds its patience
+# piles, about 2 sqrt(n) entries): a tracemalloc peak of 8.0 to 8.2 bytes
+# a variable, so about 80 MB at MAX_SEQUENCE_N.
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
 MAX_CHERNOFF_N = 5 * 10**6
+MAX_SEQUENCE_N = 10**7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,7 +252,10 @@ def _validate_binpack(params, path):
 
 def _validate_n(params, path):
     _check_keys(params, {"n"}, path)
-    return {"n": typed_field(params, "n", path, int, low=1)}
+    n = typed_field(params, "n", path, int, low=1)
+    if n > MAX_SEQUENCE_N:
+        raise SizeLimitError(f"{path}.n: above MAX_SEQUENCE_N = {MAX_SEQUENCE_N}")
+    return {"n": n}
 
 
 def _validate_chernoff(params, path):

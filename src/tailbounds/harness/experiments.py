@@ -1,17 +1,23 @@
 """Per-experiment replicate functions.
 
-Each replicate function maps (parameters, seed) to a functional value
-plus auxiliary metrics.  The seed is derived_seed(base_seed, replicate),
-which the runner computes once per replicate and writes to the record's
-seed column.  All randomness flows from that seed through counter-based
-streams, so results do not depend on execution order.
+A replicate function in REPLICATE_FNS maps (parameters, seed) to a
+functional value plus auxiliary metrics.  The seed is
+derived_seed(base_seed, replicate), which the runner takes from
+rng.derived_seeds and writes to the record's seed column.  All randomness
+flows from that seed through counter-based streams, so results do not
+depend on execution order.  tsp, mwst, chromatic and jl run this way:
+their samplers key their own stream sites.
 
 A block function in REPLICATE_BLOCKS runs the replicates of a whole block
 of seeds instead, filling the record columns one replicate at a time.
-chernoff runs this way: its block builds one Philox, re-keys it with
-rng.restream for each seed, and compares raw words with per-variable
-thresholds, which gives exactly the values of a new Generator's uniforms
-compared with the means.
+gauss_sum, lis and binpack each draw from one stream site ("gauss", "lis"
+and "binpack"): their blocks, made by stream_block, build one Philox and
+one Generator on it, re-key the Philox with rng.restream for each seed and
+call the replicate function with (parameters, Generator).  Their draws
+are those of a new substream(seed, site).  chernoff re-keys one Philox in
+the same way but builds no Generator: it compares raw words with
+per-variable thresholds, which gives exactly the values of a new
+Generator's uniforms compared with the means.
 
 The parameters are the validated dict of config.parse_config, so every
 domain object is built once per config and only read here:
@@ -37,7 +43,7 @@ from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
 from ..packing import lp_round_up, solve_packing_lp
 from ..pointproc import sample_point_set
 from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit_vector
-from .rng import restream, substream
+from .rng import restream
 
 
 def _tsp_value(points, params):
@@ -80,15 +86,13 @@ def run_jl(params, seed):
     return stat.total, {"centered": stat.centered}
 
 
-def run_binpack(params, seed):
-    rng = substream(seed, "binpack")
+def run_binpack(params, rng):
     counts = params["dist"].sample_counts(rng, params["n_items"])
     sol = solve_packing_lp(params["bin_types"], counts.tolist())
     return sol.value, {"rounded": lp_round_up(sol), "duality_gap": sol.duality_gap}
 
 
-def run_lis(params, seed):
-    rng = substream(seed, "lis")
+def run_lis(params, rng):
     values = rng.random(params["n"])
     return float(lis(values)), {}
 
@@ -117,9 +121,25 @@ def run_chernoff_block(params, seeds, columns):
         auxes.append({})
 
 
-def run_gauss_sum(params, seed):
-    rng = substream(seed, "gauss")
+def run_gauss_sum(params, rng):
     return float(rng.standard_normal(params["n"]).sum()), {}
+
+
+def stream_block(site, replicate):
+    """The block function that runs replicate(params, rng) for each seed,
+    with rng one Generator whose Philox is re-keyed to (seed, site)."""
+    def run_block(params, seeds, columns):
+        out_seeds, fs, auxes = columns
+        bit_generator = np.random.Philox(0)
+        rng = np.random.Generator(bit_generator)
+        for seed in seeds:
+            restream(bit_generator, seed, site)
+            f, aux = replicate(params, rng)
+            out_seeds.append(seed)
+            fs.append(float(f))
+            auxes.append(aux)
+
+    return run_block
 
 
 REPLICATE_FNS = {
@@ -127,15 +147,15 @@ REPLICATE_FNS = {
     "mwst": run_mwst,
     "chromatic": run_chromatic,
     "jl": run_jl,
-    "binpack": run_binpack,
-    "lis": run_lis,
-    "gauss_sum": run_gauss_sum,
 }
 
 # Experiments whose replicates run as one call per block of seeds; the
 # runner calls these in place of a REPLICATE_FNS entry.
 REPLICATE_BLOCKS = {
     "chernoff": run_chernoff_block,
+    "binpack": stream_block("binpack", run_binpack),
+    "lis": stream_block("lis", run_lis),
+    "gauss_sum": stream_block("gauss", run_gauss_sum),
 }
 
 

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["substream", "restream", "derived_seed"]
+__all__ = ["substream", "restream", "derived_seed", "derived_seeds"]
 
 _SEP = b"\x1f"
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -32,6 +32,18 @@ def derived_seed(base_seed, replicate):
     for the per-record seed column."""
     d = _digest(base_seed, ("replicate", int(replicate)))
     return int.from_bytes(d[:8], "little")
+
+
+def derived_seeds(base_seed, start, stop):
+    """derived_seed(base_seed, r) for r in range(start, stop), in order.
+
+    The digest prefix of base_seed and "replicate" is hashed once; each
+    seed extends a copy of it by the replicate index."""
+    prefix = hashlib.sha256(str(int(base_seed)).encode() + _SEP + b"replicate" + _SEP)
+    for replicate in range(start, stop):
+        h = prefix.copy()
+        h.update(str(replicate).encode())
+        yield int.from_bytes(h.digest()[:8], "little")
 
 
 def _key(base_seed, tags):

@@ -26,7 +26,7 @@ from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import REPLICATE_BLOCKS, REPLICATE_FNS, experiment_extras, \
     pre_run_gate
-from .rng import derived_seed
+from .rng import derived_seeds
 
 T_GRID_POINTS = 20
 T_GRID_LO = 0.5   # in units of the empirical standard deviation
@@ -147,21 +147,21 @@ def records_from_csv(text):
 
 
 def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
-    """Columns (seeds, fs, auxes) of replicates start..stop-1, one
-    derived_seed call per replicate.  An experiment in REPLICATE_BLOCKS
-    runs the block in one call, any other one replicate function call per
+    """Columns (seeds, fs, auxes) of replicates start..stop-1, their seeds
+    from rng.derived_seeds.  An experiment in REPLICATE_BLOCKS runs the
+    block in one call, any other one replicate function call per
     replicate.  The columns are filled in place, so after a replicate
     raises, the columns passed in hold the completed prefix."""
-    seeds, fs, auxes = columns = ([], [], []) if columns is None else columns
+    seeds = derived_seeds(base_seed, start, stop)
+    columns = ([], [], []) if columns is None else columns
     if experiment in REPLICATE_BLOCKS:
-        REPLICATE_BLOCKS[experiment](
-            params, (derived_seed(base_seed, r) for r in range(start, stop)), columns)
+        REPLICATE_BLOCKS[experiment](params, seeds, columns)
         return columns
     fn = REPLICATE_FNS[experiment]
-    for replicate in range(start, stop):
-        seed = derived_seed(base_seed, replicate)
+    out_seeds, fs, auxes = columns
+    for seed in seeds:
         f, aux = fn(params, seed)
-        seeds.append(seed)
+        out_seeds.append(seed)
         fs.append(float(f))
         auxes.append(aux)
     return columns

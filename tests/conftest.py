@@ -434,3 +434,35 @@ def run_chernoff(params, seed):
     nus = params["nus"]
     draws = rng.random(params["n"]) < nus
     return float(draws.sum() - nus.sum()), {}
+
+
+def run_gauss_sum(params, seed):
+    """One gauss_sum replicate from a new Generator: the sum of the first
+    n standard normals of the stream at site "gauss"."""
+    from tailbounds.harness.rng import substream
+
+    rng = substream(seed, "gauss")
+    return float(rng.standard_normal(params["n"]).sum()), {}
+
+
+def run_lis(params, seed):
+    """One lis replicate from a new Generator: the LIS length of the first
+    n uniforms of the stream at site "lis"."""
+    from tailbounds.harness.rng import substream
+    from tailbounds.seq import lis
+
+    rng = substream(seed, "lis")
+    values = rng.random(params["n"])
+    return float(lis(values)), {}
+
+
+def run_binpack(params, seed):
+    """One binpack replicate from a new Generator: the packing LP of the
+    item counts drawn from the stream at site "binpack"."""
+    from tailbounds.harness.rng import substream
+    from tailbounds.packing import lp_round_up, solve_packing_lp
+
+    rng = substream(seed, "binpack")
+    counts = params["dist"].sample_counts(rng, params["n_items"])
+    sol = solve_packing_lp(params["bin_types"], counts.tolist())
+    return sol.value, {"rounded": lp_round_up(sol), "duality_gap": sol.duality_gap}

@@ -25,8 +25,9 @@ from tailbounds import bounds, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
 from tailbounds.harness import cli, experiments
-from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_EXPECTED_POINTS, parse_config
-from tailbounds.harness.rng import derived_seed, restream, substream
+from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_EXPECTED_POINTS, \
+    MAX_SEQUENCE_N, parse_config
+from tailbounds.harness.rng import derived_seed, derived_seeds, restream, substream
 from tailbounds.harness.runner import (
     ExperimentRecord,
     compare_bound,
@@ -43,7 +44,7 @@ from tailbounds.packing import lower_bound_distribution
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
-from conftest import run_chernoff, substream_oracle
+from conftest import run_binpack, run_chernoff, run_gauss_sum, run_lis, substream_oracle
 
 
 def make_config(**overrides):
@@ -119,16 +120,17 @@ class TestRngStreams:
     @settings(max_examples=40, deadline=None)
     def test_restream_matches_new_substream(self, dirty, left, seed, tags, names):
         # Re-keying a used Philox, with words left in its buffer or a
-        # saved 32-bit half, gives the state and draws of a new stream.
+        # saved 32-bit half, gives the state and draws of a new stream,
+        # drawn through the Generator that was built on it before.
         bit_generator = np.random.Philox(0)
-        dirty(np.random.Generator(bit_generator))
+        generator = np.random.Generator(bit_generator)
+        dirty(generator)
         if left is not None:
             assert bit_generator.state[left[0]] == left[1]
         assert restream(bit_generator, seed, *tags) is bit_generator
         new = substream(seed, *tags)
         assert repr(bit_generator.state) == repr(new.bit_generator.state)
-        assert _same_draws(_draws(np.random.Generator(bit_generator), names),
-                           _draws(new, names))
+        assert _same_draws(_draws(generator, names), _draws(new, names))
 
     def test_random_is_the_top_53_bits_of_each_word(self):
         # the identity the chernoff block's raw-word test rests on
@@ -153,6 +155,13 @@ class TestRngStreams:
         assert derived_seed(0, 0) == derived_seed(0, 0)
         assert derived_seed(0, 0) != derived_seed(0, 1)
         assert derived_seed(1234, 7) == 4986012981735075401
+
+    @pytest.mark.parametrize("base_seed", [0, 1, -7, 2**63 - 1, 2**64 - 1])
+    @pytest.mark.parametrize("start, stop", [
+        (0, 0), (0, 25), (9, 10), (10**6 - 5, 10**6 + 5), (2**63 - 3, 2**63 + 2)])
+    def test_derived_seeds_match_derived_seed(self, base_seed, start, stop):
+        assert list(derived_seeds(base_seed, start, stop)) == \
+            [derived_seed(base_seed, r) for r in range(start, stop)]
 
 
 class TestConfigSchema:
@@ -373,6 +382,54 @@ class TestChernoffBlock:
         assert columns == (seeds, [run_chernoff(params, s)[0] for s in seeds], [{}, {}])
 
 
+STREAM_BLOCK_ORACLES = {"gauss_sum": run_gauss_sum, "lis": run_lis, "binpack": run_binpack}
+
+
+def _stream_block_parameters(experiment, size):
+    if experiment == "binpack":
+        return {"dist": {"kind": "lower_bound", "k": 4 + size % 4}, "n_items": size}
+    return {"n": size}
+
+
+class TestStreamBlocks:
+    """gauss_sum, lis and binpack blocks, run on one re-keyed Generator,
+    against their per-replicate oracles, bit for bit."""
+
+    @pytest.mark.parametrize("experiment", sorted(STREAM_BLOCK_ORACLES))
+    @given(size=st.integers(1, 300), base_seed=st.integers(0, 2**63 - 1),
+           start=st.integers(0, 10**6), count=st.integers(0, 12))
+    @example(size=1, base_seed=0, start=0, count=3)
+    @example(size=300, base_seed=2**63 - 1, start=10**6, count=12)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_replicate_oracle(self, experiment, size, base_seed, start, count):
+        params = make_config(experiment=experiment, parameters=_stream_block_parameters(
+            experiment, size)).parameters
+        seeds, fs, auxes = _replicate_block(experiment, params, base_seed, start,
+                                            start + count)
+        expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
+        oracle = [STREAM_BLOCK_ORACLES[experiment](params, seed) for seed in expected]
+        assert seeds == expected
+        assert [f.hex() for f in fs] == [float(f).hex() for f, _ in oracle]
+        assert auxes == [aux for _, aux in oracle]
+
+    def test_raise_leaves_the_completed_prefix(self, monkeypatch):
+        calls = []
+
+        def restream_failing_third(bit_generator, seed, *tags):
+            calls.append(seed)
+            if len(calls) == 3:
+                raise RuntimeError("restream failed")
+            return restream(bit_generator, seed, *tags)
+
+        monkeypatch.setattr(experiments, "restream", restream_failing_third)
+        params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
+        columns = ([], [], [])
+        with pytest.raises(RuntimeError, match="restream failed"):
+            _replicate_block("gauss_sum", params, 1234, 5, 10, columns)
+        seeds = [derived_seed(1234, r) for r in (5, 6)]
+        assert columns == (seeds, [run_gauss_sum(params, s)[0] for s in seeds], [{}, {}])
+
+
 class TestRunExperiment:
     def test_records_in_order_and_reproducible(self, tmp_path):
         cfg = make_config()
@@ -419,6 +476,24 @@ class TestRunExperiment:
         text = records_to_csv(run_replicates(cfg, workers=workers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # SHA-256 of the records CSV of one gauss_sum, lis and binpack config,
+    # as the per-replicate Generator path wrote them.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("experiment, parameters, replicates, digest", [
+        ("gauss_sum", {"n": 37}, 50,
+         "e1063a04567690e749571b39aa6999c9315fb2db8b9bde7b89e365eee4b2963b"),
+        ("lis", {"n": 60}, 50,
+         "f75b050c5271c542900eff17852f51e7f0958492579cbd5ea488b594e17daebc"),
+        ("binpack", {"dist": {"kind": "lower_bound", "k": 5}, "n_items": 200}, 30,
+         "70500e6539c21d62ae0dbeb55e3fa54fc7f85dfe2a642879dfda34505b04e4ba"),
+    ], ids=["gauss_sum", "lis", "binpack"])
+    def test_stream_block_records_are_pinned(self, experiment, parameters, replicates,
+                                             digest, workers):
+        cfg = make_config(experiment=experiment, replicates=replicates,
+                          base_seed=20261019, parameters=parameters)
+        text = records_to_csv(run_replicates(cfg, workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_single_replicate_sd_undefined(self):
         cfg = make_config(replicates=1)
         records, summary = run_experiment(cfg)
@@ -430,15 +505,20 @@ class TestRunExperiment:
         # A multi-line message still leaves a one-line trailer.
         cfg = make_config(replicates=6)
         for message in ("replicate exploded", "replicate exploded\nsecond line\r\n"):
-            def broken(params, seed):
-                if seed == derived_seed(cfg.base_seed, 3):
+            calls = []
+
+            def broken(params, rng):
+                calls.append(1)
+                if len(calls) == 4:
                     raise RuntimeError(message)
                 return 1.0, {}
 
-            monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", broken)
+            monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis",
+                                experiments.stream_block("lis", broken))
             out = tmp_path / "partial.csv"
             with pytest.raises(RuntimeError, match="exploded"):
                 run_experiment(cfg, workers=1, out=str(out))
+            assert len(calls) == 4
             text = out.read_text()
             trailer = text.splitlines()[-1]
             assert trailer.startswith("# error") and "exploded" in trailer
@@ -449,15 +529,20 @@ class TestRunExperiment:
 
         calls = []
 
-        def counted(params, seed):
-            calls.append(seed)
+        def counted(params, rng):
+            calls.append(1)
             return 1.0, {}
 
-        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", counted)
+        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis",
+                            experiments.stream_block("lis", counted))
         for bad in (tmp_path / "missing" / "records.csv", tmp_path):
             with pytest.raises(OSError):
                 run_experiment(make_config(replicates=6), workers=1, out=str(bad))
         assert calls == []
+        # the patched block is what a run with a good path calls
+        run_experiment(make_config(replicates=6), workers=1,
+                       out=str(tmp_path / "records.csv"))
+        assert len(calls) == 6
 
     def test_jl_gate_refuses_bad_family(self):
         cfg = make_config(
@@ -645,13 +730,32 @@ class TestBuiltOnce:
         assert (len(built), len(enumerated)) == (1, 1)
 
     def test_seed_derived_once_per_replicate(self, monkeypatch):
+        # Every seed comes from rng.derived_seeds, once a replicate, on
+        # the REPLICATE_BLOCKS path and on the REPLICATE_FNS path.
         from tailbounds.harness import rng
 
         derived = self._count(monkeypatch, rng, "derived_seed")
-        cfg = make_config(experiment="chernoff", replicates=25,
-                          parameters={"n": 30, "nu": 0.5})
-        assert len(run_replicates(cfg, workers=1)) == 25
-        assert len(derived) == 25
+        taken = []
+        original = rng.derived_seeds
+
+        def counted(*args):
+            for seed in original(*args):
+                taken.append(seed)
+                yield seed
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("tailbounds") and module is not None \
+                    and getattr(module, "derived_seeds", None) is original:
+                monkeypatch.setattr(module, "derived_seeds", counted)
+        for experiment, parameters in (("chernoff", {"n": 30, "nu": 0.5}),
+                                       ("gauss_sum", {"n": 30}),
+                                       ("chromatic", {"n": 5})):
+            taken.clear()
+            cfg = make_config(experiment=experiment, replicates=25, parameters=parameters)
+            records = run_replicates(cfg, workers=1)
+            assert taken == [r.seed for r in records] == \
+                [derived_seed(cfg.base_seed, r) for r in range(25)]
+        assert derived == []
 
     def test_param_hash_computed_once_per_run(self, monkeypatch):
         from tailbounds.harness.config import ExperimentConfig
@@ -826,6 +930,44 @@ class TestCli:
         raw = {"schema_version": 1, "experiment": "chernoff", "replicates": 1,
                "parameters": {"n": MAX_CHERNOFF_N}}
         assert len(parse_config(raw).parameters["nus"]) == MAX_CHERNOFF_N
+        raw["parameters"]["n"] += 1
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: "):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"],
+        ["scale", "{cfg}", "--n-list", "10", "20", str(MAX_SEQUENCE_N + 1)],
+    ], ids=["run", "scale"])
+    @pytest.mark.parametrize("n", [MAX_SEQUENCE_N + 1, 10**400], ids=["cap", "huge"])
+    @pytest.mark.parametrize("experiment", ["gauss_sum", "lis"])
+    def test_oversized_sequence_refused_before_allocating(self, tmp_path, capsys,
+                                                          monkeypatch, argv, n, experiment):
+        def allocate(*args):
+            raise AssertionError("a replicate stream was built before the size check")
+
+        monkeypatch.setattr(experiments, "restream", allocate)
+        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, experiment, allocate)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": experiment, "replicates": 100,
+            "parameters": {"n": 10 if argv[0] == "scale" else n}}))
+        tracemalloc.start()
+        try:
+            code = cli.main([arg.format(cfg=cfg) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert f"$.parameters.n: above MAX_SEQUENCE_N = {MAX_SEQUENCE_N}" in err
+        assert peak < 10**6
+
+    @pytest.mark.parametrize("experiment", ["gauss_sum", "lis"])
+    def test_sequence_n_cap_is_inclusive(self, experiment):
+        raw = {"schema_version": 1, "experiment": experiment, "replicates": 1,
+               "parameters": {"n": MAX_SEQUENCE_N}}
+        assert parse_config(raw).parameters["n"] == MAX_SEQUENCE_N
         raw["parameters"]["n"] += 1
         with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: "):
             parse_config(raw)
@@ -1010,8 +1152,8 @@ class TestCli:
                                              n_list, named):
         # one replicate has no sd and repeated sizes no slope: both printed NaN
         ran = []
-        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis",
-                            lambda params, seed: ran.append(seed) or (1.0, {}))
+        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis", experiments.stream_block(
+            "lis", lambda params, rng: ran.append(1) or (rng.random(), {})))
         cfg = tmp_path / "lis.json"
         cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
                                    "replicates": replicates, "parameters": {"n": 10}}))
@@ -1020,6 +1162,11 @@ class TestCli:
         assert named in err and "Traceback" not in err
         assert stdout == "" and "NaN" not in err
         assert ran == []
+        # the patched block is what a study that has a slope calls
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
+                                   "replicates": 2, "parameters": {"n": 10}}))
+        assert run_cli("scale", str(cfg), "--n-list", "10", "20", "40")[0] == 0
+        assert len(ran) == 6
 
     def test_oversized_profile_refused_before_allocating(self, tmp_path, monkeypatch):
         def expand(*args):
@@ -1059,11 +1206,12 @@ class TestCli:
 
         calls = []
 
-        def counted(params, seed):
-            calls.append(seed)
-            return 1.0, {}
+        def counted(params, rng):
+            calls.append(1)
+            return rng.random(), {}
 
-        monkeypatch.setitem(experiments.REPLICATE_FNS, "gauss_sum", counted)
+        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "gauss_sum",
+                            experiments.stream_block("gauss", counted))
         cfg = tmp_path / "g.json"
         cfg.write_text(json.dumps({
             "schema_version": 1, "experiment": "gauss_sum", "replicates": 200,
@@ -1076,6 +1224,12 @@ class TestCli:
         assert code == 2
         assert str(bad) in captured.err and captured.out == ""
         assert calls == []
+        # the patched block is what a study with a writable --out calls
+        good = tmp_path / "s.json"
+        assert cli.main(["scale", str(cfg), "--n-list", "100", "400", "900",
+                         "--out", str(good)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 600
 
     def test_report_out_checked_before_summary(self, tmp_path, capsys, monkeypatch):
         records = tmp_path / "r.csv"
