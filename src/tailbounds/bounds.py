@@ -17,7 +17,7 @@ All moment bounds are computed and stored in natural-log domain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
@@ -45,7 +45,6 @@ __all__ = [
     "optimize_m",
     "chernoff_corollary_bound",
     "general_chernoff_bound",
-    "hoeffding_azuma_bound",
     "nearest_even",
 ]
 
@@ -58,7 +57,6 @@ class BoundMethod(str, Enum):
     MAIN_THEOREM = "MainTheorem"
     CHERNOFF_COROLLARY = "ChernoffCorollary"
     GENERAL_CHERNOFF = "GeneralChernoff"
-    HOEFFDING_AZUMA = "HoeffdingAzuma"
     JL_ENVELOPE = "JlMomentEnvelope"
 
 
@@ -569,17 +567,3 @@ def general_chernoff_bound(nu, t):
                            method=BoundMethod.GENERAL_CHERNOFF,
                            rate_constant=rate)
 
-
-def hoeffding_azuma_bound(n, t):
-    """Tail bound for |X_i| <= 1 martingale-difference-style variables:
-    the closed-form moment curve minimized over even m <= n."""
-    res = tail_bound(*theorem1_closed_curve(n, max(2, _even_floor(n))), t,
-                     BoundMethod.HOEFFDING_AZUMA)
-    p = res.tail_probability
-    if p >= 1.0:
-        return replace(res, rate_constant=0.0)
-    neg_log_p = _neg_log_p(p, res.moment_bound, res.m_used, t)
-    # Past the overflow of t*t, a division by inf would round the rate to 0;
-    # dividing by t twice keeps it until the rate itself underflows.
-    rate = neg_log_p * n / (t * t) if math.isfinite(t * t) else (neg_log_p / t) * n / t
-    return replace(res, rate_constant=rate)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SizeLimitError
-from .harness.rng import substream
 
 __all__ = ["EdgeProbabilityMatrix", "Graph", "sample_graph", "chromatic_exact",
            "chromatic_greedy", "mad", "mad_realized"]
@@ -94,9 +93,9 @@ class Graph:
         return masks
 
 
-def sample_graph(P: EdgeProbabilityMatrix, seed):
-    """Each edge present independently with probability p_ij."""
-    rng = substream(seed, "graph")
+def sample_graph(P: EdgeProbabilityMatrix, rng):
+    """Each edge present independently with probability p_ij, drawn from
+    the Generator rng."""
     n = P.n
     u = rng.random((n, n))
     upper = np.triu(u < P.p, 1)

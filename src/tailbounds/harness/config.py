@@ -32,16 +32,25 @@ _REQUIRED = object()
 # euclid.tsp_2opt tests distance blocks of at most euclid._SWEEP_BLOCK_ENTRIES
 # entries, about 7 MB with their temporaries, up to about 1.3e5 points; past
 # that one row fills a block and it peaks near 130 bytes a point (130 MB).
-# A chernoff replicate block holds the n means, their n raw-word thresholds,
-# one draw of n words and its n-byte comparison: a tracemalloc peak of 25
-# bytes a variable, so 125 MB at MAX_CHERNOFF_N.  A gauss_sum or lis
-# replicate holds one draw of n float64 values (lis adds its patience
+# A chernoff config holds the n means and their n raw-word thresholds, and
+# a replicate one draw of n words and its n-byte comparison: a tracemalloc
+# peak of 25 bytes a variable, so 125 MB at MAX_CHERNOFF_N.  A gauss_sum or
+# lis replicate holds one draw of n float64 values (lis adds its patience
 # piles, about 2 sqrt(n) entries): a tracemalloc peak of 8.0 to 8.2 bytes
-# a variable, so about 80 MB at MAX_SEQUENCE_N.
+# a variable, so about 80 MB at MAX_SEQUENCE_N.  A chromatic config builds
+# its n x n probability matrix at parse, which peaks at 25 traced bytes
+# per n^2 (n = 500 and 1000, every p_spec kind), and a replicate's graph
+# draw adds about 19 bytes per n^2 while that matrix is held: 100 MB and
+# about 180 MB in all at MAX_CHROMATIC_N.  The jl gate draws and squares a
+# samples x n matrix, max(100, gate_samples) samples: a peak of 16.0 traced
+# bytes per n * samples (n = 1000 and 4000, 2000 samples), so 128 MB at
+# MAX_JL_GATE_ENTRIES.
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
 MAX_CHERNOFF_N = 5 * 10**6
 MAX_SEQUENCE_N = 10**7
+MAX_CHROMATIC_N = 2000
+MAX_JL_GATE_ENTRIES = 8 * 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,6 +226,8 @@ def _probability_matrix(n, spec, path):
 def _validate_chromatic(params, path):
     _check_keys(params, {"n", "p_spec", "method", "exact_cap"}, path)
     n = typed_field(params, "n", path, int, low=1)
+    if n > MAX_CHROMATIC_N:
+        raise SizeLimitError(f"{path}.n: above MAX_CHROMATIC_N = {MAX_CHROMATIC_N}")
     P = _probability_matrix(n, params.get("p_spec", {"kind": "uniform", "p": 0.5}),
                             f"{path}.p_spec")
     method = params.get("method", "auto")
@@ -236,8 +247,12 @@ def _validate_jl(params, path):
     _require(k <= n, f"{path}.k", "must be an integer in 1..n")
     out["family"] = _from_kind(params.get("family", {"kind": "sphere"}),
                                f"{path}.family", _VECTOR_FAMILIES, "vector family")
-    out["gate_samples"] = typed_field(params, "gate_samples", path, int, low=0,
-                                      default=2000)
+    # The vectors the gate draws: check_jl_hypotheses needs at least 100.
+    samples = out["gate_samples"] = max(100, typed_field(params, "gate_samples", path,
+                                                         int, low=0, default=2000))
+    if n * samples > MAX_JL_GATE_ENTRIES:
+        raise SizeLimitError(f"{path}.n: n * max(100, gate_samples) = {n * samples} is "
+                             f"above MAX_JL_GATE_ENTRIES = {MAX_JL_GATE_ENTRIES}")
     return out
 
 
@@ -263,6 +278,7 @@ def _validate_chernoff(params, path):
     n = typed_field(params, "n", path, int, low=1)
     if n > MAX_CHERNOFF_N:
         raise SizeLimitError(f"{path}.n: above MAX_CHERNOFF_N = {MAX_CHERNOFF_N}")
+    out = {"n": n}
     if "nus" in params:
         spec = params["nus"]
         _require(isinstance(spec, dict) and spec.get("kind") == "alternating",
@@ -272,10 +288,17 @@ def _validate_chernoff(params, path):
                   for i, v in enumerate(typed_field(spec, "values", f"{path}.nus", tuple))]
         _require(values and all(0 < v < 1 for v in values), f"{path}.nus.values",
                  "must be nonempty probabilities in (0,1)")
-        return {"n": n, "nus": np.resize(np.array(values), n)}
-    nu = typed_field(params, "nu", path, float, default=0.5)
-    _require(0 < nu < 1, f"{path}.nu", "must be in (0,1)")
-    return {"n": n, "nu": nu, "nus": np.full(n, nu)}
+        nus = np.resize(np.array(values), n)
+    else:
+        nu = out["nu"] = typed_field(params, "nu", path, float, default=0.5)
+        _require(0 < nu < 1, f"{path}.nu", "must be in (0,1)")
+        nus = np.full(n, nu)
+    # Generator.random on Philox returns u = (w >> 11) * 2**-53 for the raw
+    # word w.  For the integer q = w >> 11, q * 2**-53 < nu holds iff
+    # q < ceil(nu * 2**53), which holds iff w < ceil(nu * 2**53) * 2**11.
+    # Scaling by 2**53 is exact, and nu < 1 keeps the threshold below 2**64.
+    thresholds = np.ceil(nus * 2.0**53).astype(np.uint64) << 11
+    return {**out, "nus": nus, "thresholds": thresholds, "total": nus.sum()}
 
 
 _VALIDATORS = {

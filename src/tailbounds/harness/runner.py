@@ -24,9 +24,8 @@ from ..bounds import BoundMethod, MomentProfile, TypicalProfile, \
 from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError
 from ..moments import SampleMatrix, estimate_conditional_moment
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
-from .experiments import REPLICATE_BLOCKS, REPLICATE_FNS, experiment_extras, \
-    pre_run_gate
-from .rng import derived_seeds
+from .experiments import REPLICATE_FNS, STREAM_SITES, experiment_extras, pre_run_gate
+from .rng import derived_seeds, restream
 
 T_GRID_POINTS = 20
 T_GRID_LO = 0.5   # in units of the empirical standard deviation
@@ -148,19 +147,19 @@ def records_from_csv(text):
 
 def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
     """Columns (seeds, fs, auxes) of replicates start..stop-1, their seeds
-    from rng.derived_seeds.  An experiment in REPLICATE_BLOCKS runs the
-    block in one call, any other one replicate function call per
-    replicate.  The columns are filled in place, so after a replicate
+    from rng.derived_seeds.  The block builds one Philox and one Generator
+    on it; for each seed it re-keys the Philox to (seed,
+    STREAM_SITES[experiment]) and calls REPLICATE_FNS[experiment] on the
+    Generator.  The columns are filled in place, so after a replicate
     raises, the columns passed in hold the completed prefix."""
-    seeds = derived_seeds(base_seed, start, stop)
+    fn, site = REPLICATE_FNS[experiment], STREAM_SITES[experiment]
     columns = ([], [], []) if columns is None else columns
-    if experiment in REPLICATE_BLOCKS:
-        REPLICATE_BLOCKS[experiment](params, seeds, columns)
-        return columns
-    fn = REPLICATE_FNS[experiment]
     out_seeds, fs, auxes = columns
-    for seed in seeds:
-        f, aux = fn(params, seed)
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    for seed in derived_seeds(base_seed, start, stop):
+        restream(bit_generator, seed, site)
+        f, aux = fn(params, rng)
         out_seeds.append(seed)
         fs.append(float(f))
         auxes.append(aux)

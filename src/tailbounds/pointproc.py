@@ -7,10 +7,10 @@ within-cell collusion.
 
 A PointSet holds one (s, 2) array of points and an (s,) column giving
 each row's owning cell, with rows grouped by ascending cell and kept in
-placement order inside a cell.  The stream substream(seed, "pointset")
-gives the n_cells counts first.  Only uniform_in_cell draws more: one
-uniform per coordinate, each cell's x block and then its y block, cell
-by cell.  The other placements are functions of the counts.
+placement order inside a cell.  sample_point_set draws the n_cells
+counts from the Generator it is given first.  Only uniform_in_cell draws
+more: one uniform per coordinate, each cell's x block and then its y
+block, cell by cell.  The other placements are functions of the counts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .harness.rng import substream
 
 __all__ = [
     "Poisson",
@@ -244,12 +243,11 @@ def _toward_center(index, side, h):
     return np.where(np.abs(low - 0.5) <= np.abs(high - 0.5), low, inside)
 
 
-def sample_point_set(n_cells, count_dist, placement, seed):
-    """Draw i.i.d. cell counts from count_dist and place that many points
-    in each cell per the placement strategy.  Deterministic in seed."""
+def sample_point_set(n_cells, count_dist, placement, rng):
+    """Draw i.i.d. cell counts from count_dist with the Generator rng and
+    place that many points in each cell per the placement strategy."""
     side = _side(n_cells)
     placement = PlacementStrategy(placement)
-    rng = substream(seed, "pointset")
     counts = count_dist.sample(rng, n_cells)
     cell = np.repeat(np.arange(n_cells, dtype=np.int64), counts)
     row = np.arange(len(cell))

@@ -181,11 +181,10 @@ class RadialBetaMixture:
         return self.radial_moment(1) / n
 
 
-def sample_unit_vector(n, family, seed):
-    """One draw of the coordinate vector (Y_1..Y_n); deterministic in seed."""
+def sample_unit_vector(n, family, rng):
+    """One draw of the coordinate vector (Y_1..Y_n) from the Generator rng."""
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    rng = substream(seed, "unitvec")
     return _draw_vectors(rng, n, family, 1)[0]
 
 

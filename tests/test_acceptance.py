@@ -26,6 +26,7 @@ from tailbounds.graphs import EdgeProbabilityMatrix, chromatic_exact, mad, mad_r
     sample_graph
 from tailbounds.harness import cli
 from tailbounds.harness.config import parse_config
+from tailbounds.harness.rng import substream
 from tailbounds.harness.runner import (
     compare_bound,
     run_experiment,
@@ -284,7 +285,8 @@ def test_criterion_11_graph_suite():
     for trial in range(200):
         n = int(rng.integers(2, 9))
         p = float(rng.uniform(0.1, 0.9))
-        g = sample_graph(EdgeProbabilityMatrix.uniform(n, p), int(rng.integers(1 << 30)))
+        g = sample_graph(EdgeProbabilityMatrix.uniform(n, p),
+                         substream(int(rng.integers(1 << 30)), "graph"))
         assert chromatic_exact(g) == chromatic_brute(g.adj)
         assert chromatic_exact(g) <= int(mad_realized(g)) + 1
 

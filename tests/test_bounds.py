@@ -19,7 +19,6 @@ from tailbounds.bounds import (
     TypicalProfile,
     chernoff_corollary_bound,
     general_chernoff_bound,
-    hoeffding_azuma_bound,
     jl_envelope_curve,
     main_theorem_bound,
     main_theorem_curve,
@@ -38,6 +37,7 @@ from tailbounds.errors import (
     OutOfRegimeError,
     SizeLimitError,
 )
+from tailbounds.harness.runner import bound_source
 
 
 class TestClosedForm:
@@ -404,12 +404,14 @@ class TestGeneralChernoff:
 
 
 class TestHoeffdingAzuma:
+    """Hoeffding-Azuma as a special case of Theorem 1: the tail of the
+    closed-form curve for |X_i| <= 1."""
+
     def test_method_and_shape(self):
-        res = hoeffding_azuma_bound(100, 80.0)
-        assert res.method is BoundMethod.HOEFFDING_AZUMA
-        assert res.m_used <= 100
-        ps = [hoeffding_azuma_bound(100, t).tail_probability
-              for t in (20, 60, 120, 200)]
+        method, _, tail_at = bound_source({"kind": "closed", "n": 100})
+        assert method is BoundMethod.THEOREM1_CLOSED
+        assert tail_at(80.0).m_used <= 100
+        ps = [tail_at(t).tail_probability for t in (20, 60, 120, 200)]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
 
@@ -422,14 +424,6 @@ class TestUnderflowedTail:
         assert res.tail_probability == 0.0
         log_p = res.moment_bound - res.m_used * math.log(290_000.0)
         assert res.rate_constant == -log_p * (100_000 * 3.0) / 290_000.0**2
-
-    @pytest.mark.parametrize("t", [1e100, 1e200])
-    def test_hoeffding_azuma(self, t):
-        res = hoeffding_azuma_bound(100, t)
-        assert res.tail_probability == 0.0
-        assert math.isfinite(res.rate_constant)
-        assert res.rate_constant == -(res.moment_bound - res.m_used * math.log(t)) \
-            * 100 / (t * t)
 
 
 class TestOverflowingSquare:
@@ -459,13 +453,6 @@ class TestOverflowingSquare:
         res = chernoff_corollary_bound(n, sigma2, t)
         assert 0.0 < res.tail_probability < 1.0
         assert res.rate_constant == -math.log(res.tail_probability) * (n * sigma2) / (t * t)
-
-    @pytest.mark.parametrize("t", [1e155, 1e160])
-    def test_hoeffding_rate_divides_by_t_twice(self, t):
-        res = hoeffding_azuma_bound(100, t)
-        neg_log_p = -(res.moment_bound - res.m_used * math.log(t))
-        assert res.rate_constant == (neg_log_p / t) * 100 / t
-        assert res.rate_constant > 0.0
 
 
 @st.composite

@@ -20,6 +20,7 @@ from tailbounds.euclid import (
     tsp_exact,
     tsp_strip,
 )
+from tailbounds.harness.rng import substream
 from tailbounds.pointproc import PlacementStrategy, Poisson, TruncatedZeta, sample_point_set
 
 
@@ -262,7 +263,8 @@ class TestCoordinateSolversMatchDenseOracles:
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_placements(self, placement, seed):
         for n_cells, counts in [(16, Poisson(6.0)), (100, TruncatedZeta(2.0, 40, 0.35))]:
-            pts = sample_point_set(n_cells, counts, placement, seed).points
+            pts = sample_point_set(n_cells, counts, placement,
+                                   substream(seed, "pointset")).points
             _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
             _assert_same_tree(pts)
 
@@ -297,7 +299,7 @@ class TestCoordinateSolversMatchDenseOracles:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tsp_scale_instances(self, n_cells, seed):
         pts = sample_point_set(n_cells, Poisson(1.0), PlacementStrategy.UNIFORM_IN_CELL,
-                               seed).points
+                               substream(seed, "pointset")).points
         _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
         _assert_same_tree(pts)
 
@@ -307,7 +309,8 @@ class TestCoordinateSolversMatchDenseOracles:
         # stacked sites one float apart across x = 0.5 and y = 0.5: float
         # ties that do not follow the exact geometry
         pts = sample_point_set(n_cells, Poisson(1.0),
-                               PlacementStrategy.ADVERSARIAL_DIAGONAL, seed).points
+                               PlacementStrategy.ADVERSARIAL_DIAGONAL,
+                               substream(seed, "pointset")).points
         _assert_same_tree(pts)
 
 

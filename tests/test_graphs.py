@@ -13,6 +13,7 @@ from tailbounds.graphs import (
     mad_realized,
     sample_graph,
 )
+from tailbounds.harness.rng import substream
 
 
 def petersen():
@@ -34,11 +35,11 @@ def cycle_adj(n):
 
 class TestSampleGraph:
     def test_complete(self):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(6, 1.0), seed=0)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(6, 1.0), substream(0, "graph"))
         assert g.adj.sum() == 6 * 5
 
     def test_empty(self):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(6, 0.0), seed=0)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(6, 0.0), substream(0, "graph"))
         assert g.adj.sum() == 0
 
     def test_edge_frequency(self):
@@ -46,15 +47,16 @@ class TestSampleGraph:
         count = np.zeros((20, 20))
         reps = 2000
         for seed in range(reps):
-            count += sample_graph(P, seed).adj
+            count += sample_graph(P, substream(seed, "graph")).adj
         freq = count[np.triu_indices(20, 1)] / reps
         # binomial CI: 0.5 +/- ~4.5 sigma at 2000 draws
         assert freq.min() > 0.44 and freq.max() < 0.56
 
     def test_deterministic_in_seed(self):
         P = EdgeProbabilityMatrix.uniform(12, 0.3)
-        assert (sample_graph(P, 5).adj == sample_graph(P, 5).adj).all()
-        assert (sample_graph(P, 5).adj != sample_graph(P, 6).adj).any()
+        five, six = (sample_graph(P, substream(seed, "graph")).adj for seed in (5, 6))
+        assert (five == sample_graph(P, substream(5, "graph")).adj).all()
+        assert (five != six).any()
 
     def test_matrix_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -67,7 +69,7 @@ class TestSampleGraph:
 
 class TestChromaticExact:
     def test_complete_graph(self):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(5, 1.0), 0)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(5, 1.0), substream(0, "graph"))
         assert chromatic_exact(g) == 5
 
     def test_odd_cycle(self):
@@ -81,13 +83,13 @@ class TestChromaticExact:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 9))
         p = float(rng.uniform(0.1, 0.9))
-        g = sample_graph(EdgeProbabilityMatrix.uniform(n, p), seed)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(n, p), substream(seed, "graph"))
         assert chromatic_exact(g) == chromatic_brute(g.adj)
         # the zero-vertex graph, and sizes 0-15 at any density
         assert chromatic_exact(Graph(adj=np.zeros((0, 0), dtype=bool))) == 0
         n = int(rng.integers(0, 16))
         g = sample_graph(EdgeProbabilityMatrix.uniform(n, float(rng.uniform(0.05, 0.95))),
-                         seed)
+                         substream(seed, "graph"))
         assert chromatic_exact(g) == chromatic_brute(g.adj)
 
     def test_size_cap(self):
@@ -120,7 +122,7 @@ class TestChromaticExact:
 
 class TestChromaticGreedy:
     def test_complete_four(self):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(4, 1.0), 0)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(4, 1.0), substream(0, "graph"))
         assert chromatic_greedy(g) == 4
 
     def test_empty(self):
@@ -128,7 +130,7 @@ class TestChromaticGreedy:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sandwich(self, seed):
-        g = sample_graph(EdgeProbabilityMatrix.uniform(12, 0.5), seed)
+        g = sample_graph(EdgeProbabilityMatrix.uniform(12, 0.5), substream(seed, "graph"))
         exact = chromatic_exact(g)
         rng = np.random.default_rng(seed)
         greedy = chromatic_greedy(g, order=rng.permutation(12).tolist())
@@ -185,6 +187,6 @@ class TestMad:
         rng = np.random.default_rng(700 + seed)
         n = int(rng.integers(4, 13))
         g = sample_graph(EdgeProbabilityMatrix.uniform(n, float(rng.uniform(0.2, 0.8))),
-                         seed)
+                         substream(seed, "graph"))
         chi = chromatic_exact(g)
         assert chi <= int(mad_realized(g)) + 1

@@ -24,9 +24,9 @@ from tailbounds.bounds import MAX_CURVE_ORDER, MAX_MAIN_CURVE_TERMS, \
 from tailbounds import bounds, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
-from tailbounds.harness import cli, experiments
-from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_EXPECTED_POINTS, \
-    MAX_SEQUENCE_N, parse_config
+from tailbounds.harness import cli, config, experiments, runner
+from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_CHROMATIC_N, MAX_EXPECTED_POINTS, \
+    MAX_JL_GATE_ENTRIES, MAX_SEQUENCE_N, parse_config
 from tailbounds.harness.rng import derived_seed, derived_seeds, restream, substream
 from tailbounds.harness.runner import (
     ExperimentRecord,
@@ -359,10 +359,12 @@ class TestChernoffBlock:
                 assert size == len(words)
                 return words
 
-        monkeypatch.setattr(experiments, "restream", lambda *args: CraftedWords())
-        columns = ([], [], [])
-        experiments.run_chernoff_block({"n": len(nus), "nus": nus}, [11], columns)
-        assert columns == ([11], [float(len(ks) - nus.sum())], [{}])
+        class Rng:
+            bit_generator = CraftedWords()
+
+        params = make_config(experiment="chernoff", parameters={
+            "n": len(nus), "nus": {"kind": "alternating", "values": nus.tolist()}}).parameters
+        assert experiments.run_chernoff(params, Rng()) == (float(len(ks) - nus.sum()), {})
 
     def test_raise_leaves_the_completed_prefix(self, monkeypatch):
         calls = []
@@ -373,7 +375,7 @@ class TestChernoffBlock:
                 raise RuntimeError("restream failed")
             return restream(bit_generator, seed, *tags)
 
-        monkeypatch.setattr(experiments, "restream", restream_failing_third)
+        monkeypatch.setattr(runner, "restream", restream_failing_third)
         params = make_config(experiment="chernoff", parameters={"n": 20, "nu": 0.4}).parameters
         columns = ([], [], [])
         with pytest.raises(RuntimeError, match="restream failed"):
@@ -382,20 +384,31 @@ class TestChernoffBlock:
         assert columns == (seeds, [run_chernoff(params, s)[0] for s in seeds], [{}, {}])
 
 
-STREAM_BLOCK_ORACLES = {"gauss_sum": run_gauss_sum, "lis": run_lis, "binpack": run_binpack}
+# Per-replicate oracles that build their own substream from the seed.
+SEED_ORACLES = {"chernoff": run_chernoff, "gauss_sum": run_gauss_sum, "lis": run_lis,
+                "binpack": run_binpack}
 
 
 def _stream_block_parameters(experiment, size):
-    if experiment == "binpack":
-        return {"dist": {"kind": "lower_bound", "k": 4 + size % 4}, "n_items": size}
-    return {"n": size}
+    # 4 cells give a few points for tsp_exact, 36 cells enough for 2-opt
+    # (13 points or more, where tsp_exact would take much longer).
+    grid = {"n_cells": 4 if size % 2 else 36, "count_dist": {"kind": "poisson", "mean": 1.0}}
+    return {
+        "tsp": grid,
+        "mwst": grid,
+        "chromatic": {"n": 1 + size % 12, "p_spec": {"kind": "uniform", "p": 0.4}},
+        "jl": {"n": size, "k": 1 + size // 3},
+        "binpack": {"dist": {"kind": "lower_bound", "k": 4 + size % 4}, "n_items": size},
+        "chernoff": {"n": size, "nu": 0.3},
+    }.get(experiment, {"n": size})
 
 
 class TestStreamBlocks:
-    """gauss_sum, lis and binpack blocks, run on one re-keyed Generator,
-    against their per-replicate oracles, bit for bit."""
+    """Every experiment's block, run on one re-keyed Generator, against its
+    replicate function on a new substream per seed, bit for bit, and
+    against the seed oracle where conftest has one."""
 
-    @pytest.mark.parametrize("experiment", sorted(STREAM_BLOCK_ORACLES))
+    @pytest.mark.parametrize("experiment", sorted(config._VALIDATORS))
     @given(size=st.integers(1, 300), base_seed=st.integers(0, 2**63 - 1),
            start=st.integers(0, 10**6), count=st.integers(0, 12))
     @example(size=1, base_seed=0, start=0, count=3)
@@ -407,10 +420,13 @@ class TestStreamBlocks:
         seeds, fs, auxes = _replicate_block(experiment, params, base_seed, start,
                                             start + count)
         expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
-        oracle = [STREAM_BLOCK_ORACLES[experiment](params, seed) for seed in expected]
+        fn, site = experiments.REPLICATE_FNS[experiment], experiments.STREAM_SITES[experiment]
+        oracle = [fn(params, substream(seed, site)) for seed in expected]
         assert seeds == expected
         assert [f.hex() for f in fs] == [float(f).hex() for f, _ in oracle]
         assert auxes == [aux for _, aux in oracle]
+        if experiment in SEED_ORACLES:
+            assert oracle == [SEED_ORACLES[experiment](params, seed) for seed in expected]
 
     def test_raise_leaves_the_completed_prefix(self, monkeypatch):
         calls = []
@@ -421,7 +437,7 @@ class TestStreamBlocks:
                 raise RuntimeError("restream failed")
             return restream(bit_generator, seed, *tags)
 
-        monkeypatch.setattr(experiments, "restream", restream_failing_third)
+        monkeypatch.setattr(runner, "restream", restream_failing_third)
         params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
         columns = ([], [], [])
         with pytest.raises(RuntimeError, match="restream failed"):
@@ -476,8 +492,10 @@ class TestRunExperiment:
         text = records_to_csv(run_replicates(cfg, workers=workers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    # SHA-256 of the records CSV of one gauss_sum, lis and binpack config,
-    # as the per-replicate Generator path wrote them.
+    # SHA-256 of the records CSV of one config of each other experiment, as
+    # the per-replicate Generator path wrote them (gauss_sum, lis, binpack)
+    # and as the samplers that built their own substream from the seed
+    # wrote them (tsp, mwst, chromatic, jl).
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment, parameters, replicates, digest", [
         ("gauss_sum", {"n": 37}, 50,
@@ -486,7 +504,15 @@ class TestRunExperiment:
          "f75b050c5271c542900eff17852f51e7f0958492579cbd5ea488b594e17daebc"),
         ("binpack", {"dist": {"kind": "lower_bound", "k": 5}, "n_items": 200}, 30,
          "70500e6539c21d62ae0dbeb55e3fa54fc7f85dfe2a642879dfda34505b04e4ba"),
-    ], ids=["gauss_sum", "lis", "binpack"])
+        ("tsp", {"n_cells": 16, "count_dist": {"kind": "poisson", "mean": 1.0}}, 30,
+         "317ac0c1c4028a940c3e8d20ecc8ce581e01cd1ddad9d6884d3c1c5551ec1e21"),
+        ("mwst", {"n_cells": 25, "count_dist": {"kind": "zeta", "s": 3.5, "cap": 50}}, 30,
+         "66260bf0cc660c4885ff2b7809c74c2458e45b43a69e1c9b76ee37b90b79cdc5"),
+        ("chromatic", {"n": 12, "p_spec": {"kind": "uniform", "p": 0.4}}, 30,
+         "19645f53ad02524406a061da25a72b236ed3b21f4b58e77bbb03269ae10f9876"),
+        ("jl", {"n": 50, "k": 10}, 30,
+         "cca74bc4ab90a9e78f3bc83f4a44cca04109f688d0935fff4b0b22f365d7b6f6"),
+    ], ids=["gauss_sum", "lis", "binpack", "tsp", "mwst", "chromatic", "jl"])
     def test_stream_block_records_are_pinned(self, experiment, parameters, replicates,
                                              digest, workers):
         cfg = make_config(experiment=experiment, replicates=replicates,
@@ -513,8 +539,7 @@ class TestRunExperiment:
                     raise RuntimeError(message)
                 return 1.0, {}
 
-            monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis",
-                                experiments.stream_block("lis", broken))
+            monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", broken)
             out = tmp_path / "partial.csv"
             with pytest.raises(RuntimeError, match="exploded"):
                 run_experiment(cfg, workers=1, out=str(out))
@@ -533,13 +558,12 @@ class TestRunExperiment:
             calls.append(1)
             return 1.0, {}
 
-        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis",
-                            experiments.stream_block("lis", counted))
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", counted)
         for bad in (tmp_path / "missing" / "records.csv", tmp_path):
             with pytest.raises(OSError):
                 run_experiment(make_config(replicates=6), workers=1, out=str(bad))
         assert calls == []
-        # the patched block is what a run with a good path calls
+        # the patched function is what a run with a good path calls
         run_experiment(make_config(replicates=6), workers=1,
                        out=str(tmp_path / "records.csv"))
         assert len(calls) == 6
@@ -730,8 +754,7 @@ class TestBuiltOnce:
         assert (len(built), len(enumerated)) == (1, 1)
 
     def test_seed_derived_once_per_replicate(self, monkeypatch):
-        # Every seed comes from rng.derived_seeds, once a replicate, on
-        # the REPLICATE_BLOCKS path and on the REPLICATE_FNS path.
+        # Every seed comes from rng.derived_seeds, once a replicate.
         from tailbounds.harness import rng
 
         derived = self._count(monkeypatch, rng, "derived_seed")
@@ -778,8 +801,10 @@ class TestScalingStudy:
             scaling_study(cfg, [100, 400])
 
     def test_holds_one_size_at_a_time(self, monkeypatch):
-        # each chernoff size holds 8 bytes a variable once validated; the
-        # study must not keep every size's config while the sizes run
+        # each chernoff size holds 16 bytes a variable once validated (its
+        # means and their raw-word thresholds) and 24 while it is validated;
+        # the study must not keep every size's config while the sizes run,
+        # which would hold at least 16 * sum(sizes) = 52.8 MB
         from tailbounds.harness import runner
 
         sizes = [10**6, 11 * 10**5, 12 * 10**5]
@@ -798,7 +823,7 @@ class TestScalingStudy:
         finally:
             tracemalloc.stop()
         assert [row.n for row in study.rows] == sizes and len(peaks) == 3
-        assert peak < 1.5 * 8 * max(sizes)
+        assert peak < 1.25 * 24 * max(sizes)
 
 
 class TestCli:
@@ -945,8 +970,8 @@ class TestCli:
         def allocate(*args):
             raise AssertionError("a replicate stream was built before the size check")
 
-        monkeypatch.setattr(experiments, "restream", allocate)
-        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, experiment, allocate)
+        monkeypatch.setattr(runner, "restream", allocate)
+        monkeypatch.setitem(experiments.REPLICATE_FNS, experiment, allocate)
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({
             "schema_version": 1, "experiment": experiment, "replicates": 100,
@@ -970,6 +995,98 @@ class TestCli:
         assert parse_config(raw).parameters["n"] == MAX_SEQUENCE_N
         raw["parameters"]["n"] += 1
         with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: "):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"],
+        ["scale", "{cfg}", "--n-list", "10", "20", "{n}"],
+    ], ids=["run", "scale"])
+    @pytest.mark.parametrize("n", [MAX_CHROMATIC_N + 1, 10**400], ids=["cap", "huge"])
+    @pytest.mark.parametrize("p_spec", [
+        {"kind": "uniform", "p": 0.5},
+        {"kind": "two_block", "p_in": 0.5, "p_out": 0.1, "split": 0.5},
+    ], ids=["uniform", "two_block"])
+    def test_oversized_chromatic_refused_before_allocating(self, tmp_path, capsys,
+                                                           monkeypatch, argv, n, p_spec):
+        def full(shape, *args, **kwargs):
+            assert np.prod(shape) <= MAX_CHROMATIC_N**2, \
+                "an n x n matrix was built before the size check"
+            return real_full(shape, *args, **kwargs)
+
+        def replicate(*args):
+            raise AssertionError("a replicate ran before the size check")
+
+        real_full = np.full
+        monkeypatch.setattr(np, "full", full)
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "chromatic", replicate)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "chromatic", "replicates": 100,
+            "parameters": {"n": 10 if argv[0] == "scale" else n, "p_spec": p_spec}}))
+        tracemalloc.start()
+        try:
+            code = cli.main([arg.format(cfg=cfg, n=n) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert f"$.parameters.n: above MAX_CHROMATIC_N = {MAX_CHROMATIC_N}" in err
+        assert peak < 10**6
+
+    def test_chromatic_n_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_CHROMATIC_N", 3)
+        raw = {"schema_version": 1, "experiment": "chromatic", "replicates": 1,
+               "parameters": {"n": 3}}
+        assert parse_config(raw).parameters["P"].n == 3
+        raw["parameters"]["n"] = 4
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: above MAX_CHROMATIC_N"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"],
+        ["scale", "{cfg}", "--n-list", "10", "20", "{n}"],
+    ], ids=["run", "scale"])
+    @pytest.mark.parametrize("gate_samples", [0, 2000])
+    def test_oversized_jl_gate_refused_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                      argv, gate_samples):
+        samples = max(100, gate_samples)
+        n = MAX_JL_GATE_ENTRIES // samples + 1
+        real_gate = experiments.check_jl_hypotheses
+
+        def gate(family, n, k, samples, seed=0):
+            assert n * samples <= MAX_JL_GATE_ENTRIES, "the gate drew before the size check"
+            return real_gate(family, n, k, samples, seed)
+
+        monkeypatch.setattr(experiments, "check_jl_hypotheses", gate)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "jl", "replicates": 100,
+            "parameters": {"n": 10 if argv[0] == "scale" else n, "k": 2,
+                           "gate_samples": gate_samples}}))
+        tracemalloc.start()
+        try:
+            code = cli.main([arg.format(cfg=cfg, n=n) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert (f"$.parameters.n: n * max(100, gate_samples) = {n * samples} is above "
+                f"MAX_JL_GATE_ENTRIES = {MAX_JL_GATE_ENTRIES}") in err
+        # the gates of the smaller sizes draw at most 20 x 10**6 values
+        assert peak < (10**6 if argv[0] == "run" else 16 * 20 * samples + 10**6)
+
+    @pytest.mark.parametrize("gate_samples, n", [(0, 5), (150, 3)])
+    def test_jl_gate_cap_is_inclusive(self, monkeypatch, gate_samples, n):
+        monkeypatch.setattr(config, "MAX_JL_GATE_ENTRIES", 500)
+        raw = {"schema_version": 1, "experiment": "jl", "replicates": 1,
+               "parameters": {"n": n, "k": 1, "gate_samples": gate_samples}}
+        assert parse_config(raw).parameters["gate_samples"] == max(100, gate_samples)
+        raw["parameters"]["n"] += 1
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n: n \* max"):
             parse_config(raw)
 
     @pytest.mark.parametrize("argv", [
@@ -1128,7 +1245,7 @@ class TestCli:
         # the config test_hypothesis_violation_exit_code refuses from run
         ran = []
         monkeypatch.setitem(experiments.REPLICATE_FNS, "jl",
-                            lambda params, seed: ran.append(seed) or (1.0, {}))
+                            lambda params, rng: ran.append(1) or (1.0, {}))
         cfg = tmp_path / "jl.json"
         cfg.write_text(json.dumps({
             "schema_version": 1, "experiment": "jl", "replicates": 5,
@@ -1152,8 +1269,8 @@ class TestCli:
                                              n_list, named):
         # one replicate has no sd and repeated sizes no slope: both printed NaN
         ran = []
-        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "lis", experiments.stream_block(
-            "lis", lambda params, rng: ran.append(1) or (rng.random(), {})))
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis",
+                            lambda params, rng: ran.append(1) or (rng.random(), {}))
         cfg = tmp_path / "lis.json"
         cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
                                    "replicates": replicates, "parameters": {"n": 10}}))
@@ -1162,7 +1279,7 @@ class TestCli:
         assert named in err and "Traceback" not in err
         assert stdout == "" and "NaN" not in err
         assert ran == []
-        # the patched block is what a study that has a slope calls
+        # the patched function is what a study that has a slope calls
         cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
                                    "replicates": 2, "parameters": {"n": 10}}))
         assert run_cli("scale", str(cfg), "--n-list", "10", "20", "40")[0] == 0
@@ -1210,8 +1327,7 @@ class TestCli:
             calls.append(1)
             return rng.random(), {}
 
-        monkeypatch.setitem(experiments.REPLICATE_BLOCKS, "gauss_sum",
-                            experiments.stream_block("gauss", counted))
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "gauss_sum", counted)
         cfg = tmp_path / "g.json"
         cfg.write_text(json.dumps({
             "schema_version": 1, "experiment": "gauss_sum", "replicates": 200,
@@ -1224,7 +1340,7 @@ class TestCli:
         assert code == 2
         assert str(bad) in captured.err and captured.out == ""
         assert calls == []
-        # the patched block is what a study with a writable --out calls
+        # the patched function is what a study with a writable --out calls
         good = tmp_path / "s.json"
         assert cli.main(["scale", str(cfg), "--n-list", "100", "400", "900",
                          "--out", str(good)]) == 0

@@ -116,7 +116,8 @@ class TestCountDistributions:
 
 class TestSamplePointSet:
     def test_deterministic_one_per_quadrant(self):
-        ps = sample_point_set(4, Deterministic(1), "uniform_in_cell", seed=0)
+        ps = sample_point_set(4, Deterministic(1), "uniform_in_cell",
+                              substream(0, "pointset"))
         assert ps.total_points == 4
         assert ps.cell.tolist() == [0, 1, 2, 3]
         owners = [point_cell(4, x, y) for x, y in ps.points]
@@ -127,13 +128,14 @@ class TestSamplePointSet:
         hits = 0
         reps = 200
         for seed in range(reps):
-            ps = sample_point_set(400, Poisson(1.0), "uniform_in_cell", seed)
+            ps = sample_point_set(400, Poisson(1.0), "uniform_in_cell",
+                                  substream(seed, "pointset"))
             hits += abs(ps.total_points - 400) <= 80
         assert hits / reps >= 0.99
 
     @pytest.mark.parametrize("placement", list(PlacementStrategy))
     def test_containment_exact(self, placement):
-        ps = sample_point_set(16, TwoPoint(0.3, 3), placement, seed=9)
+        ps = sample_point_set(16, TwoPoint(0.3, 3), placement, substream(9, "pointset"))
         assert ps.points.shape == (len(ps.cell), 2)
         assert (np.diff(ps.cell) >= 0).all()
         for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
@@ -142,22 +144,23 @@ class TestSamplePointSet:
             assert x0 <= x <= x1 and y0 <= y <= y1
 
     def test_reproducibility_bytes(self):
-        a = sample_point_set(100, Poisson(2.0), "grid_spread", seed=31)
-        b = sample_point_set(100, Poisson(2.0), "grid_spread", seed=31)
+        a = sample_point_set(100, Poisson(2.0), "grid_spread", substream(31, "pointset"))
+        b = sample_point_set(100, Poisson(2.0), "grid_spread", substream(31, "pointset"))
         assert a.points.tobytes() == b.points.tobytes()
         assert a.cell.tobytes() == b.cell.tobytes()
-        c = sample_point_set(100, Poisson(2.0), "grid_spread", seed=32)
+        c = sample_point_set(100, Poisson(2.0), "grid_spread", substream(32, "pointset"))
         assert (a.points.tobytes(), a.cell.tobytes()) != (c.points.tobytes(), c.cell.tobytes())
 
     def test_corner_bunch_is_coincident(self):
-        ps = sample_point_set(9, Deterministic(3), "corner_bunch", seed=2)
+        ps = sample_point_set(9, Deterministic(3), "corner_bunch", substream(2, "pointset"))
         for idx in range(9):
             rows = ps.points[ps.cell == idx]
             assert len(rows) == 3
             assert len({(x, y) for x, y in rows}) == 1
 
     def test_adversarial_diagonal_faces_center(self):
-        ps = sample_point_set(4, Deterministic(1), "adversarial_diagonal", seed=3)
+        ps = sample_point_set(4, Deterministic(1), "adversarial_diagonal",
+                              substream(3, "pointset"))
         assert ps.cell.tolist() == [0, 1, 2, 3]
         for x, y in ps.points:
             # each point sits within a whisker of the cell corner nearest
@@ -168,13 +171,14 @@ class TestSamplePointSet:
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidArgumentError):
-            sample_point_set(12, Deterministic(1), "uniform_in_cell", 0)
+            sample_point_set(12, Deterministic(1), "uniform_in_cell",
+                             substream(0, "pointset"))
 
     @given(st.integers(min_value=2, max_value=30), st.sampled_from(_COUNT_LAWS),
            st.sampled_from(list(PlacementStrategy)), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
     def test_matches_loop_oracle(self, side, counts, placement, seed):
-        ps = sample_point_set(side * side, counts, placement, seed)
+        ps = sample_point_set(side * side, counts, placement, substream(seed, "pointset"))
         cells = sample_point_set_oracle(side * side, counts, placement, seed)
         expected = np.vstack([np.empty((0, 2))] + cells)
         assert ps.points.dtype == expected.dtype and ps.points.shape == expected.shape
@@ -186,7 +190,8 @@ class TestSamplePointSet:
     @settings(max_examples=30, deadline=None)
     def test_containment_property(self, side, seed):
         n = side * side
-        ps = sample_point_set(n, Poisson(1.5), "uniform_in_cell", seed)
+        ps = sample_point_set(n, Poisson(1.5), "uniform_in_cell",
+                              substream(seed, "pointset"))
         assert (np.diff(ps.cell) >= 0).all()
         for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
             assert point_cell(n, x, y) == idx
@@ -228,12 +233,13 @@ class TestLayerOrder:
     def test_tau0_matches_loop_oracle(self, placement, counts):
         for side, seed in [(2, 1), (3, 2), (5, 3), (8, 4)]:
             n = side * side
-            ps = sample_point_set(n, counts, placement, seed)
+            ps = sample_point_set(n, counts, placement, substream(seed, "pointset"))
             cells = sample_point_set_oracle(n, counts, placement, seed)
             assert tau0_by_layer(ps) == tau0_by_layer_oracle(n, cells)
 
     def test_tau0_diagnostic_scale(self):
-        ps = sample_point_set(100, Deterministic(1), "uniform_in_cell", seed=6)
+        ps = sample_point_set(100, Deterministic(1), "uniform_in_cell",
+                              substream(6, "pointset"))
         taus = tau0_by_layer(ps)
         assert len(taus) == 10
         # with every later cell occupied, early layers sit within a couple

@@ -133,13 +133,13 @@ class TestEssentialProbability:
 
 class TestUnitVectors:
     def test_one_dimensional_sign(self):
-        values = {sample_unit_vector(1, SphereUniform(), seed)[0]
+        values = {sample_unit_vector(1, SphereUniform(), substream(seed, "unitvec"))[0]
                   for seed in range(20)}
         assert values <= {-1.0, 1.0}
         assert len(values) == 2
 
     def test_unit_norm_exact(self):
-        v = sample_unit_vector(500, SphereUniform(), 4)
+        v = sample_unit_vector(500, SphereUniform(), substream(4, "unitvec"))
         assert (v**2).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_coordinate_second_moment(self):
@@ -175,20 +175,20 @@ class TestUnitVectors:
 
 class TestProjectionStatistic:
     def test_full_vector_sums_to_one(self):
-        v = sample_unit_vector(100, SphereUniform(), 5)
+        v = sample_unit_vector(100, SphereUniform(), substream(5, "unitvec"))
         stat = jl_projection_statistic(v, 100)
         assert stat.total == pytest.approx(1.0, abs=1e-12)
         assert stat.centered == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_projection(self):
-        v = sample_unit_vector(10, SphereUniform(), 6)
+        v = sample_unit_vector(10, SphereUniform(), substream(6, "unitvec"))
         stat = jl_projection_statistic(v, 0)
         assert stat.total == 0.0 and stat.centered == 0.0
 
     def test_mean_is_k_over_n(self):
         totals = []
         for seed in range(3000):
-            v = sample_unit_vector(40, SphereUniform(), seed)
+            v = sample_unit_vector(40, SphereUniform(), substream(seed, "unitvec"))
             totals.append(jl_projection_statistic(v, 10).total)
         totals = np.array(totals)
         se = totals.std(ddof=1) / math.sqrt(len(totals))
@@ -196,7 +196,7 @@ class TestProjectionStatistic:
 
     def test_mixture_centering_uses_family_moment(self):
         fam = RadialBetaMixture(scale=1.2, a=8.0, b=2.0)
-        v = sample_unit_vector(50, fam, 7)
+        v = sample_unit_vector(50, fam, substream(7, "unitvec"))
         stat = jl_projection_statistic(v, 50, fam)
         assert stat.centered == pytest.approx(stat.total - 1.2 * 0.8, abs=1e-12)
 
