@@ -20,7 +20,7 @@ import sys
 from ..bounds import MomentProfile, TypicalProfile
 from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
     InvalidArgumentError, OutOfRegimeError, SizeLimitError
-from .config import load_config, read_json, typed_field, typed_value
+from .config import load_config, read_json, read_text, typed_field, typed_value
 from .runner import bound_source, records_from_csv, run_experiment, scaling_study, \
     summarize
 
@@ -179,8 +179,7 @@ def cmd_scale(args):
 def cmd_report(args):
     # The records are read before --out is opened, so an --out naming the
     # records file does not empty it first.
-    with open(args.records) as fh:
-        records = records_from_csv(fh.read())
+    records = records_from_csv(read_text(args.records))
     if not records:
         raise ConfigError("$", "record file contains no records")
     with _open_out(args.out) as fh:

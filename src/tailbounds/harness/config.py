@@ -355,11 +355,20 @@ def with_parameters(config, raw_parameters):
         parameters=_VALIDATORS[config.experiment](raw_parameters, "$.parameters"))
 
 
+def read_text(path):
+    """The text of the input file at path; bytes that are not UTF-8 are a
+    ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text ({exc})") from None
+
+
 def read_json(path):
     """The JSON value in the file at path; invalid JSON is a ConfigError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bounds import BoundMethod, MomentProfile, TypicalProfile, \
+from ..bounds import BoundMethod, TypicalProfile, \
     chernoff_corollary_bound, general_chernoff_bound, jl_envelope_curve, \
     main_theorem_curve, tail_bound, theorem1_closed_curve, theorem1_recursion_curve
-from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError
-from ..moments import SampleMatrix, estimate_conditional_moment
+from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError, SizeLimitError
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import REPLICATE_FNS, STREAM_SITES, experiment_extras, pre_run_gate
 from .rng import derived_seeds, restream
@@ -33,6 +32,11 @@ T_GRID_HI = 6.0
 VERDICT_SE_MULTIPLIER = 3.0
 MIN_BOUND_RECORDS = 100
 CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
+# A pool forks all its workers at once, each a copy of this interpreter
+# with numpy loaded (about 25 MB resident on Linux, Python 3.11), so 64
+# take about 1.6 GB before any replicate runs; the replicates are
+# CPU-bound, so workers past the cores add memory, not speed.
+MAX_WORKERS = 64
 
 
 @dataclass
@@ -107,9 +111,9 @@ def records_to_csv(records):
 def records_from_csv(text):
     """Records of a CSV written by records_to_csv; '#' lines are skipped.
 
-    A missing header, a row with the wrong number of cells, or a
-    non-numeric replicate, seed or f raises InvalidArgumentError naming the
-    line."""
+    A missing header, a row with the wrong number of cells, a non-numeric
+    replicate, seed or f, or a non-finite f raises InvalidArgumentError
+    naming the line."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln and not ln.startswith("#")]
     if not lines or lines[0][1].split(",")[:5] != CSV_HEADER:
@@ -142,6 +146,8 @@ def records_from_csv(text):
         except ValueError as exc:
             raise InvalidArgumentError(f"line {no}: replicate and seed must be "
                                        f"integers and f a number ({exc})") from None
+        if not math.isfinite(records[-1].f):
+            raise InvalidArgumentError(f"line {no}: f must be finite, got {parts[4]!r}")
     return records
 
 
@@ -171,10 +177,10 @@ def run_replicates(config: ExperimentConfig, workers=1, records=None):
 
     With several workers the pool runs contiguous blocks of
     max(1, replicates // (workers * 8)) replicates, each returning its
-    columns.  Records are appended to `records` (a new list by default),
-    so when a replicate raises the caller's list holds the completed
-    prefix: every earlier replicate with one worker, every earlier whole
-    block with more."""
+    columns, on min(workers, number of blocks) processes.  Records are
+    appended to `records` (a new list by default), so when a replicate
+    raises the caller's list holds the completed prefix: every earlier
+    replicate with one worker, every earlier whole block with more."""
     records = [] if records is None else records
     n = config.replicates
     param_hash = config.param_hash()
@@ -196,10 +202,19 @@ def run_replicates(config: ExperimentConfig, workers=1, records=None):
     size = max(1, n // (workers * 8))
     starts = range(0, n, size)
     stops = [min(start + size, n) for start in starts]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(stops))) as pool:
         for start, columns in zip(starts, pool.map(block, starts, stops)):
             extend(start, columns)
     return records
+
+
+def _check_workers(workers):
+    """Refuse a worker count below 1 (exit 2) or above MAX_WORKERS (exit 4)
+    before any file is opened or process forked."""
+    if workers < 1:
+        raise InvalidArgumentError(f"--workers: must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise SizeLimitError(f"--workers: {workers} is above MAX_WORKERS = {MAX_WORKERS}")
 
 
 def summarize(records, extras=None, warnings=None):
@@ -225,6 +240,7 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
     Returns (records, summary).  A mid-run replicate failure still writes
     the completed prefix plus a '# error ...' trailer before re-raising.
     """
+    _check_workers(workers)
     gate_report = pre_run_gate(config)
     path = out or config.output
     records = []
@@ -284,8 +300,6 @@ def bound_source(source, m_max=None):
       {"kind": "jl", "n", "k"}                  analytic projection envelope
       {"kind": "profile", "profile": ...}       explicit MomentProfile /
                                                 TypicalProfile
-      {"kind": "empirical", "samples", "orders"} estimated from a
-                                                SampleMatrix via max-over-bins
 
     The Chernoff corollaries fix m per t by their own rule, and tail_at
     raises OutOfRegimeError outside their regime.  Every other source
@@ -293,8 +307,7 @@ def bound_source(source, m_max=None):
     inequality over it.  An m_max other than None is used as given (so 0 is
     refused).  With None, the closed form and a MomentProfile stop at n
     rounded down to even (a MomentProfile also at its highest order) and a
-    TypicalProfile at its highest order.  An empirical source is recorded
-    as the profile it estimates.
+    TypicalProfile at its highest order.
     """
     kind = source["kind"]
     if kind == "bernoulli":
@@ -315,14 +328,8 @@ def bound_source(source, m_max=None):
         method = BoundMethod.JL_ENVELOPE
         record = {"kind": kind, "n": source["n"], "k": source["k"]}
         curve = jl_envelope_curve(source["n"], source["k"])
-    elif kind in ("profile", "empirical"):
-        if kind == "empirical":
-            samples: SampleMatrix = source["samples"]
-            profile = MomentProfile.from_values(samples.n, {
-                (i, l): estimate_conditional_moment(samples, i, l).max_over_bins
-                for i in range(1, samples.n + 1) for l in source.get("orders", (2, 4))})
-        else:
-            profile = source["profile"]
+    elif kind == "profile":
+        profile = source["profile"]
         typical = isinstance(profile, TypicalProfile)
         base = profile.base if typical else profile
         record = {"kind": "profile", "n": base.n, "orders": list(base.orders),
@@ -395,10 +402,12 @@ class ScalingStudy:
 def scaling_study(config: ExperimentConfig, n_list, workers=1):
     """Run the experiment at each n and fit the log-sd versus log-n slope.
 
-    Every size is validated and passed through pre_run_gate before any
-    replicate runs, as run_experiment gates its one size.  Each size's
-    validated config is built again when that size runs, so the study
-    holds one size's arrays at a time."""
+    Every size is validated, then every size passes pre_run_gate, before
+    any replicate runs, as run_experiment gates its one size; so no gate
+    draws when some size is refused.  Each size's validated config is
+    built again for its gate and its run, so the study holds one size's
+    arrays at a time."""
+    _check_workers(workers)
     if config.replicates < 2:
         raise ConfigError("$.replicates", "must be >= 2 for a scaling study, "
                                           "which needs each size's sd")
@@ -411,6 +420,8 @@ def scaling_study(config: ExperimentConfig, n_list, workers=1):
     def at_size(n):
         return with_parameters(config, {**config.raw_parameters, key: int(n)})
 
+    for n in n_list:
+        at_size(n)
     for n in n_list:
         pre_run_gate(at_size(n))
     rows = [_scaling_row(at_size(n), n, workers) for n in n_list]

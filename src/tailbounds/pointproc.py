@@ -32,14 +32,9 @@ __all__ = [
     "PlacementStrategy",
     "PointSet",
     "sample_point_set",
-    "layer_order",
-    "layer_sizes",
-    "tau0_by_layer",
     "cell_bounds",
     "point_cell",
 ]
-
-TAU0_CAP = 2 * math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -272,42 +267,3 @@ def sample_point_set(n_cells, count_dist, placement, rng):
         xy = (_toward_center(c, side, h), _toward_center(r, side, h))
     return PointSet(n_cells=n_cells, points=np.column_stack(xy), cell=cell)
 
-
-def layer_order(n_cells):
-    """Exposure order of cells in L-shaped layers: the cells touching the
-    bottom or left boundary first, then each layer one cell further in,
-    ending at the top-right cell; row-major inside a layer.  Returns a
-    permutation of cell indices."""
-    r, c = np.divmod(np.arange(n_cells), _side(n_cells))
-    return np.argsort(np.minimum(r, c), kind="stable")
-
-
-def layer_sizes(n_cells):
-    side = _side(n_cells)
-    return [2 * (side - layer) - 1 for layer in range(side)]
-
-
-def tau0_by_layer(ps: PointSet):
-    """Diagnostic: per layer, the mean over its cells of the minimum
-    distance from the cell's square to any point owned by a cell exposed
-    later in layer_order, capped at TAU0_CAP.  Reported, never asserted:
-    the exposure ordering makes this distance small for early layers."""
-    order = layer_order(ps.n_cells)
-    position = np.argsort(order)  # exposure position of each cell
-    row_position = position[ps.cell]
-    means = []
-    start = 0
-    for size in layer_sizes(ps.n_cells):
-        taus = []
-        for idx in order[start:start + size]:
-            pts = ps.points[row_position > position[idx]]
-            if not len(pts):
-                taus.append(TAU0_CAP)
-                continue
-            x0, x1, y0, y1 = cell_bounds(ps.n_cells, int(idx))
-            dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
-            dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
-            taus.append(min(TAU0_CAP, float(np.sqrt(dx**2 + dy**2).min())))
-        means.append(float(np.mean(taus)))
-        start += size
-    return means

@@ -387,44 +387,6 @@ def sample_point_set_oracle(n_cells, count_dist, placement, seed):
     return cells
 
 
-def layer_order_oracle(n_cells):
-    """Cells with min(row, col) = 0, then 1, ..., each layer in index order."""
-    side = math.isqrt(n_cells)
-    order = []
-    for layer in range(side):
-        for idx in range(n_cells):
-            r, c = divmod(idx, side)
-            if min(r, c) == layer:
-                order.append(idx)
-    return order
-
-
-def tau0_by_layer_oracle(n_cells, cells, cap=2 * math.sqrt(2)):
-    """tau0_by_layer over per-cell point arrays: for each cell, the distance
-    from its square to the points of every later cell, stacked cell by
-    cell in exposure order."""
-    from tailbounds.pointproc import cell_bounds, layer_sizes
-
-    order = layer_order_oracle(n_cells)
-    means = []
-    start = 0
-    for size in layer_sizes(n_cells):
-        taus = []
-        for at in range(start, start + size):
-            later = [cells[cell] for cell in order[at + 1:] if len(cells[cell])]
-            if not later:
-                taus.append(cap)
-                continue
-            pts = np.vstack(later)
-            x0, x1, y0, y1 = cell_bounds(n_cells, order[at])
-            dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
-            dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
-            taus.append(min(cap, float(np.sqrt(dx**2 + dy**2).min())))
-        means.append(float(np.mean(taus)))
-        start += size
-    return means
-
-
 def run_chernoff(params, seed):
     """One chernoff replicate from a new Generator: the first n uniforms of
     the stream at site "chernoff", X = #{u_j < nu_j} - sum(nus)."""

@@ -39,7 +39,6 @@ from tailbounds.harness.runner import (
     summarize,
     _replicate_block,
 )
-from tailbounds.moments import SampleMatrix
 from tailbounds.packing import lower_bound_distribution
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
@@ -462,6 +461,24 @@ class TestRunExperiment:
         b = records_to_csv(run_replicates(cfg, workers=3))
         assert a == b
 
+    @pytest.mark.parametrize("replicates, workers, processes", [(2, 3, 2), (40, 2, 2)])
+    def test_pool_never_outnumbers_its_blocks(self, monkeypatch, replicates, workers,
+                                              processes):
+        # 2 replicates on 3 workers make 2 blocks of 1, so 2 processes
+        pools = []
+        real_pool = runner.ProcessPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            assert max_workers <= 2, f"a pool of {max_workers} workers was started"
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        cfg = make_config(replicates=replicates)
+        records = run_replicates(cfg, workers=workers)
+        assert pools == [processes]
+        assert records_to_csv(records) == records_to_csv(run_replicates(cfg, workers=1))
+
     def test_blocks_give_serial_bytes(self, tmp_path):
         # 37 replicates on 2 workers run in blocks of 2 and a last block of 1.
         cfg = make_config(experiment="chernoff", replicates=37,
@@ -618,18 +635,6 @@ class TestCompareBound:
         assert (summary.empirical == 0).all()
         assert summary.dominated
 
-    def test_profile_source_empirical(self, bernoulli_records):
-        rng = substream(42, "profile-samples")
-        samples = SampleMatrix(rng.choice([-0.5, 0.5], size=(3000, 12)))
-        sums = samples.values.sum(axis=1)
-        records = [ExperimentRecord("sum", i, i, "h", float(s), {})
-                   for i, s in enumerate(sums)]
-        summary = compare_bound(records, "theorem1_recursion",
-                                {"kind": "empirical", "samples": samples,
-                                 "orders": (2, 4)})
-        assert summary.bound_method == "Theorem1Recursion"
-        assert summary.dominated
-
     def test_profile_source_explicit(self):
         rng = substream(43, "explicit")
         sums = rng.choice([-1.0, 1.0], size=(2000, 10)).sum(axis=1)
@@ -677,8 +682,9 @@ class TestCompareBound:
     def test_unknown_profile_kind(self):
         records = [ExperimentRecord("x", i, i, "h", float(i), {})
                    for i in range(150)]
-        with pytest.raises(InvalidArgumentError):
-            compare_bound(records, "x", {"kind": "mystery"})
+        for kind in ("mystery", "empirical"):
+            with pytest.raises(InvalidArgumentError, match=f"unknown profile source '{kind}'"):
+                compare_bound(records, "x", {"kind": kind})
 
     def test_bound_curve_reproducible_from_logged_profile(self, bernoulli_records):
         from tailbounds.bounds import chernoff_corollary_bound
@@ -1053,10 +1059,11 @@ class TestCli:
                                                       argv, gate_samples):
         samples = max(100, gate_samples)
         n = MAX_JL_GATE_ENTRIES // samples + 1
+        gated = []
         real_gate = experiments.check_jl_hypotheses
 
         def gate(family, n, k, samples, seed=0):
-            assert n * samples <= MAX_JL_GATE_ENTRIES, "the gate drew before the size check"
+            gated.append(n)
             return real_gate(family, n, k, samples, seed)
 
         monkeypatch.setattr(experiments, "check_jl_hypotheses", gate)
@@ -1076,8 +1083,10 @@ class TestCli:
         assert "Traceback" not in err
         assert (f"$.parameters.n: n * max(100, gate_samples) = {n * samples} is above "
                 f"MAX_JL_GATE_ENTRIES = {MAX_JL_GATE_ENTRIES}") in err
-        # the gates of the smaller sizes draw at most 20 x 10**6 values
-        assert peak < (10**6 if argv[0] == "run" else 16 * 20 * samples + 10**6)
+        # scale validates every size before it gates any, so the gates of
+        # the smaller sizes do not run either
+        assert gated == []
+        assert peak < 10**6
 
     @pytest.mark.parametrize("gate_samples, n", [(0, 5), (150, 3)])
     def test_jl_gate_cap_is_inclusive(self, monkeypatch, gate_samples, n):
@@ -1415,7 +1424,14 @@ def test_cli_in_a_fresh_interpreter(tmp_path, command):
 
 
 def test_every_exported_name_resolves():
-    # each name a module lists in __all__ is an attribute of that module
+    # each name a module lists in __all__ is an attribute of that module, so
+    # a deletion cannot leave a stale export; the package's own __all__ is
+    # checked in a fresh interpreter first, where no other import has set a
+    # submodule attribute that its import line no longer sets
+    code, stdout, err = run_python("-c", (
+        "import tailbounds\n"
+        "print([n for n in tailbounds.__all__ if not hasattr(tailbounds, n)])"))
+    assert (code, stdout.strip()) == (0, "[]"), err
     names = ["tailbounds"] + [m.name for m in pkgutil.walk_packages(
         tailbounds.__path__, "tailbounds.")]
     checked = 0
@@ -1677,7 +1693,10 @@ class TestCliBadInput:
         ("experiment,replicate,seed,param_hash,f\nlis,zero,1,h,1.0\n", "line 2"),
         ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,1.0\nlis,1,2,h\n", "line 3"),
         ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,one\n", "line 2"),
-    ], ids=["empty", "bad-replicate", "short-row", "bad-f"])
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,nan\n", "line 2: f must be finite"),
+        ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,1.0\nlis,1,2,h,-inf\n",
+         "line 3: f must be finite"),
+    ], ids=["empty", "bad-replicate", "short-row", "bad-f", "nan-f", "inf-f"])
     def test_report_bad_records_file(self, tmp_path, text, named):
         records = tmp_path / "records.csv"
         records.write_text(text)
@@ -1685,6 +1704,57 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize("command", ["run", "scale", "report", "bound"])
+    def test_input_that_is_not_utf8(self, tmp_path, command):
+        # UTF-16 text starts with the bytes ff fe, which UTF-8 cannot decode
+        cfg = json.dumps({"schema_version": 1, "experiment": "lis", "replicates": 5,
+                          "parameters": {"n": 20}})
+        text, argv = {
+            "run": (cfg, ["run", "{path}"]),
+            "scale": (cfg, ["scale", "{path}", "--n-list", "10", "20", "40"]),
+            "report": ("experiment,replicate,seed,param_hash,f\nlis,0,1,h,1.0\n",
+                       ["report", "{path}"]),
+            "bound": ('{"n": 2, "M": {"2": 1.0}}',
+                      ["bound", "--method", "theorem1-recursion", "--profile", "{path}",
+                       "--t", "3"]),
+        }[command]
+        path = tmp_path / "input"
+        path.write_bytes(text.encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        code, stdout, err = run_cli(*[arg.format(path=path) for arg in argv])
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{path}: not UTF-8 text" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", ["run", "scale"])
+    @pytest.mark.parametrize("workers, code, message", [
+        ("0", 2, "--workers: must be >= 1, got 0"),
+        ("-2", 2, "--workers: must be >= 1, got -2"),
+        (str(runner.MAX_WORKERS + 1),
+         4, f"--workers: {runner.MAX_WORKERS + 1} is above MAX_WORKERS = {runner.MAX_WORKERS}"),
+    ])
+    def test_workers_refused_before_any_fork(self, tmp_path, monkeypatch, command, workers,
+                                             code, message):
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
+                                   "replicates": 5, "parameters": {"n": 20}}))
+        out = tmp_path / "out"
+        argv = ["--n-list", "10", "20", "40"] if command == "scale" else []
+        got = run_cli(command, str(cfg), *argv, "--workers", workers, "--out", str(out))
+        assert got == (code, "", f"{'size limit' if code == 4 else 'invalid input'}: "
+                                 f"{message}\n")
+        assert pools == []
+        if command == "run":
+            assert not out.exists()
 
     def test_report_directory(self, tmp_path):
         code, _, err = run_cli("report", str(tmp_path))

@@ -15,14 +15,11 @@ from tailbounds.pointproc import (
     TruncatedZeta,
     TwoPoint,
     cell_bounds,
-    layer_order,
-    layer_sizes,
     point_cell,
     sample_point_set,
-    tau0_by_layer,
 )
 
-from conftest import layer_order_oracle, sample_point_set_oracle, tau0_by_layer_oracle
+from conftest import sample_point_set_oracle
 
 _COUNT_LAWS = [
     Poisson(1.0),
@@ -196,54 +193,3 @@ class TestSamplePointSet:
         for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
             assert point_cell(n, x, y) == idx
 
-
-class TestLayerOrder:
-    def test_two_by_two(self):
-        order = layer_order(4).tolist()
-        # boundary cells (bottom-left, bottom-right, top-left) first,
-        # top-right cell last
-        assert order == [0, 1, 2, 3]
-        assert order[-1] == 3
-
-    def test_three_by_three_sizes(self):
-        assert layer_sizes(9) == [5, 3, 1]
-        order = layer_order(9).tolist()
-        assert len(order) == 9
-        assert sorted(order) == list(range(9))
-        assert order[-1] == 8  # top-right cell is exposed last
-        # first layer: min(row, col) == 0
-        first = order[:5]
-        assert set(first) == {0, 1, 2, 3, 6}
-
-    def test_deterministic(self):
-        assert layer_order(49).tolist() == layer_order(49).tolist()
-
-    def test_layers_partition(self):
-        for n in (4, 16, 25, 64):
-            order = layer_order(n)
-            assert sorted(order.tolist()) == list(range(n))
-            assert sum(layer_sizes(n)) == n
-
-    def test_matches_loop_oracle(self):
-        for side in range(2, 61):
-            assert layer_order(side * side).tolist() == layer_order_oracle(side * side)
-
-    @pytest.mark.parametrize("placement", list(PlacementStrategy))
-    @pytest.mark.parametrize("counts", [Poisson(0.7), TwoPoint(0.5, 2), Deterministic(0)])
-    def test_tau0_matches_loop_oracle(self, placement, counts):
-        for side, seed in [(2, 1), (3, 2), (5, 3), (8, 4)]:
-            n = side * side
-            ps = sample_point_set(n, counts, placement, substream(seed, "pointset"))
-            cells = sample_point_set_oracle(n, counts, placement, seed)
-            assert tau0_by_layer(ps) == tau0_by_layer_oracle(n, cells)
-
-    def test_tau0_diagnostic_scale(self):
-        ps = sample_point_set(100, Deterministic(1), "uniform_in_cell",
-                              substream(6, "pointset"))
-        taus = tau0_by_layer(ps)
-        assert len(taus) == 10
-        # with every later cell occupied, early layers sit within a couple
-        # of cell widths of the next point; the last cell has no later
-        # points and reports the cap
-        assert all(t <= 3 * 0.1 for t in taus[:-1])
-        assert taus[-1] == pytest.approx(2 * math.sqrt(2))
