@@ -152,8 +152,8 @@ def cmd_run(args):
 
 
 def _open_out(path):
-    """The --out file, opened before the command's work so that a bad path
-    fails first, the way run_experiment opens its records file."""
+    """The --out file of report, opened before the summary so that a bad path
+    fails first."""
     return open(path, "w") if path else contextlib.nullcontext()
 
 
@@ -161,18 +161,8 @@ def cmd_scale(args):
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-    with _open_out(args.out) as fh:
-        study = scaling_study(config, args.n_list, workers=args.workers)
-        payload = {
-            "experiment": config.experiment,
-            "rows": [{"n": r.n, "mean": r.mean, "sd": r.sd} for r in study.rows],
-            "slope": study.slope,
-            "slope_se": study.slope_se,
-        }
-        text = json.dumps(payload, indent=2)
-        if fh:
-            fh.write(text + "\n")
-    print(text)
+    study = scaling_study(config, args.n_list, workers=args.workers, out=args.out)
+    print(study.to_json())
     return EXIT_OK
 
 

@@ -44,9 +44,20 @@ _REQUIRED = object()
 # about 180 MB in all at MAX_CHROMATIC_N.  The jl gate draws and squares a
 # samples x n matrix, max(100, gate_samples) samples: a peak of 16.0 traced
 # bytes per n * samples (n = 1000 and 4000, 2000 samples), so 128 MB at
-# MAX_JL_GATE_ENTRIES.
+# MAX_JL_GATE_ENTRIES.  A grid also draws one count per cell, and
+# sample_point_set peaks at 24 traced bytes a cell (41 with zeta counts)
+# when the cells hold no points, so about 41 MB at MAX_CELLS.  Binpack
+# counts come from numpy's multinomial, which takes n_items as a C long,
+# and the LP reads them as floats, exact up to MAX_ITEMS.  The parent of a
+# run holds each replicate's seed and f (16 bytes) plus its aux values,
+# and its traced peak per replicate, measured at 2e4 and 8e4 replicates
+# in process, is 67 bytes for chernoff and 132 for binpack (whose aux
+# holds a float and an int), so at most about 130 MB at MAX_REPLICATES.
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
+MAX_CELLS = 10**6
+MAX_ITEMS = 2**53
+MAX_REPLICATES = 10**6
 MAX_CHERNOFF_N = 5 * 10**6
 MAX_SEQUENCE_N = 10**7
 MAX_CHROMATIC_N = 2000
@@ -88,11 +99,12 @@ def _check_keys(mapping, allowed, path):
 # The JSON values a typed field accepts, and how it names them, by the type
 # it returns.
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
-            tuple: ((list,), "a list"), bool: ((bool,), "true or false")}
+            tuple: ((list,), "a list"), bool: ((bool,), "true or false"),
+            str: ((str,), "a string")}
 
 
 def typed_value(value, path, kind, low=None):
-    """value as kind (int, float, tuple or bool), at least low.  Only the
+    """value as kind (int, float, tuple, bool or str), at least low.  Only the
     bool kind takes true and false: bool is a subclass of int, so they
     would pass a bare isinstance for the numeric kinds.  The float kind
     refuses NaN and +-Infinity, which Python's json reads as floats, and
@@ -118,7 +130,7 @@ def _build(path, ctor, *args):
     """ctor(*args), with a domain error reported as a ConfigError at path."""
     try:
         return ctor(*args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -168,6 +180,8 @@ def _validate_grid(params, path, keys=_GRID_KEYS):
     out = dict(params)
     _check_keys(params, keys, path)
     n_cells = typed_field(params, "n_cells", path, int, low=4)
+    if n_cells > MAX_CELLS:
+        raise SizeLimitError(f"{path}.n_cells: above MAX_CELLS = {MAX_CELLS}")
     side = math.isqrt(n_cells)
     _require(side * side == n_cells, f"{path}.n_cells", "must be a perfect square")
     dist = out["count_dist"] = _from_kind(params.get("count_dist", {"kind": "poisson"}),
@@ -175,7 +189,11 @@ def _validate_grid(params, path, keys=_GRID_KEYS):
                                           "count distribution")
     if isinstance(dist, TruncatedZeta) and dist.cap > MAX_ZETA_CAP:
         raise SizeLimitError(f"{path}.count_dist.cap: above MAX_ZETA_CAP = {MAX_ZETA_CAP}")
-    if n_cells * dist.moment(1) > MAX_EXPECTED_POINTS:
+    try:
+        expected = n_cells * dist.moment(1)
+    except OverflowError:  # an integer count too large for a float
+        expected = math.inf
+    if expected > MAX_EXPECTED_POINTS:
         raise SizeLimitError(f"{path}.count_dist: n_cells * E[count] is above "
                              f"MAX_EXPECTED_POINTS = {MAX_EXPECTED_POINTS}")
     out["placement"] = _placement(params.get("placement", "uniform_in_cell"),
@@ -218,7 +236,9 @@ def _probability_matrix(n, spec, path):
     if kind == "matrix":
         _check_keys(spec, {"kind", "p"}, path)
         P = _build(f"{path}.p", EdgeProbabilityMatrix, typed_field(spec, "p", path, tuple))
-        _require(P.n == n, f"{path}.p", f"must be n x n = {n} x {n}, got {P.n} x {P.n}")
+        n_path = path.rsplit(".", 1)[0] + ".n"
+        _require(P.n == n, f"{path}.p",
+                 f"must be n x n = {n} x {n} for {n_path}, got {P.n} x {P.n}")
         return P
     raise ConfigError(f"{path}.kind", f"unknown matrix spec {kind!r}")
 
@@ -236,6 +256,9 @@ def _validate_chromatic(params, path):
     exact_cap = typed_field(params, "exact_cap", path, int, low=0, default=30)
     if method == "auto":
         method = "exact" if n <= exact_cap else "greedy"
+    if method == "exact" and n > exact_cap:
+        raise SizeLimitError(f"{path}.exact_cap: exact coloring of n = {n} vertices "
+                             f"is above exact_cap = {exact_cap}")
     return {"n": n, "P": P, "method": method, "exact_cap": exact_cap}
 
 
@@ -244,7 +267,7 @@ def _validate_jl(params, path):
     out = dict(params)
     n = typed_field(params, "n", path, int, low=1)
     k = typed_field(params, "k", path, int, low=1)
-    _require(k <= n, f"{path}.k", "must be an integer in 1..n")
+    _require(k <= n, f"{path}.k", f"must be at most {path}.n = {n}")
     out["family"] = _from_kind(params.get("family", {"kind": "sphere"}),
                                f"{path}.family", _VECTOR_FAMILIES, "vector family")
     # The vectors the gate draws: check_jl_hypotheses needs at least 100.
@@ -252,13 +275,16 @@ def _validate_jl(params, path):
                                                          int, low=0, default=2000))
     if n * samples > MAX_JL_GATE_ENTRIES:
         raise SizeLimitError(f"{path}.n: n * max(100, gate_samples) = {n * samples} is "
-                             f"above MAX_JL_GATE_ENTRIES = {MAX_JL_GATE_ENTRIES}")
+                             f"above MAX_JL_GATE_ENTRIES = {MAX_JL_GATE_ENTRIES}; lower "
+                             f"{path}.n or {path}.gate_samples")
     return out
 
 
 def _validate_binpack(params, path):
     _check_keys(params, {"dist", "n_items", "maximal_only"}, path)
     n_items = typed_field(params, "n_items", path, int, low=1)
+    if n_items > MAX_ITEMS:
+        raise SizeLimitError(f"{path}.n_items: above MAX_ITEMS = {MAX_ITEMS}")
     dist = _from_kind(params.get("dist"), f"{path}.dist", _ITEM_DISTS, "distribution")
     maximal_only = typed_field(params, "maximal_only", path, bool, default=True)
     bin_types = _build(f"{path}.dist", enumerate_bin_types, dist, maximal_only)
@@ -338,13 +364,15 @@ def parse_config(raw: dict):
     _require(isinstance(exp, str) and exp in _VALIDATORS, "$.experiment",
              f"must be one of {', '.join(_VALIDATORS)}")
     replicates = typed_field(raw, "replicates", "$", int, low=1)
+    if replicates > MAX_REPLICATES:
+        raise SizeLimitError(f"$.replicates: above MAX_REPLICATES = {MAX_REPLICATES}")
     base_seed = typed_field(raw, "base_seed", "$", int, default=0)
     params = raw.get("parameters", {})
     _require(isinstance(params, dict), "$.parameters", "must be an object")
     return ExperimentConfig(
         experiment=exp, parameters=_VALIDATORS[exp](params, "$.parameters"),
         raw_parameters=params, replicates=replicates, base_seed=base_seed,
-        output=raw.get("output"))
+        output=typed_field(raw, "output", "$", str, default=None))
 
 
 def with_parameters(config, raw_parameters):

@@ -2,11 +2,12 @@
 
 Every experiment is one replicate function fn(params, rng) -> (f, aux) in
 REPLICATE_FNS, where f is the functional value and aux a dict of
-auxiliary metrics.  rng is a numpy Generator on a Philox that the runner
-re-keys with rng.restream to (seed, STREAM_SITES[experiment]) before each
-call, so it draws what a new substream(seed, site) draws.  The seed is
-derived_seed(base_seed, replicate), which the runner takes from
-rng.derived_seeds and writes to the record's seed column.  All randomness
+auxiliary metrics whose keys are always AUX_KEYS[experiment].  rng is a
+numpy Generator on a Philox that the runner re-keys with rng.restream to
+(seed, STREAM_SITES[experiment]) before each call, so it draws what a new
+substream(seed, site) draws.  The seed is derived_seed(base_seed,
+replicate), which the runner takes from rng.derived_seeds and writes to
+the record's seed column.  All randomness
 flows from that seed through counter-based streams, so results do not
 depend on execution order or worker count.  tsp and mwst share the site
 "pointset", so at equal seeds and grid parameters they see one point set.
@@ -115,6 +116,19 @@ REPLICATE_FNS = {
     "gauss_sum": run_gauss_sum,
 }
 
+# The keys of every replicate's aux dict, in the order of their aux_ columns
+# in the records CSV (sorted).
+AUX_KEYS = {
+    "tsp": ("n_points", "solver"),
+    "mwst": ("n_points", "solver"),
+    "chromatic": ("edges", "solver"),
+    "jl": ("centered",),
+    "binpack": ("duality_gap", "rounded"),
+    "lis": (),
+    "chernoff": (),
+    "gauss_sum": (),
+}
+
 # The stream site each experiment's Philox is keyed to, with its seed.
 STREAM_SITES = {
     "tsp": "pointset",
@@ -131,15 +145,14 @@ STREAM_SITES = {
 def pre_run_gate(config):
     """Hypothesis gates that must refuse before any replicate runs."""
     if config.experiment == "jl":
-        family = config.parameters["family"]
-        report = check_jl_hypotheses(
-            family, config.parameters["n"], config.parameters["k"],
-            samples=config.parameters["gate_samples"],
-            seed=config.base_seed,
-        )
+        params = config.parameters
+        n, k = params["n"], params["k"]
+        report = check_jl_hypotheses(params["family"], n, k,
+                                     samples=params["gate_samples"], seed=config.base_seed)
         if not report.passed:
             raise HypothesisViolationError(
-                "projection hypotheses violated: " + "; ".join(report.reasons()),
+                f"$.parameters: projection hypotheses violated at n = {n}, k = {k}: "
+                + "; ".join(report.reasons()),
                 report=report,
             )
         return report

@@ -2,17 +2,18 @@
 summary statistics, and bound-versus-empirical comparison.
 
 Records are a pure function of the configuration: every replicate draws
-from its own counter-based stream, and rows are written in replicate
-order, so the output bytes do not depend on the worker count.
+from its own counter-based stream, each block of replicates formats its
+own CSV rows, and the blocks are written in replicate order, so the
+output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import json
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +24,8 @@ from ..bounds import BoundMethod, TypicalProfile, \
     main_theorem_curve, tail_bound, theorem1_closed_curve, theorem1_recursion_curve
 from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError, SizeLimitError
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
-from .experiments import REPLICATE_FNS, STREAM_SITES, experiment_extras, pre_run_gate
+from .experiments import AUX_KEYS, REPLICATE_FNS, STREAM_SITES, experiment_extras, \
+    pre_run_gate
 from .rng import derived_seeds, restream
 
 T_GRID_POINTS = 20
@@ -84,36 +86,82 @@ class ConcentrationSummary:
         return json.dumps(payload, indent=2)
 
 
-def _aux_keys(records):
-    keys = set()
-    for rec in records:
-        keys.update(rec.aux)
-    return sorted(keys)
+class Records(Sequence):
+    """Replicate records held as columns: a read-only sequence whose items
+    are ExperimentRecords, built only when read.
+
+    Every record has the same experiment and param_hash.  replicate and
+    seed are integer sequences, f is a float64 array (what summarize and
+    compare_bound read), and aux maps each aux key to its column, where
+    None marks a cell left empty in a records CSV."""
+
+    def __init__(self, experiment, param_hash, replicate, seed, f, aux):
+        self.experiment = experiment
+        self.param_hash = param_hash
+        self.replicate = replicate
+        self.seed = seed
+        self.f = f
+        self.aux = aux
+
+    def __len__(self):
+        return len(self.f)
+
+    def _record(self, i):
+        aux = {key: column[i] for key, column in self.aux.items() if column[i] is not None}
+        return ExperimentRecord(self.experiment, int(self.replicate[i]), int(self.seed[i]),
+                                self.param_hash, float(self.f[i]), aux)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(len(self))[index]]
+        return self._record(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+
+def _header(aux_keys):
+    return ",".join(CSV_HEADER + [f"aux_{key}" for key in aux_keys]) + "\n"
+
+
+def _cell(value):
+    """An aux value as a CSV cell: floats (numpy's too) by repr, the rest by str."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def records_to_csv(records):
-    keys = _aux_keys(records)
-    buf = io.StringIO()
-    header = CSV_HEADER + [f"aux_{k}" for k in keys]
-    buf.write(",".join(header) + "\n")
+    """The records CSV of any iterable of records, one row per record with
+    the union of their aux keys, sorted, as aux_ columns; run_replicates
+    writes these bytes block by block."""
+    keys = sorted({key for rec in records for key in rec.aux})
+    rows = [_header(keys)]
     for rec in records:
         row = [rec.experiment, str(rec.replicate), str(rec.seed),
                rec.param_hash, repr(float(rec.f))]
-        for k in keys:
-            v = rec.aux.get(k, "")
-            if isinstance(v, (float, np.floating)):
-                v = repr(float(v))
-            row.append(str(v))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        row.extend(_cell(rec.aux.get(key, "")) for key in keys)
+        rows.append(",".join(row) + "\n")
+    return "".join(rows)
+
+
+def _aux_value(cell):
+    if cell == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def records_from_csv(text):
     """Records of a CSV written by records_to_csv; '#' lines are skipped.
 
     A missing header, a row with the wrong number of cells, a non-numeric
-    replicate, seed or f, or a non-finite f raises InvalidArgumentError
-    naming the line."""
+    replicate, seed or f, a non-finite f, or an experiment or param_hash
+    other than the first row's raises InvalidArgumentError naming the
+    line.  Aux cells are read as floats where they parse as one, empty
+    cells as absent."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln and not ln.startswith("#")]
     if not lines or lines[0][1].split(",")[:5] != CSV_HEADER:
@@ -123,32 +171,34 @@ def records_from_csv(text):
     header = lines[0][1].split(",")
     aux_cols = [(idx, name[4:]) for idx, name in enumerate(header)
                 if name.startswith("aux_")]
-    records = []
+    ident = None
+    replicates, seeds, fs = [], [], []
+    aux = {name: [] for _, name in aux_cols}
     for no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             raise InvalidArgumentError(
                 f"line {no}: expected {len(header)} cells, got {len(parts)}")
-        aux = {}
-        for idx, name in aux_cols:
-            raw = parts[idx]
-            if raw == "":
-                continue
-            try:
-                aux[name] = float(raw)
-            except ValueError:
-                aux[name] = raw
         try:
-            records.append(ExperimentRecord(
-                experiment=parts[0], replicate=int(parts[1]), seed=int(parts[2]),
-                param_hash=parts[3], f=float(parts[4]), aux=aux,
-            ))
+            replicate, seed, f = int(parts[1]), int(parts[2]), float(parts[4])
         except ValueError as exc:
             raise InvalidArgumentError(f"line {no}: replicate and seed must be "
                                        f"integers and f a number ({exc})") from None
-        if not math.isfinite(records[-1].f):
+        if not math.isfinite(f):
             raise InvalidArgumentError(f"line {no}: f must be finite, got {parts[4]!r}")
-    return records
+        if ident is None:
+            ident = (parts[0], parts[3])
+        elif (parts[0], parts[3]) != ident:
+            raise InvalidArgumentError(f"line {no}: experiment and param_hash must be "
+                                       f"the first row's, {','.join(ident)}")
+        replicates.append(replicate)
+        seeds.append(seed)
+        fs.append(f)
+        for idx, name in aux_cols:
+            aux[name].append(_aux_value(parts[idx]))
+    experiment, param_hash = ident or ("", "")
+    return Records(experiment, param_hash, replicates, seeds,
+                   np.array(fs, dtype=np.float64), aux)
 
 
 def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
@@ -157,8 +207,10 @@ def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
     on it; for each seed it re-keys the Philox to (seed,
     STREAM_SITES[experiment]) and calls REPLICATE_FNS[experiment] on the
     Generator.  The columns are filled in place, so after a replicate
-    raises, the columns passed in hold the completed prefix."""
+    raises, the columns passed in hold the completed prefix.  A replicate
+    whose aux keys are not AUX_KEYS[experiment] raises ValueError."""
     fn, site = REPLICATE_FNS[experiment], STREAM_SITES[experiment]
+    keys = set(AUX_KEYS[experiment])
     columns = ([], [], []) if columns is None else columns
     out_seeds, fs, auxes = columns
     bit_generator = np.random.Philox(0)
@@ -166,46 +218,82 @@ def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
     for seed in derived_seeds(base_seed, start, stop):
         restream(bit_generator, seed, site)
         f, aux = fn(params, rng)
+        if aux.keys() != keys:
+            raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
+                             f"{sorted(aux)} are not {list(AUX_KEYS[experiment])}")
         out_seeds.append(seed)
         fs.append(float(f))
         auxes.append(aux)
     return columns
 
 
-def run_replicates(config: ExperimentConfig, workers=1, records=None):
-    """All replicate records, in replicate order, worker-count independent.
+def _block_rows(experiment, param_hash, start, columns):
+    """(text, seeds, fs, aux) of the replicates from start whose columns
+    _replicate_block filled: their rows as records_to_csv writes them, a
+    uint64 seed array, a float64 f array and one list per aux key."""
+    seeds, fs, auxes = columns
+    aux = {key: [a[key] for a in auxes] for key in AUX_KEYS[experiment]}
+    rows = [f"{experiment},{start + i},{seed},{param_hash},{f!r}"
+            for i, (seed, f) in enumerate(zip(seeds, fs))]
+    for column in aux.values():
+        rows = [f"{row},{_cell(value)}" for row, value in zip(rows, column)]
+    return ("".join(row + "\n" for row in rows), np.array(seeds, dtype=np.uint64),
+            np.array(fs, dtype=np.float64), aux)
 
-    With several workers the pool runs contiguous blocks of
-    max(1, replicates // (workers * 8)) replicates, each returning its
-    columns, on min(workers, number of blocks) processes.  Records are
-    appended to `records` (a new list by default), so when a replicate
-    raises the caller's list holds the completed prefix: every earlier
-    replicate with one worker, every earlier whole block with more."""
-    records = [] if records is None else records
-    n = config.replicates
+
+def _run_block(experiment, params, base_seed, param_hash, start, stop):
+    """_block_rows of replicates start..stop-1: the task of one pool worker."""
+    columns = _replicate_block(experiment, params, base_seed, start, stop)
+    return _block_rows(experiment, param_hash, start, columns)
+
+
+def run_replicates(config: ExperimentConfig, workers=1, out=None):
+    """All replicate records as Records, in replicate order, worker-count
+    independent.
+
+    The replicates run in contiguous blocks of max(1, replicates //
+    (workers * 8)), each of which formats its own CSV rows: in this
+    process with one worker, else on a pool of min(workers, number of
+    blocks) processes.  With an open file `out`, the header and then each
+    block's rows are written to it in replicate order as the blocks
+    complete, so when a replicate raises, out holds the completed prefix:
+    every earlier replicate with one worker, every earlier whole block with
+    more."""
+    n, experiment = config.replicates, config.experiment
+    keys = AUX_KEYS[experiment]
     param_hash = config.param_hash()
-    block = functools.partial(_replicate_block, config.experiment,
-                              config.parameters, config.base_seed)
+    seeds, fs, aux = [], [], {key: [] for key in keys}
 
-    def extend(start, columns):
-        records.extend(
-            ExperimentRecord(config.experiment, start + i, seed, param_hash, f, aux)
-            for i, (seed, f, aux) in enumerate(zip(*columns)))
+    def take(block):
+        text, block_seeds, block_fs, block_aux = block
+        if out is not None:
+            out.write(text)
+        seeds.append(block_seeds)
+        fs.append(block_fs)
+        for key in keys:
+            aux[key].extend(block_aux[key])
 
-    if workers <= 1:
-        columns = ([], [], [])
-        try:
-            block(0, n, columns)
-        finally:
-            extend(0, columns)
-        return records
+    if out is not None:
+        out.write(_header(keys))
     size = max(1, n // (workers * 8))
     starts = range(0, n, size)
     stops = [min(start + size, n) for start in starts]
-    with ProcessPoolExecutor(max_workers=min(workers, len(stops))) as pool:
-        for start, columns in zip(starts, pool.map(block, starts, stops)):
-            extend(start, columns)
-    return records
+    if workers <= 1:
+        for start, stop in zip(starts, stops):
+            columns = ([], [], [])
+            try:
+                _replicate_block(experiment, config.parameters, config.base_seed, start,
+                                 stop, columns)
+            finally:
+                take(_block_rows(experiment, param_hash, start, columns))
+    else:
+        block = functools.partial(_run_block, experiment, config.parameters,
+                                  config.base_seed, param_hash)
+        with ProcessPoolExecutor(max_workers=min(workers, len(stops))) as pool:
+            for result in pool.map(block, starts, stops):
+                take(result)
+    return Records(experiment, param_hash, range(n), np.concatenate(seeds),
+                   np.concatenate(fs), aux)
 
 
 def _check_workers(workers):
@@ -218,8 +306,8 @@ def _check_workers(workers):
 
 
 def summarize(records, extras=None, warnings=None):
-    """Concentration summary from records alone (recomputable from CSV)."""
-    fs = np.array([rec.f for rec in records])
+    """Concentration summary of Records' f column (recomputable from CSV)."""
+    fs = records.f
     mean = float(fs.mean())
     sd = float(fs.std(ddof=1)) if len(fs) > 1 else None
     scale = sd if sd else 1.0
@@ -227,35 +315,31 @@ def summarize(records, extras=None, warnings=None):
     dev = np.abs(fs - mean)
     empirical = np.array([float((dev >= t).mean()) for t in t_grid])
     return ConcentrationSummary(
-        experiment=records[0].experiment if records else "",
-        replicates=len(records), mean=mean, sd=sd, t_grid=t_grid,
-        empirical=empirical, extras=dict(extras or {}),
+        experiment=records.experiment, replicates=len(fs), mean=mean, sd=sd,
+        t_grid=t_grid, empirical=empirical, extras=dict(extras or {}),
         warnings=list(warnings or []),
     )
 
 
 def run_experiment(config: ExperimentConfig, workers=1, out=None):
-    """Execute all replicates, persist the record CSV, and summarize.
+    """Execute all replicates, stream the records CSV, and summarize.
 
-    Returns (records, summary).  A mid-run replicate failure still writes
-    the completed prefix plus a '# error ...' trailer before re-raising.
+    Returns (records, summary), records as Records.  A mid-run replicate
+    failure leaves the completed prefix (see run_replicates) plus a
+    '# error ...' trailer in the file before re-raising.
     """
     _check_workers(workers)
     gate_report = pre_run_gate(config)
     path = out or config.output
-    records = []
     # Opened before the first replicate, so a bad path fails before any work.
     with open(path, "w") if path else contextlib.nullcontext() as fh:
         try:
-            run_replicates(config, workers=workers, records=records)
+            records = run_replicates(config, workers=workers, out=fh)
         except Exception as exc:
             if fh:
                 message = " ".join(str(exc).splitlines())  # keep the trailer one line
-                fh.write(records_to_csv(records))
                 fh.write(f"# error experiment={config.experiment} message={message}\n")
             raise
-        if fh:
-            fh.write(records_to_csv(records))
     extras = experiment_extras(config)
     if gate_report is not None:
         extras["jl_gate_passed"] = True
@@ -388,25 +472,36 @@ class ScalingRow:
 
 
 def _scaling_row(config, n, workers):
-    fs = np.array([rec.f for rec in run_replicates(config, workers=workers)])
+    fs = run_replicates(config, workers=workers).f
     return ScalingRow(n=int(n), mean=float(fs.mean()), sd=float(fs.std(ddof=1)))
 
 
 @dataclass
 class ScalingStudy:
+    experiment: str
     rows: list
     slope: float
     slope_se: float
 
+    def to_json(self):
+        return json.dumps({
+            "experiment": self.experiment,
+            "rows": [{"n": r.n, "mean": r.mean, "sd": r.sd} for r in self.rows],
+            "slope": self.slope,
+            "slope_se": self.slope_se,
+        }, indent=2)
 
-def scaling_study(config: ExperimentConfig, n_list, workers=1):
+
+def scaling_study(config: ExperimentConfig, n_list, workers=1, out=None):
     """Run the experiment at each n and fit the log-sd versus log-n slope.
 
     Every size is validated, then every size passes pre_run_gate, before
     any replicate runs, as run_experiment gates its one size; so no gate
-    draws when some size is refused.  Each size's validated config is
-    built again for its gate and its run, so the study holds one size's
-    arrays at a time."""
+    draws when some size is refused.  Only then is the file `out` opened
+    (so a refused study leaves it as it was, and a bad path fails before
+    any replicate runs); the study's JSON is written to it at the end.
+    Each size's validated config is built again for its gate and its run,
+    so the study holds one size's arrays at a time."""
     _check_workers(workers)
     if config.replicates < 2:
         raise ConfigError("$.replicates", "must be >= 2 for a scaling study, "
@@ -424,13 +519,17 @@ def scaling_study(config: ExperimentConfig, n_list, workers=1):
         at_size(n)
     for n in n_list:
         pre_run_gate(at_size(n))
-    rows = [_scaling_row(at_size(n), n, workers) for n in n_list]
-    xs = np.log([row.n for row in rows])
-    ys = np.log([max(row.sd, 1e-300) for row in rows])
-    xbar = xs.mean()
-    denom = ((xs - xbar) ** 2).sum()
-    slope = float(((xs - xbar) * (ys - ys.mean())).sum() / denom)
-    resid = ys - (ys.mean() + slope * (xs - xbar))
-    dof = max(len(xs) - 2, 1)
-    slope_se = float(math.sqrt((resid**2).sum() / dof / denom))
-    return ScalingStudy(rows=rows, slope=slope, slope_se=slope_se)
+    with open(out, "w") if out else contextlib.nullcontext() as fh:
+        rows = [_scaling_row(at_size(n), n, workers) for n in n_list]
+        xs = np.log([row.n for row in rows])
+        ys = np.log([max(row.sd, 1e-300) for row in rows])
+        xbar = xs.mean()
+        denom = ((xs - xbar) ** 2).sum()
+        slope = float(((xs - xbar) * (ys - ys.mean())).sum() / denom)
+        resid = ys - (ys.mean() + slope * (xs - xbar))
+        dof = max(len(xs) - 2, 1)
+        slope_se = float(math.sqrt((resid**2).sum() / dof / denom))
+        study = ScalingStudy(config.experiment, rows, slope, slope_se)
+        if fh:
+            fh.write(study.to_json() + "\n")
+    return study

@@ -42,7 +42,7 @@ class ItemDistribution:
             raise InvalidArgumentError("sizes and probs must be nonempty and aligned")
         if any(not 0 < z <= 1 for z in self.sizes):
             raise InvalidArgumentError("sizes must lie in (0, 1]")
-        if any(p < 0 for p in self.probs):
+        if any(not p >= 0 for p in self.probs):  # NaN too
             raise InvalidArgumentError("probabilities must be >= 0")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise InvalidArgumentError("probabilities must sum to 1")

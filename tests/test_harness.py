@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_CHROMATIC_N, MAX_EXPEC
 from tailbounds.harness.rng import derived_seed, derived_seeds, restream, substream
 from tailbounds.harness.runner import (
     ExperimentRecord,
+    Records,
     compare_bound,
     records_from_csv,
     records_to_csv,
@@ -44,6 +46,13 @@ from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
 from conftest import run_binpack, run_chernoff, run_gauss_sum, run_lis, substream_oracle
+
+
+def records_of(fs):
+    """Records of experiment "x" with these f values, each replicate's seed
+    its index."""
+    fs = np.array(fs, dtype=np.float64)
+    return Records("x", "h", range(len(fs)), range(len(fs)), fs, {})
 
 
 def make_config(**overrides):
@@ -445,6 +454,15 @@ class TestStreamBlocks:
         assert columns == (seeds, [run_gauss_sum(params, s)[0] for s in seeds], [{}, {}])
 
 
+def assert_streamed_records_are(cfg, workers, out, digest):
+    """The records file run_experiment streams is records_to_csv of the
+    records it returns, and has this SHA-256."""
+    records, _ = run_experiment(cfg, workers=workers, out=str(out))
+    text = out.read_text()
+    assert text == records_to_csv(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestRunExperiment:
     def test_records_in_order_and_reproducible(self, tmp_path):
         cfg = make_config()
@@ -503,11 +521,10 @@ class TestRunExperiment:
                             "values": [5e-324, 2.0**-53, 0.3, math.nextafter(1.0, 0.0)]}},
          "0017610bc60a083421ad85faee709471c76eeb6558d04b1cfd2fe072efe5618f"),
     ], ids=["nu", "nus"])
-    def test_chernoff_records_are_pinned(self, parameters, digest, workers):
+    def test_chernoff_records_are_pinned(self, tmp_path, parameters, digest, workers):
         cfg = make_config(experiment="chernoff", replicates=50, base_seed=20261019,
                           parameters=parameters)
-        text = records_to_csv(run_replicates(cfg, workers=workers))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert_streamed_records_are(cfg, workers, tmp_path / "records.csv", digest)
 
     # SHA-256 of the records CSV of one config of each other experiment, as
     # the per-replicate Generator path wrote them (gauss_sum, lis, binpack)
@@ -530,12 +547,11 @@ class TestRunExperiment:
         ("jl", {"n": 50, "k": 10}, 30,
          "cca74bc4ab90a9e78f3bc83f4a44cca04109f688d0935fff4b0b22f365d7b6f6"),
     ], ids=["gauss_sum", "lis", "binpack", "tsp", "mwst", "chromatic", "jl"])
-    def test_stream_block_records_are_pinned(self, experiment, parameters, replicates,
-                                             digest, workers):
+    def test_stream_block_records_are_pinned(self, tmp_path, experiment, parameters,
+                                             replicates, digest, workers):
         cfg = make_config(experiment=experiment, replicates=replicates,
                           base_seed=20261019, parameters=parameters)
-        text = records_to_csv(run_replicates(cfg, workers=workers))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert_streamed_records_are(cfg, workers, tmp_path / "records.csv", digest)
 
     def test_single_replicate_sd_undefined(self):
         cfg = make_config(replicates=1)
@@ -565,6 +581,78 @@ class TestRunExperiment:
             trailer = text.splitlines()[-1]
             assert trailer.startswith("# error") and "exploded" in trailer
             assert [r.replicate for r in records_from_csv(text)] == [0, 1, 2]
+
+    def test_partial_csv_keeps_whole_blocks(self, tmp_path, monkeypatch):
+        # 40 replicates on 2 workers run in blocks of 2; replicate 6 opens
+        # block 3, so the file keeps blocks 0-2 and the one-line trailer.
+        cfg = make_config(replicates=40)
+        clean = tmp_path / "clean.csv"
+        run_experiment(cfg, workers=2, out=str(clean))
+        failing = derived_seed(cfg.base_seed, 6)
+
+        def restream_failing(bit_generator, seed, *tags):
+            if seed == failing:
+                raise RuntimeError("replicate 6 exploded\nsecond line")
+            return restream(bit_generator, seed, *tags)
+
+        monkeypatch.setattr(runner, "restream", restream_failing)
+        out = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="replicate 6 exploded"):
+            run_experiment(cfg, workers=2, out=str(out))
+        lines = out.read_text().splitlines()
+        assert lines[:-1] == clean.read_text().splitlines()[:7]
+        assert lines[-1] == "# error experiment=lis message=replicate 6 exploded second line"
+
+    def test_aux_keys_must_be_the_experiments(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stray_key(params, rng):
+            calls.append(1)
+            return 1.0, {"solver": "x"} if len(calls) == 3 else {}
+
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", stray_key)
+        out = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match=r"lis replicate 2: aux keys \['solver'\] are "
+                                             r"not \[\]"):
+            run_experiment(make_config(replicates=6), workers=1, out=str(out))
+        text = out.read_text()
+        assert text.splitlines()[0] == ",".join(runner.CSV_HEADER)
+        assert [r.replicate for r in records_from_csv(text)] == [0, 1]
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("tsp", {"n_cells": 9, "count_dist": {"kind": "poisson", "mean": 1.5}}),
+        ("chromatic", {"n": 8, "p_spec": {"kind": "uniform", "p": 0.4}}),
+        ("binpack", {"dist": {"kind": "lower_bound", "k": 5}, "n_items": 50}),
+        ("jl", {"n": 20, "k": 5}),
+        ("chernoff", {"n": 50, "nu": 0.3}),
+    ])
+    def test_records_view_matches_its_csv(self, tmp_path, experiment, parameters):
+        # what perfbench and the tests read from run_experiment's records:
+        # the same fields, length, indexing and summary as records_from_csv
+        # of the file it wrote
+        cfg = make_config(experiment=experiment, replicates=30, parameters=parameters)
+        out = tmp_path / "records.csv"
+        records, summary = run_experiment(cfg, workers=2, out=str(out))
+        back = records_from_csv(out.read_text())
+        assert isinstance(records, Records) and isinstance(back, Records)
+        assert len(records) == len(back) == 30
+        for got, read in zip(records, back):
+            assert (got.experiment, got.replicate, got.seed, got.param_hash) == \
+                (read.experiment, read.replicate, read.seed, read.param_hash)
+            assert got.f.hex() == read.f.hex()
+            assert got.aux == read.aux and sorted(got.aux) == list(
+                experiments.AUX_KEYS[experiment])
+        assert [r.replicate for r in records] == list(range(30))
+        assert records[-1] == records[29] == back[29]
+        assert records[3:6] == back[3:6] == [records[i] for i in range(3, 6)]
+        with pytest.raises(IndexError):
+            records[30]
+        assert records.f.dtype == np.float64 and np.array_equal(records.f, back.f)
+        for again in (summarize(records), summarize(back)):
+            assert (again.experiment, again.replicates, again.mean, again.sd) == \
+                (summary.experiment, summary.replicates, summary.mean, summary.sd)
+            assert np.array_equal(again.t_grid, summary.t_grid)
+            assert np.array_equal(again.empirical, summary.empirical)
 
     def test_output_path_checked_before_first_replicate(self, tmp_path, monkeypatch):
         from tailbounds.harness import experiments
@@ -629,7 +717,7 @@ class TestCompareBound:
         assert summary.dominated
 
     def test_constant_functional_trivially_dominated(self):
-        records = [ExperimentRecord("x", i, i, "h", 2.0, {}) for i in range(200)]
+        records = records_of([2.0] * 200)
         summary = compare_bound(records, "chernoff_corollary",
                                 {"kind": "bernoulli", "n": 100, "nu": 0.5})
         assert (summary.empirical == 0).all()
@@ -638,8 +726,7 @@ class TestCompareBound:
     def test_profile_source_explicit(self):
         rng = substream(43, "explicit")
         sums = rng.choice([-1.0, 1.0], size=(2000, 10)).sum(axis=1)
-        records = [ExperimentRecord("sum", i, i, "h", float(s), {})
-                   for i, s in enumerate(sums)]
+        records = records_of(sums)
         profile = MomentProfile.uniform(10, {2: 1.0, 4: 1.0})
         summary = compare_bound(records, "theorem1_recursion",
                                 {"kind": "profile", "profile": profile})
@@ -664,7 +751,7 @@ class TestCompareBound:
                             counted("recursion", bounds.theorem1_recursion_curve))
         monkeypatch.setattr(bounds, "main_theorem_bound",
                             counted("main", bounds.main_theorem_bound))
-        records = [ExperimentRecord("x", i, i, "h", float(i % 7), {}) for i in range(200)]
+        records = records_of([i % 7 for i in range(200)])
         moments = {2: 1.0, 4: 3.0, 6: 15.0}
         deltas = {2: 0.1, 4: 0.1, 6: 0.1}
         compare_bound(records, "theorem1_recursion",
@@ -675,13 +762,12 @@ class TestCompareBound:
         assert calls == {"recursion": 1, "main": 3}
 
     def test_needs_enough_records(self):
-        records = [ExperimentRecord("x", i, i, "h", float(i), {}) for i in range(10)]
+        records = records_of(range(10))
         with pytest.raises(InvalidArgumentError):
             compare_bound(records, "any", {"kind": "bernoulli", "n": 10, "nu": 0.5})
 
     def test_unknown_profile_kind(self):
-        records = [ExperimentRecord("x", i, i, "h", float(i), {})
-                   for i in range(150)]
+        records = records_of(range(150))
         for kind in ("mystery", "empirical"):
             with pytest.raises(InvalidArgumentError, match=f"unknown profile source '{kind}'"):
                 compare_bound(records, "x", {"kind": kind})
@@ -704,7 +790,7 @@ class TestCompareBound:
         # tail_at, which compare_bound evaluates over the grid.
         from tailbounds.harness.runner import bound_source
 
-        records = [ExperimentRecord("x", i, i, "h", 1e-3 * (i % 13), {}) for i in range(200)]
+        records = records_of([1e-3 * (i % 13) for i in range(200)])
         source = {"kind": "jl", "n": 50, "k": 9}
         summary = compare_bound(records, None, source)
         method, record, tail_at = bound_source(source)
@@ -818,7 +904,7 @@ class TestScalingStudy:
 
         def measured(config, workers=1):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return [ExperimentRecord("chernoff", r, r, "h", float(r), {}) for r in range(2)]
+            return records_of([0.0, 1.0])
 
         monkeypatch.setattr(runner, "run_replicates", measured)
         cfg = make_config(experiment="chernoff", replicates=2, parameters={"n": 10})
@@ -1227,7 +1313,7 @@ class TestCli:
     def test_bound_command_matches_compare_bound(self, tmp_path, capsys, method, profile):
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(profile))
-        records = [ExperimentRecord("x", i, i, "h", float(i % 11), {}) for i in range(200)]
+        records = records_of([i % 11 for i in range(200)])
         summary = compare_bound(records, None,
                                 {"kind": "profile", "profile": cli.load_profile(str(path))})
         for j in (0, 7, 19):
@@ -1356,6 +1442,112 @@ class TestCli:
         capsys.readouterr()
         assert len(calls) == 600
 
+    # (experiment, parameters, replicates, extra argv, exit code, message)
+    @pytest.mark.parametrize("experiment, parameters, replicates, argv, code, named", [
+        ("lis", {"n": 10}, 5, ["--n-list", "10", "10", "20"], 2,
+         "--n-list: need at least 3 distinct sizes"),
+        ("lis", {"n": 10}, 1, ["--n-list", "10", "20", "40"], 2, "$.replicates: must be >= 2"),
+        ("lis", {"n": 10}, 5, ["--n-list", "10", "20", "40", "--workers", "0"], 2,
+         "--workers: must be >= 1"),
+        ("lis", {"n": 10}, 5,
+         ["--n-list", "10", "20", "40", "--workers", str(runner.MAX_WORKERS + 1)], 4,
+         f"--workers: {runner.MAX_WORKERS + 1} is above MAX_WORKERS"),
+        ("lis", {"n": 10}, 5, ["--n-list", "10", "20", str(MAX_SEQUENCE_N + 1)], 4,
+         "$.parameters.n: above MAX_SEQUENCE_N"),
+        ("tsp", {"n_cells": 16}, 5, ["--n-list", "16", "20", "36"], 2,
+         "$.parameters.n_cells: must be a perfect square"),
+        ("jl", {"n": 200, "k": 60, "gate_samples": 1500,
+                "family": {"kind": "radial_beta", "scale": 4.0, "a": 0.5, "b": 0.5}}, 5,
+         ["--n-list", "200", "400", "800"], 3, "projection hypotheses violated"),
+    ], ids=["sizes", "replicates", "workers", "workers-cap", "size-cap", "size", "gate"])
+    def test_scale_refusal_keeps_out(self, tmp_path, monkeypatch, experiment, parameters,
+                                     replicates, argv, code, named):
+        ran = []
+        monkeypatch.setitem(experiments.REPLICATE_FNS, experiment,
+                            lambda params, rng: ran.append(1) or (1.0, {}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": experiment,
+                                   "replicates": replicates, "parameters": parameters}))
+        out = tmp_path / "study.json"
+        out.write_bytes(b'{"kept": true}\n')
+        got, stdout, err = run_cli("scale", str(cfg), *argv, "--out", str(out))
+        assert got == code
+        assert named in err and "Traceback" not in err and stdout == ""
+        assert out.read_bytes() == b'{"kept": true}\n'
+        assert ran == []
+
+    @pytest.mark.parametrize("command", ["run", "scale"])
+    @pytest.mark.parametrize("replicates", [config.MAX_REPLICATES,
+                                            config.MAX_REPLICATES + 1, 10**400],
+                             ids=["cap", "cap+1", "huge"])
+    def test_replicates_cap(self, tmp_path, monkeypatch, command, replicates):
+        # a spy in place of run_replicates: the cap itself is never run
+        seen = []
+
+        def spy(config, workers=1, out=None):
+            seen.append(config.replicates)
+            return records_of([0.0, 1.0])
+
+        monkeypatch.setattr(runner, "run_replicates", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "lis",
+                                   "replicates": replicates, "parameters": {"n": 10}}))
+        out = tmp_path / "out"
+        argv = ["--n-list", "10", "20", "40"] if command == "scale" else []
+        tracemalloc.start()
+        try:
+            code, stdout, err = run_cli(command, str(cfg), *argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "Traceback" not in err
+        if replicates <= config.MAX_REPLICATES:
+            assert code == 0
+            assert seen == [replicates] * (3 if command == "scale" else 1)
+        else:
+            assert code == 4 and stdout == ""
+            assert f"size limit: $.replicates: above MAX_REPLICATES = " \
+                   f"{config.MAX_REPLICATES}" in err
+            assert seen == [] and not out.exists()
+            assert peak < 10**6
+
+    @pytest.mark.parametrize("parameters, named", [
+        ({"n_cells": 1001**2}, "$.parameters.n_cells: above MAX_CELLS = 1000000"),
+        ({"n_cells": 4, "count_dist": {"kind": "deterministic", "k": 10**400}},
+         "$.parameters.count_dist: n_cells * E[count] is above MAX_EXPECTED_POINTS"),
+        ({"n_cells": 4, "count_dist": {"kind": "two_point", "p0": 0.5, "value": 10**400}},
+         "$.parameters.count_dist: n_cells * E[count] is above MAX_EXPECTED_POINTS"),
+    ])
+    def test_grid_size_refused_at_parse(self, parameters, named):
+        with pytest.raises(SizeLimitError) as refused:
+            make_config(experiment="tsp", parameters=parameters)
+        assert named in str(refused.value)
+
+    def test_cell_and_item_caps_are_inclusive(self):
+        make_config(experiment="mwst", parameters={
+            "n_cells": config.MAX_CELLS, "count_dist": {"kind": "deterministic", "k": 0}})
+        binpack = {"dist": {"kind": "lower_bound", "k": 5}, "n_items": config.MAX_ITEMS}
+        make_config(experiment="binpack", parameters=binpack)
+        with pytest.raises(SizeLimitError, match=r"\$\.parameters\.n_items: above MAX_ITEMS"):
+            make_config(experiment="binpack", parameters={**binpack,
+                                                          "n_items": config.MAX_ITEMS + 1})
+
+    @pytest.mark.parametrize("exact_cap, refused", [(8, False), (7, True)])
+    def test_exact_coloring_cap_checked_at_parse(self, exact_cap, refused):
+        parameters = {"n": 8, "method": "exact", "exact_cap": exact_cap}
+        if refused:
+            with pytest.raises(SizeLimitError, match=r"\$\.parameters\.exact_cap: exact "
+                                                     r"coloring of n = 8 vertices"):
+                make_config(experiment="chromatic", parameters=parameters)
+        else:
+            assert make_config(experiment="chromatic",
+                               parameters=parameters).parameters["method"] == "exact"
+
+    @pytest.mark.parametrize("output", [5, True, ["r.csv"]])
+    def test_output_must_be_a_string(self, output):
+        with pytest.raises(ConfigError, match=r"\$\.output: must be a string"):
+            make_config(output=output)
+
     def test_report_out_checked_before_summary(self, tmp_path, capsys, monkeypatch):
         records = tmp_path / "r.csv"
         run_experiment(make_config(replicates=20), out=str(records))
@@ -1472,6 +1664,66 @@ def fuzz_profile(tmp_path_factory):
     return str(path)
 
 
+# Small valid configs that the config fuzz mutates, each with the --n-list
+# of its scaling study (None where the config fixes its own size).
+FUZZ_CONFIGS = [
+    ({"experiment": "lis", "parameters": {"n": 8}}, ["4", "5", "6"]),
+    ({"experiment": "gauss_sum", "parameters": {"n": 8}}, ["4", "5", "6"]),
+    ({"experiment": "chernoff", "parameters": {"n": 8, "nu": 0.3}}, ["4", "5", "6"]),
+    ({"experiment": "chernoff", "parameters": {
+        "n": 8, "nus": {"kind": "alternating", "values": [0.2, 0.7]}}}, ["4", "5", "6"]),
+    ({"experiment": "tsp", "parameters": {
+        "n_cells": 4, "count_dist": {"kind": "poisson", "mean": 1.0},
+        "placement": "uniform_in_cell", "max_passes": 5}}, ["4", "9", "16"]),
+    ({"experiment": "tsp", "parameters": {
+        "n_cells": 4, "count_dist": {"kind": "two_point", "p0": 0.5, "value": 2}}},
+     ["4", "9", "16"]),
+    ({"experiment": "mwst", "parameters": {
+        "n_cells": 4, "count_dist": {"kind": "zeta", "s": 6.0, "cap": 50, "p0": 0.35},
+        "placement": "corner_bunch"}}, ["4", "9", "16"]),
+    ({"experiment": "chromatic", "parameters": {
+        "n": 5, "p_spec": {"kind": "two_block", "p_in": 0.8, "p_out": 0.1, "split": 0.5},
+        "method": "exact", "exact_cap": 10}}, ["4", "5", "6"]),
+    ({"experiment": "chromatic", "parameters": {
+        "n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], [0.5, 0]]}}}, None),
+    ({"experiment": "jl", "parameters": {
+        "n": 6, "k": 2, "gate_samples": 100,
+        "family": {"kind": "radial_beta", "scale": 1.2, "a": 8.0, "b": 2.0}}},
+     ["4", "5", "6"]),
+    ({"experiment": "binpack", "parameters": {
+        "dist": {"kind": "lower_bound", "k": 5}, "n_items": 20, "maximal_only": True}},
+     ["4", "5", "6"]),
+    ({"experiment": "binpack", "parameters": {
+        "dist": {"kind": "explicit", "sizes": [0.5, 0.3], "probs": [0.4, 0.6]},
+        "n_items": 20}}, ["4", "5", "6"]),
+]
+# Wrong types, boundaries, values past every cap, and values no float holds.
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 0.5, -0.5, 1e308, 2**63, 10**400, -10**400,
+               "x", "", [], [1], {}, {"kind": "x"}, math.nan, math.inf]
+
+
+def _fuzz_targets(node, path):
+    """(path, container, key) of every value under node, node itself excluded."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        yield sub, node, key
+        yield from _fuzz_targets(value, sub)
+
+
+def _related(path, named):
+    """Whether named is path, one of its ancestors below $, or a descendant."""
+    def under(a, b):
+        return a == b or (a.startswith(b) and a[len(b)] in ".[")
+    return named != "$" and (under(path, named) or under(named, path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config-fuzz")
+
+
 class TestCliBadInput:
     """Bad input ends with exit 2 and a message naming the flag or field,
     never with a traceback."""
@@ -1546,6 +1798,40 @@ class TestCliBadInput:
             strict_json(stdout)
         else:
             assert err.strip(), argv
+
+    @pytest.mark.parametrize("command", ["run", "scale"])
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_config_fuzz(self, fuzz_dir, command, data):
+        # One mutation of a small valid config (a value replaced, a key
+        # removed or an unknown key added): a documented exit code, no
+        # traceback, and a refusal names the mutated path, one of its
+        # ancestors or a field inside it.
+        base, n_list = data.draw(st.sampled_from(
+            [c for c in FUZZ_CONFIGS if command == "run" or c[1] is not None]))
+        raw = {"schema_version": 1, "replicates": 3, "base_seed": 7,
+               **json.loads(json.dumps(base))}
+        path, node, key = data.draw(st.sampled_from(list(_fuzz_targets(raw, "$"))))
+        actions = ["replace", "remove"] + (["add"] if isinstance(node[key], dict) else [])
+        action = data.draw(st.sampled_from(actions))
+        if action == "replace":
+            node[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+        elif action == "remove":
+            del node[key]
+        else:
+            node[key]["zzz"] = 1
+            path = f"{path}.zzz"
+        cfg = fuzz_dir / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = [command, str(cfg), "--out", str(fuzz_dir / "out")]
+        if command == "scale":
+            argv[2:2] = ["--n-list", *n_list]
+        code, _, err = run_cli(*argv)
+        assert code in (0, 2, 3, 4), (raw, code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            named = [name.rstrip(".") for name in re.findall(r"\$[\w.\[\]]*", err)]
+            assert any(_related(path, name) for name in named), (path, err)
 
     @pytest.mark.parametrize("argv, named", [
         (["--method", "general-chernoff", "--nu", "100", "--t", "inf"], "--t"),
@@ -1640,6 +1926,10 @@ class TestCliBadInput:
                      "maximal_only": "false"}, "$.parameters.maximal_only"),
         # mwst runs no 2-opt, so it has no pass cap to set
         ("mwst", {"n_cells": 16, "max_passes": 40}, "$.parameters.max_passes"),
+        ("binpack", {"dist": {"kind": "explicit", "sizes": [0.5, 0.3],
+                              "probs": [math.nan, 0.6]}, "n_items": 10},
+         "$.parameters.dist: probabilities must be >= 0"),
+        ("jl", {"n": 3, "k": 5}, "$.parameters.k: must be at most $.parameters.n = 3"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
