@@ -32,7 +32,6 @@ __all__ = [
     "TypicalProfile",
     "TailBoundResult",
     "TailCurve",
-    "theorem1_closed_bound",
     "theorem1_closed_curve",
     "theorem1_recursion_bound",
     "theorem1_recursion_curve",
@@ -278,13 +277,6 @@ def theorem1_closed_curve(n, m_max):
         log_bounds = (orders / 2.0) * np.log(C_THEOREM1 * n * orders)
     _require_finite(log_bounds[-1], f"n={n}: the log moment bound")
     return orders, log_bounds
-
-
-def theorem1_closed_bound(n, m):
-    """log of the closed-form moment bound (c1*n*m)^(m/2): the last point
-    of theorem1_closed_curve(n, m)."""
-    _check_even_order(m)
-    return float(theorem1_closed_curve(n, m)[1][-1])
 
 
 def jl_envelope_curve(n, k):

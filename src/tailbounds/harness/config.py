@@ -104,12 +104,16 @@ _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"
 
 
 def typed_value(value, path, kind, low=None):
-    """value as kind (int, float, tuple, bool or str), at least low.  Only the
-    bool kind takes true and false: bool is a subclass of int, so they
-    would pass a bare isinstance for the numeric kinds.  The float kind
-    refuses NaN and +-Infinity, which Python's json reads as floats, and
-    integers too large for a float (the comparison is exact and raises
-    nothing)."""
+    """value as kind (int, float, tuple, bool or str), at least low; the kind
+    [float] takes a list of floats as a tuple, each checked at its index
+    (path[i]).  Only the bool kind takes true and false: bool is a subclass
+    of int, so they would pass a bare isinstance for the numeric kinds.  The
+    float kind refuses NaN and +-Infinity, which Python's json reads as
+    floats, and integers too large for a float (the comparison is exact and
+    raises nothing)."""
+    if kind == [float]:
+        return tuple(typed_value(item, f"{path}[{i}]", float, low)
+                     for i, item in enumerate(typed_value(value, path, tuple)))
     accepts, name = _ACCEPTS[kind]
     ok = isinstance(value, accepts) and (kind is bool or not isinstance(value, bool)) \
         and (kind is not float or abs(value) <= sys.float_info.max) \
@@ -149,8 +153,8 @@ _VECTOR_FAMILIES = {
 }
 _ITEM_DISTS = {
     "lower_bound": (lower_bound_distribution, [("k", int, 4, _REQUIRED)]),
-    "explicit": (ItemDistribution, [("sizes", tuple, None, _REQUIRED),
-                                    ("probs", tuple, None, _REQUIRED)]),
+    "explicit": (ItemDistribution, [("sizes", [float], None, _REQUIRED),
+                                    ("probs", [float], None, _REQUIRED)]),
 }
 
 
@@ -235,11 +239,22 @@ def _probability_matrix(n, spec, path):
         return EdgeProbabilityMatrix(p)
     if kind == "matrix":
         _check_keys(spec, {"kind", "p"}, path)
-        P = _build(f"{path}.p", EdgeProbabilityMatrix, typed_field(spec, "p", path, tuple))
+        rows = typed_field(spec, "p", path, tuple)
         n_path = path.rsplit(".", 1)[0] + ".n"
-        _require(P.n == n, f"{path}.p",
-                 f"must be n x n = {n} x {n} for {n_path}, got {P.n} x {P.n}")
-        return P
+        _require(len(rows) == n, f"{path}.p",
+                 f"must be n x n = {n} x {n} for {n_path}, got {len(rows)} rows")
+        # Checked a row at a time, not an entry at a time: n may be
+        # MAX_CHROMATIC_N.
+        p = np.empty((n, n))
+        for i, row in enumerate(rows):
+            try:
+                row = np.array(row) if isinstance(row, list) else None
+            except ValueError:  # nested lists of unequal lengths
+                row = None
+            _require(row is not None and row.shape == (n,) and row.dtype.kind in "iuf",
+                     f"{path}.p[{i}]", f"must be a list of n = {n} numbers")
+            p[i] = row
+        return _build(f"{path}.p", EdgeProbabilityMatrix, p)
     raise ConfigError(f"{path}.kind", f"unknown matrix spec {kind!r}")
 
 
@@ -310,8 +325,7 @@ def _validate_chernoff(params, path):
         _require(isinstance(spec, dict) and spec.get("kind") == "alternating",
                  f"{path}.nus", "must be {'kind': 'alternating', 'values': [...]}")
         _check_keys(spec, {"kind", "values"}, f"{path}.nus")
-        values = [typed_value(v, f"{path}.nus.values[{i}]", float)
-                  for i, v in enumerate(typed_field(spec, "values", f"{path}.nus", tuple))]
+        values = typed_field(spec, "values", f"{path}.nus", [float])
         _require(values and all(0 < v < 1 for v in values), f"{path}.nus.values",
                  "must be nonempty probabilities in (0,1)")
         nus = np.resize(np.array(values), n)

@@ -4,7 +4,8 @@ summary statistics, and bound-versus-empirical comparison.
 Records are a pure function of the configuration: every replicate draws
 from its own counter-based stream, each block of replicates formats its
 own CSV rows, and the blocks are written in replicate order, so the
-output bytes do not depend on the worker count.
+output bytes do not depend on the worker count; after a failure they
+hold every replicate before the first one that raised.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import _ExceptionWithTraceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,50 +203,56 @@ def records_from_csv(text):
                    np.array(fs, dtype=np.float64), aux)
 
 
-def _replicate_block(experiment, params, base_seed, start, stop, columns=None):
-    """Columns (seeds, fs, auxes) of replicates start..stop-1, their seeds
-    from rng.derived_seeds.  The block builds one Philox and one Generator
-    on it; for each seed it re-keys the Philox to (seed,
+class _Block(tuple):
+    """(text, seeds, fs, aux, error): what _run_block returns."""
+
+    def __reduce__(self):
+        # A pickled exception loses its traceback, so a block sent back from
+        # a pool worker wraps its error as pool.map wraps an exception that a
+        # worker raises: it comes back with the worker's traceback as its cause.
+        *columns, error = self
+        if error is not None:
+            error = _ExceptionWithTraceback(error, error.__traceback__)
+        return _Block, ((*columns, error),)
+
+
+def _run_block(experiment, params, base_seed, param_hash, start, stop):
+    """(text, seeds, fs, aux, error) of replicates start..stop-1: the one
+    way a block runs, with one worker or many.
+
+    The seeds come from rng.derived_seeds.  The block builds one Philox and
+    one Generator on it; for each seed it re-keys the Philox to (seed,
     STREAM_SITES[experiment]) and calls REPLICATE_FNS[experiment] on the
-    Generator.  The columns are filled in place, so after a replicate
-    raises, the columns passed in hold the completed prefix.  A replicate
-    whose aux keys are not AUX_KEYS[experiment] raises ValueError."""
-    fn, site = REPLICATE_FNS[experiment], STREAM_SITES[experiment]
-    keys = set(AUX_KEYS[experiment])
-    columns = ([], [], []) if columns is None else columns
-    out_seeds, fs, auxes = columns
+    Generator.  The first replicate that raises ends the block, and so does
+    one whose aux keys are not AUX_KEYS[experiment] (a ValueError naming
+    it).  text holds the rows of the replicates before it, as
+    records_to_csv writes them; seeds (uint64), fs (float64) and aux (one
+    list per aux key) are their columns; error is that exception, or
+    None."""
+    fn, site, keys = REPLICATE_FNS[experiment], STREAM_SITES[experiment], AUX_KEYS[experiment]
+    key_set = set(keys)
+    seeds, fs, auxes, error = [], [], [], None
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    for seed in derived_seeds(base_seed, start, stop):
-        restream(bit_generator, seed, site)
-        f, aux = fn(params, rng)
-        if aux.keys() != keys:
-            raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
-                             f"{sorted(aux)} are not {list(AUX_KEYS[experiment])}")
-        out_seeds.append(seed)
-        fs.append(float(f))
-        auxes.append(aux)
-    return columns
-
-
-def _block_rows(experiment, param_hash, start, columns):
-    """(text, seeds, fs, aux) of the replicates from start whose columns
-    _replicate_block filled: their rows as records_to_csv writes them, a
-    uint64 seed array, a float64 f array and one list per aux key."""
-    seeds, fs, auxes = columns
-    aux = {key: [a[key] for a in auxes] for key in AUX_KEYS[experiment]}
+    try:
+        for seed in derived_seeds(base_seed, start, stop):
+            restream(bit_generator, seed, site)
+            f, aux = fn(params, rng)
+            if aux.keys() != key_set:
+                raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
+                                 f"{sorted(aux)} are not {list(keys)}")
+            seeds.append(seed)
+            fs.append(float(f))
+            auxes.append(aux)
+    except Exception as exc:
+        error = exc
+    aux = {key: [a[key] for a in auxes] for key in keys}
     rows = [f"{experiment},{start + i},{seed},{param_hash},{f!r}"
             for i, (seed, f) in enumerate(zip(seeds, fs))]
     for column in aux.values():
         rows = [f"{row},{_cell(value)}" for row, value in zip(rows, column)]
-    return ("".join(row + "\n" for row in rows), np.array(seeds, dtype=np.uint64),
-            np.array(fs, dtype=np.float64), aux)
-
-
-def _run_block(experiment, params, base_seed, param_hash, start, stop):
-    """_block_rows of replicates start..stop-1: the task of one pool worker."""
-    columns = _replicate_block(experiment, params, base_seed, start, stop)
-    return _block_rows(experiment, param_hash, start, columns)
+    return _Block(("".join(row + "\n" for row in rows), np.array(seeds, dtype=np.uint64),
+                   np.array(fs, dtype=np.float64), aux, error))
 
 
 def run_replicates(config: ExperimentConfig, workers=1, out=None):
@@ -252,46 +260,36 @@ def run_replicates(config: ExperimentConfig, workers=1, out=None):
     independent.
 
     The replicates run in contiguous blocks of max(1, replicates //
-    (workers * 8)), each of which formats its own CSV rows: in this
-    process with one worker, else on a pool of min(workers, number of
-    blocks) processes.  With an open file `out`, the header and then each
-    block's rows are written to it in replicate order as the blocks
-    complete, so when a replicate raises, out holds the completed prefix:
-    every earlier replicate with one worker, every earlier whole block with
-    more."""
+    (workers * 8)), each a _run_block: mapped in this process with one
+    worker, else on a pool of min(workers, number of blocks) processes.
+    With an open file `out`, the header and then each block's rows are
+    written to it in replicate order as the blocks complete.  After the
+    rows of a block that a replicate ended, that replicate's exception is
+    raised, so out holds every replicate before the first one that
+    raised, whatever the worker count."""
     n, experiment = config.replicates, config.experiment
     keys = AUX_KEYS[experiment]
     param_hash = config.param_hash()
     seeds, fs, aux = [], [], {key: [] for key in keys}
-
-    def take(block):
-        text, block_seeds, block_fs, block_aux = block
-        if out is not None:
-            out.write(text)
-        seeds.append(block_seeds)
-        fs.append(block_fs)
-        for key in keys:
-            aux[key].extend(block_aux[key])
-
     if out is not None:
         out.write(_header(keys))
     size = max(1, n // (workers * 8))
     starts = range(0, n, size)
     stops = [min(start + size, n) for start in starts]
-    if workers <= 1:
-        for start, stop in zip(starts, stops):
-            columns = ([], [], [])
-            try:
-                _replicate_block(experiment, config.parameters, config.base_seed, start,
-                                 stop, columns)
-            finally:
-                take(_block_rows(experiment, param_hash, start, columns))
-    else:
-        block = functools.partial(_run_block, experiment, config.parameters,
-                                  config.base_seed, param_hash)
-        with ProcessPoolExecutor(max_workers=min(workers, len(stops))) as pool:
-            for result in pool.map(block, starts, stops):
-                take(result)
+    block = functools.partial(_run_block, experiment, config.parameters, config.base_seed,
+                              param_hash)
+    with ProcessPoolExecutor(max_workers=min(workers, len(stops))) if workers > 1 \
+            else contextlib.nullcontext() as pool:
+        for text, block_seeds, block_fs, block_aux, error in (
+                pool.map if pool else map)(block, starts, stops):
+            if out is not None:
+                out.write(text)
+            seeds.append(block_seeds)
+            fs.append(block_fs)
+            for key in keys:
+                aux[key].extend(block_aux[key])
+            if error is not None:
+                raise error
     return Records(experiment, param_hash, range(n), np.concatenate(seeds),
                    np.concatenate(fs), aux)
 

@@ -264,6 +264,7 @@ PAIR_Z_LIMIT = 4.5  # single-pair jumps face ~(probes * bins) comparisons
 TREND_BINS = 10
 MOMENT_ORDERS = (2, 4, 6)
 MOMENT_LIMIT = 8.0
+SE_FLOOR = 1e-150  # its square and inverse square are finite
 
 
 def check_jl_hypotheses(family, n, k, samples, seed=0):
@@ -285,17 +286,20 @@ def check_jl_hypotheses(family, n, k, samples, seed=0):
     rng = substream(seed, "jl-check")
     vecs = _draw_vectors(rng, n, family, samples)
     sq = vecs**2
+    # Scaling by a power of two leaves the trend statistics exact; with the
+    # largest entry in [0.5, 1) and SE_FLOOR, no sum, square or weight overflows.
+    unit = np.ldexp(sq, -np.frexp(sq.max())[1])
     probe = sorted({max(2, k // 4), max(2, k // 2), k} | {min(8, k)})
     probe = [i for i in probe if 2 <= i <= k]
     mono = []
     for i in probe:
-        w = sq[:, : i - 1].sum(axis=1)
-        target = sq[:, i - 1]
+        w = unit[:, : i - 1].sum(axis=1)
+        target = unit[:, i - 1]
         order = np.argsort(w, kind="stable")
         groups = np.array_split(order, TREND_BINS)
         means = np.array([target[g].mean() for g in groups])
         ses = np.array([
-            max(target[g].std(ddof=1) / math.sqrt(len(g)), 1e-300)
+            max(target[g].std(ddof=1) / math.sqrt(len(g)), SE_FLOOR)
             for g in groups
         ])
         xs = np.arange(len(groups), dtype=float)
@@ -313,7 +317,8 @@ def check_jl_hypotheses(family, n, k, samples, seed=0):
     for l in MOMENT_ORDERS:
         worst = 0.0
         for i in probe:
-            ml = float((sq[:, i - 1] ** (l // 2)).mean())
+            with np.errstate(over="ignore"):  # a moment past the float range is flagged
+                ml = float((sq[:, i - 1] ** (l // 2)).mean())
             if ml > 0:
                 worst = max(worst, n * ml ** (2.0 / l) / l)
         constants[l] = worst

@@ -19,7 +19,7 @@ from tailbounds.bounds import (
     MomentProfile,
     chernoff_corollary_bound,
     general_chernoff_bound,
-    theorem1_closed_bound,
+    theorem1_closed_curve,
     theorem1_recursion_bound,
 )
 from tailbounds.graphs import EdgeProbabilityMatrix, chromatic_exact, mad, mad_realized, \
@@ -80,7 +80,7 @@ def test_criterion_2_recursion_below_closed_form():
             profile = MomentProfile.uniform(
                 n, {t: (n / m) ** ((t - 2) / 2) * math.factorial(t)
                     for t in range(2, m + 1, 2)})
-            if theorem1_recursion_bound(profile, m) > theorem1_closed_bound(n, m):
+            if theorem1_recursion_bound(profile, m) > theorem1_closed_curve(n, m)[1][-1]:
                 failures += 1
     assert failures == 0
     _report(2, "DP bound <= (48nm)^(m/2) across n in 4..64, even m <= min(n, 8)")
@@ -261,7 +261,7 @@ def test_criterion_10_jl_suite(tmp_path):
     fs = np.array([r.f for r in records])
     sd = float(fs.std(ddof=1))
     envelope = math.sqrt(math.exp(
-        theorem1_closed_bound(100, 2) - 2 * math.log(1000)))
+        theorem1_closed_curve(100, 2)[1][-1] - 2 * math.log(1000)))
     assert sd <= envelope, f"sd {sd} above envelope {envelope}"
     assert sd <= 10 * math.sqrt(100) / 1000  # C*sqrt(k)/n with generous C
 

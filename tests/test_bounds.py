@@ -26,7 +26,6 @@ from tailbounds.bounds import (
     nearest_even,
     optimize_m,
     tail_curve,
-    theorem1_closed_bound,
     theorem1_closed_curve,
     theorem1_recursion_bound,
     theorem1_recursion_curve,
@@ -40,20 +39,25 @@ from tailbounds.errors import (
 from tailbounds.harness.runner import bound_source
 
 
+def closed_point(n, m):
+    """log (c1*n*m)^(m/2): the last point of theorem1_closed_curve(n, m)."""
+    return float(theorem1_closed_curve(n, m)[1][-1])
+
+
 class TestClosedForm:
     def test_direct_substitution(self):
-        assert math.exp(theorem1_closed_bound(100, 2)) == pytest.approx(9600.0)
+        assert math.exp(closed_point(100, 2)) == pytest.approx(9600.0)
 
     def test_smallest_instance(self):
-        assert math.exp(theorem1_closed_bound(1, 2)) == pytest.approx(96.0)
+        assert math.exp(closed_point(1, 2)) == pytest.approx(96.0)
 
     def test_fourth_moment(self):
-        assert math.exp(theorem1_closed_bound(10, 4)) == pytest.approx(1920.0**2)
+        assert math.exp(closed_point(10, 4)) == pytest.approx(1920.0**2)
 
     @pytest.mark.parametrize("m", [1, 3, 0, -2])
     def test_rejects_bad_order(self, m):
         with pytest.raises(InvalidArgumentError):
-            theorem1_closed_bound(10, m)
+            theorem1_closed_curve(10, m)
 
     def test_curve_order_cap_is_inclusive(self):
         assert _orders_through(MAX_CURVE_ORDER)[-1] == MAX_CURVE_ORDER
@@ -140,7 +144,7 @@ class TestDpVersusClosedForm:
         if m > n:
             pytest.skip("hypothesis couples m <= n")
         profile = hypothesis_profile(n, m)
-        assert theorem1_recursion_bound(profile, m) <= theorem1_closed_bound(n, m)
+        assert theorem1_recursion_bound(profile, m) <= closed_point(n, m)
 
 
 class TestMainTheorem:
@@ -307,31 +311,31 @@ class TestMarkovTail:
 
 class TestOptimizeM:
     def test_scan_matches_hand_rule(self):
-        res = optimize_m(lambda m: theorem1_closed_bound(100, m), t=200, m_max=40)
+        res = optimize_m(lambda m: closed_point(100, m), t=200, m_max=40)
         # optimal continuous order is t^2/(e*48*n) ~ 3.07
         assert res.m_used in range(2, 13, 2)
         assert res.m_used == 4
-        at_two = markov_tail(theorem1_closed_bound(100, 2), 2, 200)
+        at_two = markov_tail(closed_point(100, 2), 2, 200)
         assert res.tail_probability <= at_two
 
     def test_exhaustiveness(self):
-        res = optimize_m(lambda m: theorem1_closed_bound(50, m), t=120, m_max=20)
+        res = optimize_m(lambda m: closed_point(50, m), t=120, m_max=20)
         for m in range(2, 21, 2):
             assert res.tail_probability <= markov_tail(
-                theorem1_closed_bound(50, m), m, 120) + 1e-15
+                closed_point(50, m), m, 120) + 1e-15
 
     def test_clamped_regime(self):
-        res = optimize_m(lambda m: theorem1_closed_bound(100, m), t=0.5, m_max=20)
+        res = optimize_m(lambda m: closed_point(100, m), t=0.5, m_max=20)
         assert res.m_used == 2
         assert res.tail_probability == 1.0
 
     def test_singleton_search_space(self):
-        res = optimize_m(lambda m: theorem1_closed_bound(100, m), t=1e6, m_max=2)
+        res = optimize_m(lambda m: closed_point(100, m), t=1e6, m_max=2)
         assert res.m_used == 2
 
     def test_tail_non_increasing_in_t(self):
         ts = np.linspace(10, 400, 30)
-        ps = [optimize_m(lambda m: theorem1_closed_bound(100, m), t, 20).tail_probability
+        ps = [optimize_m(lambda m: closed_point(100, m), t, 20).tail_probability
               for t in ts]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
@@ -509,10 +513,8 @@ class TestMomentCurves:
     def test_scalar_evaluators_are_curve_endpoints(self):
         profile = MomentProfile.uniform(7, {2: 1.5, 4: 6.0, 6: 40.0})
         _, rec = theorem1_recursion_curve(profile, 6)
-        _, closed = theorem1_closed_curve(7, 6)
         for j, m in enumerate((2, 4, 6)):
             assert theorem1_recursion_bound(profile, m) == rec[j]
-            assert theorem1_closed_bound(7, m) == closed[j]
 
     def test_curve_needs_every_order(self):
         profile = MomentProfile.uniform(3, {2: 1.0, 6: 1.0})
@@ -546,14 +548,14 @@ class TestTailCurve:
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_scan(self, n, half, t_grid):
         _assert_matches_scan(*theorem1_closed_curve(n, 2 * half), t_grid,
-                             lambda m: theorem1_closed_bound(n, m))
+                             lambda m: closed_point(n, m))
 
     @given(st.integers(min_value=1, max_value=10_000),
            st.integers(min_value=1, max_value=200), t_grids)
     @settings(max_examples=60, deadline=None)
     def test_jl_matches_scan(self, n, k, t_grid):
         _assert_matches_scan(*jl_envelope_curve(n, k), t_grid,
-                             lambda m: theorem1_closed_bound(k, m) - m * math.log(n))
+                             lambda m: closed_point(k, m) - m * math.log(n))
 
     def test_tie_resolves_to_smaller_order(self):
         # At t = 1 each p is exp(log bound): orders 4 and 6 tie below order 2.
@@ -584,7 +586,7 @@ class TestTailCurve:
         ts = [0.5, 200.0, 1e6]
         curve = tail_curve(orders, log_bounds, ts)
         for j, t in enumerate(ts):
-            res = optimize_m(lambda m: theorem1_closed_bound(100, m), t, 40)
+            res = optimize_m(lambda m: closed_point(100, m), t, 40)
             assert curve.m_used[j] == res.m_used
             assert curve.tail_probability[j] == res.tail_probability
 

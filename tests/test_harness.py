@@ -1,7 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import traceback
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,7 @@ from tailbounds.harness.runner import (
     run_replicates,
     scaling_study,
     summarize,
-    _replicate_block,
+    _run_block,
 )
 from tailbounds.packing import lower_bound_distribution
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
@@ -94,6 +95,23 @@ def _draws(rng, names):
 
 def _same_draws(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def block_error(block, experiment, start, seeds, oracle):
+    """The error of _run_block's (text, seeds, fs, aux, error) on param_hash
+    "h", after asserting that the block holds these seeds and the oracle's
+    (f, aux) of each: seed, f (bit for bit) and aux columns, and text the
+    rows records_to_csv writes for them."""
+    text, block_seeds, fs, aux, error = block
+    assert block_seeds.dtype == np.uint64 and block_seeds.tolist() == seeds
+    assert fs.dtype == np.float64
+    assert [f.hex() for f in fs.tolist()] == [float(f).hex() for f, _ in oracle]
+    assert aux == {key: [a[key] for _, a in oracle]
+                   for key in experiments.AUX_KEYS[experiment]}
+    records = [ExperimentRecord(experiment, start + i, seed, "h", f, a)
+               for i, (seed, (f, a)) in enumerate(zip(seeds, oracle))]
+    assert text == records_to_csv(records).split("\n", 1)[1]
+    return error
 
 
 class TestRngStreams:
@@ -276,11 +294,12 @@ class TestConfigSchema:
         ([[0.1, 0.5], [0.5, 0]], "zero diagonal"),
         ([[0, 1.5], [1.5, 0]], r"\[0, 1\]"),
         ([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]], "must be n x n = 2 x 2"),
-        ([[0, 0.5], [0.5]], "inhomogeneous"),
-        ([[0, "x"], ["x", 0]], "could not convert"),
+        # A ragged matrix is refused at the path of its short row.
+        pytest.param([[0, 0.5], [0.5]], r"\[1\]: must be a list of n = 2 numbers",
+                     id="matrix4-inhomogeneous"),
     ])
     def test_chromatic_matrix_checked_at_parse(self, matrix, problem):
-        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p: .*{problem}"):
+        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p(?:: .*)?{problem}"):
             make_config(experiment="chromatic",
                         parameters={"n": 2, "p_spec": {"kind": "matrix", "p": matrix}})
 
@@ -345,13 +364,10 @@ class TestChernoffBlock:
         parameters = ({"n": n, "nus": {"kind": "alternating", "values": values}}
                       if alternating else {"n": n, "nu": values[0]})
         params = make_config(experiment="chernoff", parameters=parameters).parameters
-        seeds, fs, auxes = _replicate_block("chernoff", params, base_seed, start,
-                                            start + count)
+        block = _run_block("chernoff", params, base_seed, "h", start, start + count)
         expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
-        assert seeds == expected
-        assert [f.hex() for f in fs] == [run_chernoff(params, seed)[0].hex()
-                                         for seed in expected]
-        assert auxes == [{}] * count
+        assert block_error(block, "chernoff", start, expected,
+                           [run_chernoff(params, seed) for seed in expected]) is None
 
     def test_threshold_on_crafted_words(self, monkeypatch):
         # With K = ceil(nu * 2**53), the word K * 2**11 - 1 gives
@@ -385,11 +401,11 @@ class TestChernoffBlock:
 
         monkeypatch.setattr(runner, "restream", restream_failing_third)
         params = make_config(experiment="chernoff", parameters={"n": 20, "nu": 0.4}).parameters
-        columns = ([], [], [])
-        with pytest.raises(RuntimeError, match="restream failed"):
-            _replicate_block("chernoff", params, 1234, 5, 10, columns)
+        block = _run_block("chernoff", params, 1234, "h", 5, 10)
         seeds = [derived_seed(1234, r) for r in (5, 6)]
-        assert columns == (seeds, [run_chernoff(params, s)[0] for s in seeds], [{}, {}])
+        error = block_error(block, "chernoff", 5, seeds,
+                            [run_chernoff(params, s) for s in seeds])
+        assert type(error) is RuntimeError and str(error) == "restream failed"
 
 
 # Per-replicate oracles that build their own substream from the seed.
@@ -425,14 +441,11 @@ class TestStreamBlocks:
     def test_matches_per_replicate_oracle(self, experiment, size, base_seed, start, count):
         params = make_config(experiment=experiment, parameters=_stream_block_parameters(
             experiment, size)).parameters
-        seeds, fs, auxes = _replicate_block(experiment, params, base_seed, start,
-                                            start + count)
+        block = _run_block(experiment, params, base_seed, "h", start, start + count)
         expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
         fn, site = experiments.REPLICATE_FNS[experiment], experiments.STREAM_SITES[experiment]
         oracle = [fn(params, substream(seed, site)) for seed in expected]
-        assert seeds == expected
-        assert [f.hex() for f in fs] == [float(f).hex() for f, _ in oracle]
-        assert auxes == [aux for _, aux in oracle]
+        assert block_error(block, experiment, start, expected, oracle) is None
         if experiment in SEED_ORACLES:
             assert oracle == [SEED_ORACLES[experiment](params, seed) for seed in expected]
 
@@ -447,11 +460,11 @@ class TestStreamBlocks:
 
         monkeypatch.setattr(runner, "restream", restream_failing_third)
         params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
-        columns = ([], [], [])
-        with pytest.raises(RuntimeError, match="restream failed"):
-            _replicate_block("gauss_sum", params, 1234, 5, 10, columns)
+        block = _run_block("gauss_sum", params, 1234, "h", 5, 10)
         seeds = [derived_seed(1234, r) for r in (5, 6)]
-        assert columns == (seeds, [run_gauss_sum(params, s)[0] for s in seeds], [{}, {}])
+        error = block_error(block, "gauss_sum", 5, seeds,
+                            [run_gauss_sum(params, s) for s in seeds])
+        assert type(error) is RuntimeError and str(error) == "restream failed"
 
 
 def assert_streamed_records_are(cfg, workers, out, digest):
@@ -582,26 +595,46 @@ class TestRunExperiment:
             assert trailer.startswith("# error") and "exploded" in trailer
             assert [r.replicate for r in records_from_csv(text)] == [0, 1, 2]
 
-    def test_partial_csv_keeps_whole_blocks(self, tmp_path, monkeypatch):
-        # 40 replicates on 2 workers run in blocks of 2; replicate 6 opens
-        # block 3, so the file keeps blocks 0-2 and the one-line trailer.
+    @pytest.mark.parametrize("failing", [6, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_partial_csv_keeps_every_earlier_replicate(self, tmp_path, monkeypatch, workers,
+                                                       failing):
+        # 40 replicates run in blocks of 5 on 1 worker, 2 on 2 and 1 on 3:
+        # replicate 6 opens a block on 2 workers and 7 falls inside one, and
+        # either way the file keeps replicates 0 to failing - 1 and the
+        # one-line trailer.
         cfg = make_config(replicates=40)
         clean = tmp_path / "clean.csv"
-        run_experiment(cfg, workers=2, out=str(clean))
-        failing = derived_seed(cfg.base_seed, 6)
+        run_experiment(cfg, workers=1, out=str(clean))
+        failing_seed = derived_seed(cfg.base_seed, failing)
 
         def restream_failing(bit_generator, seed, *tags):
-            if seed == failing:
-                raise RuntimeError("replicate 6 exploded\nsecond line")
+            if seed == failing_seed:
+                raise RuntimeError(f"replicate {failing} exploded\nsecond line")
             return restream(bit_generator, seed, *tags)
 
         monkeypatch.setattr(runner, "restream", restream_failing)
         out = tmp_path / "partial.csv"
-        with pytest.raises(RuntimeError, match="replicate 6 exploded"):
-            run_experiment(cfg, workers=2, out=str(out))
+        with pytest.raises(RuntimeError, match=f"replicate {failing} exploded"):
+            run_experiment(cfg, workers=workers, out=str(out))
         lines = out.read_text().splitlines()
-        assert lines[:-1] == clean.read_text().splitlines()[:7]
-        assert lines[-1] == "# error experiment=lis message=replicate 6 exploded second line"
+        assert lines[:-1] == clean.read_text().splitlines()[:failing + 1]
+        assert lines[-1] == (f"# error experiment=lis message=replicate {failing} "
+                             "exploded second line")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replicate_error_shows_its_frames(self, monkeypatch, workers):
+        # A pool worker's traceback comes back as the cause, as text; with
+        # one worker the exception keeps its own traceback.
+        def explode_in_replicate(params, rng):
+            raise KeyError("replicate exploded")
+
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", explode_in_replicate)
+        with pytest.raises(KeyError, match="replicate exploded") as info:
+            run_replicates(make_config(replicates=6), workers=workers)
+        assert "in explode_in_replicate" in "".join(traceback.format_exception(info.value))
+        frames = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+        assert (frames[-1] == "explode_in_replicate") == (workers == 1)
 
     def test_aux_keys_must_be_the_experiments(self, tmp_path, monkeypatch):
         calls = []
@@ -672,6 +705,17 @@ class TestRunExperiment:
         run_experiment(make_config(replicates=6), workers=1,
                        out=str(tmp_path / "records.csv"))
         assert len(calls) == 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_jl_gate_on_an_extreme_family_warns_nothing(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "jl", "replicates": 5,
+            "parameters": {"n": 200, "k": 60, "family": {"kind": "radial_beta",
+                                                        "scale": 1e308}}}))
+        code, _, err = run_cli("run", str(cfg), "--out", str(tmp_path / "records.csv"))
+        assert code == 3
+        assert "even-moment growth constant inf exceeds" in err
 
     def test_jl_gate_refuses_bad_family(self):
         cfg = make_config(
@@ -1635,6 +1679,22 @@ def test_every_exported_name_resolves():
     assert checked > 50
 
 
+def test_benchmark_trace_names_resolve(monkeypatch):
+    # perfbench/spans.py looks up each TARGETS function by name and replaces
+    # runner.REPLICATE_FNS, so a rename or deletion here would break the
+    # benchmark's --trace 1; spans.py is imported, not installed, and no
+    # bytecode is written next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, func_name, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), func_name, None)), \
+            f"{module_name}.{func_name}"
+    assert sorted(runner.REPLICATE_FNS) == sorted(config._VALIDATORS)
+
+
 def test_package_imports_no_scipy():
     # scipy is a test oracle only; importing scipy.special alone would
     # double the start-up time and memory of every tailbounds process
@@ -1921,15 +1981,29 @@ class TestCliBadInput:
         ("chromatic", {"n": 2, "p_spec": {"kind": "uniform", "p": "x"}},
          "$.parameters.p_spec.p"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], [0.5]]}},
-         "$.parameters.p_spec.p"),
+         "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
         ("binpack", {"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10,
                      "maximal_only": "false"}, "$.parameters.maximal_only"),
         # mwst runs no 2-opt, so it has no pass cap to set
         ("mwst", {"n_cells": 16, "max_passes": 40}, "$.parameters.max_passes"),
         ("binpack", {"dist": {"kind": "explicit", "sizes": [0.5, 0.3],
-                              "probs": [math.nan, 0.6]}, "n_items": 10},
+                              "probs": [-0.4, 1.4]}, "n_items": 10},
          "$.parameters.dist: probabilities must be >= 0"),
         ("jl", {"n": 3, "k": 5}, "$.parameters.k: must be at most $.parameters.n = 3"),
+        # A bad element of a list is named by its index, a bad matrix entry
+        # by its row.
+        ("binpack", {"dist": {"kind": "explicit", "sizes": [[], 0.3],
+                              "probs": [0.4, 0.6]}, "n_items": 10},
+         "$.parameters.dist.sizes[0]: must be a finite number"),
+        ("binpack", {"dist": {"kind": "explicit", "sizes": [0.5, 0.3],
+                              "probs": [0.4, math.nan]}, "n_items": 10},
+         "$.parameters.dist.probs[1]: must be a finite number"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, []], [0.5, 0]]}},
+         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, "x"], ["x", 0]]}},
+         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], 0.5]}},
+         "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"

@@ -236,6 +236,28 @@ class TestJlHypotheses:
         assert not report.passed
         assert report.reasons()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [1000, -900])
+    def test_trend_is_scale_free_near_the_float_limits(self, exponent):
+        # Radii scaled by a power of two leave the trend statistics as they
+        # are, bit for bit, and none of them overflows or divides by zero;
+        # a moment past the float range is flagged.
+        at_one = check_jl_hypotheses(RadialBetaMixture(1.0, 8.0, 2.0), 200, 60,
+                                     samples=2000, seed=5)
+        scaled = check_jl_hypotheses(RadialBetaMixture(2.0**exponent, 8.0, 2.0), 200, 60,
+                                     samples=2000, seed=5)
+        assert scaled.monotone_stats == at_one.monotone_stats
+        assert scaled.moment_flagged == (exponent > 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bins_without_spread_stay_finite(self):
+        # Beta(0.001, 2) radii underflow to 0 in about half the draws, so the
+        # lowest bins hold only zeros.
+        report = check_jl_hypotheses(RadialBetaMixture(1.2, 1e-3, 2.0), 200, 60,
+                                     samples=2000, seed=6)
+        assert all(math.isfinite(z) and math.isfinite(rise)
+                   for _, z, rise in report.monotone_stats)
+
     def test_reports_moment_constants(self):
         report = check_jl_hypotheses(SphereUniform(), 300, 60, samples=2000,
                                      seed=4)
