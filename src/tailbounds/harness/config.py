@@ -25,10 +25,14 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 
 # Size caps, checked before any table or array is built.  On grid configs,
-# a zeta law keeps two float64 tables of `cap` entries (160 MB at the cap),
-# and sampling a point set peaks near 120 bytes a point (120 MB), as
-# does euclid.mst_weight (its radius graph is capped at euclid._MAX_PAIRS
-# candidate pairs, about 30 MB; above that it scans rows in O(s) memory).
+# a zeta law sums its normaliser and moments over chunks of 2^14 counts (a
+# tracemalloc peak under 0.4 MB at caps 10^6 and 10^7) and keeps its CDF
+# only through its last change: 510 float64 entries at s = 6, but all `cap`
+# of them for s up to about 2.5, so building it peaks at 80.1 MB at the cap
+# (s = 1.5), the table and one chunk.  Sampling a point set peaks near 120
+# bytes a point (120 MB), as does euclid.mst_weight (its radius graph is
+# capped at euclid._MAX_PAIRS candidate pairs, about 30 MB; above that it
+# scans rows in O(s) memory).
 # euclid.tsp_2opt tests distance blocks of at most euclid._SWEEP_BLOCK_ENTRIES
 # entries, about 7 MB with their temporaries, up to about 1.3e5 points; past
 # that one row fills a block and it peaks near 130 bytes a point (130 MB).
@@ -45,8 +49,8 @@ _REQUIRED = object()
 # samples x n matrix, max(100, gate_samples) samples: a peak of 16.0 traced
 # bytes per n * samples (n = 1000 and 4000, 2000 samples), so 128 MB at
 # MAX_JL_GATE_ENTRIES.  A grid also draws one count per cell, and
-# sample_point_set peaks at 24 traced bytes a cell (41 with zeta counts)
-# when the cells hold no points, so about 41 MB at MAX_CELLS.  Binpack
+# sample_point_set peaks at 24 traced bytes a cell, whatever the count law,
+# when the cells hold no points, so about 24 MB at MAX_CELLS.  Binpack
 # counts come from numpy's multinomial, which takes n_items as a C long,
 # and the LP reads them as floats, exact up to MAX_ITEMS.  The parent of a
 # run holds each replicate's seed and f (16 bytes) plus its aux values,
@@ -244,11 +248,13 @@ def _probability_matrix(n, spec, path):
         _require(len(rows) == n, f"{path}.p",
                  f"must be n x n = {n} x {n} for {n_path}, got {len(rows)} rows")
         # Checked a row at a time, not an entry at a time: n may be
-        # MAX_CHROMATIC_N.
+        # MAX_CHROMATIC_N.  numpy would read a boolean beside numbers as 0
+        # or 1, so the row's entry types are checked at C speed first.
         p = np.empty((n, n))
         for i, row in enumerate(rows):
             try:
-                row = np.array(row) if isinstance(row, list) else None
+                row = np.array(row) if isinstance(row, list) and bool not in map(type, row) \
+                    else None
             except ValueError:  # nested lists of unequal lengths
                 row = None
             _require(row is not None and row.shape == (n,) and row.dtype.kind in "iuf",

@@ -75,12 +75,64 @@ class Poisson:
         return f"poisson({self.mean})"
 
 
+# The most entries of k^-s that a zeta law computes at once (128 KB).
+_ZETA_CHUNK = 2**14
+
+
+def _pairwise_sum(term, lo, n):
+    """np.add.reduce(term(lo, lo + n)) bit for bit, from chunks of at most
+    _ZETA_CHUNK entries.  numpy sums a float64 array pairwise: it splits n
+    entries at n // 2 rounded down to a multiple of 8 and sums each part
+    the same way, so reducing each node of that split tree on its own and
+    adding the two parts rounds exactly as the whole array does."""
+    if n <= _ZETA_CHUNK:
+        return float(np.add.reduce(term(lo, lo + n)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+
+
+def _zeta_weights(s, lo, hi, out=None):
+    """k^-s for k = lo + 1 .. hi, equal to entries lo .. hi - 1 of the full
+    float64 table arange(1, cap + 1) ** -s; written into out when given."""
+    return np.power(np.arange(lo + 1, hi + 1, dtype=float), -s, out=out)
+
+
 @lru_cache(maxsize=16)
-def _zeta_tables(s, cap):
-    ks = np.arange(1, cap + 1, dtype=float)
-    w = ks ** (-s)
-    pmf = w / w.sum()
-    return pmf, np.cumsum(pmf)
+def _zeta_normaliser(s, cap):
+    """The sum of k^-s over 1..cap, equal to the full table's w.sum()."""
+    return _pairwise_sum(lambda lo, hi: _zeta_weights(s, lo, hi), 0, cap)
+
+
+def _zeta_cdf_pass(s, cap, z, out=None):
+    """Runs np.cumsum(w / z) of the full table a chunk at a time, writing
+    it into out when given (through len(out) entries), and returns the
+    number of entries through its last change.  The pmf decreases, so once
+    an entry leaves the running sum unchanged every later entry does too:
+    the entries that change it are a prefix, each larger than the one
+    before, and the rest equal its last."""
+    carry = 0.0
+    stop = cap if out is None else len(out)
+    for lo in range(0, stop, _ZETA_CHUNK):
+        hi = min(lo + _ZETA_CHUNK, stop)
+        cdf = _zeta_weights(s, lo, hi, None if out is None else out[lo:hi])
+        cdf /= z
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        changed = 0 if cdf[0] == carry else int(np.searchsorted(cdf, cdf[-1])) + 1
+        if changed < hi - lo:
+            return lo + changed
+        carry = cdf[-1]
+    return stop
+
+
+@lru_cache(maxsize=16)
+def _zeta_cdf(s, cap):
+    """The full table's CDF through its last change, in one array that a
+    first pass sizes and a second fills."""
+    z = _zeta_normaliser(s, cap)
+    cdf = np.empty(_zeta_cdf_pass(s, cap, z))
+    _zeta_cdf_pass(s, cap, z, cdf)
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -110,24 +162,33 @@ class TruncatedZeta:
         return max(0, math.ceil(self.s - 1) - 1)
 
     def sample(self, rng, size):
-        _, cdf = _zeta_tables(self.s, self.cap)
-        u = rng.random(size)
-        counts = (np.searchsorted(cdf, u, side="right") + 1).astype(np.int64)
+        cdf = _zeta_cdf(self.s, self.cap)
+        counts = np.searchsorted(cdf, rng.random(size), side="right") + 1
+        # A draw at or past the last kept entry lies past every entry of the
+        # full CDF, where no count below the cap is left.
+        counts[counts > len(cdf)] = self.cap
         if self.p0:
             counts = np.where(rng.random(size) < self.p0, 0, counts)
         return counts
 
     def moment(self, l):
-        pmf, _ = _zeta_tables(self.s, self.cap)
-        ks = np.arange(1, self.cap + 1, dtype=float)
-        scale = 1.0 - self.p0 if l > 0 else 1.0
-        return scale * float((pmf * ks**l).sum()) if l > 0 else 1.0
+        if l <= 0:
+            return 1.0
+        z = _zeta_normaliser(self.s, self.cap)
+
+        def term(lo, hi):  # the full table's pmf * ks**l
+            ks = np.arange(lo + 1, hi + 1, dtype=float)
+            return _zeta_weights(self.s, lo, hi) / z * ks**l
+
+        return (1.0 - self.p0) * _pairwise_sum(term, 0, self.cap)
 
     def pmf(self, k):
         if k == 0:
             return self.p0
-        pmf, _ = _zeta_tables(self.s, self.cap)
-        return (1.0 - self.p0) * float(pmf[k - 1]) if 1 <= k <= self.cap else 0.0
+        if not 1 <= k <= self.cap:
+            return 0.0
+        w = float(_zeta_weights(self.s, k - 1, k)[0])
+        return (1.0 - self.p0) * (w / _zeta_normaliser(self.s, self.cap))
 
     def label(self):
         return f"zeta(s={self.s},cap={self.cap},p0={self.p0})"

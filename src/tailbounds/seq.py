@@ -273,11 +273,12 @@ def check_jl_hypotheses(family, n, k, samples, seed=0):
     (i) is tested at a spread of indices i <= k by quantile-binning
     W = Y_1^2+...+Y_{i-1}^2 into TREND_BINS bins: the isotonic-violation
     statistic is the precision-weighted trend of the binned means of Y_i^2
-    (flagged above z = 3), backed by a multiplicity-corrected check on any
-    single adjacent rise (z = 4.5).  (ii) reports, for each even l in
-    MOMENT_ORDERS, the max over probed i of n * (E Y_i^l)^(2/l) / l, i.e.
-    the realized c in the bound (c*l)^(l/2)/n^(l/2); values above
-    MOMENT_LIMIT are flagged.
+    (flagged above z = 3; a bin whose values do not spread takes the
+    standard deviation pooled over the bins), backed by a
+    multiplicity-corrected check on any single adjacent rise (z = 4.5).
+    (ii) reports, for each even l in MOMENT_ORDERS, the max over probed i
+    of n * (E Y_i^l)^(2/l) / l, i.e. the realized c in the bound
+    (c*l)^(l/2)/n^(l/2); values above MOMENT_LIMIT are flagged.
     """
     if samples < 100:
         raise InvalidArgumentError("samples must be >= 100")
@@ -298,10 +299,12 @@ def check_jl_hypotheses(family, n, k, samples, seed=0):
         order = np.argsort(w, kind="stable")
         groups = np.array_split(order, TREND_BINS)
         means = np.array([target[g].mean() for g in groups])
-        ses = np.array([
-            max(target[g].std(ddof=1) / math.sqrt(len(g)), SE_FLOOR)
-            for g in groups
-        ])
+        sds = np.array([target[g].std(ddof=1) for g in groups])
+        sizes = np.array([len(g) for g in groups])
+        # A bin without spread would get the floor's weight and set the
+        # trend alone, so it takes the standard deviation pooled over bins.
+        pooled = math.sqrt(((sizes - 1) * sds**2).sum() / (sizes - 1).sum())
+        ses = np.maximum(np.where(sds > 0, sds, pooled) / np.sqrt(sizes), SE_FLOOR)
         xs = np.arange(len(groups), dtype=float)
         weights = 1.0 / ses**2
         xbar = (weights * xs).sum() / weights.sum()

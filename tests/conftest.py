@@ -74,6 +74,35 @@ def optimize_m_oracle(bound_fn, t, m_max):
     return best
 
 
+def jl_trend_oracle(family, n, k, samples, seed):
+    """check_jl_hypotheses' (i, trend z, max adjacent-rise z) at each probe
+    for a family whose every bin spreads, with each bin's standard error
+    its own standard deviation over the square root of its size."""
+    from tailbounds.harness.rng import substream
+    from tailbounds.seq import TREND_BINS, _draw_vectors
+
+    sq = _draw_vectors(substream(seed, "jl-check"), n, family, samples) ** 2
+    unit = np.ldexp(sq, -np.frexp(sq.max())[1])
+    stats = []
+    for i in sorted({max(2, k // 4), max(2, k // 2), k} | {min(8, k)}):
+        if not 2 <= i <= k:
+            continue
+        target = unit[:, i - 1]
+        groups = np.array_split(np.argsort(unit[:, :i - 1].sum(axis=1), kind="stable"),
+                                TREND_BINS)
+        means = np.array([target[g].mean() for g in groups])
+        ses = np.array([target[g].std(ddof=1) / math.sqrt(len(g)) for g in groups])
+        assert (ses > 0).all(), "a bin without spread"
+        xs = np.arange(len(groups), dtype=float)
+        weights = 1.0 / ses**2
+        xbar = (weights * xs).sum() / weights.sum()
+        denom = (weights * (xs - xbar) ** 2).sum()
+        slope = (weights * (xs - xbar) * means).sum() / denom
+        rises = (means[1:] - means[:-1]) / np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
+        stats.append((i, float(slope * math.sqrt(denom)), float(rises.max())))
+    return stats
+
+
 def tour_length_oracle(points, order):
     pts = np.asarray(points, dtype=float)
     seq = pts[list(order) + [order[0]]]
@@ -336,6 +365,16 @@ def pack_exact_bins(sizes_by_item):
 
     place(0)
     return best
+
+
+def zeta_tables_oracle(s, cap):
+    """The zeta law's pmf and CDF as full float64 tables over k = 1..cap:
+    w = k^-s, pmf = w / w.sum() (numpy's pairwise sum) and cdf =
+    np.cumsum(pmf)."""
+    ks = np.arange(1, cap + 1, dtype=float)
+    w = ks ** (-s)
+    pmf = w / w.sum()
+    return pmf, np.cumsum(pmf)
 
 
 def sample_point_set_oracle(n_cells, count_dist, placement, seed):

@@ -1032,7 +1032,9 @@ class TestCli:
         def allocate(*args):
             raise AssertionError("a table or point set was built before the size check")
 
-        monkeypatch.setattr(pointproc, "_zeta_tables", allocate)
+        # Every zeta law computation starts from one of these two builders.
+        monkeypatch.setattr(pointproc, "_zeta_normaliser", allocate)
+        monkeypatch.setattr(pointproc, "_zeta_cdf", allocate)
         monkeypatch.setattr(experiments, "sample_point_set", allocate)
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({
@@ -1049,6 +1051,24 @@ class TestCli:
         assert code == 4
         assert "Traceback" not in err
         assert named in err
+        assert peak < 10**6
+
+    def test_zeta_counts_parse_and_draw_in_little_memory(self):
+        # The benchmark's mst-heavytail grid: the law at the default cap of
+        # 10^6 keeps no table of every count.
+        pointproc._zeta_normaliser.cache_clear()
+        pointproc._zeta_cdf.cache_clear()
+        raw = {"schema_version": 1, "experiment": "mwst", "replicates": 20, "base_seed": 1,
+               "parameters": {"n_cells": 2500, "placement": "corner_bunch",
+                              "count_dist": {"kind": "zeta", "s": 6.0, "p0": 0.35}}}
+        tracemalloc.start()
+        try:
+            dist = parse_config(raw).parameters["count_dist"]
+            counts = dist.sample(substream(1, "pointset"), 2500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.cap == 10**6 and len(counts) == 2500
         assert peak < 10**6
 
     @pytest.mark.parametrize("argv", [
@@ -1170,6 +1190,21 @@ class TestCli:
         assert "Traceback" not in err
         assert f"$.parameters.n: above MAX_CHROMATIC_N = {MAX_CHROMATIC_N}" in err
         assert peak < 10**6
+
+    def test_boolean_found_in_a_matrix_at_the_cap(self):
+        n = MAX_CHROMATIC_N
+        rows = []
+        for i in range(n):
+            row = [0.25] * n
+            row[i] = 0.0
+            rows.append(row)
+        raw = {"schema_version": 1, "experiment": "chromatic", "replicates": 1,
+               "parameters": {"n": n, "p_spec": {"kind": "matrix", "p": rows}}}
+        assert parse_config(raw).parameters["P"].n == n
+        rows[-1][0] = True
+        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p\[{n - 1}\]: "
+                                              rf"must be a list of n = {n} numbers"):
+            parse_config(raw)
 
     def test_chromatic_n_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(config, "MAX_CHROMATIC_N", 3)
@@ -2003,6 +2038,12 @@ class TestCliBadInput:
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, "x"], ["x", 0]]}},
          "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], 0.5]}},
+         "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
+        # A boolean is no probability, beside integers or floats alike.
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, True], [True, 0]]}},
+         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
+                                          "p": [[0.0, 0.5], [0.5, False]]}},
          "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):

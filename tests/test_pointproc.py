@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tailbounds import pointproc
 from tailbounds.errors import InvalidArgumentError
+from tailbounds.harness.config import MAX_ZETA_CAP
 from tailbounds.harness.rng import substream
 from tailbounds.pointproc import (
     Deterministic,
@@ -19,7 +22,7 @@ from tailbounds.pointproc import (
     sample_point_set,
 )
 
-from conftest import sample_point_set_oracle
+from conftest import sample_point_set_oracle, zeta_tables_oracle
 
 _COUNT_LAWS = [
     Poisson(1.0),
@@ -109,6 +112,76 @@ class TestCountDistributions:
             second.append((draws**2).mean())
         assert np.std(second) < 0.2
         assert np.mean(second) == pytest.approx(d.moment(2), rel=0.1)
+
+
+class _FixedDraws:
+    """A Generator stand-in whose every random(size) returns the given draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def _zeta_sample_oracle(cdf, cap, p0, rng, size):
+    """TruncatedZeta.sample on the full CDF table, with the count clamped
+    to the cap."""
+    counts = np.minimum(np.searchsorted(cdf, rng.random(size), side="right") + 1, cap)
+    return np.where(rng.random(size) < p0, 0, counts) if p0 else counts
+
+
+class TestZetaLaw:
+    """The zeta law is built a chunk at a time and must equal, bit for
+    bit, what the full float64 tables give."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(s=st.floats(1.01, 12.0), p0=st.sampled_from([0.0, 0.35, 0.9]),
+           cap=st.sampled_from([1, 8, 2**14 - 1, 2**14, 2**14 + 1, 10**6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_tables(self, s, p0, cap, seed):
+        pmf, cdf = zeta_tables_oracle(s, cap)
+        law = TruncatedZeta(s, cap, p0)
+        ks = np.arange(1, cap + 1, dtype=float)
+        for l in range(1, 5):
+            assert law.moment(l) == (1.0 - p0) * float((pmf * ks**l).sum())
+        assert law.pmf(0) == p0
+        assert law.pmf(1) == (1.0 - p0) * float(pmf[0])
+        assert law.pmf(cap) == (1.0 - p0) * float(pmf[-1])
+        assert law.pmf(cap + 1) == 0.0
+        draws = law.sample(np.random.default_rng(seed), 500)
+        assert np.array_equal(draws, _zeta_sample_oracle(cdf, cap, p0,
+                                                         np.random.default_rng(seed), 500))
+        kept = np.unique(cdf)
+        u = np.concatenate([kept, np.nextafter(kept, 0), np.nextafter(kept, 2)])
+        assert np.array_equal(law.sample(_FixedDraws(u), len(u)),
+                              _zeta_sample_oracle(cdf, cap, p0, _FixedDraws(u), len(u)))
+        pointproc._zeta_cdf.cache_clear()  # hold no large CDF between examples
+
+    @pytest.mark.parametrize("law", [TruncatedZeta(6.0), TruncatedZeta(6.0, p0=0.35),
+                                     TruncatedZeta(1.5, 1000), TruncatedZeta(2.0, 50)],
+                             ids=["s6", "s6-p0", "s1.5-cap1000", "s2-cap50"])
+    def test_top_draw_stays_at_the_cap(self, law):
+        # At s = 6 the full CDF ends at 0.9999999999999962, so a draw above
+        # it used to give cap + 1.
+        draws = law.sample(_FixedDraws(np.full(4, np.nextafter(1.0, 0.0))), 4)
+        assert draws.tolist() == [law.cap] * 4
+
+    def test_cdf_at_the_cap_holds_one_table(self):
+        # s = 1.5 never flattens at the cap, so the kept CDF is a full
+        # table; building it holds that table and the k values of one chunk.
+        pointproc._zeta_normaliser.cache_clear()
+        pointproc._zeta_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            cdf = pointproc._zeta_cdf(1.5, MAX_ZETA_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            pointproc._zeta_cdf.cache_clear()
+        assert len(cdf) == MAX_ZETA_CAP
+        assert peak < cdf.nbytes + 8 * pointproc._ZETA_CHUNK + 8192
 
 
 class TestSamplePointSet:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import lis_brute
+from conftest import jl_trend_oracle, lis_brute
 from tailbounds.errors import InvalidArgumentError
 from tailbounds.harness.rng import substream
 from tailbounds.seq import (
@@ -252,11 +252,25 @@ class TestJlHypotheses:
     @pytest.mark.filterwarnings("error")
     def test_bins_without_spread_stay_finite(self):
         # Beta(0.001, 2) radii underflow to 0 in about half the draws, so the
-        # lowest bins hold only zeros.
+        # lowest bins hold only zeros.  With the floor as their standard
+        # error they alone set the trend, about 3e-7 at every probe; with
+        # the pooled one the bins that spread set it.
         report = check_jl_hypotheses(RadialBetaMixture(1.2, 1e-3, 2.0), 200, 60,
                                      samples=2000, seed=6)
         assert all(math.isfinite(z) and math.isfinite(rise)
                    for _, z, rise in report.monotone_stats)
+        assert all(z > 1.0 for _, z, _ in report.monotone_stats)
+
+    @pytest.mark.parametrize("family, n, k, seed", [
+        (SphereUniform(), 200, 60, 6),
+        (GaussianIid(), 50, 10, 1),
+        (RadialBetaMixture(1.2, 8.0, 2.0), 300, 200, 3),
+        (RadialBetaMixture(1.2, 0.05, 2.0), 200, 60, 6),
+        (RadialBetaMixture(4.0, 0.5, 0.5), 400, 100, 3),
+    ])
+    def test_trend_with_spread_in_every_bin_matches_oracle(self, family, n, k, seed):
+        report = check_jl_hypotheses(family, n, k, samples=2000, seed=seed)
+        assert report.monotone_stats == jl_trend_oracle(family, n, k, 2000, seed)
 
     def test_reports_moment_constants(self):
         report = check_jl_hypotheses(SphereUniform(), 300, 60, samples=2000,
