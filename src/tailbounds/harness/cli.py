@@ -134,7 +134,7 @@ def cmd_bound(args):
                 raise ConfigError(flag, f"required by --method {args.method}")
         elif dest not in reads:
             raise ConfigError(flag, f"not read by --method {args.method}")
-    _, _, tail_at = bound_source(*_bound_request(args))
+    _, _, tail_at, _ = bound_source(*_bound_request(args))
     print(_result_json(tail_at(args.t)))
     return EXIT_OK
 

@@ -13,7 +13,11 @@ depend on execution order or worker count.  tsp and mwst share the site
 "pointset", so at equal seeds and grid parameters they see one point set.
 chernoff reads raw words from rng.bit_generator and compares them with
 per-variable thresholds, which gives exactly the values of the
-Generator's uniforms compared with the means.
+Generator's uniforms compared with the means.  gauss_sum is also in
+ROW_FNS as its draw and its reduction: the runner draws a block's
+replicates into the rows of one matrix and sums them in one call, and
+run_gauss_sum, the same draw and sum on one row, is its per-replicate
+oracle.
 
 The parameters are the validated dict of config.parse_config, so every
 domain object is built once per config and only read here:
@@ -41,6 +45,7 @@ from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
 from ..packing import lp_round_up, solve_packing_lp
 from ..pointproc import sample_point_set
 from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit_vector
+from .rng import substream
 
 
 def _tsp_value(points, params):
@@ -101,8 +106,21 @@ def run_chernoff(params, rng):
     return float(np.count_nonzero(words < params["thresholds"]) - params["total"]), {}
 
 
+def draw_gauss(params, rng, out):
+    """Fill out, a contiguous float64 row of params["n"], with a gauss_sum
+    replicate's standard normals.  out is passed alone: numpy's check of a
+    size against it takes longer than drawing a short row."""
+    return rng.standard_normal(out=out)
+
+
+def row_sums(rows):
+    """The sum of each row along the last axis: numpy's pairwise sum over
+    the row, the same as .sum() of that row alone."""
+    return rows.sum(axis=-1)
+
+
 def run_gauss_sum(params, rng):
-    return float(rng.standard_normal(params["n"]).sum()), {}
+    return float(row_sums(draw_gauss(params, rng, np.empty(params["n"])))), {}
 
 
 REPLICATE_FNS = {
@@ -115,6 +133,11 @@ REPLICATE_FNS = {
     "chernoff": run_chernoff,
     "gauss_sum": run_gauss_sum,
 }
+
+# Experiments whose replicate draws one row of params["n"] float64 and
+# reduces it to f, with no aux: (draw, reduce), the draw and reduction of
+# their REPLICATE_FNS entry.  A block runs them a chunk of rows at a time.
+ROW_FNS = {"gauss_sum": (draw_gauss, row_sums)}
 
 # The keys of every replicate's aux dict, in the order of their aux_ columns
 # in the records CSV (sorted).
@@ -147,8 +170,8 @@ def pre_run_gate(config):
     if config.experiment == "jl":
         params = config.parameters
         n, k = params["n"], params["k"]
-        report = check_jl_hypotheses(params["family"], n, k,
-                                     samples=params["gate_samples"], seed=config.base_seed)
+        report = check_jl_hypotheses(params["family"], n, k, params["gate_samples"],
+                                     substream(config.base_seed, "jl-check"))
         if not report.passed:
             raise HypothesisViolationError(
                 f"$.parameters: projection hypotheses violated at n = {n}, k = {k}: "

@@ -1,37 +1,41 @@
 """Counter-based random streams.
 
-Every stream is keyed by (base_seed, *tags) through SHA-256 onto a Philox
-key, so any replicate or sampling site can be regenerated independently of
-execution order or worker count.
+Every stream is keyed by (base_seed, *tags): one SHA-256 over str(base_seed)
+and each str(tag), joined by 0x1f, whose first 16 bytes are the two
+little-endian Philox key words.  Philox is counter-based, so the key is all
+of a new stream's state, and any replicate or sampling site can be
+regenerated independently of execution order or worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["substream", "restream", "derived_seed", "derived_seeds"]
 
-_SEP = b"\x1f"
 _ZERO_WORDS = (0, 0, 0, 0)
+_KEY_WORDS = struct.Struct("<2Q")
 
 
-def _digest(base_seed, tags):
-    h = hashlib.sha256()
-    h.update(str(int(base_seed)).encode())
-    for t in tags:
-        h.update(_SEP)
-        h.update(str(t).encode())
-    return h.digest()
+def _key(base_seed, tags):
+    """The key of (base_seed, *tags): the first two little-endian 64-bit
+    words of SHA-256 over str(base_seed) and each str(tag), joined by 0x1f,
+    hashed in one call."""
+    text = str(int(base_seed))
+    for tag in tags:
+        text += f"\x1f{tag}"
+    return _KEY_WORDS.unpack_from(hashlib.sha256(text.encode()).digest())
 
 
 def derived_seed(base_seed, replicate):
     """The documented (base_seed, replicate) -> 64-bit seed function used
-    for the per-record seed column."""
-    d = _digest(base_seed, ("replicate", int(replicate)))
-    return int.from_bytes(d[:8], "little")
+    for the per-record seed column: the first word of the key of
+    (base_seed, "replicate", replicate)."""
+    return _key(base_seed, ("replicate", int(replicate)))[0]
 
 
 def derived_seeds(base_seed, start, stop):
@@ -39,18 +43,11 @@ def derived_seeds(base_seed, start, stop):
 
     The digest prefix of base_seed and "replicate" is hashed once; each
     seed extends a copy of it by the replicate index."""
-    prefix = hashlib.sha256(str(int(base_seed)).encode() + _SEP + b"replicate" + _SEP)
+    prefix = hashlib.sha256(f"{int(base_seed)}\x1freplicate\x1f".encode())
     for replicate in range(start, stop):
         h = prefix.copy()
         h.update(str(replicate).encode())
-        yield int.from_bytes(h.digest()[:8], "little")
-
-
-def _key(base_seed, tags):
-    """The two 64-bit Philox key words of (base_seed, *tags): the first 16
-    bytes of the digest, little-endian."""
-    d = _digest(base_seed, tags)
-    return int.from_bytes(d[:8], "little"), int.from_bytes(d[8:16], "little")
+        yield _KEY_WORDS.unpack_from(h.digest())[0]
 
 
 class _PhiloxKey(ISeedSequence):

@@ -5,7 +5,10 @@ Records are a pure function of the configuration: every replicate draws
 from its own counter-based stream, each block of replicates formats its
 own CSV rows, and the blocks are written in replicate order, so the
 output bytes do not depend on the worker count; after a failure they
-hold every replicate before the first one that raised.
+hold every replicate before the first one that raised.  A block calls
+its experiment's replicate function once per replicate, except for an
+experiment of experiments.ROW_FNS (gauss_sum): its replicates draw into
+the rows of one matrix, which is reduced in one call per chunk.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ import numpy as np
 
 from ..bounds import BoundMethod, TypicalProfile, \
     chernoff_corollary_bound, general_chernoff_bound, jl_envelope_curve, \
-    main_theorem_curve, tail_bound, theorem1_closed_curve, theorem1_recursion_curve
+    main_theorem_curve, tail_bound, tail_curve, theorem1_closed_curve, \
+    theorem1_recursion_curve
 from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError, SizeLimitError
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
-from .experiments import AUX_KEYS, REPLICATE_FNS, STREAM_SITES, experiment_extras, \
-    pre_run_gate
+from .experiments import AUX_KEYS, REPLICATE_FNS, ROW_FNS, STREAM_SITES, \
+    experiment_extras, pre_run_gate
 from .rng import derived_seeds, restream
 
 T_GRID_POINTS = 20
@@ -35,6 +39,9 @@ T_GRID_LO = 0.5   # in units of the empirical standard deviation
 T_GRID_HI = 6.0
 VERDICT_SE_MULTIPLIER = 3.0
 MIN_BOUND_RECORDS = 100
+# float64 entries (1 MB) in the chunk of rows that a ROW_FNS block draws
+# into before it reduces them.
+ROW_CHUNK_ENTRIES = 2**17
 CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
 # A pool forks all its workers at once, each a copy of this interpreter
 # with numpy loaded (about 25 MB resident on Linux, Python 3.11), so 64
@@ -216,37 +223,74 @@ class _Block(tuple):
         return _Block, ((*columns, error),)
 
 
+def _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes):
+    """Run replicates start..stop-1 one call at a time, appending the seed,
+    f and aux of each to seeds, fs and auxes as it completes.
+
+    One Generator on one Philox serves the block: for each seed the Philox
+    is re-keyed to (seed, STREAM_SITES[experiment]) and
+    REPLICATE_FNS[experiment] is called on the Generator.  A replicate
+    whose aux keys are not AUX_KEYS[experiment] raises a ValueError naming
+    it."""
+    fn, site, keys = REPLICATE_FNS[experiment], STREAM_SITES[experiment], AUX_KEYS[experiment]
+    key_set = set(keys)
+    rng = np.random.Generator(np.random.Philox(0))
+    for seed in derived_seeds(base_seed, start, stop):
+        restream(rng.bit_generator, seed, site)
+        f, aux = fn(params, rng)
+        if aux.keys() != key_set:
+            raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
+                             f"{sorted(aux)} are not {list(keys)}")
+        seeds.append(seed)
+        fs.append(float(f))
+        auxes.append(aux)
+
+
+def _run_rows(experiment, params, base_seed, start, stop, seeds, fs):
+    """_run_each for an experiment of ROW_FNS, whose replicates have no aux.
+
+    Each replicate re-keys the Philox as _run_each does and draws into the
+    next row of a chunk of at most ROW_CHUNK_ENTRIES entries (one row when
+    a row is longer); a full chunk is reduced in one call.  When a
+    replicate raises, the rows drawn before it are reduced before the
+    exception leaves."""
+    draw, reduce = ROW_FNS[experiment]
+    site, n = STREAM_SITES[experiment], params["n"]
+    rng = np.random.Generator(np.random.Philox(0))
+    chunk = np.empty((min(stop - start, max(1, ROW_CHUNK_ENTRIES // n)), n))
+    filled = 0
+    try:
+        for seed in derived_seeds(base_seed, start, stop):
+            if filled == len(chunk):
+                fs.extend(reduce(chunk).tolist())
+                filled = 0
+            restream(rng.bit_generator, seed, site)
+            draw(params, rng, chunk[filled])
+            seeds.append(seed)
+            filled += 1
+    finally:
+        fs.extend(reduce(chunk[:filled]).tolist())
+
+
 def _run_block(experiment, params, base_seed, param_hash, start, stop):
     """(text, seeds, fs, aux, error) of replicates start..stop-1: the one
     way a block runs, with one worker or many.
 
-    The seeds come from rng.derived_seeds.  The block builds one Philox and
-    one Generator on it; for each seed it re-keys the Philox to (seed,
-    STREAM_SITES[experiment]) and calls REPLICATE_FNS[experiment] on the
-    Generator.  The first replicate that raises ends the block, and so does
-    one whose aux keys are not AUX_KEYS[experiment] (a ValueError naming
-    it).  text holds the rows of the replicates before it, as
-    records_to_csv writes them; seeds (uint64), fs (float64) and aux (one
-    list per aux key) are their columns; error is that exception, or
-    None."""
-    fn, site, keys = REPLICATE_FNS[experiment], STREAM_SITES[experiment], AUX_KEYS[experiment]
-    key_set = set(keys)
+    The seeds come from rng.derived_seeds.  An experiment of ROW_FNS runs
+    as rows (_run_rows), every other one call per replicate (_run_each).
+    The first replicate that raises ends the block.  text holds the rows
+    of the replicates before it, as records_to_csv writes them; seeds
+    (uint64), fs (float64) and aux (one list per aux key) are their
+    columns; error is that exception, or None."""
     seeds, fs, auxes, error = [], [], [], None
-    bit_generator = np.random.Philox(0)
-    rng = np.random.Generator(bit_generator)
     try:
-        for seed in derived_seeds(base_seed, start, stop):
-            restream(bit_generator, seed, site)
-            f, aux = fn(params, rng)
-            if aux.keys() != key_set:
-                raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
-                                 f"{sorted(aux)} are not {list(keys)}")
-            seeds.append(seed)
-            fs.append(float(f))
-            auxes.append(aux)
+        if experiment in ROW_FNS:
+            _run_rows(experiment, params, base_seed, start, stop, seeds, fs)
+        else:
+            _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes)
     except Exception as exc:
         error = exc
-    aux = {key: [a[key] for a in auxes] for key in keys}
+    aux = {key: [a[key] for a in auxes] for key in AUX_KEYS[experiment]}
     rows = [f"{experiment},{start + i},{seed},{param_hash},{f!r}"
             for i, (seed, f) in enumerate(zip(seeds, fs))]
     for column in aux.values():
@@ -371,9 +415,25 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)
 
 
+def _per_point(tail_at):
+    """tails of a source that picks its order per t: tail_at's tail
+    probability at each t of a grid, nan where it raises OutOfRegimeError."""
+    def tails(t_grid):
+        curve = []
+        for t in t_grid:
+            try:
+                curve.append(tail_at(float(t)).tail_probability)
+            except OutOfRegimeError:
+                curve.append(math.nan)
+        return np.array(curve)
+    return tails
+
+
 def bound_source(source, m_max=None):
-    """(method, JSON-able record of the source, tail_at) of a bound source,
-    where tail_at(t) is the TailBoundResult of Pr(|sum| >= t).
+    """(method, JSON-able record of the source, tail_at, tails) of a bound
+    source, where tail_at(t) is the TailBoundResult of Pr(|sum| >= t) and
+    tails(t_grid) the array of its tail probabilities over a grid, nan
+    where the source is out of its regime.
 
     source selects how moment information is obtained:
       {"kind": "bernoulli", "n", "nu"}          analytic, corollary bound
@@ -385,21 +445,28 @@ def bound_source(source, m_max=None):
 
     The Chernoff corollaries fix m per t by their own rule, and tail_at
     raises OutOfRegimeError outside their regime.  Every other source
-    builds its moment curve here, once, and tail_at minimises Markov's
-    inequality over it.  An m_max other than None is used as given (so 0 is
-    refused).  With None, the closed form and a MomentProfile stop at n
-    rounded down to even (a MomentProfile also at its highest order) and a
-    TypicalProfile at its highest order.
+    builds its moment curve here, once; tail_at minimises Markov's
+    inequality over it at one t and tails over a whole grid in one
+    tail_curve call, with the same p at each t.  An m_max other than None
+    is used as given (so 0 is refused).  With None, the closed form and a
+    MomentProfile stop at n rounded down to even (a MomentProfile also at
+    its highest order) and a TypicalProfile at its highest order.
     """
     kind = source["kind"]
     if kind == "bernoulli":
         n, nu = source["n"], source["nu"]
-        return (BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu},
-                lambda t: chernoff_corollary_bound(n, nu, t))
+
+        def tail_at(t):
+            return chernoff_corollary_bound(n, nu, t)
+        return (BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu}, tail_at,
+                _per_point(tail_at))
     if kind == "hetero_bernoulli":
         nu = float(np.sum(source["nus"]))
-        return (BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu},
-                lambda t: general_chernoff_bound(nu, t))
+
+        def tail_at(t):
+            return general_chernoff_bound(nu, t)
+        return (BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu}, tail_at,
+                _per_point(tail_at))
     if kind == "closed":
         n = source["n"]
         method, record = BoundMethod.THEOREM1_CLOSED, {"kind": kind, "n": n}
@@ -429,7 +496,8 @@ def bound_source(source, m_max=None):
             curve = theorem1_recursion_curve(profile, m_max)
     else:
         raise InvalidArgumentError(f"unknown profile source {kind!r}")
-    return method, record, lambda t: tail_bound(*curve, t, method)
+    return (method, record, lambda t: tail_bound(*curve, t, method),
+            lambda t_grid: tail_curve(*curve, t_grid).tail_probability)
 
 
 def compare_bound(records, bound_method, profile_source, summary=None):
@@ -444,20 +512,14 @@ def compare_bound(records, bound_method, profile_source, summary=None):
             f"compare_bound needs at least {MIN_BOUND_RECORDS} records")
     if summary is None:
         summary = summarize(records)
-    method, record, tail_at = bound_source(profile_source)
-    curve, verdicts = [], []
-    for t, emp in zip(summary.t_grid, summary.empirical):
-        try:
-            bnd = tail_at(float(t)).tail_probability
-            verdicts.append(bool(emp <= bnd + VERDICT_SE_MULTIPLIER
-                                 * _binomial_se(emp, len(records))))
-        except OutOfRegimeError:
-            bnd = math.nan
-            verdicts.append(True)  # out of the bound's regime: nothing claimed
-        curve.append(bnd)
-    summary.bound = np.array(curve)
+    method, record, _, tails = bound_source(profile_source)
+    curve = tails(summary.t_grid)
+    # A nan bound is out of the bound's regime: nothing is claimed there.
+    summary.verdicts = [math.isnan(bnd) or bool(emp <= bnd + VERDICT_SE_MULTIPLIER
+                                                * _binomial_se(emp, len(records)))
+                        for emp, bnd in zip(summary.empirical, curve.tolist())]
+    summary.bound = curve
     summary.bound_method = method.value
-    summary.verdicts = verdicts
     summary.extras["bound_profile"] = record
     return summary
 

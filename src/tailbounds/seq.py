@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .harness.rng import substream
 
 __all__ = ["lis", "lis_positions", "essential_mask", "essential_probability",
            "EssentialEstimate", "SphereUniform", "GaussianIid",
@@ -99,16 +98,15 @@ class EssentialEstimate:
     resamples: int
 
 
-def essential_probability(n, i, prefix, resamples, seed=0):
+def essential_probability(n, i, prefix, resamples, rng):
     """Estimate, for each j >= i, the probability that position j is
     essential given fixed values Y_1..Y_{i-1}, by redrawing the suffix
-    uniformly `resamples` times."""
+    uniformly `resamples` times from the Generator rng."""
     if resamples < 100:
         raise InvalidArgumentError("resamples must be >= 100")
     prefix = list(prefix)
     if len(prefix) != i - 1:
         raise InvalidArgumentError("prefix must have length i-1")
-    rng = substream(seed, "essential", n, i)
     width = n - i + 1
     hits = np.zeros(width)
     suffix_lis = np.empty(resamples)
@@ -267,8 +265,9 @@ MOMENT_LIMIT = 8.0
 SE_FLOOR = 1e-150  # its square and inverse square are finite
 
 
-def check_jl_hypotheses(family, n, k, samples, seed=0):
-    """Empirical test of the projection hypotheses on `samples` draws.
+def check_jl_hypotheses(family, n, k, samples, rng):
+    """Empirical test of the projection hypotheses on `samples` draws from
+    the Generator rng.
 
     (i) is tested at a spread of indices i <= k by quantile-binning
     W = Y_1^2+...+Y_{i-1}^2 into TREND_BINS bins: the isotonic-violation
@@ -284,7 +283,6 @@ def check_jl_hypotheses(family, n, k, samples, seed=0):
         raise InvalidArgumentError("samples must be >= 100")
     if not 1 <= k <= n:
         raise InvalidArgumentError("k must be in 1..n")
-    rng = substream(seed, "jl-check")
     vecs = _draw_vectors(rng, n, family, samples)
     sq = vecs**2
     # Scaling by a power of two leaves the trend statistics exact; with the

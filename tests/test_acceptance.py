@@ -233,12 +233,14 @@ def test_criterion_9_lis_suite():
 
     # essentiality estimates: non-decreasing in position, and the scaled
     # head estimate stays below 4
-    est30 = essential_probability(30, 1, [], resamples=3000, seed=92)
+    est30 = essential_probability(30, 1, [], resamples=3000,
+                                  rng=substream(92, "essential", 30, 1))
     for j in range(29):
         slack = 3 * math.sqrt(est30.standard_error[j] ** 2
                               + est30.standard_error[j + 1] ** 2)
         assert est30.a_hat[j] <= est30.a_hat[j + 1] + slack
-    est100 = essential_probability(100, 1, [], resamples=2000, seed=93)
+    est100 = essential_probability(100, 1, [], resamples=2000,
+                                   rng=substream(93, "essential", 100, 1))
     scaled = est100.a_hat * np.sqrt(np.arange(100, 0, -1))
     assert scaled.max() <= 4.0, f"max scaled essential prob {scaled.max()}"
     elapsed = time.monotonic() - start
@@ -251,7 +253,7 @@ def test_criterion_9_lis_suite():
 def test_criterion_10_jl_suite(tmp_path):
     # sphere-uniform passes the hypothesis gate
     report = check_jl_hypotheses(SphereUniform(), 1000, 100, samples=10000,
-                                 seed=101)
+                                 rng=substream(101, "jl-check"))
     assert report.passed
 
     # empirical sd of the projected squared norm sits inside the

@@ -412,7 +412,7 @@ class TestHoeffdingAzuma:
     closed-form curve for |X_i| <= 1."""
 
     def test_method_and_shape(self):
-        method, _, tail_at = bound_source({"kind": "closed", "n": 100})
+        method, _, tail_at, _ = bound_source({"kind": "closed", "n": 100})
         assert method is BoundMethod.THEOREM1_CLOSED
         assert tail_at(80.0).m_used <= 100
         ps = [tail_at(t).tail_probability for t in (20, 60, 120, 200)]

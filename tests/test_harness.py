@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import tailbounds
 from tailbounds.bounds import MAX_CURVE_ORDER, MAX_MAIN_CURVE_TERMS, \
-    MAX_RECURSION_MATRIX_BYTES, MomentProfile
+    MAX_RECURSION_MATRIX_BYTES, MomentProfile, TypicalProfile
 from tailbounds import bounds, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
@@ -31,6 +31,7 @@ from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_CHROMATIC_N, MAX_EXPEC
     MAX_JL_GATE_ENTRIES, MAX_SEQUENCE_N, parse_config
 from tailbounds.harness.rng import derived_seed, derived_seeds, restream, substream
 from tailbounds.harness.runner import (
+    ConcentrationSummary,
     ExperimentRecord,
     Records,
     compare_bound,
@@ -467,6 +468,66 @@ class TestStreamBlocks:
         assert type(error) is RuntimeError and str(error) == "restream failed"
 
 
+class TestGaussRows:
+    """gauss_sum blocks draw each replicate into one row of a chunk and sum
+    the chunk in one call; against run_gauss_sum and conftest's seed oracle,
+    bit for bit, at the lengths where numpy's pairwise sum changes shape and
+    across chunk boundaries."""
+
+    @given(n=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 1000]), rows=st.integers(0, 13),
+           spare=st.integers(0, 10**6), base_seed=st.integers(0, 2**63 - 1),
+           start=st.integers(0, 10**6), count=st.integers(0, 12))
+    @example(n=129, rows=2, spare=0, base_seed=0, start=0, count=5)
+    @example(n=1000, rows=0, spare=999, base_seed=2**63 - 1, start=10**6, count=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_replicate_oracles(self, n, rows, spare, base_seed, start, count):
+        # A chunk cap of rows * n plus less than one row holds max(1, rows)
+        # rows, so most blocks here cross a chunk boundary.
+        params = make_config(experiment="gauss_sum", parameters={"n": n}).parameters
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "ROW_CHUNK_ENTRIES", rows * n + spare % n)
+            block = _run_block("gauss_sum", params, base_seed, "h", start, start + count)
+        expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
+        oracle = [experiments.run_gauss_sum(params, substream(seed, "gauss"))
+                  for seed in expected]
+        assert block_error(block, "gauss_sum", start, expected, oracle) is None
+        assert oracle == [run_gauss_sum(params, seed) for seed in expected]
+
+    def test_raise_in_a_later_chunk_leaves_the_completed_prefix(self, monkeypatch):
+        # Chunks of 3 rows: the fifth replicate fails after the first chunk
+        # was summed and one row of the second was drawn.
+        calls = []
+
+        def restream_failing_fifth(bit_generator, seed, *tags):
+            calls.append(seed)
+            if len(calls) == 5:
+                raise RuntimeError("restream failed")
+            return restream(bit_generator, seed, *tags)
+
+        monkeypatch.setattr(runner, "restream", restream_failing_fifth)
+        monkeypatch.setattr(runner, "ROW_CHUNK_ENTRIES", 3 * 20)
+        params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
+        block = _run_block("gauss_sum", params, 1234, "h", 5, 15)
+        seeds = [derived_seed(1234, r) for r in range(5, 9)]
+        error = block_error(block, "gauss_sum", 5, seeds,
+                            [run_gauss_sum(params, s) for s in seeds])
+        assert type(error) is RuntimeError and str(error) == "restream failed"
+
+    def test_block_holds_one_chunk(self):
+        # 200 replicates of 5000 normals: a chunk holds 26 rows (1.04 MB),
+        # so the block never holds all 200 rows (8 MB) at once.
+        n, count = 5000, 200
+        params = make_config(experiment="gauss_sum", parameters={"n": n}).parameters
+        tracemalloc.start()
+        try:
+            block = _run_block("gauss_sum", params, 7, "h", 0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block[4] is None and len(block[2]) == count
+        assert peak < 8 * (runner.ROW_CHUNK_ENTRIES // n) * n + 2**17
+
+
 def assert_streamed_records_are(cfg, workers, out, digest):
     """The records file run_experiment streams is records_to_csv of the
     records it returns, and has this SHA-256."""
@@ -776,11 +837,34 @@ class TestCompareBound:
                                 {"kind": "profile", "profile": profile})
         assert summary.dominated
 
+    def test_understated_spread_is_not_dominated(self):
+        # f with sd about 100 against the closed form of one variable,
+        # whose tail is 96 / t^2: at the first grid point (t about 50) the
+        # bound is about 0.04 and the empirical tail about 0.6.
+        records = records_of(100.0 * substream(45, "wide").standard_normal(200))
+        summary = compare_bound(records, None, {"kind": "closed", "n": 1})
+        assert summary.bound[0] < 0.05 and summary.empirical[0] > 0.5
+        assert summary.verdicts[0] is False
+        assert summary.dominated is False
+
+    def test_excess_within_three_standard_errors_is_dominated(self):
+        # The closed form of one variable bounds the tail at t = 20 by
+        # 96 / 400 = 0.24.  Over 100 records an empirical tail of 0.30 lies
+        # 1.3 binomial SEs above it and stays dominated; 0.40 lies 3.3 SEs
+        # above it and does not.
+        summary = ConcentrationSummary(experiment="x", replicates=100, mean=0.0, sd=1.0,
+                                       t_grid=np.array([20.0, 20.0]),
+                                       empirical=np.array([0.30, 0.40]))
+        compare_bound(records_of(range(100)), None, {"kind": "closed", "n": 1},
+                      summary=summary)
+        assert summary.bound.tolist() == [0.24000000000000005] * 2
+        assert summary.verdicts == [True, False]
+        assert summary.dominated is False
+
     def test_one_moment_curve_per_bound_curve(self, monkeypatch):
         # One recursion pass for the whole t-grid, and one main-theorem
         # evaluation per order, not one per (order, t).
         from tailbounds import bounds
-        from tailbounds.bounds import TypicalProfile
         from tailbounds.harness import runner
 
         calls = {"recursion": 0, "main": 0}
@@ -829,19 +913,29 @@ class TestCompareBound:
         ]
         assert np.allclose(np.nan_to_num(redo), np.nan_to_num(summary.bound))
 
-    def test_jl_tail_at_matches_compare_bound(self):
-        # The bound command has no jl method; it prints bound_source's
-        # tail_at, which compare_bound evaluates over the grid.
+    @pytest.mark.parametrize("source, label", [
+        ({"kind": "closed", "n": 9}, "Theorem1Closed"),
+        ({"kind": "jl", "n": 50, "k": 9}, "JlMomentEnvelope"),
+        ({"kind": "profile", "profile": MomentProfile.uniform(10, {2: 1.0, 4: 3.0, 6: 15.0})},
+         "Theorem1Recursion"),
+        ({"kind": "profile", "profile": TypicalProfile.uniform(
+            10, {2: 1.0, 4: 3.0, 6: 15.0}, {2: 1.0, 4: 3.0, 6: 15.0}, {2: 0.1, 4: 0.1, 6: 0.1})},
+         "MainTheorem"),
+    ], ids=["closed", "jl", "moment_profile", "typical_profile"])
+    def test_tail_at_matches_compare_bound(self, source, label):
+        # The bound command prints bound_source's tail_at at one t;
+        # compare_bound evaluates the same moment curve over the whole grid
+        # in one call, and each point is the same double.
         from tailbounds.harness.runner import bound_source
 
-        records = records_of([1e-3 * (i % 13) for i in range(200)])
-        source = {"kind": "jl", "n": 50, "k": 9}
+        records = records_of(40.0 * substream(44, "spread").standard_normal(300))
         summary = compare_bound(records, None, source)
-        method, record, tail_at = bound_source(source)
-        assert summary.bound_method == method.value == "JlMomentEnvelope"
+        method, record, tail_at, _ = bound_source(source)
+        assert summary.bound_method == method.value == label
         assert summary.extras["bound_profile"] == record
-        for j, t in enumerate(summary.t_grid):
-            assert tail_at(float(t)).tail_probability == summary.bound[j]
+        assert (summary.bound < 1.0).any()
+        assert [b.hex() for b in summary.bound.tolist()] == [
+            tail_at(float(t)).tail_probability.hex() for t in summary.t_grid]
 
 
 class TestBuiltOnce:
@@ -1227,9 +1321,9 @@ class TestCli:
         gated = []
         real_gate = experiments.check_jl_hypotheses
 
-        def gate(family, n, k, samples, seed=0):
+        def gate(family, n, k, samples, rng):
             gated.append(n)
-            return real_gate(family, n, k, samples, seed)
+            return real_gate(family, n, k, samples, rng)
 
         monkeypatch.setattr(experiments, "check_jl_hypotheses", gate)
         cfg = tmp_path / "big.json"
@@ -1501,10 +1595,10 @@ class TestCli:
             calls.append(1)
             return rng.random(), {}
 
-        monkeypatch.setitem(experiments.REPLICATE_FNS, "gauss_sum", counted)
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "lis", counted)
         cfg = tmp_path / "g.json"
         cfg.write_text(json.dumps({
-            "schema_version": 1, "experiment": "gauss_sum", "replicates": 200,
+            "schema_version": 1, "experiment": "lis", "replicates": 200,
             "base_seed": 5, "parameters": {"n": 50},
         }))
         bad = tmp_path / "missing" / "s.json"

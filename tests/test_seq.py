@@ -98,13 +98,15 @@ class TestEssentialProbability:
     def test_two_element_case_analysis(self):
         # With distinct uniforms, both positions are essential exactly when
         # the pair is increasing: a_1 = a_2 = 1/2.
-        est = essential_probability(2, 1, [], resamples=4000, seed=8)
+        est = essential_probability(2, 1, [], resamples=4000,
+                                    rng=substream(8, "essential", 2, 1))
         for j in range(2):
             assert est.a_hat[j] == pytest.approx(0.5, abs=4 * est.standard_error[j]
                                                  + 1e-9)
 
     def test_monotone_in_position(self):
-        est = essential_probability(30, 1, [], resamples=3000, seed=9)
+        est = essential_probability(30, 1, [], resamples=3000,
+                                    rng=substream(9, "essential", 30, 1))
         for j in range(29):
             slack = 3 * math.sqrt(est.standard_error[j] ** 2
                                   + est.standard_error[j + 1] ** 2)
@@ -112,23 +114,26 @@ class TestEssentialProbability:
 
     def test_sum_bounded_by_suffix_lis(self):
         est = essential_probability(25, 6, [0.1, 0.9, 0.4, 0.6, 0.2],
-                                    resamples=1500, seed=10)
+                                    resamples=1500, rng=substream(10, "essential", 25, 6))
         total = est.a_hat.sum()
         budget = est.suffix_lis_mean + 3 * est.suffix_lis_se \
             + 3 * math.sqrt((est.standard_error**2).sum())
         assert total <= budget
 
     def test_probabilities_in_unit_interval(self):
-        est = essential_probability(12, 3, [0.5, 0.25], resamples=500, seed=11)
+        est = essential_probability(12, 3, [0.5, 0.25], resamples=500,
+                                    rng=substream(11, "essential", 12, 3))
         assert ((est.a_hat >= 0) & (est.a_hat <= 1)).all()
 
     def test_requires_enough_resamples(self):
         with pytest.raises(InvalidArgumentError):
-            essential_probability(5, 1, [], resamples=10)
+            essential_probability(5, 1, [], resamples=10,
+                                  rng=substream(0, "essential", 5, 1))
 
     def test_prefix_length_checked(self):
         with pytest.raises(InvalidArgumentError):
-            essential_probability(5, 3, [0.5], resamples=200)
+            essential_probability(5, 3, [0.5], resamples=200,
+                                  rng=substream(0, "essential", 5, 3))
 
 
 class TestUnitVectors:
@@ -204,7 +209,7 @@ class TestProjectionStatistic:
 class TestJlHypotheses:
     def test_sphere_passes(self):
         report = check_jl_hypotheses(SphereUniform(), 400, 100, samples=4000,
-                                     seed=1)
+                                     rng=substream(1, "jl-check"))
         assert report.passed
         assert not report.reasons()
 
@@ -226,12 +231,12 @@ class TestJlHypotheses:
 
     def test_iid_gaussian_flat_conditional_passes(self):
         report = check_jl_hypotheses(GaussianIid(), 400, 100, samples=4000,
-                                     seed=2)
+                                     rng=substream(2, "jl-check"))
         assert not report.monotone_flagged
 
     def test_wide_radial_mixture_flagged(self):
         report = check_jl_hypotheses(RadialBetaMixture(4.0, 0.5, 0.5), 400, 100,
-                                     samples=4000, seed=3)
+                                     samples=4000, rng=substream(3, "jl-check"))
         assert report.monotone_flagged
         assert not report.passed
         assert report.reasons()
@@ -243,9 +248,9 @@ class TestJlHypotheses:
         # are, bit for bit, and none of them overflows or divides by zero;
         # a moment past the float range is flagged.
         at_one = check_jl_hypotheses(RadialBetaMixture(1.0, 8.0, 2.0), 200, 60,
-                                     samples=2000, seed=5)
+                                     samples=2000, rng=substream(5, "jl-check"))
         scaled = check_jl_hypotheses(RadialBetaMixture(2.0**exponent, 8.0, 2.0), 200, 60,
-                                     samples=2000, seed=5)
+                                     samples=2000, rng=substream(5, "jl-check"))
         assert scaled.monotone_stats == at_one.monotone_stats
         assert scaled.moment_flagged == (exponent > 0)
 
@@ -256,7 +261,7 @@ class TestJlHypotheses:
         # error they alone set the trend, about 3e-7 at every probe; with
         # the pooled one the bins that spread set it.
         report = check_jl_hypotheses(RadialBetaMixture(1.2, 1e-3, 2.0), 200, 60,
-                                     samples=2000, seed=6)
+                                     samples=2000, rng=substream(6, "jl-check"))
         assert all(math.isfinite(z) and math.isfinite(rise)
                    for _, z, rise in report.monotone_stats)
         assert all(z > 1.0 for _, z, _ in report.monotone_stats)
@@ -269,12 +274,13 @@ class TestJlHypotheses:
         (RadialBetaMixture(4.0, 0.5, 0.5), 400, 100, 3),
     ])
     def test_trend_with_spread_in_every_bin_matches_oracle(self, family, n, k, seed):
-        report = check_jl_hypotheses(family, n, k, samples=2000, seed=seed)
+        report = check_jl_hypotheses(family, n, k, samples=2000,
+                                     rng=substream(seed, "jl-check"))
         assert report.monotone_stats == jl_trend_oracle(family, n, k, 2000, seed)
 
     def test_reports_moment_constants(self):
         report = check_jl_hypotheses(SphereUniform(), 300, 60, samples=2000,
-                                     seed=4)
+                                     rng=substream(4, "jl-check"))
         assert set(report.moment_constants) == {2, 4, 6}
         assert all(0 < c < 2 for c in report.moment_constants.values())
 
