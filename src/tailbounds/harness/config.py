@@ -46,11 +46,12 @@ _REQUIRED = object()
 # per n^2 (n = 500 and 1000, every p_spec kind), and a replicate's graph
 # draw adds about 19 bytes per n^2 while that matrix is held: 100 MB and
 # about 180 MB in all at MAX_CHROMATIC_N.  The jl gate draws and squares a
-# samples x n matrix, max(100, gate_samples) samples: a peak of 16.0 traced
-# bytes per n * samples (n = 1000 and 4000, 2000 samples), so 128 MB at
-# MAX_JL_GATE_ENTRIES.  A grid also draws one count per cell, and
-# sample_point_set peaks at 24 traced bytes a cell, whatever the count law,
-# when the cells hold no points, so about 24 MB at MAX_CELLS.  Binpack
+# samples x n matrix in place, max(100, gate_samples) samples: a peak of
+# 16.0 traced bytes per n * samples (sphere and radial_beta, n = 1000 and
+# 4000, 2000 samples), so 128 MB at MAX_JL_GATE_ENTRIES.  A grid also
+# draws one count per cell, and sample_point_set peaks at 24 traced bytes
+# a cell, whatever the count law, when the cells hold no points, so about
+# 24 MB at MAX_CELLS.  Binpack
 # counts come from numpy's multinomial, which takes n_items as a C long,
 # and the LP reads them as floats, exact up to MAX_ITEMS.  The parent of a
 # run holds each replicate's seed and f (16 bytes) plus its aux values,

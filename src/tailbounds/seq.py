@@ -190,13 +190,12 @@ def _draw_vectors(rng, n, family, count):
     g = rng.standard_normal((count, n))
     if isinstance(family, GaussianIid):
         return g / math.sqrt(n)
-    norms = np.sqrt((g**2).sum(axis=1, keepdims=True))
-    directions = g / norms
+    g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
     if isinstance(family, SphereUniform):
-        return directions
+        return g
     if isinstance(family, RadialBetaMixture):
-        r2 = family.scale * rng.beta(family.a, family.b, size=(count, 1))
-        return directions * np.sqrt(r2)
+        g *= np.sqrt(family.scale * rng.beta(family.a, family.b, size=(count, 1)))
+        return g
     raise InvalidArgumentError(f"unknown vector family {family!r}")
 
 
@@ -231,7 +230,7 @@ class JlHypothesisReport:
     n: int
     k: int
     samples: int
-    monotone_stats: list      # (i, trend z-score, max adjacent-rise z-score)
+    monotone_stats: list      # (i, Spearman rank z of Y_i^2 on W) per probe
     monotone_flagged: bool
     moment_constants: dict    # even l -> realized c
     moment_flagged: bool
@@ -243,10 +242,10 @@ class JlHypothesisReport:
     def reasons(self):
         out = []
         if self.monotone_flagged:
-            worst = max(z for _, z, _ in self.monotone_stats)
+            worst = max(z for _, z in self.monotone_stats)
             out.append(
                 "conditional second moment increases with the prefix sum "
-                f"(max standardized trend {worst:.2f})"
+                f"(max rank trend z {worst:.2f})"
             )
         if self.moment_flagged:
             worst = max(self.moment_constants.values())
@@ -258,23 +257,28 @@ class JlHypothesisReport:
 
 
 TREND_Z_LIMIT = 3.0
-PAIR_Z_LIMIT = 4.5  # single-pair jumps face ~(probes * bins) comparisons
-TREND_BINS = 10
 MOMENT_ORDERS = (2, 4, 6)
 MOMENT_LIMIT = 8.0
-SE_FLOOR = 1e-150  # its square and inverse square are finite
+
+
+def _average_ranks(x):
+    """Ranks 1..len(x) of x, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2.0)[inverse]
 
 
 def check_jl_hypotheses(family, n, k, samples, rng):
     """Empirical test of the projection hypotheses on `samples` draws from
     the Generator rng.
 
-    (i) is tested at a spread of indices i <= k by quantile-binning
-    W = Y_1^2+...+Y_{i-1}^2 into TREND_BINS bins: the isotonic-violation
-    statistic is the precision-weighted trend of the binned means of Y_i^2
-    (flagged above z = 3; a bin whose values do not spread takes the
-    standard deviation pooled over the bins), backed by a
-    multiplicity-corrected check on any single adjacent rise (z = 4.5).
+    (i) is tested at a spread of indices i <= k by Spearman's rank
+    correlation rho (average ranks for ties) of Y_i^2 with
+    W = Y_1^2+...+Y_{i-1}^2, flagged where z = rho * sqrt(samples - 1) is
+    above TREND_Z_LIMIT; z = 0 when either ranking is constant.  Caveat:
+    (i) is about the conditional mean E(Y_i^2 | W), but ranks respond to
+    the whole conditional law of Y_i^2 given W, so typical values that rise
+    with W under a flat mean are flagged too.
     (ii) reports, for each even l in MOMENT_ORDERS, the max over probed i
     of n * (E Y_i^l)^(2/l) / l, i.e. the realized c in the bound
     (c*l)^(l/2)/n^(l/2); values above MOMENT_LIMIT are flagged.
@@ -283,37 +287,18 @@ def check_jl_hypotheses(family, n, k, samples, rng):
         raise InvalidArgumentError("samples must be >= 100")
     if not 1 <= k <= n:
         raise InvalidArgumentError("k must be in 1..n")
-    vecs = _draw_vectors(rng, n, family, samples)
-    sq = vecs**2
-    # Scaling by a power of two leaves the trend statistics exact; with the
-    # largest entry in [0.5, 1) and SE_FLOOR, no sum, square or weight overflows.
-    unit = np.ldexp(sq, -np.frexp(sq.max())[1])
+    sq = _draw_vectors(rng, n, family, samples)
+    np.square(sq, out=sq)
     probe = sorted({max(2, k // 4), max(2, k // 2), k} | {min(8, k)})
     probe = [i for i in probe if 2 <= i <= k]
     mono = []
     for i in probe:
-        w = unit[:, : i - 1].sum(axis=1)
-        target = unit[:, i - 1]
-        order = np.argsort(w, kind="stable")
-        groups = np.array_split(order, TREND_BINS)
-        means = np.array([target[g].mean() for g in groups])
-        sds = np.array([target[g].std(ddof=1) for g in groups])
-        sizes = np.array([len(g) for g in groups])
-        # A bin without spread would get the floor's weight and set the
-        # trend alone, so it takes the standard deviation pooled over bins.
-        pooled = math.sqrt(((sizes - 1) * sds**2).sum() / (sizes - 1).sum())
-        ses = np.maximum(np.where(sds > 0, sds, pooled) / np.sqrt(sizes), SE_FLOOR)
-        xs = np.arange(len(groups), dtype=float)
-        weights = 1.0 / ses**2
-        xbar = (weights * xs).sum() / weights.sum()
-        denom = (weights * (xs - xbar) ** 2).sum()
-        slope = (weights * (xs - xbar) * means).sum() / denom
-        trend_z = float(slope * math.sqrt(denom))
-        rises = (means[1:] - means[:-1]) / np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
-        mono.append((i, trend_z, float(rises.max())))
-    monotone_flagged = any(
-        tz > TREND_Z_LIMIT or rz > PAIR_Z_LIMIT for _, tz, rz in mono
-    )
+        rw = _average_ranks(sq[:, : i - 1].sum(axis=1)) - (samples + 1) / 2
+        rt = _average_ranks(sq[:, i - 1]) - (samples + 1) / 2
+        denom = math.sqrt((rw @ rw) * (rt @ rt))
+        rho = (rw @ rt) / denom if denom > 0 else 0.0
+        mono.append((i, float(rho * math.sqrt(samples - 1))))
+    monotone_flagged = any(z > TREND_Z_LIMIT for _, z in mono)
     constants = {}
     for l in MOMENT_ORDERS:
         worst = 0.0

@@ -75,32 +75,19 @@ def optimize_m_oracle(bound_fn, t, m_max):
 
 
 def jl_trend_oracle(family, n, k, samples, seed):
-    """check_jl_hypotheses' (i, trend z, max adjacent-rise z) at each probe
-    for a family whose every bin spreads, with each bin's standard error
-    its own standard deviation over the square root of its size."""
+    """check_jl_hypotheses' (i, rank z) at each probe: scipy's Spearman
+    correlation between W = Y_1^2+...+Y_{i-1}^2 and Y_i^2 over the draws,
+    times sqrt(samples - 1)."""
+    from scipy.stats import spearmanr
+
     from tailbounds.harness.rng import substream
-    from tailbounds.seq import TREND_BINS, _draw_vectors
+    from tailbounds.seq import _draw_vectors
 
     sq = _draw_vectors(substream(seed, "jl-check"), n, family, samples) ** 2
-    unit = np.ldexp(sq, -np.frexp(sq.max())[1])
-    stats = []
-    for i in sorted({max(2, k // 4), max(2, k // 2), k} | {min(8, k)}):
-        if not 2 <= i <= k:
-            continue
-        target = unit[:, i - 1]
-        groups = np.array_split(np.argsort(unit[:, :i - 1].sum(axis=1), kind="stable"),
-                                TREND_BINS)
-        means = np.array([target[g].mean() for g in groups])
-        ses = np.array([target[g].std(ddof=1) / math.sqrt(len(g)) for g in groups])
-        assert (ses > 0).all(), "a bin without spread"
-        xs = np.arange(len(groups), dtype=float)
-        weights = 1.0 / ses**2
-        xbar = (weights * xs).sum() / weights.sum()
-        denom = (weights * (xs - xbar) ** 2).sum()
-        slope = (weights * (xs - xbar) * means).sum() / denom
-        rises = (means[1:] - means[:-1]) / np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
-        stats.append((i, float(slope * math.sqrt(denom)), float(rises.max())))
-    return stats
+    return [(i, float(spearmanr(sq[:, :i - 1].sum(axis=1), sq[:, i - 1]).statistic
+                      * math.sqrt(samples - 1)))
+            for i in sorted({max(2, k // 4), max(2, k // 2), k} | {min(8, k)})
+            if 2 <= i <= k]
 
 
 def tour_length_oracle(points, order):

@@ -1107,6 +1107,22 @@ class TestCli:
         }))
         assert cli.main(["run", str(cfg)]) == 3
 
+    def test_zero_radius_half_refused_for_its_trend(self, tmp_path):
+        # Beta(0.001, 2) radii underflow to 0 in about half the draws, so
+        # Y_i^2 is 0 exactly when W is 0
+        cfg = tmp_path / "jl.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "experiment": "jl", "replicates": 5,
+            "base_seed": 6,
+            "parameters": {"n": 200, "k": 60, "gate_samples": 2000,
+                           "family": {"kind": "radial_beta", "scale": 1.2,
+                                      "a": 1e-3, "b": 2.0}},
+        }))
+        code, _, err = run_cli("run", str(cfg), "--out", str(tmp_path / "records.csv"))
+        assert code == 3
+        assert "conditional second moment increases with the prefix sum" in err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_size_limit_exit_code(self, tmp_path):
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({

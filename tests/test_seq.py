@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from conftest import jl_trend_oracle, lis_brute
@@ -254,17 +256,35 @@ class TestJlHypotheses:
         assert scaled.monotone_stats == at_one.monotone_stats
         assert scaled.moment_flagged == (exponent > 0)
 
+    @pytest.mark.parametrize("family, n, k, seed", [
+        # Beta(0.001, 2) radii underflow to 0 in about half the draws, so
+        # Y_i^2 is 0 exactly when W is 0
+        (RadialBetaMixture(1.2, 1e-3, 2.0), 200, 60, 6),
+        # a rank z of 2.62 to 4.42: flagged only with the limit at 3
+        (RadialBetaMixture(1.2, 8.0, 2.0), 300, 200, 3),
+    ])
+    def test_rising_conditional_law_flagged(self, family, n, k, seed):
+        report = check_jl_hypotheses(family, n, k, samples=2000,
+                                     rng=substream(seed, "jl-check"))
+        assert report.monotone_flagged
+        assert not report.passed
+
     @pytest.mark.filterwarnings("error")
-    def test_bins_without_spread_stay_finite(self):
-        # Beta(0.001, 2) radii underflow to 0 in about half the draws, so the
-        # lowest bins hold only zeros.  With the floor as their standard
-        # error they alone set the trend, about 3e-7 at every probe; with
-        # the pooled one the bins that spread set it.
-        report = check_jl_hypotheses(RadialBetaMixture(1.2, 1e-3, 2.0), 200, 60,
+    def test_all_zero_draws_read_zero_and_pass(self):
+        # Beta(1e-300, 2) radii are all 0, so both rankings are constant
+        report = check_jl_hypotheses(RadialBetaMixture(1.2, 1e-300, 2.0), 200, 60,
                                      samples=2000, rng=substream(6, "jl-check"))
-        assert all(math.isfinite(z) and math.isfinite(rise)
-                   for _, z, rise in report.monotone_stats)
-        assert all(z > 1.0 for _, z, _ in report.monotone_stats)
+        assert [z for _, z in report.monotone_stats] == [0.0] * 4
+        assert report.passed
+
+    @given(arrays(np.float64, st.integers(1, 60),
+                  elements=st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0,
+                                            1e300, math.inf])))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_match_scipy(self, x):
+        from tailbounds.seq import _average_ranks
+
+        assert np.array_equal(_average_ranks(x), stats.rankdata(x))
 
     @pytest.mark.parametrize("family, n, k, seed", [
         (SphereUniform(), 200, 60, 6),
@@ -274,9 +294,25 @@ class TestJlHypotheses:
         (RadialBetaMixture(4.0, 0.5, 0.5), 400, 100, 3),
     ])
     def test_trend_with_spread_in_every_bin_matches_oracle(self, family, n, k, seed):
+        # the rank z of every probe against scipy's Spearman correlation
         report = check_jl_hypotheses(family, n, k, samples=2000,
                                      rng=substream(seed, "jl-check"))
-        assert report.monotone_stats == jl_trend_oracle(family, n, k, 2000, seed)
+        expected = jl_trend_oracle(family, n, k, 2000, seed)
+        assert [i for i, _ in report.monotone_stats] == [i for i, _ in expected]
+        assert [z for _, z in report.monotone_stats] == pytest.approx(
+            [z for _, z in expected], rel=1e-12)
+
+    @pytest.mark.parametrize("family", [SphereUniform(), RadialBetaMixture()])
+    def test_gate_peaks_at_two_matrices(self, family):
+        # harness/config.py sizes MAX_JL_GATE_ENTRIES on 16 bytes an entry
+        n, samples = 4000, 2000
+        tracemalloc.start()
+        try:
+            check_jl_hypotheses(family, n, 60, samples, rng=substream(7, "jl-check"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.5 * n * samples
 
     def test_reports_moment_constants(self):
         report = check_jl_hypotheses(SphereUniform(), 300, 60, samples=2000,
