@@ -35,12 +35,13 @@ class EdgeProbabilityMatrix:
         n = self.p.shape[0]
         if self.p.shape != (n, n):
             raise InvalidArgumentError("p must be square")
+        # Written so that NaN, which fails every comparison, is out of range.
+        if not np.all((self.p >= 0) & (self.p <= 1)):
+            raise InvalidArgumentError("entries must lie in [0, 1]")
         if not np.allclose(self.p, self.p.T, atol=1e-12):
             raise InvalidArgumentError("p must be symmetric")
         if np.any(np.diag(self.p) != 0):
             raise InvalidArgumentError("p must have a zero diagonal")
-        if np.any((self.p < 0) | (self.p > 1)):
-            raise InvalidArgumentError("entries must lie in [0, 1]")
         self.p = (self.p + self.p.T) / 2.0
 
     @property
@@ -208,16 +209,19 @@ class _Dinic:
         self.to = []
         self.cap = []
 
-    def add(self, u, v, c):
+    def add(self, u, v, c, back=0.0):
+        """An arc u -> v of capacity c paired with v -> u of capacity back."""
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(c)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0.0)
+        self.cap.append(back)
 
     def max_flow(self, s, t):
-        flow = 0.0
+        """Saturates the network and returns the vertices reachable from s
+        in the final residual graph: the smallest source side of a minimum
+        cut."""
         eps = 1e-12
         while True:
             level = [-1] * self.n
@@ -230,7 +234,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
+                return queue
             it = [0] * self.n
 
             def dfs(u, pushed):
@@ -248,23 +252,8 @@ class _Dinic:
                     it[u] += 1
                 return 0.0
 
-            while True:
-                pushed = dfs(s, math.inf)
-                if pushed <= eps:
-                    break
-                flow += pushed
-
-    def min_cut_source_side(self, s):
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 1e-12 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+            while dfs(s, math.inf) > eps:
+                pass
 
 
 def _subset_density(p, members):
@@ -275,7 +264,8 @@ def _subset_density(p, members):
 
 def _densest_feasible(w, degree, total, guess):
     """Source side of the min cut for the density test 'exists U with
-    sum_{i<j in U} w_ij / |U| > guess'; empty when no such U exists."""
+    sum_{i<j in U} w_ij / |U| > guess', in ascending order; empty when no
+    such U exists."""
     n = len(degree)
     net = _Dinic(n + 2)
     s, t = n, n + 1
@@ -284,19 +274,19 @@ def _densest_feasible(w, degree, total, guess):
         net.add(v, t, total + 2.0 * guess - degree[v])
     us, vs = np.nonzero(np.triu(w, 1))
     for u, v in zip(us, vs):
-        net.add(int(u), int(v), float(w[u, v]))
-        net.add(int(v), int(u), float(w[u, v]))
-    net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    return [v for v in range(n) if side[v]]
+        net.add(int(u), int(v), float(w[u, v]), float(w[u, v]))
+    return sorted(v for v in net.max_flow(s, t) if v < n)
 
 
 def mad(P: EdgeProbabilityMatrix):
     """MAX over subsets U of sum_{i,j in U} p_ij / |U| (ordered pairs).
 
-    Exact up to binary-search resolution: each feasible cut yields a
-    concrete subset whose density is evaluated directly, and the search
-    terminates when no subset can beat the incumbent by more than ~1e-12.
+    Dinkelbach's iteration on Goldberg's density cut: starting from the
+    full vertex set, each cut at the incumbent density either yields a
+    strictly denser subset, whose density is evaluated directly and
+    becomes the incumbent, or shows that none exists.  The incumbent rises
+    strictly through finitely many subsets, so the loop ends at the
+    maximum, usually after one or two cuts.
     """
     n = P.n
     if n > MAD_MAX_N:
@@ -309,23 +299,17 @@ def mad(P: EdgeProbabilityMatrix):
     w = 2.0 * P.p
     degree = w.sum(axis=1)
     total = float(np.triu(w, 1).sum())
-    lo = _subset_density(w, np.arange(n)) / 2.0  # full vertex set
-    hi = float(degree.max()) / 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-13 * (1.0 + hi):
+    best = _subset_density(w, np.arange(n)) / 2.0  # full vertex set
+    # No subset is denser than half the largest degree, so a regular
+    # matrix needs no cut.
+    while best < float(degree.max()) / 2.0:
+        members = _densest_feasible(w, degree, total, best)
+        cand = _subset_density(w, members) / 2.0 if members else best
+        if cand <= best:
+            # None denser: the cut is empty, or float fuzz alone filled it.
             break
-        g = (lo + hi) / 2.0
-        members = _densest_feasible(w, degree, total, g)
-        if members:
-            cand = _subset_density(w, members) / 2.0
-            if cand <= lo:
-                # Only float fuzz separates g from the optimum; stop refining.
-                hi = g
-            else:
-                lo = cand
-        else:
-            hi = g
-    return lo
+        best = cand
+    return best
 
 
 def mad_realized(G: Graph):

@@ -143,8 +143,7 @@ def cmd_run(args):
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-    out = args.out or config.output
-    records, summary = run_experiment(config, workers=args.workers, out=out)
+    records, summary = run_experiment(config, workers=args.workers, out=args.out)
     for warning in summary.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(summary.to_json())

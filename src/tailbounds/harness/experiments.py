@@ -39,6 +39,7 @@ import math
 
 import numpy as np
 
+from .. import graphs
 from ..errors import HypothesisViolationError
 from ..euclid import mst_weight, tsp_2opt, tsp_exact, tsp_strip, TSP_EXACT_MAX_POINTS
 from ..graphs import chromatic_exact, chromatic_greedy, mad, sample_graph
@@ -192,7 +193,7 @@ def experiment_extras(config):
             "mean_edge_probability": pbar,
             "envelope_n_sqrtp_logn": n * math.sqrt(pbar) * math.log(max(n, 2)),
         }
-        if n <= 200:
+        if n <= graphs.MAD_MAX_N:
             extras["mad_p"] = mad(P)
             extras["envelope_mad_logn"] = extras["mad_p"] * math.log(max(n, 2))
         return extras

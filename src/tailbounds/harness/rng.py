@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import Generator, Philox
 
 __all__ = ["substream", "restream", "derived_seed", "derived_seeds"]
 
@@ -50,32 +49,16 @@ def derived_seeds(base_seed, start, stop):
         yield _KEY_WORDS.unpack_from(h.digest())[0]
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its two key words as its seed state.
-
-    Philox(key=...) still seeds a SeedSequence from OS entropy before
-    overwriting the key; seeding from this sequence skips that and leaves
-    the same state: this key, a zero counter and an empty buffer."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 2 and dtype == np.uint64, (n_words, dtype)
-        return self.words
-
-
 def substream(base_seed, *tags):
-    """A numpy Generator on a new Philox stream keyed by (base_seed, *tags)."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(_key(base_seed, tags))))
+    """A numpy Generator on a new Philox stream keyed by (base_seed, *tags):
+    restream on a Philox of its own."""
+    return Generator(restream(Philox(0), base_seed, *tags))
 
 
 def restream(bit_generator, base_seed, *tags):
-    """bit_generator, a Philox, set to the state substream(base_seed, *tags)
-    starts in: that key, a zero counter, an empty buffer and no saved
-    32-bit half.  The object is reused, not copied: what it returns is
+    """bit_generator, a Philox, set to the start of the stream keyed by
+    (base_seed, *tags): that key, a zero counter, an empty buffer and no
+    saved 32-bit half.  The object is reused, not copied: what it returns is
     valid until the next call on the same bit generator."""
     bit_generator.state = {
         "bit_generator": "Philox",

@@ -182,6 +182,26 @@ class TestMad:
         np.fill_diagonal(q, 0.0)
         assert mad(EdgeProbabilityMatrix(q)) >= mad(EdgeProbabilityMatrix(p)) - 1e-9
 
+    def test_two_block_at_cap_in_few_cuts(self, monkeypatch):
+        # The first 66 vertices, at p_in = 0.7, are the densest subset:
+        # adding any outside vertex brings 13.2 ordered-pair weight, below
+        # the 45.5 a vertex must bring.  Dinkelbach's iteration reaches it
+        # from the full vertex set in two cuts.
+        n = graphs.MAD_MAX_N
+        p = np.full((n, n), 0.1)
+        p[:66, :66] = 0.7
+        np.fill_diagonal(p, 0.0)
+        cuts = []
+        densest_feasible = graphs._densest_feasible
+
+        def counted(*args):
+            cuts.append(args)
+            return densest_feasible(*args)
+
+        monkeypatch.setattr(graphs, "_densest_feasible", counted)
+        assert mad(EdgeProbabilityMatrix(p)) == pytest.approx(65 * 0.7, abs=1e-9)
+        assert len(cuts) <= 3
+
     @pytest.mark.parametrize("seed", range(15))
     def test_chromatic_mad_degeneracy_bound(self, seed):
         rng = np.random.default_rng(700 + seed)

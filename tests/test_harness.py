@@ -2155,6 +2155,11 @@ class TestCliBadInput:
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
                                           "p": [[0.0, 0.5], [0.5, False]]}},
          "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
+        # NaN fails every comparison, so it is named as out of range, not
+        # as breaking symmetry.
+        ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
+                                          "p": [[0, math.nan], [math.nan, 0]]}},
+         "$.parameters.p_spec.p: entries must lie in [0, 1]"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
@@ -2326,6 +2331,20 @@ class TestExperimentExtras:
         assert "envelope_n_sqrtp_logn" in summary.extras
         assert summary.extras["envelope_mad_logn"] == pytest.approx(
             summary.extras["mad_p"] * math.log(12))
+
+    @pytest.mark.parametrize("cap, reported", [(11, False), (12, True)])
+    def test_mad_follows_graphs_cap(self, monkeypatch, cap, reported):
+        from tailbounds import graphs
+
+        monkeypatch.setattr(graphs, "MAD_MAX_N", cap)
+        cfg = make_config(
+            experiment="chromatic", replicates=2,
+            parameters={"n": 12, "p_spec": {"kind": "two_block", "p_in": 0.8,
+                                            "p_out": 0.05, "split": 0.5}},
+        )
+        _, summary = run_experiment(cfg)
+        assert ("mad_p" in summary.extras) is reported
+        assert ("envelope_mad_logn" in summary.extras) is reported
 
     def test_two_block_matrix(self):
         cfg = make_config(
