@@ -83,11 +83,12 @@ MAX_CURVE_ORDER = 2**22
 MAX_RECURSION_MATRIX_BYTES = 2**24
 
 # The most (m, l) terms of main_theorem_curve, which evaluates
-# main_theorem_bound at every even order m <= m_max, and that loops over
-# l = 1..m/2: (m_max/2)(m_max/2 + 1)/2 terms, each two Python-level
-# log-sum-exps over the variables.  On 20 variables (2 vCPU Xeon, Python
-# 3.11) order 400 (20100 terms) took 1.0 s and order 722, the highest under
-# the cap, 3.9 s; a higher m_max is refused before the first evaluation.
+# main_theorem_bound at every even order m <= m_max, and that takes
+# l = 1..m/2 as array rows: (m_max/2)(m_max/2 + 1)/2 terms, each two
+# log-sum-exps over the variables.  On 20 variables (2 vCPU, Python 3.11,
+# numpy 2.4) order 400 (20100 terms) took 0.04 s and order 722, the highest
+# under the cap, 0.10 s; a higher m_max is refused before the first
+# evaluation.
 MAX_MAIN_CURVE_TERMS = 2**16
 
 
@@ -286,25 +287,6 @@ def jl_envelope_curve(n, k):
     return orders, log_bounds - orders * math.log(n)
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) of a 1-D real array, step by step as
-    scipy.special.logsumexp (scipy 1.17) computes it, so the result is
-    bit-identical: the maxima are taken out of the shifted sum and counted,
-    and a result that is not finite (an all -inf or a +inf input) is
-    recomputed as log(sum(exp(a)))."""
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(keepdims=True)
-        at_top = a == top
-        count = at_top.sum(keepdims=True, dtype=float)
-        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(keepdims=True)
-        s = np.where(s == 0, s, s / count)
-        out = np.log1p(s) + np.log(count) + top
-        if not np.isfinite(out[0]):
-            out = np.log(np.exp(a).sum(keepdims=True))
-    return out[0]
-
-
 def _logsumexp_rows(a):
     """log(sum(exp(a), axis=1)), shifted by each row's maximum; a row of
     -inf gives -inf."""
@@ -379,29 +361,23 @@ def main_theorem_bound(profile: TypicalProfile, m):
     _check_even_order(m)
     base = profile.base
     base.require_orders_through(m)
-    n = base.n
-    half = m // 2
-    opos = base._order_pos
-
+    log_n = math.log(base.n)
+    # Column l - 1 of each (n, m/2) table below holds order 2l, and row
+    # l - 1 of its transpose is one log-sum-exp over the variables.
+    cols = [base._order_pos[o] for o in range(2, m + 1, 2)]
+    l = np.arange(1, m // 2 + 1)
+    # typical part: (m^(1-1/l)/l^2) * (sum_i L_{i,2l})^(1/l)
+    typ_terms = ((1.0 - 1.0 / l) * math.log(m) - 2.0 * np.log(l)
+                 + _logsumexp_rows(profile.log_l[:, cols].T) / l)
+    # worst part: (1/(n l^2)) * sum_i (n M delta^(2/(m-2l+2)))^(m/2l)
     with np.errstate(divide="ignore"):
-        log_delta = np.log(profile.delta)
+        log_hat = (log_n + base.log_m[:, cols]
+                   + 2.0 / (m - 2 * l + 2) * np.log(profile.delta[:, cols]))
+    worst_terms = (-log_n - 2.0 * np.log(l)
+                   + _logsumexp_rows((m / (2.0 * l) * log_hat).T))
 
-    typ_terms = []
-    worst_terms = []
-    for l in range(1, half + 1):
-        j = opos[2 * l]
-        # typical part: (m^(1-1/l)/l^2) * (sum_i L_{i,2l})^(1/l)
-        log_sum_l = _logsumexp(profile.log_l[:, j])
-        typ_terms.append((1.0 - 1.0 / l) * math.log(m) - 2.0 * math.log(l)
-                         + log_sum_l / l)
-        # worst part: (1/(n l^2)) * sum_i (n M delta^(2/(m-2l+2)))^(m/2l)
-        expo = 2.0 / (m - 2 * l + 2)
-        log_hat = math.log(n) + base.log_m[:, j] + expo * log_delta[:, j]
-        log_inner = _logsumexp((m / (2.0 * l)) * log_hat)
-        worst_terms.append(-math.log(n) - 2.0 * math.log(l) + log_inner)
-
-    log_term1 = (m / 2.0) * (math.log(C_MAIN * m) + _logsumexp(typ_terms))
-    log_term2 = m * math.log(C_MAIN * m) + _logsumexp(worst_terms)
+    log_term1 = (m / 2.0) * (math.log(C_MAIN * m) + _logsumexp_rows(typ_terms[None])[0])
+    log_term2 = m * math.log(C_MAIN * m) + _logsumexp_rows(worst_terms[None])[0]
     return float(np.logaddexp(log_term1, log_term2))
 
 

@@ -97,7 +97,8 @@ def _result_json(res):
     return json.dumps({
         "t": res.t,
         "m_used": res.m_used,
-        "log_moment_bound": res.moment_bound,
+        # a zero moment bound: JSON has no -Infinity
+        "log_moment_bound": None if res.moment_bound == -math.inf else res.moment_bound,
         "tail_probability": res.tail_probability,
         "method": res.method.value,
         "rate_constant": res.rate_constant,

@@ -86,7 +86,9 @@ class ConcentrationSummary:
             "sd": self.sd,
             "t_grid": list(map(float, self.t_grid)),
             "empirical": list(map(float, self.empirical)),
-            "bound": None if self.bound is None else list(map(float, self.bound)),
+            # A nan point is out of the bound's regime; JSON has no NaN.
+            "bound": None if self.bound is None else
+            [None if math.isnan(b) else float(b) for b in self.bound],
             "bound_method": self.bound_method,
             "verdicts": self.verdicts,
             "extras": self.extras,

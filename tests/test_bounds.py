@@ -12,7 +12,7 @@ from tailbounds import bounds
 from tailbounds.bounds import (
     MAX_CURVE_ORDER,
     _orders_through,
-    _logsumexp,
+    _logsumexp_rows,
     BoundMethod,
     MomentProfile,
     TailBoundResult,
@@ -250,6 +250,34 @@ class TestMainTheorem:
         got = math.exp(main_theorem_bound(profile, m))
         assert got == pytest.approx(term1 + term2, rel=1e-9)
 
+    def test_per_variable_profile_matches_direct_evaluation(self):
+        # M, L and delta differ across the variables; a delta of 0 drops its
+        # (i, l) worst-case term and a delta of 1 keeps M unscaled
+        n, m = 3, 6
+        mv = {(1, 2): 2.0, (2, 2): 3.5, (3, 2): 1.25,
+              (1, 4): 9.0, (2, 4): 4.0, (3, 4): 16.0,
+              (1, 6): 40.0, (2, 6): 75.0, (3, 6): 20.0}
+        lv = {(1, 2): 0.5, (2, 2): 3.0, (3, 2): 0.0,
+              (1, 4): 2.0, (2, 4): 1.5, (3, 4): 7.0,
+              (1, 6): 11.0, (2, 6): 30.0, (3, 6): 4.5}
+        dv = {(1, 2): 0.0, (2, 2): 0.2, (3, 2): 1.0,
+              (1, 4): 0.05, (2, 4): 1.0, (3, 4): 0.0,
+              (1, 6): 0.3, (2, 6): 0.0, (3, 6): 0.01}
+        profile = TypicalProfile.from_values(MomentProfile.from_values(n, mv), lv, dv)
+        c, ls, vs = 48.0, (1, 2, 3), (1, 2, 3)
+        term1 = (c * m) ** (m / 2) * sum(
+            m ** (1 - 1 / l) / l**2 * sum(lv[i, 2 * l] for i in vs) ** (1 / l)
+            for l in ls
+        ) ** (m / 2)
+        term2 = (c * m) ** m * sum(
+            1 / (n * l**2) * sum(
+                (n * mv[i, 2 * l] * dv[i, 2 * l] ** (2 / (m - 2 * l + 2))) ** (m / (2 * l))
+                for i in vs)
+            for l in ls
+        )
+        got = math.exp(main_theorem_bound(profile, m))
+        assert got == pytest.approx(term1 + term2, rel=1e-9)
+
 
 # Few distinct values, so ties at the maximum are common, with infinities
 # and magnitudes where exp over- and underflows.
@@ -260,21 +288,31 @@ _lse_entries = st.one_of(
 
 
 class TestLogSumExp:
-    @given(st.lists(_lse_entries, min_size=1, max_size=39), st.booleans())
-    @example([-np.inf] * 3, False)
-    @example([np.inf, -np.inf, 2.0], False)
-    @example([2.5], False)
-    @example([1.0, 3.0, 3.0, -np.inf], True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 39)),
+                  elements=_lse_entries),
+           st.sampled_from(["contiguous", "repeated", "transposed"]))
+    @example(np.array([[-np.inf] * 3]), "contiguous")
+    @example(np.array([[np.inf, -np.inf, 2.0]]), "contiguous")
+    @example(np.array([[2.5]]), "contiguous")
+    @example(np.array([[1.0, 3.0, 3.0, -np.inf], [-np.inf] * 4]), "repeated")
+    @example(np.array([[709.0, 710.0], [-745.0, 0.0], [np.inf, 710.0]]), "transposed")
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_scipy(self, values, strided):
-        # main_theorem_bound passes profile columns, which are strided views
-        a = np.array(values)
-        if strided:
-            a = np.repeat(a, 2)[::2]
-        got, want = _logsumexp(a), logsumexp(a)
-        assert type(got) is type(want)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert _logsumexp(values) == got
+    def test_rows_match_scipy(self, rows, layout):
+        # main_theorem_bound passes transposed profile tables, whose rows
+        # are strided
+        a = rows
+        if layout == "repeated":
+            a = np.repeat(a, 2, axis=1)[:, ::2]
+        elif layout == "transposed":
+            a = np.ascontiguousarray(a.T).T
+        with np.errstate(over="ignore"):  # exp overflows on a finite entry beside +inf
+            got = _logsumexp_rows(a)
+        want = logsumexp(a, axis=1)
+        for x, y, row in zip(got, want, rows):
+            if not np.isfinite(y) or np.isinf(row).all():
+                assert x == y, row
+            else:
+                assert math.isclose(x, y, rel_tol=1e-15, abs_tol=1e-15), row
 
 
 class TestMarkovTail:

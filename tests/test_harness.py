@@ -1435,6 +1435,21 @@ class TestCli:
         assert payload["tail_probability"] == 0.0
         assert math.isfinite(payload["rate_constant"]) and payload["rate_constant"] > 0
 
+    def test_run_out_of_regime_bound_is_null(self, tmp_path):
+        # past t = n*nu = 2 the corollary claims nothing: a null point,
+        # never a bare NaN, with a true verdict
+        cfg = tmp_path / "chernoff.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "experiment": "chernoff",
+                                   "replicates": 200, "base_seed": 1,
+                                   "parameters": {"n": 4, "nu": 0.5}}))
+        code, stdout, err = run_cli("run", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert code == 0, err
+        payload = strict_json(stdout)
+        nulls = [b is None for b in payload["bound"]]
+        assert nulls == [t > 2 for t in payload["t_grid"]]
+        assert any(nulls) and not all(nulls)
+        assert all(v for v, null in zip(payload["verdicts"], nulls) if null)
+
     @pytest.mark.parametrize("argv", [
         ["--method", "general-chernoff", "--nu", "1", "--t", "1e200"],
         ["--method", "chernoff-corollary", "--n", "10", "--sigma2", "1e199", "--t", "1e200"],
@@ -1859,14 +1874,21 @@ _FUZZ_SIZES = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 16, 1001, 2896, MAX_CURVE_
 
 
 @pytest.fixture(scope="module")
-def fuzz_profile(tmp_path_factory):
-    """A typical profile through order 16, read by both profile methods."""
-    path = tmp_path_factory.mktemp("fuzz") / "typ.json"
+def fuzz_profiles(tmp_path_factory):
+    """Two typical profiles through order 16, read by both profile methods:
+    one with positive bounds, and one whose M and L are all 0, so that every
+    moment bound it gives is 0 (log -inf)."""
+    folder = tmp_path_factory.mktemp("fuzz")
     orders = [str(o) for o in range(2, 17, 2)]
-    path.write_text(json.dumps({"n": 3, "M": {o: 2.0**int(o) for o in orders},
-                                "L": {o: 1.5**int(o) for o in orders},
-                                "delta": {o: 0.01 for o in orders}}))
-    return str(path)
+    profiles = {"typ": {"n": 3, "M": {o: 2.0**int(o) for o in orders},
+                        "L": {o: 1.5**int(o) for o in orders},
+                        "delta": {o: 0.01 for o in orders}},
+                "zero": {"n": 3, "M": {o: 0.0 for o in orders},
+                         "L": {o: 0.0 for o in orders},
+                         "delta": {o: float(int(o) % 4 == 0) for o in orders}}}
+    for name, profile in profiles.items():
+        (folder / f"{name}.json").write_text(json.dumps(profile))
+    return [str(folder / f"{name}.json") for name in profiles]
 
 
 # Small valid configs that the config fuzz mutates, each with the --n-list
@@ -1985,24 +2007,28 @@ class TestCliBadInput:
     @example(method="general-chernoff", t=1.3e154, sigma2=1.0, nu=1.0, n=10, m_max=None)
     @example(method="chernoff-corollary", t=4e153, sigma2=1.7976931348623157e308, nu=1.0,
              n=4, m_max=None)
+    @example(method="main", t=1.0, sigma2=1.0, nu=1.0, n=3, m_max=None)
+    @example(method="theorem1-recursion", t=1.0, sigma2=1.0, nu=1.0, n=3, m_max=4)
     @settings(max_examples=300, deadline=None)
-    def test_bound_argv_fuzz(self, fuzz_profile, method, t, sigma2, nu, n, m_max):
+    def test_bound_argv_fuzz(self, fuzz_profiles, method, t, sigma2, nu, n, m_max):
         # Every finite float for --t, --sigma2 and --nu, and small, boundary
         # and past-cap sizes: a documented exit code, no traceback, and
-        # strict JSON on success.
-        values = {"t": repr(t), "sigma2": repr(sigma2), "nu": repr(nu), "n": str(n),
-                  "profile": fuzz_profile, "m_max": None if m_max is None else str(m_max)}
-        argv = ["bound", "--method", method, f"--t={values['t']}"]
-        for dest in cli.METHOD_OPTIONS[method]:
-            if values[dest] is not None:
-                argv.append(f"--{dest.replace('_', '-')}={values[dest]}")
-        code, stdout, err = run_cli(*argv)
-        assert code in (0, 2, 3, 4), (argv, code, err)
-        assert "Traceback" not in err
-        if code == 0:
-            strict_json(stdout)
-        else:
-            assert err.strip(), argv
+        # strict JSON on success, on each fuzz profile a method reads.
+        reads = cli.METHOD_OPTIONS[method]
+        for profile in fuzz_profiles if "profile" in reads else [None]:
+            values = {"t": repr(t), "sigma2": repr(sigma2), "nu": repr(nu), "n": str(n),
+                      "profile": profile, "m_max": None if m_max is None else str(m_max)}
+            argv = ["bound", "--method", method, f"--t={values['t']}"]
+            for dest in reads:
+                if values[dest] is not None:
+                    argv.append(f"--{dest.replace('_', '-')}={values[dest]}")
+            code, stdout, err = run_cli(*argv)
+            assert code in (0, 2, 3, 4), (argv, code, err)
+            assert "Traceback" not in err
+            if code == 0:
+                strict_json(stdout)
+            else:
+                assert err.strip(), argv
 
     @pytest.mark.parametrize("command", ["run", "scale"])
     @given(data=st.data())
