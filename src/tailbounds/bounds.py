@@ -113,34 +113,34 @@ def _even_floor(n):
     return n if n % 2 == 0 else n - 1
 
 
-def _profile_table(name, values, n, orders, log):
-    """The (n, len(orders)) array of a map (i, l) -> value with 1-based
-    variable index i.  With log, values are stored in log domain (0 as
-    -inf) and a negative value is refused.  An index outside 1..n or an
-    order outside orders raises InvalidArgumentError, and an unset (or
-    NaN) entry IncompleteProfileError."""
-    pos = {o: j for j, o in enumerate(orders)}
+def _profile_table(name, by_order, n, orders, log):
+    """The (n, len(orders)) array of a map order -> value, where a value is
+    one number for every variable or a sequence of n numbers in variable
+    order.  With log, values are stored in log domain (0 as -inf) and a
+    negative value is refused.  An order outside orders or a sequence of
+    another length raises InvalidArgumentError, and an order with no value
+    (or a NaN) IncompleteProfileError."""
     table = np.full((n, len(orders)), np.nan)
-    for (i, l), v in values.items():
-        if not 1 <= i <= n:
-            raise InvalidArgumentError(f"{name}[{i},{l}]: variable index {i} outside 1..{n}")
-        if l not in pos:
+    for l, v in by_order.items():
+        if l not in orders:
             raise InvalidArgumentError(
-                f"{name}[{i},{l}]: order {l} is not one of the orders {list(orders)} of M")
+                f"{name}[1,{l}]: order {l} is not one of the orders {list(orders)} of M")
+        column = np.asarray(v, dtype=float)
+        if column.ndim and column.shape != (n,):
+            raise InvalidArgumentError(
+                f"{name}: order {l} has {column.size} values, not 1 or {n}")
         if log:
-            if v < 0:
-                raise InvalidArgumentError(f"{name}[{i},{l}] must be >= 0")
-            v = -np.inf if v == 0 else math.log(v)
-        table[i - 1, pos[l]] = v
+            negative = np.flatnonzero(column < 0)
+            if negative.size:
+                raise InvalidArgumentError(f"{name}[{negative[0] + 1},{l}] must be >= 0")
+            # math.log: np.log differs in the last bit for a few values in 10^6
+            column = [-math.inf if x == 0 else math.log(x)
+                      for x in np.atleast_1d(column).tolist()]
+        table[:, orders.index(l)] = column
     if np.isnan(table).any():
         i, j = map(int, np.argwhere(np.isnan(table))[0])
         raise IncompleteProfileError(i + 1, orders[j])
     return table
-
-
-def _uniform_values(n, by_order):
-    """The map (i, l) -> by_order[l] for every variable i = 1..n."""
-    return {(i, l): v for l, v in by_order.items() for i in range(1, n + 1)}
 
 
 class MomentProfile:
@@ -169,28 +169,30 @@ class MomentProfile:
         self.n = int(n)
         self.orders = orders
         self.log_m = log_m
-        self._order_pos = {o: j for j, o in enumerate(orders)}
 
     @classmethod
-    def from_values(cls, n, values: Mapping[tuple, float]):
-        """Build from a map (i, l) -> M_{i,l} with 1-based variable index i."""
-        orders = sorted({l for (_, l) in values})
-        return cls(n, orders, _profile_table("M", values, n, orders, log=True))
+    def from_values(cls, n, by_order: Mapping[int, object]):
+        """Build from a map l -> M_{.,l}: one number for every variable, or
+        n numbers in variable order, as a profile file gives them."""
+        orders = tuple(sorted(by_order))
+        return cls(n, orders, _profile_table("M", by_order, n, orders, log=True))
 
-    @classmethod
-    def uniform(cls, n, by_order: Mapping[int, float]):
-        """Profile with M_{i,l} independent of i."""
-        return cls.from_values(n, _uniform_values(n, by_order))
+    # A map of single numbers is a profile independent of i.
+    uniform = from_values
 
     def log_bound(self, i, l):
-        if not (1 <= i <= self.n and l in self._order_pos):
+        if not (1 <= i <= self.n and l in self.orders):
             raise IncompleteProfileError(i, l)
-        return float(self.log_m[i - 1, self._order_pos[l]])
+        return float(self.log_m[i - 1, self.orders.index(l)])
 
-    def require_orders_through(self, m):
-        for l in range(2, m + 1, 2):
-            if l not in self._order_pos:
+    def columns_through(self, m):
+        """Indices of the columns of orders 2, 4, ..., m, the first m/2 as orders
+        ascend; IncompleteProfileError for a missing order.  An index array, as
+        a sliced view would change the main theorem's sums in the last bit."""
+        for j, l in enumerate(range(2, m + 1, 2)):
+            if j == len(self.orders) or self.orders[j] != l:
                 raise IncompleteProfileError(1, l)
+        return np.arange(m // 2)
 
 
 class TypicalProfile:
@@ -203,6 +205,8 @@ class TypicalProfile:
         shape = base.log_m.shape
         if log_l.shape != shape or delta.shape != shape:
             raise InvalidArgumentError(f"L and delta must have shape {shape}")
+        if np.isnan(log_l).any():
+            raise InvalidArgumentError("typical bounds L must not be NaN")
         if np.any((delta < 0) | (delta > 1)) or np.isnan(delta).any():
             raise InvalidArgumentError("delta values must lie in [0, 1]")
         # Typical never exceeds worst case; tolerate float fuzz only.
@@ -213,20 +217,18 @@ class TypicalProfile:
         self.delta = delta
 
     @classmethod
-    def from_values(cls, base: MomentProfile, l_values: Mapping[tuple, float],
-                    delta_values: Mapping[tuple, float]):
-        """Build from maps (i, l) -> L_{i,l} and (i, l) -> delta_{i,l} over
-        the variables and orders of base."""
+    def from_values(cls, base: MomentProfile, l_by_order, delta_by_order):
+        """Build from maps l -> L_{.,l} and l -> delta_{.,l}, shaped as in
+        MomentProfile.from_values, over the variables and orders of base."""
         n, orders = base.n, base.orders
-        return cls(base, _profile_table("L", l_values, n, orders, log=True),
-                   _profile_table("delta", delta_values, n, orders, log=False))
+        return cls(base, _profile_table("L", l_by_order, n, orders, log=True),
+                   _profile_table("delta", delta_by_order, n, orders, log=False))
 
     @classmethod
     def uniform(cls, n, m_by_order, l_by_order, delta_by_order):
-        """Profile with M, L and delta independent of i."""
+        """from_values on a MomentProfile built from m_by_order."""
         return cls.from_values(MomentProfile.uniform(n, m_by_order),
-                               _uniform_values(n, l_by_order),
-                               _uniform_values(n, delta_by_order))
+                               l_by_order, delta_by_order)
 
     @property
     def n(self):
@@ -319,8 +321,7 @@ def theorem1_recursion_curve(profile: MomentProfile, m_max):
             f"m_max={m_max}: the recursion's term matrices would take {matrix_bytes} "
             f"bytes each, above MAX_RECURSION_MATRIX_BYTES = {MAX_RECURSION_MATRIX_BYTES}")
     orders = _orders_through(m_max)
-    profile.require_orders_through(m_max)
-    log_m = profile.log_m[:, [profile._order_pos[int(o)] for o in orders]]
+    log_m = profile.log_m[:, profile.columns_through(m_max)]
     qs = np.arange(0, m_max + 1, 2)
     valid = orders[None, :] <= qs[:, None]
     # math.log and math.lgamma keep each term bitwise equal to a term-by-term
@@ -360,11 +361,10 @@ def main_theorem_bound(profile: TypicalProfile, m):
     """
     _check_even_order(m)
     base = profile.base
-    base.require_orders_through(m)
+    cols = base.columns_through(m)
     log_n = math.log(base.n)
     # Column l - 1 of each (n, m/2) table below holds order 2l, and row
     # l - 1 of its transpose is one log-sum-exp over the variables.
-    cols = [base._order_pos[o] for o in range(2, m + 1, 2)]
     l = np.arange(1, m // 2 + 1)
     # typical part: (m^(1-1/l)/l^2) * (sum_i L_{i,2l})^(1/l)
     typ_terms = ((1.0 - 1.0 / l) * math.log(m) - 2.0 * np.log(l)

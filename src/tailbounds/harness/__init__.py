@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, counter-based streams, runners, and
 the command-line interface.
 
-Nothing is re-exported: the core modules import harness.rng, so loading
-this package must not pull in the runner (which imports those core modules
-back).
+Nothing is re-exported, so importing one module loads only what it needs:
+rng alone loads no experiment, and config not the runner and its process
+pool.  No core module imports the harness.
 """

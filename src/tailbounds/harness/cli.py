@@ -40,14 +40,14 @@ METHOD_OPTIONS = {
 }
 BOUND_OPTIONS = ("profile", "n", "sigma2", "nu", "m_max")
 
-# Cap on a profile's (variable, order) entries over M, L and delta, checked
-# before any is expanded.  Loading peaks near 130 bytes an entry under
-# tracemalloc, 180 just past a dict resize, so at most about 110 MB.
+# Cap on n times the orders of M, L and delta in a profile file, checked
+# before any table is built.  Loading peaks near 72 traced bytes an entry
+# when each order is a list of n values (43 MB at the cap), 9 when a number.
 MAX_PROFILE_ENTRIES = 600_000
 
 
 def _values_map(n, spec, path):
-    """Order -> value map or per-variable lists from profile JSON."""
+    """Order -> one value, or a tuple of n values, from profile JSON."""
     if not isinstance(spec, dict):
         raise ConfigError(path, "must be an object mapping orders to values")
     out = {}
@@ -57,15 +57,11 @@ def _values_map(n, spec, path):
         except ValueError:
             raise ConfigError(path, f"orders must be integers, got {key!r}") from None
         where = f"{path}.{key}"
-        if isinstance(val, list):
-            if len(val) != n:
-                raise ConfigError(path, f"order {order}: expected {n} values")
-            for i, v in enumerate(val, start=1):
-                out[(i, order)] = typed_value(v, f"{where}[{i - 1}]", float)
-        else:
-            value = typed_value(val, where, float)
-            for i in range(1, n + 1):
-                out[(i, order)] = value
+        if order in out:
+            raise ConfigError(where, f"a second key for order {order}")
+        if isinstance(val, list) and len(val) != n:
+            raise ConfigError(path, f"order {order}: expected {n} values")
+        out[order] = typed_value(val, where, [float] if isinstance(val, list) else float)
     return out
 
 

@@ -99,7 +99,8 @@ class TestRecursion:
         n, m = 5, 6
         values = {(i, l): float(rng.uniform(0.1, 2.0))
                   for i in range(1, n + 1) for l in (2, 4, 6)}
-        profile = MomentProfile.from_values(n, values)
+        profile = MomentProfile.from_values(
+            n, {l: [values[(i, l)] for i in range(1, n + 1)] for l in (2, 4, 6)})
 
         def direct(i, q):
             if q == 0:
@@ -200,6 +201,12 @@ class TestMainTheorem:
             TypicalProfile(base, log_l=np.zeros((3, 1)) - 1.0,
                            delta=np.full((3, 1), 1.5))
 
+    def test_nan_l_rejected(self):
+        # a NaN L would make main_theorem_bound return NaN
+        base = MomentProfile.uniform(3, {2: 1.0, 4: 3.0})
+        with pytest.raises(InvalidArgumentError, match="L must not be NaN"):
+            TypicalProfile(base, np.full((3, 2), np.nan), np.full((3, 2), 0.1))
+
     def test_l_above_m_rejected(self):
         base = MomentProfile.uniform(3, {2: 1.0})
         with pytest.raises(InvalidArgumentError):
@@ -207,11 +214,13 @@ class TestMainTheorem:
                                    l_by_order={2: 2.0}, delta_by_order={2: 0.1})
 
     @pytest.mark.parametrize("l_values, delta_values, named", [
-        ({(1, 2): 0.5, (1, 6): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "L[1,6]: order 6"),
-        ({(1, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 6): 0.1}, "delta[1,6]: order 6"),
-        ({(0, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "variable index 0"),
-        ({(1, 2): 0.5, (1, 4): 1.0}, {(1, 2): 0.1, (2, 4): 0.1}, "variable index 2"),
-        ({(1, 2): -0.5, (1, 4): 1.0}, {(1, 2): 0.1, (1, 4): 0.1}, "L[1,2] must be >= 0"),
+        ({2: 0.5, 6: 1.0}, {2: 0.1, 4: 0.1}, "L[1,6]: order 6"),
+        ({2: 0.5, 4: 1.0}, {2: 0.1, 6: 0.1}, "delta[1,6]: order 6"),
+        ({2: [], 4: 1.0}, {2: 0.1, 4: 0.1}, "L: order 2 has 0 values, not 1 or 1"),
+        ({2: 0.5, 4: 1.0}, {2: 0.1, 4: [0.1, 0.1]},
+         "delta: order 4 has 2 values, not 1 or 1"),
+        ({2: -0.5, 4: 1.0}, {2: 0.1, 4: 0.1}, "L[1,2] must be >= 0"),
+        ({2: [-0.5], 4: 1.0}, {2: 0.1, 4: 0.1}, "L[1,2] must be >= 0"),
     ])
     def test_from_values_rejects_entry_outside_base(self, l_values, delta_values, named):
         base = MomentProfile.uniform(1, {2: 1.0, 4: 3.0})
@@ -222,9 +231,8 @@ class TestMainTheorem:
         m, l, d = {2: 2.0, 4: 9.0}, {2: 0.0, 4: 4.5}, {2: 0.25, 4: 0.0}
         profile = TypicalProfile.uniform(3, m, l, d)
         rebuilt = TypicalProfile.from_values(
-            MomentProfile.from_values(3, {(i, o): m[o] for i in (1, 2, 3) for o in m}),
-            {(i, o): l[o] for i in (1, 2, 3) for o in l},
-            {(i, o): d[o] for i in (1, 2, 3) for o in d})
+            MomentProfile.from_values(3, {o: [m[o]] * 3 for o in m}),
+            {o: [l[o]] * 3 for o in l}, {o: [d[o]] * 3 for o in d})
         assert np.array_equal(profile.base.log_m, rebuilt.base.log_m)
         assert np.array_equal(profile.log_l, rebuilt.log_l)
         assert np.array_equal(profile.delta, rebuilt.delta)
@@ -263,8 +271,13 @@ class TestMainTheorem:
         dv = {(1, 2): 0.0, (2, 2): 0.2, (3, 2): 1.0,
               (1, 4): 0.05, (2, 4): 1.0, (3, 4): 0.0,
               (1, 6): 0.3, (2, 6): 0.0, (3, 6): 0.01}
-        profile = TypicalProfile.from_values(MomentProfile.from_values(n, mv), lv, dv)
         c, ls, vs = 48.0, (1, 2, 3), (1, 2, 3)
+
+        def by_order(values):
+            return {2 * l: [values[i, 2 * l] for i in vs] for l in ls}
+
+        profile = TypicalProfile.from_values(MomentProfile.from_values(n, by_order(mv)),
+                                             by_order(lv), by_order(dv))
         term1 = (c * m) ** (m / 2) * sum(
             m ** (1 - 1 / l) / l**2 * sum(lv[i, 2 * l] for i in vs) ** (1 / l)
             for l in ls
@@ -645,7 +658,7 @@ class TestMomentProfile:
 
     def test_incomplete_from_values(self):
         with pytest.raises(IncompleteProfileError) as err:
-            MomentProfile.from_values(2, {(1, 2): 1.0})
+            MomentProfile.from_values(2, {2: [1.0, math.nan]})
         assert err.value.i == 2 and err.value.l == 2
 
 

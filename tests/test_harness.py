@@ -12,6 +12,7 @@ import subprocess
 import sys
 import traceback
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -1855,6 +1856,28 @@ def test_benchmark_trace_names_resolve(monkeypatch):
     assert sorted(runner.REPLICATE_FNS) == sorted(config._VALIDATORS)
 
 
+def test_benchmark_setup_runs(monkeypatch):
+    # every perfbench workload's untimed setup, at the small size, against
+    # src/: bound-curve builds its profiles there, so a change to the
+    # profile builders that it calls would break the benchmark before its
+    # clock starts; workloads.py is imported, not installed, and no
+    # bytecode is written next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    program = types.SimpleNamespace(config=config, runner=runner, bounds=bounds)
+    built = {name: cls(workloads.DEFAULT_SEED, "small")
+             for name, cls in workloads.WORKLOADS.items()}
+    for name, workload in built.items():
+        workload.setup(program)
+        assert 0 < workload.work <= workload.attempted, name
+    profiles = [source["profile"] for source in built["bound-curve"].sources.values()]
+    assert [type(p) for p in profiles] == [bounds.MomentProfile, bounds.TypicalProfile]
+    assert all(p.n == 10 for p in profiles)
+
+
 def test_package_imports_no_scipy():
     # scipy is a test oracle only; importing scipy.special alone would
     # double the start-up time and memory of every tailbounds process
@@ -2029,6 +2052,12 @@ class TestCliBadInput:
                 strict_json(stdout)
             else:
                 assert err.strip(), argv
+            # of the fuzzed values argparse refuses only an --n no float holds,
+            # and it names that flag
+            refused = "n" in reads and abs(n) > sys.float_info.max
+            assert ("error: argument " in err) == refused, (argv, err)
+            if refused:
+                assert code == 2 and "error: argument --n: " in err, (argv, err)
 
     @pytest.mark.parametrize("command", ["run", "scale"])
     @given(data=st.data())
@@ -2097,6 +2126,21 @@ class TestCliBadInput:
         assert code == 2
         assert "Traceback" not in err
         assert "order l=4" in err
+
+    @pytest.mark.parametrize("key", ["M", "L", "delta"])
+    def test_two_keys_for_one_order(self, tmp_path, key):
+        # "2" and "02" both read as order 2: the second is refused, not
+        # written over the first
+        raw = {"n": 3, "M": {"2": 1.0, "4": 3.0}, "L": {"2": 0.5, "4": 1.0},
+               "delta": {"2": 0.1, "4": 0.1}}
+        raw[key]["02"] = raw[key]["2"]
+        profile = tmp_path / "typ.json"
+        profile.write_text(json.dumps(raw))
+        code, stdout, err = run_cli("bound", "--method", "main", "--profile", str(profile),
+                                    "--t", "5")
+        assert code == 2 and stdout == ""
+        assert "Traceback" not in err
+        assert f"$.{key}.02: a second key for order 2" in err
 
     @pytest.mark.parametrize("typical, named", [
         ({"L": {"2": 0.5, "6": 1.0}, "delta": {"2": 0.1, "4": 0.1}}, "order 6"),

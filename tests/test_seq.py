@@ -314,6 +314,17 @@ class TestJlHypotheses:
             tracemalloc.stop()
         assert peak <= 16.5 * n * samples
 
+    @pytest.mark.parametrize("scale, flagged", [(19.9, False), (20.2, True)])
+    def test_moment_limit_is_eight(self, scale, flagged):
+        # the realized constant scales with the radii: 0.398 at scale 1 on
+        # these draws, so 7.92 and 8.04 here, either side of the limit 8
+        report = check_jl_hypotheses(RadialBetaMixture(scale, 8.0, 2.0), 200, 60,
+                                     samples=2000, rng=substream(5, "jl-check"))
+        assert 7.9 < max(report.moment_constants.values()) < 8.1
+        assert not report.monotone_flagged
+        assert report.moment_flagged == flagged
+        assert report.passed == (not flagged)
+
     def test_reports_moment_constants(self):
         report = check_jl_hypotheses(SphereUniform(), 300, 60, samples=2000,
                                      rng=substream(4, "jl-check"))
