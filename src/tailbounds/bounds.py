@@ -119,7 +119,9 @@ def _profile_table(name, by_order, n, orders, log):
     order.  With log, values are stored in log domain (0 as -inf) and a
     negative value is refused.  An order outside orders or a sequence of
     another length raises InvalidArgumentError, and an order with no value
-    (or a NaN) IncompleteProfileError."""
+    (or a NaN) IncompleteProfileError; n < 1 is refused before allocating."""
+    if n < 1:
+        raise InvalidArgumentError("n must be >= 1")
     table = np.full((n, len(orders)), np.nan)
     for l, v in by_order.items():
         if l not in orders:
@@ -464,19 +466,24 @@ def optimize_m(bound_fn: Callable[[int], float], t, m_max,
     return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)
 
 
-def _neg_log_p(p, moment_bound, m, t):
-    """-log p of p = markov_tail(moment_bound, m, t) < 1.  When p has
-    underflowed to 0.0, the log-domain exponent -(moment_bound - m*log t)
-    gives it instead, so a rate stays finite."""
-    return -math.log(p) if p > 0.0 else -(moment_bound - m * math.log(t))
-
-
 def _require_finite(value, what):
     """Refuse a value that overflows a double: t*t of a Chernoff rule (past
     t of about 1.34e154), from which no order can be chosen, or a log moment
     bound, which the JSON output could not hold."""
     if not math.isfinite(value):
         raise InvalidArgumentError(f"{what} overflows a double")
+
+
+def _fixed_order_bound(moment, m, t, scale, method, what):
+    """Markov on the m-th moment of a fixed-order Chernoff rule, with the c
+    of p = exp(-c*t^2/scale) as rate_constant; -log p is the log-domain
+    exponent when p has underflowed to 0.0, so a rate stays finite."""
+    _require_finite(moment, f"{what}: the log moment bound")
+    p = markov_tail(moment, m, t)
+    neg_log_p = -math.log(p) if p > 0.0 else -(moment - m * math.log(t))
+    rate = 0.0 if p >= 1.0 else neg_log_p * scale / (t * t)
+    return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
+                           tail_probability=p, method=method, rate_constant=rate)
 
 
 def chernoff_corollary_bound(n, sigma2, t):
@@ -503,13 +510,8 @@ def chernoff_corollary_bound(n, sigma2, t):
     m = nearest_even(t * t / (C_MOPT * n * sigma2),
                      lo=2, hi=max(2, _even_floor(n)))
     moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
-    _require_finite(moment, f"n={n}, sigma2={sigma2!r}: the log moment bound")
-    p = markov_tail(moment, m, t)
-    rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * (n * sigma2) / (t * t)
-    return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
-                           tail_probability=p,
-                           method=BoundMethod.CHERNOFF_COROLLARY,
-                           rate_constant=rate)
+    return _fixed_order_bound(moment, m, t, n * sigma2, BoundMethod.CHERNOFF_COROLLARY,
+                              f"n={n}, sigma2={sigma2!r}")
 
 
 def general_chernoff_bound(nu, t):
@@ -527,11 +529,6 @@ def general_chernoff_bound(nu, t):
     _require_finite(t * t, f"t={t!r}: t*t")
     m = nearest_even(t * t / (2.0 * (nu + t)), lo=2)
     moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
-    _require_finite(moment, f"nu={nu!r}, t={t!r}: the log moment bound")
-    p = markov_tail(moment, m, t)
-    rate = 0.0 if p >= 1.0 else _neg_log_p(p, moment, m, t) * 2.0 * (nu + t) / (t * t)
-    return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
-                           tail_probability=p,
-                           method=BoundMethod.GENERAL_CHERNOFF,
-                           rate_constant=rate)
+    return _fixed_order_bound(moment, m, t, 2.0 * (nu + t), BoundMethod.GENERAL_CHERNOFF,
+                              f"nu={nu!r}, t={t!r}")
 

@@ -6,8 +6,8 @@ points; larger instances use the deterministic strip + 2-opt pipeline,
 which is itself a well-defined functional of the point set.
 
 2-opt and Prim work on the coordinates in O(s) memory: they compute the
-distances they need with the same floating-point expression as the s x s
-matrix of _distance_matrix (used only by the exact solver), so their
+distances they need with _dist, the expression of the s x s matrix of
+_distance_matrix (used only by the exact solver), so their
 results are bit-identical to the dense-matrix versions kept as oracles in
 tests/conftest.py.  2-opt computes a block of rows at a time, in place, in
 buffers it allocates once per call.
@@ -46,8 +46,7 @@ STRIP_TOUR_OFFSET = 2.0
 
 def _distance_matrix(points):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    return _dist(pts[:, None, 0], pts[:, None, 1], pts[None, :, 0], pts[None, :, 1])
 
 
 def tour_length(points, order):
@@ -56,7 +55,7 @@ def tour_length(points, order):
         return 0.0
     seq = pts[np.asarray(order)]
     closed = np.vstack([seq, seq[:1]])
-    return float(np.sqrt(((closed[1:] - closed[:-1]) ** 2).sum(axis=1)).sum())
+    return float(_dist(closed[1:, 0], closed[1:, 1], closed[:-1, 0], closed[:-1, 1]).sum())
 
 
 @dataclass
@@ -183,9 +182,9 @@ def tsp_strip(points, alpha):
 
 
 def _dist(x0, y0, x1, y1):
-    """Euclidean distances between (x0, y0) and (x1, y1), broadcast.  The
-    same floating-point expression as _distance_matrix, so each entry is
-    bit-identical to the matching matrix entry (squares drop the sign)."""
+    """Euclidean distances between (x0, y0) and (x1, y1), broadcast: the one
+    floating-point expression of every distance here, bit-identical to the
+    dense-matrix oracles' (squares drop the sign)."""
     dx = x0 - x1
     dy = y0 - y1
     return np.sqrt(dx * dx + dy * dy)

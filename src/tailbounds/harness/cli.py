@@ -17,10 +17,10 @@ import json
 import math
 import sys
 
-from ..bounds import MomentProfile, TypicalProfile
+from ..bounds import TypicalProfile
 from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
     InvalidArgumentError, OutOfRegimeError, SizeLimitError
-from .config import load_config, read_json, read_text, typed_field, typed_value
+from .config import load_config, load_profile, read_text
 from .runner import bound_source, records_from_csv, run_experiment, scaling_study, \
     summarize
 
@@ -39,54 +39,6 @@ METHOD_OPTIONS = {
     "general-chernoff": ("nu",),
 }
 BOUND_OPTIONS = ("profile", "n", "sigma2", "nu", "m_max")
-
-# Cap on n times the orders of M, L and delta in a profile file, checked
-# before any table is built.  Loading peaks near 72 traced bytes an entry
-# when each order is a list of n values (43 MB at the cap), 9 when a number.
-MAX_PROFILE_ENTRIES = 600_000
-
-
-def _values_map(n, spec, path):
-    """Order -> one value, or a tuple of n values, from profile JSON."""
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "must be an object mapping orders to values")
-    out = {}
-    for key, val in spec.items():
-        try:
-            order = int(key)
-        except ValueError:
-            raise ConfigError(path, f"orders must be integers, got {key!r}") from None
-        where = f"{path}.{key}"
-        if order in out:
-            raise ConfigError(where, f"a second key for order {order}")
-        if isinstance(val, list) and len(val) != n:
-            raise ConfigError(path, f"order {order}: expected {n} values")
-        out[order] = typed_value(val, where, [float] if isinstance(val, list) else float)
-    return out
-
-
-def load_profile(path):
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "profile file must be a JSON object")
-    if "n" not in raw or "M" not in raw:
-        raise ConfigError("$", "profile file needs 'n' and 'M'")
-    n = typed_field(raw, "n", "$", int, low=1)
-    orders = sum(len(raw[key]) for key in ("M", "L", "delta")
-                 if isinstance(raw.get(key), dict))
-    if n * orders > MAX_PROFILE_ENTRIES:
-        raise SizeLimitError(f"$.n: n times the orders of M, L and delta is {n * orders}, "
-                             f"above MAX_PROFILE_ENTRIES = {MAX_PROFILE_ENTRIES}")
-    base = MomentProfile.from_values(n, _values_map(n, raw["M"], "$.M"))
-    if "L" in raw or "delta" in raw:
-        if not ("L" in raw and "delta" in raw):
-            raise ConfigError("$", "typical profiles need both 'L' and 'delta'")
-        return TypicalProfile.from_values(
-            base,
-            _values_map(n, raw["L"], "$.L"),
-            _values_map(n, raw["delta"], "$.delta"),
-        )
-    return base
 
 
 def _result_json(res):

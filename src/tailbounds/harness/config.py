@@ -6,6 +6,7 @@ each domain object once and stores it in place of its JSON spec."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ..bounds import MomentProfile, TypicalProfile
 from ..errors import ConfigError, SizeLimitError
 from ..graphs import EdgeProbabilityMatrix
 from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution
@@ -67,6 +69,10 @@ MAX_CHERNOFF_N = 5 * 10**6
 MAX_SEQUENCE_N = 10**7
 MAX_CHROMATIC_N = 2000
 MAX_JL_GATE_ENTRIES = 8 * 10**6
+# Cap on n times the orders of M, L and delta in a profile file, checked
+# before any table is built.  Loading peaks near 72 traced bytes an entry
+# when each order is a list of n values (43 MB at the cap), 9 when a number.
+MAX_PROFILE_ENTRIES = 600_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,15 +116,25 @@ _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"
 
 def typed_value(value, path, kind, low=None):
     """value as kind (int, float, tuple, bool or str), at least low; the kind
-    [float] takes a list of floats as a tuple, each checked at its index
-    (path[i]).  Only the bool kind takes true and false: bool is a subclass
-    of int, so they would pass a bare isinstance for the numeric kinds.  The
-    float kind refuses NaN and +-Infinity, which Python's json reads as
-    floats, and integers too large for a float (the comparison is exact and
-    raises nothing)."""
+    [float] takes a list of floats as a float64 array, each checked as the
+    float kind at its index (path[i]).  Only the bool kind takes true and
+    false: bool is a subclass of int, so they would pass a bare isinstance
+    for the numeric kinds.  The float kind refuses NaN and +-Infinity, which
+    Python's json reads as floats, and integers too large for a float (the
+    comparison is exact and raises nothing)."""
     if kind == [float]:
-        return tuple(typed_value(item, f"{path}[{i}]", float, low)
-                     for i, item in enumerate(typed_value(value, path, tuple)))
+        items = typed_value(value, path, tuple)
+        # One conversion checks plain ints and floats below the largest float
+        # in magnitude (NaN fails); any other list goes element by element,
+        # which names the first bad one (or takes a near-max int, a subclass).
+        if {*map(type, items)} <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an integer past float range
+                array = np.array(items, dtype=float)
+                if (abs(array) < sys.float_info.max).all() \
+                        and (low is None or (array >= low).all()):
+                    return array
+        return np.array([typed_value(item, f"{path}[{i}]", float, low)
+                         for i, item in enumerate(items)], dtype=float)
     accepts, name = _ACCEPTS[kind]
     ok = isinstance(value, accepts) and (kind is bool or not isinstance(value, bool)) \
         and (kind is not float or abs(value) <= sys.float_info.max) \
@@ -248,19 +264,12 @@ def _probability_matrix(n, spec, path):
         n_path = path.rsplit(".", 1)[0] + ".n"
         _require(len(rows) == n, f"{path}.p",
                  f"must be n x n = {n} x {n} for {n_path}, got {len(rows)} rows")
-        # Checked a row at a time, not an entry at a time: n may be
-        # MAX_CHROMATIC_N.  numpy would read a boolean beside numbers as 0
-        # or 1, so the row's entry types are checked at C speed first.
         p = np.empty((n, n))
         for i, row in enumerate(rows):
-            try:
-                row = np.array(row) if isinstance(row, list) and bool not in map(type, row) \
-                    else None
-            except ValueError:  # nested lists of unequal lengths
-                row = None
-            _require(row is not None and row.shape == (n,) and row.dtype.kind in "iuf",
-                     f"{path}.p[{i}]", f"must be a list of n = {n} numbers")
-            p[i] = row
+            where = f"{path}.p[{i}]"
+            _require(isinstance(row, list) and len(row) == n, where,
+                     f"must be a list of n = {n} numbers")
+            p[i] = typed_value(row, where, [float])
         return _build(f"{path}.p", EdgeProbabilityMatrix, p)
     raise ConfigError(f"{path}.kind", f"unknown matrix spec {kind!r}")
 
@@ -333,9 +342,9 @@ def _validate_chernoff(params, path):
                  f"{path}.nus", "must be {'kind': 'alternating', 'values': [...]}")
         _check_keys(spec, {"kind", "values"}, f"{path}.nus")
         values = typed_field(spec, "values", f"{path}.nus", [float])
-        _require(values and all(0 < v < 1 for v in values), f"{path}.nus.values",
-                 "must be nonempty probabilities in (0,1)")
-        nus = np.resize(np.array(values), n)
+        _require(values.size and ((0 < values) & (values < 1)).all(),
+                 f"{path}.nus.values", "must be nonempty probabilities in (0,1)")
+        nus = np.resize(values, n)
     else:
         nu = out["nu"] = typed_field(params, "nu", path, float, default=0.5)
         _require(0 < nu < 1, f"{path}.nu", "must be in (0,1)")
@@ -424,6 +433,41 @@ def read_json(path):
 
 def load_config(path):
     return parse_config(read_json(path))
+
+
+def _values_map(spec, path):
+    """Order -> a number or an array from profile JSON; bounds checks lengths."""
+    _require(isinstance(spec, dict), path, "must be an object mapping orders to values")
+    out = {}
+    for key, val in spec.items():
+        try:
+            order = int(key)
+        except ValueError:
+            raise ConfigError(path, f"orders must be integers, got {key!r}") from None
+        where = f"{path}.{key}"
+        _require(order not in out, where, f"a second key for order {order}")
+        out[order] = typed_value(val, where, [float] if isinstance(val, list) else float)
+    return out
+
+
+def load_profile(path):
+    """The MomentProfile, or TypicalProfile, of a bound --profile file."""
+    raw = read_json(path)
+    _require(isinstance(raw, dict), "$", "profile file must be a JSON object")
+    _check_keys(raw, {"n", "M", "L", "delta"}, "$")
+    _require("n" in raw and "M" in raw, "$", "profile file needs 'n' and 'M'")
+    n = typed_field(raw, "n", "$", int, low=1)
+    orders = sum(len(raw[key]) for key in ("M", "L", "delta")
+                 if isinstance(raw.get(key), dict))
+    if n * orders > MAX_PROFILE_ENTRIES:
+        raise SizeLimitError(f"$.n: n times the orders of M, L and delta is {n * orders}, "
+                             f"above MAX_PROFILE_ENTRIES = {MAX_PROFILE_ENTRIES}")
+    base = MomentProfile.from_values(n, _values_map(raw["M"], "$.M"))
+    if "L" not in raw and "delta" not in raw:
+        return base
+    _require("L" in raw and "delta" in raw, "$", "typical profiles need both 'L' and 'delta'")
+    return TypicalProfile.from_values(base, _values_map(raw["L"], "$.L"),
+                                      _values_map(raw["delta"], "$.delta"))
 
 
 def _regime_warnings(experiment, params):

@@ -74,6 +74,23 @@ def optimize_m_oracle(bound_fn, t, m_max):
     return best
 
 
+def binomial_tail_exact(n, p, t):
+    """Pr(|S - n*p| >= t) for S ~ Binomial(n, p), the law of a chernoff sum
+    of n Bernoulli(p) variables centred at its mean: the pmf terms, each
+    from math.lgamma in log domain, summed with math.fsum."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return min(1.0, math.fsum(
+        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 + k * log_p + (n - k) * log_q)
+        for k in range(n + 1) if abs(k - n * p) >= t))
+
+
+def gaussian_tail_exact(n, t):
+    """Pr(|Z| >= t) for Z ~ N(0, n), the law of a gauss_sum of n standard
+    normals."""
+    return math.erfc(t / math.sqrt(2 * n))
+
+
 def jl_trend_oracle(family, n, k, samples, seed):
     """check_jl_hypotheses' (i, rank z) at each probe: scipy's Spearman
     correlation between W = Y_1^2+...+Y_{i-1}^2 and Y_i^2 over the draws,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from conftest import optimize_m_oracle, rademacher_moment_exact, theorem1_recursion_oracle
+from conftest import binomial_tail_exact, gaussian_tail_exact, optimize_m_oracle, \
+    rademacher_moment_exact, theorem1_recursion_oracle
 from tailbounds import bounds
 from tailbounds.bounds import (
     MAX_CURVE_ORDER,
@@ -647,6 +648,57 @@ class TestTailCurve:
             tail_curve([2, 4], [1.0, 2.0], [1.0, t])
 
 
+def _exact_tail_grid(sd):
+    """40 points of a log t-grid from half a standard deviation to 40."""
+    return np.geomspace(0.5 * sd, 40.0 * sd, 40)
+
+
+def _recursion_tails(n, moment, grid):
+    """The Theorem 1 recursion to order 64 on n variables whose every even
+    moment E X_i^l is moment(l), Markov-minimised over grid."""
+    profile = MomentProfile.uniform(n, {l: moment(l) for l in range(2, 65, 2)})
+    return tail_curve(*theorem1_recursion_curve(profile, 64), grid).tail_probability
+
+
+class TestExactTails:
+    """Every bound dominates the exact tail of a sum whose law is known, out
+    to 40 sd, far past the few sd where Monte Carlo sees a tail.  The
+    variables are independent and centred, so strongly negatively
+    correlated, and their exact moments are the profile.  Where the
+    recursion is below 1 it stays 27 to 34 times above the exact tail, and
+    lowering its coefficient 11/5 to 1/2 puts it below the exact tail.
+    The general Chernoff rule is 1 on every grid point here."""
+
+    @pytest.mark.parametrize("n, p", [(1000, 0.5), (1000, 0.05), (200, 0.5)])
+    def test_binomial_sum(self, n, p):
+        var = p * (1 - p)  # bounds every even moment of a centred Bernoulli(p)
+        grid = _exact_tail_grid(math.sqrt(n * var))
+        exact = np.array([binomial_tail_exact(n, p, t) for t in grid])
+        tails = {
+            "closed": tail_curve(*theorem1_closed_curve(n, n), grid).tail_probability,
+            "recursion": _recursion_tails(n, lambda l: p * (1 - p)**l + (1 - p) * p**l, grid),
+            "corollary": np.array([chernoff_corollary_bound(n, var, t).tail_probability
+                                   if t <= n * var else 1.0 for t in grid]),
+            "general": np.array([general_chernoff_bound(n * p, t).tail_probability
+                                 for t in grid]),
+        }
+        for name, tail in tails.items():
+            assert (tail >= exact).all(), (name, grid[tail < exact])
+        assert (tails["recursion"] < 1).any()
+
+    @pytest.mark.parametrize("n", [1000, 200])
+    def test_gaussian_sum(self, n):
+        grid = _exact_tail_grid(math.sqrt(n))
+        exact = np.array([gaussian_tail_exact(n, t) for t in grid])
+        # E Z^l = (l - 1)!! for a standard normal Z
+        recursion = _recursion_tails(n, lambda l: float(math.prod(range(l - 1, 0, -2))),
+                                     grid)
+        closed = tail_curve(*theorem1_closed_curve(n, n), grid).tail_probability
+        for name, tail in (("closed", closed), ("recursion", recursion)):
+            assert (tail >= exact).all(), (name, grid[tail < exact])
+        assert (recursion < 1).any() and (closed < 1).any()
+
+
 class TestMomentProfile:
     def test_rejects_negative(self):
         with pytest.raises(InvalidArgumentError):
@@ -660,6 +712,16 @@ class TestMomentProfile:
         with pytest.raises(IncompleteProfileError) as err:
             MomentProfile.from_values(2, {2: [1.0, math.nan]})
         assert err.value.i == 2 and err.value.l == 2
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    @pytest.mark.parametrize("build", [
+        lambda n: MomentProfile.from_values(n, {2: 1.0}),
+        lambda n: MomentProfile.uniform(n, {2: 1.0}),
+        lambda n: TypicalProfile.uniform(n, {2: 1.0}, {2: 0.5}, {2: 0.1}),
+    ], ids=["from_values", "uniform", "typical_uniform"])
+    def test_rejects_n_below_one(self, build, n):
+        with pytest.raises(InvalidArgumentError, match=r"^n must be >= 1$"):
+            build(n)
 
 
 def test_nearest_even_rounding():

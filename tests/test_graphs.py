@@ -103,7 +103,7 @@ class TestChromaticExact:
     def test_time_budget(self, monkeypatch):
         # The join of the Groetzsch graph (the Mycielskian of C5) and two
         # 7-cycles: clique number 2 + 2 + 2, chromatic number 4 + 3 + 3, and
-        # about 6000 branch-and-bound nodes, past the first clock check at 2048.
+        # about 6000 branch-and-bound nodes, past a budget of 2048.
         c5, c7 = cycle_adj(5), cycle_adj(7)
         n = 5
         groetzsch = np.zeros((2 * n + 1, 2 * n + 1), dtype=bool)
@@ -115,8 +115,8 @@ class TestChromaticExact:
         np.fill_diagonal(adj, False)
         g = Graph(adj=adj)
         assert chromatic_exact(g) == 10
-        monkeypatch.setattr(graphs, "CHROMATIC_TIME_BUDGET", 0.0)
-        with pytest.raises(SizeLimitError, match="time budget"):
+        monkeypatch.setattr(graphs, "CHROMATIC_NODE_BUDGET", 2048)
+        with pytest.raises(SizeLimitError, match="node budget of 2048"):
             chromatic_exact(g)
 
 

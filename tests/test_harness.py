@@ -291,6 +291,35 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=rf"\$\.parameters\.{path}: must be an integer"):
             make_config(experiment=experiment, parameters=parameters)
 
+    _NUMBERS = st.one_of(
+        st.floats(), st.integers(min_value=-2**1100, max_value=2**1100),
+        st.sampled_from([sys.float_info.max, int(sys.float_info.max),
+                         int(sys.float_info.max) + 1, np.float64(0.5)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_NUMBERS, max_size=6), st.lists(st.one_of(
+        _NUMBERS, st.booleans(), st.none(), st.text(max_size=2),
+        st.lists(st.floats(), max_size=1)), max_size=6)), st.sampled_from([None, 0]))
+    @example([math.nan], None)
+    @example([0.5, -math.inf], None)
+    @example([1, 10**400], None)
+    @example([int(sys.float_info.max) + 1], None)
+    @example([1.0, True], None)
+    def test_float_list_checks_as_its_elements(self, items, low):
+        # The [float] kind checks a list in one conversion, and must accept
+        # and refuse exactly what the float kind does element by element,
+        # naming the first bad element.
+        try:
+            want = [config.typed_value(x, f"$.v[{i}]", float, low)
+                    for i, x in enumerate(items)]
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                config.typed_value(items, "$.v", [float], low)
+            assert str(got.value) == str(exc)
+            return
+        got = config.typed_value(items, "$.v", [float], low)
+        assert got.dtype == np.float64 and got.tolist() == want
+
     @pytest.mark.parametrize("matrix, problem", [
         ([[0, 0.5], [0.4, 0]], "symmetric"),
         ([[0.1, 0.5], [0.5, 0]], "zero diagonal"),
@@ -1313,8 +1342,8 @@ class TestCli:
                "parameters": {"n": n, "p_spec": {"kind": "matrix", "p": rows}}}
         assert parse_config(raw).parameters["P"].n == n
         rows[-1][0] = True
-        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p\[{n - 1}\]: "
-                                              rf"must be a list of n = {n} numbers"):
+        with pytest.raises(ConfigError, match=rf"\$\.parameters\.p_spec\.p\[{n - 1}\]\[0\]: "
+                                              rf"must be a finite number"):
             parse_config(raw)
 
     def test_chromatic_n_cap_is_inclusive(self, monkeypatch):
@@ -1520,7 +1549,7 @@ class TestCli:
         path.write_text(json.dumps(profile))
         records = records_of([i % 11 for i in range(200)])
         summary = compare_bound(records, None,
-                                {"kind": "profile", "profile": cli.load_profile(str(path))})
+                                {"kind": "profile", "profile": config.load_profile(str(path))})
         for j in (0, 7, 19):
             t = float(summary.t_grid[j])
             assert cli.main(["bound", "--method", method, "--profile", str(path),
@@ -1589,7 +1618,7 @@ class TestCli:
         def expand(*args):
             raise AssertionError("a profile was expanded before the size check")
 
-        monkeypatch.setattr(cli, "_values_map", expand)
+        monkeypatch.setattr(config, "_values_map", expand)
         profile = tmp_path / "big.json"
         profile.write_text(json.dumps({"n": 10**9, "M": {"2": 1.0, "4": 3.0}}))
         tracemalloc.start()
@@ -1602,20 +1631,20 @@ class TestCli:
         assert code == 4
         assert "Traceback" not in err and stdout == ""
         assert f"$.n: n times the orders of M, L and delta is {2 * 10**9}" in err
-        assert f"MAX_PROFILE_ENTRIES = {cli.MAX_PROFILE_ENTRIES}" in err
+        assert f"MAX_PROFILE_ENTRIES = {config.MAX_PROFILE_ENTRIES}" in err
         assert peak < 10**6
 
     def test_profile_entry_cap_is_inclusive(self, tmp_path, monkeypatch):
         # 2 variables x 2 orders in each of M, L and delta: 12 entries
-        monkeypatch.setattr(cli, "MAX_PROFILE_ENTRIES", 12)
+        monkeypatch.setattr(config, "MAX_PROFILE_ENTRIES", 12)
         profile = tmp_path / "typ.json"
         raw = {"n": 2, "M": {"2": 4.0, "4": 40.0}, "L": {"2": 1.0, "4": 9.0},
                "delta": {"2": 0.01, "4": 0.02}}
         profile.write_text(json.dumps(raw))
-        assert cli.load_profile(str(profile)).base.n == 2
+        assert config.load_profile(str(profile)).base.n == 2
         profile.write_text(json.dumps({**raw, "n": 3}))
         with pytest.raises(SizeLimitError, match=r"\$\.n: .* is 18, above "):
-            cli.load_profile(str(profile))
+            config.load_profile(str(profile))
 
     def test_scale_out_checked_before_first_replicate(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -2205,8 +2234,7 @@ class TestCliBadInput:
                               "probs": [-0.4, 1.4]}, "n_items": 10},
          "$.parameters.dist: probabilities must be >= 0"),
         ("jl", {"n": 3, "k": 5}, "$.parameters.k: must be at most $.parameters.n = 3"),
-        # A bad element of a list is named by its index, a bad matrix entry
-        # by its row.
+        # A bad element of a list or of a matrix row is named by its index.
         ("binpack", {"dist": {"kind": "explicit", "sizes": [[], 0.3],
                               "probs": [0.4, 0.6]}, "n_items": 10},
          "$.parameters.dist.sizes[0]: must be a finite number"),
@@ -2214,22 +2242,22 @@ class TestCliBadInput:
                               "probs": [0.4, math.nan]}, "n_items": 10},
          "$.parameters.dist.probs[1]: must be a finite number"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, []], [0.5, 0]]}},
-         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+         "$.parameters.p_spec.p[0][1]: must be a finite number"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, "x"], ["x", 0]]}},
-         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+         "$.parameters.p_spec.p[0][1]: must be a finite number"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], 0.5]}},
          "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
         # A boolean is no probability, beside integers or floats alike.
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix", "p": [[0, True], [True, 0]]}},
-         "$.parameters.p_spec.p[0]: must be a list of n = 2 numbers"),
+         "$.parameters.p_spec.p[0][1]: must be a finite number"),
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
                                           "p": [[0.0, 0.5], [0.5, False]]}},
-         "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
-        # NaN fails every comparison, so it is named as out of range, not
-        # as breaking symmetry.
+         "$.parameters.p_spec.p[1][1]: must be a finite number"),
+        # NaN is no finite number, so it is named at its entry, not as
+        # breaking symmetry.
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
                                           "p": [[0, math.nan], [math.nan, 0]]}},
-         "$.parameters.p_spec.p: entries must lie in [0, 1]"),
+         "$.parameters.p_spec.p[0][1]: must be a finite number"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
@@ -2268,6 +2296,8 @@ class TestCliBadInput:
         ('{"n": 6, "M": [1.0]}', "$.M"),
         ('{"n": 6, "M": {"2": "x"}}', "$.M.2"),
         ('{"n": 2, "M": {"2": [1.0, null]}}', "$.M.2[1]"),
+        ('{"n": 4, "M": {"2": 1.0, "4": 3.0}, "m_max": 2, "Delta": {"2": 0.1}}',
+         "$.Delta: unknown key"),
     ])
     def test_bad_profile_file(self, tmp_path, text, named):
         profile = tmp_path / "profile.json"
