@@ -13,11 +13,12 @@ tests/conftest.py.  2-opt computes a block of rows at a time, in place, in
 buffers it allocates once per call.
 
 Prim runs on a sparse radius graph G_R (all site pairs at distance <= R,
-from a bucket grid) with a connectivity certificate: while Prim's heap is
-not empty, some edge of weight <= R crosses the cut, so every
-float-minimal crossing edge of the complete graph, ties included, lies in
-G_R, and the tree, its edge order and its summed weight are those of
-dense Prim.  When the heap runs dry first, R doubles and Prim restarts.
+each found once from a bucket grid) with a connectivity certificate: while
+Prim's heap is not empty, some edge of weight <= R crosses the cut, so
+every float-minimal crossing edge of the complete graph, ties included,
+lies in G_R, and the tree, its edge order and its summed weight are those
+of dense Prim.  Its heap holds one int64 key per edge, in (distance, site)
+order.  When the heap runs dry first, R doubles and Prim restarts.
 When the grid would hold more than a fixed number of candidate pairs per
 site or in all, counted before any pair is built, Prim scans one distance
 row per step instead (O(s^2) time).
@@ -152,14 +153,18 @@ def tsp_exact(points):
 
 def tsp_strip(points, alpha):
     """Boustrophedon tour over ceil(sqrt(s)) horizontal strips of an
-    alpha-sided square; the returned length is asserted against the
-    certified bound 3*alpha*sqrt(s) + 2*alpha."""
+    alpha-sided square; the returned length is checked against the
+    certified bound 3*alpha*sqrt(s) + 2*alpha.  Points whose x or y extent
+    is above alpha do not fit the square and are refused."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     s = len(pts)
     if s == 0:
         return Tour(order=np.empty(0, dtype=np.int64), length=0.0)
     if alpha <= 0:
         raise InvalidArgumentError("alpha must be > 0")
+    extent = float(np.ptp(pts, axis=0).max())
+    if not extent <= alpha:
+        raise InvalidArgumentError(f"points span {extent} in x or y, above alpha = {alpha}")
     k = math.isqrt(s - 1) + 1 if s > 1 else 1  # ceil(sqrt(s))
     ymin = pts[:, 1].min()
     strip = np.minimum(((pts[:, 1] - ymin) / alpha * k).astype(int), k - 1)
@@ -175,9 +180,8 @@ def tsp_strip(points, alpha):
         order.extend(inner.tolist())
     tour = Tour.of(pts, order)
     limit = STRIP_TOUR_COEFF * alpha * math.sqrt(s) + STRIP_TOUR_OFFSET * alpha
-    assert tour.length <= limit + 1e-9 * (1 + limit), (
-        f"strip tour length {tour.length} exceeded its certificate {limit}"
-    )
+    if tour.length > limit + 1e-9 * (1 + limit):
+        raise RuntimeError(f"strip tour length {tour.length} exceeded its certificate {limit}")
     return tour
 
 
@@ -315,14 +319,14 @@ def mst_weight(points):
     Between sites, Prim runs with a heap on the radius graph G_R: every site
     pair whose _dist is <= R, found with a bucket grid of side just above R.
     Sites are numbered in the order of their representatives, so keys are
-    (distance, site), and a key is lowered only on a strict <, as in dense
-    Prim.  Connectivity is the certificate: while the heap is not empty, an
-    edge of weight <= R crosses the cut between the sites added and the
-    rest, so every float-minimal crossing edge of the complete graph, ties
-    included, has weight <= R and lies in G_R.  Each step then
-    adds the same site with the same parent as dense Prim, and the weights
-    are summed in the same order.  When the heap runs dry before every site
-    is added, R doubles and Prim starts again on the new G_R.
+    (distance, site), one int64 each (see _radius_graph), and a key is lowered
+    only on a strict <, as in dense Prim.  Connectivity is the certificate:
+    while the heap is not empty, an edge of weight <= R crosses the cut
+    between the sites added and the rest, so every float-minimal crossing edge
+    of the complete graph, ties included, has weight <= R and lies in G_R.
+    Each step then adds the same site with the same parent as dense Prim, and
+    the weights are summed in the same order.  When the heap runs dry before
+    every site is added, R doubles and Prim starts again on the new G_R.
 
     The row-by-row dense Prim (O(s) memory, O(s^2) time) runs instead when
     the grid would generate more than _PAIRS_PER_SITE candidate pairs per
@@ -388,9 +392,10 @@ def _mst_sites(x, y):
 
 
 def _radius_graph(x, y, r):
-    """Every site pair with _dist <= r, in CSR form: site u's neighbours are
-    nbr[ptr[u]:ptr[u + 1]] at distances wt[...].  None when the grid would
-    generate more than _PAIRS_PER_SITE candidate pairs per site or
+    """Every site pair with _dist <= r, in CSR form: u's edge to v, at the
+    distance levels[rank] of the sorted distinct ones, is keyed rank * m + v
+    in key[ptr[u]:ptr[u + 1]], so ties share a rank.  None when the grid
+    would generate more than _PAIRS_PER_SITE candidate pairs per site or
     _MAX_PAIRS in all, or when two distinct sites are at distance 0 (dense
     Prim would interleave their copies)."""
     m = len(x)
@@ -398,24 +403,25 @@ def _radius_graph(x, y, r):
     bx = ((x - x.min()) * inv).astype(np.int64) + 1   # a ring of empty buckets
     by = ((y - y.min()) * inv).astype(np.int64) + 1   # around the occupied ones
     row = int(bx.max()) + 2
-    key = by * row + bx
-    count = np.bincount(key, minlength=(int(by.max()) + 2) * row)
+    bucket = by * row + bx
+    count = np.bincount(bucket, minlength=(int(by.max()) + 2) * row)
     shifts = [dy * row + dx for dx, dy in _NEIGHBOURS]
     budget = min(_PAIRS_PER_SITE * m, _MAX_PAIRS)
-    if sum(int(count[key + k].sum()) for k in shifts) - m > budget:
+    if sum(int(count[bucket + k].sum()) for k in shifts) - m > budget:
         return None
     # the sites of bucket b are by_bucket[start[b]:start[b] + count[b]]
-    by_bucket = np.argsort(key, kind="stable")
+    by_bucket = np.argsort(bucket, kind="stable")
     start = np.cumsum(count) - count
     sites = np.arange(m)
     us, vs, ws = [], [], []
-    for k in shifts:   # one neighbour bucket of every site at a time
-        b = key + k
+    for k in shifts[4:]:   # own bucket, then (1, 0) (-1, 1) (0, 1) (1, 1): each pair once
+        b = bucket + k
         c = count[b]
         u = np.repeat(sites, c)
         v = by_bucket[np.repeat(start[b] - np.cumsum(c) + c, c) + np.arange(len(u))]
-        once = u < v   # each pair once, never (u, u)
-        u, v = u[once], v[once]
+        if k == 0:
+            once = u < v   # never (u, u)
+            u, v = u[once], v[once]
         w = _dist(x[u], y[u], x[v], y[v])
         close = w <= r
         us.append(u[close])
@@ -424,41 +430,45 @@ def _radius_graph(x, y, r):
     us, vs, ws = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
     if not ws.all():
         return None
-    # each array is dropped once used: this is the memory peak of mst_weight
+    # each array is dropped once used, to stay below the peak of the loop
+    del u, v, w
+    levels, rank = np.unique(ws, return_inverse=True)
     tail = np.concatenate([us, vs])
     by_tail = np.argsort(tail, kind="stable")
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=m), out=ptr[1:])
-    del tail
-    nbr = np.concatenate([vs, us])[by_tail]
-    del us, vs
-    return ptr.tolist(), nbr, np.concatenate([ws, ws])[by_tail]
+    del tail, ws
+    us += rank * m
+    vs += rank * m
+    key = np.concatenate([vs, us])
+    del us, vs, rank
+    return ptr.tolist(), key[by_tail], levels
 
 
-def _prim(ptr, nbr, wt):
-    """Prim's algorithm on the CSR graph (ptr, nbr, wt) from site 0, with a
-    heap of (d, site) keys; a key is lowered only on a strict <, as in
-    dense Prim.  (sites in the order added, parent site, distance to the
-    parent), or None when the graph is not connected."""
+def _prim(ptr, key, levels):
+    """Prim's algorithm from site 0 on the graph of _radius_graph, with a heap
+    of its int64 keys; a key is lowered only on a strict <, as in dense Prim.
+    (sites in the order added, parent site, distance to the parent), or None
+    when the graph is not connected."""
     m = len(ptr) - 1
-    best = [math.inf] * m
+    best = [len(levels) * m] * m   # above every key
     parent = [0] * m
-    in_tree = [False] * m
     added = []
-    heap = [(0.0, 0)]
+    heap = [0]
     while heap:
-        u = heapq.heappop(heap)[1]
-        if in_tree[u]:
+        k = heapq.heappop(heap)
+        u = k % m
+        if best[u] < 0:
             continue
-        in_tree[u] = True
+        best[u] = ~k   # negative: in the tree
         added.append(u)
-        lo, hi = ptr[u], ptr[u + 1]
-        for v, d in zip(nbr[lo:hi].tolist(), wt[lo:hi].tolist()):
-            if d < best[v] and not in_tree[v]:
-                best[v] = d
+        for k in key[ptr[u]:ptr[u + 1]].tolist():
+            v = k % m
+            if k < best[v]:
+                best[v] = k
                 parent[v] = u
-                heapq.heappush(heap, (d, v))
-    return (added, parent, best) if len(added) == m else None
+                heapq.heappush(heap, k)
+    return (added, parent, levels[~np.array(best) // m].tolist()) if len(added) == m else None
 
 
 def _mst_rows(pts):

@@ -3,13 +3,18 @@ the implementation under test must match or stay on the right side of."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
+import tailbounds
 from tailbounds.euclid import SpanningTree, Tour
 
 
@@ -471,3 +476,14 @@ def run_binpack(params, seed):
     counts = params["dist"].sample_counts(rng, params["n_items"])
     sol = solve_packing_lp(params["bin_types"], counts.tolist())
     return sol.value, {"rounded": lp_round_up(sol), "duality_gap": sol.duality_gap}
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports this package: (exit code, stdout,
+    stderr)."""
+    src = str(Path(tailbounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr

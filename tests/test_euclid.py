@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (best_random_permutation_tour, mst_prim_oracle, mst_weight_brute,
-                      tsp_2opt_oracle)
+                      run_python, tsp_2opt_oracle)
 from tailbounds import euclid
 from tailbounds.errors import InvalidArgumentError, SizeLimitError
 from tailbounds.euclid import (
@@ -99,6 +99,27 @@ class TestTspStrip:
         tour = tsp_strip(pts, alpha)  # asserts its own certificate
         assert tour.length <= STRIP_TOUR_COEFF * alpha * math.sqrt(max(s, 1)) \
             + STRIP_TOUR_OFFSET * alpha + 1e-9
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_points_beyond_the_square_are_refused(self, axis):
+        # one axis spans [0, 10], the other [0, 1]: no certificate holds
+        pts = np.random.default_rng(3).random((50, 2))
+        pts[:, axis] *= 10
+        extent = float(np.ptp(pts[:, axis]))
+        with pytest.raises(InvalidArgumentError) as err:
+            tsp_strip(pts, 1.0)
+        assert f"points span {extent} in x or y, above alpha = 1.0" in str(err.value)
+
+    def test_certificate_is_checked_under_optimisation(self):
+        # python -O drops assert statements; the certificate check must stay.
+        # A coefficient cut to 0.1 puts every tour of 50 points above it
+        code = ("import numpy as np; from tailbounds import euclid; "
+                "euclid.STRIP_TOUR_COEFF = 0.1; "
+                "euclid.tsp_strip(np.random.default_rng(3).random((50, 2)), 1.0)")
+        exit_code, _, err = run_python("-O", "-c", code)
+        assert exit_code == 1
+        assert "RuntimeError: strip tour length" in err
+        assert "exceeded its certificate" in err
 
     def test_adversarial_rows(self):
         # points stacked on strip boundaries at both x extremes
@@ -302,6 +323,36 @@ class TestCoordinateSolversMatchDenseOracles:
                                substream(seed, "pointset")).points
         _assert_same_tour(pts, tsp_strip(pts, 1.0), 40)
         _assert_same_tree(pts)
+
+    @pytest.mark.parametrize("n_cells", [400, 900])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_heavy_tail_corner_bunch(self, monkeypatch, n_cells, seed):
+        # the law of the mst-heavytail benchmark: copies stacked on cell
+        # corners, so sites on a lattice with holes and many tied distances.
+        # The radius graph serves every instance: a graph that refuses (a
+        # self-pair at distance 0, say) must not hide behind the row scan
+        def no_row_scan(pts):
+            pytest.fail("mst_weight fell back to the row scan")
+
+        monkeypatch.setattr(euclid, "_mst_rows", no_row_scan)
+        pts = sample_point_set(n_cells, TruncatedZeta(6.0, p0=0.35),
+                               PlacementStrategy.CORNER_BUNCH,
+                               substream(seed, "pointset")).points
+        _assert_same_tree(pts)
+
+    @given(st.integers(min_value=1, max_value=40), st.floats(0.02, 1.0),
+           st.floats(0.0, 0.5), _SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_lattices_with_holes_and_copies(self, k, occupancy, copied, seed):
+        # sites on a k x k lattice of spacing 1/k: few distance levels, so
+        # many tied keys; at low occupancy the first radius graph often
+        # falls apart and R doubles
+        rng = np.random.default_rng(seed)
+        keep = np.flatnonzero(rng.random(k * k) < occupancy)
+        keep = keep if len(keep) else np.array([0])
+        copies = 1 + (rng.random(len(keep)) < copied) * rng.geometric(0.5, len(keep))
+        cell = rng.permutation(np.repeat(keep, copies))
+        _assert_same_tree(np.column_stack(np.divmod(cell, k)) / k)
 
     @pytest.mark.parametrize("n_cells", [400, 900])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -5,10 +5,8 @@ import importlib.util
 import io
 import json
 import math
-import os
 import pkgutil
 import re
-import subprocess
 import sys
 import traceback
 import tracemalloc
@@ -48,7 +46,8 @@ from tailbounds.packing import lower_bound_distribution
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
-from conftest import run_binpack, run_chernoff, run_gauss_sum, run_lis, substream_oracle
+from conftest import (run_binpack, run_chernoff, run_gauss_sum, run_lis, run_python,
+                      substream_oracle)
 
 
 def records_of(fs):
@@ -1794,16 +1793,6 @@ class TestCli:
         assert code == 2
         assert str(bad) in captured.err and captured.out == ""
         assert summarized == []
-
-def run_python(*argv):
-    """A fresh interpreter that imports this package: (exit code, stdout,
-    stderr)."""
-    src = str(Path(tailbounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_cli(*argv):
