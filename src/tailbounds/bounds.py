@@ -97,13 +97,13 @@ def _check_even_order(m, name="m"):
         raise InvalidArgumentError(f"{name} must be an even integer >= 2, got {m!r}")
 
 
-def nearest_even(x, lo=2, hi=None):
-    """Nearest even integer to x, clamped to [lo, hi].
+def nearest_even(x, hi=None):
+    """Nearest even integer to x, clamped to [2, hi].
 
     Exact half-way ties resolve by round-half-to-even on x/2.
     """
     m = 2 * int(round(x / 2.0))
-    m = max(lo, m)
+    m = max(2, m)
     if hi is not None:
         m = min(m, hi)
     return m
@@ -231,10 +231,6 @@ class TypicalProfile:
         """from_values on a MomentProfile built from m_by_order."""
         return cls.from_values(MomentProfile.uniform(n, m_by_order),
                                l_by_order, delta_by_order)
-
-    @property
-    def n(self):
-        return self.base.n
 
 
 @dataclass(frozen=True)
@@ -507,8 +503,7 @@ def chernoff_corollary_bound(n, sigma2, t):
             f"t={t} exceeds n*sigma2={n * sigma2}; the bound requires t <= n*sigma2"
         )
     _require_finite(t * t, f"t={t!r}: t*t")
-    m = nearest_even(t * t / (C_MOPT * n * sigma2),
-                     lo=2, hi=max(2, _even_floor(n)))
+    m = nearest_even(t * t / (C_MOPT * n * sigma2), hi=max(2, _even_floor(n)))
     moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
     return _fixed_order_bound(moment, m, t, n * sigma2, BoundMethod.CHERNOFF_COROLLARY,
                               f"n={n}, sigma2={sigma2!r}")
@@ -527,7 +522,7 @@ def general_chernoff_bound(nu, t):
     if not t > 0:
         raise InvalidArgumentError("t must be > 0")
     _require_finite(t * t, f"t={t!r}: t*t")
-    m = nearest_even(t * t / (2.0 * (nu + t)), lo=2)
+    m = nearest_even(t * t / (2.0 * (nu + t)))
     moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
     return _fixed_order_bound(moment, m, t, 2.0 * (nu + t), BoundMethod.GENERAL_CHERNOFF,
                               f"nu={nu!r}, t={t!r}")

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: ConfigError,
 InvalidArgumentError, IncompleteProfileError and OutOfRegimeError -> 2,
-HypothesisViolationError -> 3, SizeLimitError -> 4.
+HypothesisViolationError -> 3, SizeLimitError -> 4 (a size cap, or a
+budget such as the simplex's MAX_PIVOTS).
 """
 
 
@@ -24,7 +25,7 @@ class OutOfRegimeError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """An exact computation was requested beyond its configured size cap."""
+    """An exact computation was requested beyond its configured size cap or budget."""
 
 
 class ConfigError(ValueError):
@@ -41,7 +42,3 @@ class HypothesisViolationError(RuntimeError):
     def __init__(self, message, report=None):
         self.report = report
         super().__init__(message)
-
-
-class CyclingError(RuntimeError):
-    """The simplex pivot limit was exceeded."""

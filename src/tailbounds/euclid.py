@@ -112,18 +112,14 @@ def tsp_exact(points):
     cost = np.full((1 << k, k), np.inf)
     for j in range(k):
         cost[1 << j, j] = d[0, j + 1]
-    masks_by_pop = [[] for _ in range(k + 1)]
+    # Every mask ^ bit is below mask, so numeric order fills each row after
+    # the rows it reads.  Cities outside a row's mask hold inf, so only
+    # those in mask ^ bit[j] can give cost[mask, j] its min.
+    bit = 1 << np.arange(k)
     for mask in range(1, full + 1):
-        masks_by_pop[bin(mask).count("1")].append(mask)
-    for pop in range(2, k + 1):
-        for mask in masks_by_pop[pop]:
-            bits = [j for j in range(k) if mask >> j & 1]
-            idx = np.array(bits)
-            for j in bits:
-                prev = mask ^ (1 << j)
-                prev_bits = idx[idx != j]
-                cand = cost[prev, prev_bits] + d[prev_bits + 1, j + 1]
-                cost[mask, j] = cand.min()
+        if mask & (mask - 1):  # one-city rows are set above
+            js = np.flatnonzero(mask & bit)
+            cost[mask, js] = (cost[mask ^ bit[js]] + d[1:, js + 1].T).min(axis=1)
     closing = cost[full] + d[1:, 0]
     best = float(closing.min())
     # Greedy lexicographic reconstruction: extend with the smallest city

@@ -27,7 +27,7 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 
 # Size caps, checked before any table or array is built.  On grid configs,
-# a zeta law sums its normaliser and moments over chunks of 2^14 counts (a
+# a zeta law sums its normaliser and mean over chunks of 2^14 counts (a
 # tracemalloc peak under 0.4 MB at caps 10^6 and 10^7) and keeps its CDF
 # only through its last change: 510 float64 entries at s = 6, but all `cap`
 # of them for s up to about 2.5, so building it peaks at 80.1 MB at the cap
@@ -215,7 +215,7 @@ def _validate_grid(params, path, keys=_GRID_KEYS):
     if isinstance(dist, TruncatedZeta) and dist.cap > MAX_ZETA_CAP:
         raise SizeLimitError(f"{path}.count_dist.cap: above MAX_ZETA_CAP = {MAX_ZETA_CAP}")
     try:
-        expected = n_cells * dist.moment(1)
+        expected = n_cells * dist.mean
     except OverflowError:  # an integer count too large for a float
         expected = math.inf
     if expected > MAX_EXPECTED_POINTS:

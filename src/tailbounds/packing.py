@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CyclingError, InvalidArgumentError, SizeLimitError
+from .errors import InvalidArgumentError, SizeLimitError
 
 __all__ = ["ItemDistribution", "BinTypeSet", "LpSolution", "enumerate_bin_types",
            "solve_packing_lp", "lp_round_up", "lower_bound_distribution",
@@ -211,7 +211,8 @@ def _simplex_min_cover(a_rows, b, tol):
             pivot(leaving, entering)
             pivots += 1
             if pivots > MAX_PIVOTS:
-                raise CyclingError("simplex exceeded its pivot budget")
+                raise SizeLimitError(f"the simplex took more than MAX_PIVOTS = {MAX_PIVOTS} "
+                                     "pivots in one phase")
 
     # Phase 1: drive artificials out.
     cost1 = [zero] * ncols

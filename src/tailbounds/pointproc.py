@@ -3,7 +3,8 @@
 Cell counts are i.i.d. from a configurable (possibly heavy-tailed)
 distribution; once counts are fixed, the points inside a cell may be
 placed uniformly, bunched, spread, or adversarially, which models
-within-cell collusion.
+within-cell collusion.  A count law offers sample, its mean (which the
+config layer's point cap reads) and pmf.
 
 A PointSet holds one (s, 2) array of points and an (s,) column giving
 each row's owning cell, with rows grouped by ascending cell and kept in
@@ -47,32 +48,12 @@ class Poisson:
         if not self.mean >= 0:
             raise InvalidArgumentError("mean must be >= 0")
 
-    moment_order_valid = math.inf
-
     def sample(self, rng, size):
         return rng.poisson(self.mean, size=size)
-
-    def moment(self, l):
-        """Raw moment E Y^l via the Stirling-number expansion."""
-        total = 0.0
-        # S(l, k) by recurrence
-        s_prev = [1.0]
-        for row in range(1, l + 1):
-            s_next = [0.0] * (row + 1)
-            for k in range(1, row + 1):
-                upper = s_prev[k] if k < len(s_prev) else 0.0
-                s_next[k] = k * upper + s_prev[k - 1]
-            s_prev = s_next
-        for k in range(1, l + 1):
-            total += s_prev[k] * self.mean**k
-        return total if l > 0 else 1.0
 
     def pmf(self, k):
         return math.exp(-self.mean + k * math.log(self.mean) - math.lgamma(k + 1)) \
             if self.mean > 0 else (1.0 if k == 0 else 0.0)
-
-    def label(self):
-        return f"poisson({self.mean})"
 
 
 # The most entries of k^-s that a zeta law computes at once (128 KB).
@@ -141,10 +122,9 @@ class TruncatedZeta:
     optional zero inflation Pr(Y = 0) = p0.
 
     Truncation keeps every moment finite and the bookkeeping exact; the
-    untruncated law controls E Y^l only for l < s - 1, which
-    moment_order_valid records.  p0 > 0 gives the count law genuine mass
-    at zero (the empty-cell probability the grid hypotheses speak about);
-    it rescales, not reshapes, the power-law part.
+    untruncated law has E Y^l finite only for l < s - 1.  p0 > 0 gives the
+    count law genuine mass at zero (the empty-cell probability the grid
+    hypotheses speak about); it rescales, not reshapes, the power-law part.
     """
 
     s: float
@@ -157,10 +137,6 @@ class TruncatedZeta:
         if not 0 <= self.p0 < 1:
             raise InvalidArgumentError("p0 must be in [0, 1)")
 
-    @property
-    def moment_order_valid(self):
-        return max(0, math.ceil(self.s - 1) - 1)
-
     def sample(self, rng, size):
         cdf = _zeta_cdf(self.s, self.cap)
         counts = np.searchsorted(cdf, rng.random(size), side="right") + 1
@@ -171,14 +147,13 @@ class TruncatedZeta:
             counts = np.where(rng.random(size) < self.p0, 0, counts)
         return counts
 
-    def moment(self, l):
-        if l <= 0:
-            return 1.0
+    @property
+    def mean(self):
         z = _zeta_normaliser(self.s, self.cap)
 
-        def term(lo, hi):  # the full table's pmf * ks**l
+        def term(lo, hi):  # the full table's pmf * ks
             ks = np.arange(lo + 1, hi + 1, dtype=float)
-            return _zeta_weights(self.s, lo, hi) / z * ks**l
+            return _zeta_weights(self.s, lo, hi) / z * ks
 
         return (1.0 - self.p0) * _pairwise_sum(term, 0, self.cap)
 
@@ -189,9 +164,6 @@ class TruncatedZeta:
             return 0.0
         w = float(_zeta_weights(self.s, k - 1, k)[0])
         return (1.0 - self.p0) * (w / _zeta_normaliser(self.s, self.cap))
-
-    def label(self):
-        return f"zeta(s={self.s},cap={self.cap},p0={self.p0})"
 
 
 @dataclass(frozen=True)
@@ -207,21 +179,17 @@ class TwoPoint:
         if self.value < 1:
             raise InvalidArgumentError("value must be >= 1")
 
-    moment_order_valid = math.inf
-
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.p0, 0, self.value).astype(np.int64)
 
-    def moment(self, l):
-        return (1 - self.p0) * self.value**l if l > 0 else 1.0
+    @property
+    def mean(self):
+        return (1 - self.p0) * self.value
 
     def pmf(self, k):
         if k == 0:
             return self.p0
         return 1 - self.p0 if k == self.value else 0.0
-
-    def label(self):
-        return f"two_point(p0={self.p0},value={self.value})"
 
 
 @dataclass(frozen=True)
@@ -234,19 +202,15 @@ class Deterministic:
         if self.k < 0:
             raise InvalidArgumentError("k must be >= 0")
 
-    moment_order_valid = math.inf
-
     def sample(self, rng, size):
         return np.full(size, self.k, dtype=np.int64)
 
-    def moment(self, l):
-        return float(self.k**l)
+    @property
+    def mean(self):
+        return float(self.k)
 
     def pmf(self, j):
         return 1.0 if j == self.k else 0.0
-
-    def label(self):
-        return f"deterministic({self.k})"
 
 
 class PlacementStrategy(str, Enum):
@@ -314,8 +278,12 @@ def sample_point_set(n_cells, count_dist, placement, rng):
     x0, y0 = c * h, r * h
     if placement is PlacementStrategy.UNIFORM_IN_CELL:
         # Cell i owns rows [S, E) and draws 2S..2S+k-1 (x) then 2S+k..2E-1 (y).
+        # With u a few ulp below 1, x0 + u*h can round past the outer edge
+        # side*h of the last row or column, so coordinates are clamped to it.
         u = rng.random(2 * len(cell))
-        xy = (x0 + u[row + first] * h, y0 + u[row + ends[cell]] * h)
+        top = side * h
+        xy = (np.minimum(x0 + u[row + first] * h, top),
+              np.minimum(y0 + u[row + ends[cell]] * h, top))
     elif placement is PlacementStrategy.CORNER_BUNCH:
         xy = (x0, y0)
     elif placement is PlacementStrategy.GRID_SPREAD:

@@ -93,8 +93,6 @@ class EssentialEstimate:
     n: int
     a_hat: np.ndarray            # indexed j = i..n (1-based positions)
     standard_error: np.ndarray
-    suffix_lis_mean: float       # mean lis of the resampled suffix alone
-    suffix_lis_se: float
     resamples: int
 
 
@@ -109,18 +107,14 @@ def essential_probability(n, i, prefix, resamples, rng):
         raise InvalidArgumentError("prefix must have length i-1")
     width = n - i + 1
     hits = np.zeros(width)
-    suffix_lis = np.empty(resamples)
-    for rep in range(resamples):
+    for _ in range(resamples):
         suffix = rng.random(width)
         mask = essential_mask(prefix + suffix.tolist())
         hits += mask[i - 1:]
-        suffix_lis[rep] = lis(suffix)
     a_hat = hits / resamples
     se = np.sqrt(a_hat * (1 - a_hat) / resamples)
     return EssentialEstimate(
         i=i, n=n, a_hat=a_hat, standard_error=se,
-        suffix_lis_mean=float(suffix_lis.mean()),
-        suffix_lis_se=float(suffix_lis.std(ddof=1) / np.sqrt(resamples)),
         resamples=resamples,
     )
 

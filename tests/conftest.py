@@ -414,8 +414,8 @@ def sample_point_set_oracle(n_cells, count_dist, placement, seed):
         if count == 0:
             cells.append(np.empty((0, 2)))
         elif placement is PlacementStrategy.UNIFORM_IN_CELL:
-            xs = x0 + rng.random(count) * h
-            ys = y0 + rng.random(count) * h
+            xs = np.minimum(x0 + rng.random(count) * h, side * h)
+            ys = np.minimum(y0 + rng.random(count) * h, side * h)
             cells.append(np.column_stack([xs, ys]))
         elif placement is PlacementStrategy.CORNER_BUNCH:
             cells.append(np.tile([x0, y0], (count, 1)))

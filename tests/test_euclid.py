@@ -70,6 +70,16 @@ class TestTspExact:
         tour = tsp_exact(points)
         assert tour.order.tolist() == [0, 1, 3, 2]
 
+    def test_tour_at_the_tolerance_counts_as_optimal(self):
+        # On a line, 0 -> 1 -> 2 -> 3 -> 0 runs back over the 1.5e-9 gap
+        # between cities 2 and 1, so it is longer than the optimum 2.0 by
+        # the reconstruction's tolerance 1e-9 * (1 + 2.0) to the last bit.
+        # A completion that meets the tolerance exactly still counts.
+        points = [(0.0, 0.0), (0.2500000014999999, 0.0), (0.25, 0.0), (1.0, 0.0)]
+        tour = tsp_exact(points)
+        assert tour.length == 2.0
+        assert tour.order.tolist() == [0, 1, 2, 3]
+
 
 class TestTspStrip:
     def test_single_point(self):

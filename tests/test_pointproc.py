@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tailbounds import pointproc
+from tailbounds.euclid import tsp_strip
 from tailbounds.errors import InvalidArgumentError
 from tailbounds.harness.config import MAX_ZETA_CAP
 from tailbounds.harness.rng import substream
@@ -35,38 +36,42 @@ _COUNT_LAWS = [
     Deterministic(7),
 ]
 
+# Each chi-square law with the stream tag its draws are taken under.
+_CHI_SQUARE_TAGS = {
+    Poisson(1.3): "poisson(1.3)",
+    TruncatedZeta(6.0, 50, p0=0.2): "zeta(s=6.0,cap=50,p0=0.2)",
+    TwoPoint(0.4, 2): "two_point(p0=0.4,value=2)",
+}
+
 
 class TestCountDistributions:
     def test_poisson_moments(self):
         d = Poisson(1.0)
-        # raw moments of Poisson(1) are the Bell numbers
-        assert d.moment(1) == pytest.approx(1.0)
-        assert d.moment(2) == pytest.approx(2.0)
-        assert d.moment(3) == pytest.approx(5.0)
-        assert d.moment(4) == pytest.approx(15.0)
-
-    def test_zeta_moment_validity_order(self):
-        assert TruncatedZeta(6.0, 1000).moment_order_valid == 4
-        assert TruncatedZeta(3.5, 1000).moment_order_valid == 2
+        # raw moments of Poisson(1), summed over its pmf, are the Bell numbers
+        ks = np.arange(40)
+        pmf = np.array([d.pmf(int(k)) for k in ks])
+        assert d.mean == 1.0
+        for l, bell in enumerate([1.0, 1.0, 2.0, 5.0, 15.0]):
+            assert float((pmf * ks.astype(float)**l).sum()) == pytest.approx(bell)
 
     def test_zeta_exact_moments(self):
         d = TruncatedZeta(6.0, 100000)
         z = np.arange(1, 100001, dtype=float)
         w = z**-6.0
         w /= w.sum()
-        assert d.moment(2) == pytest.approx(float((w * z**2).sum()), rel=1e-12)
+        assert d.mean == pytest.approx(float((w * z).sum()), rel=1e-12)
 
     def test_zero_inflated_zeta(self):
         d = TruncatedZeta(6.0, 1000, p0=0.3)
         plain = TruncatedZeta(6.0, 1000)
-        assert d.moment(2) == pytest.approx(0.7 * plain.moment(2))
+        assert d.mean == pytest.approx(0.7 * plain.mean)
         rng = substream(5, "zta")
         draws = d.sample(rng, 20000)
         assert (draws == 0).mean() == pytest.approx(0.3, abs=0.02)
 
     def test_two_point(self):
         d = TwoPoint(0.25, 3)
-        assert d.moment(2) == pytest.approx(0.75 * 9)
+        assert d.mean == 0.75 * 3
         assert d.pmf(3) == 0.75 and d.pmf(0) == 0.25 and d.pmf(1) == 0.0
 
     def test_deterministic(self):
@@ -81,14 +86,10 @@ class TestCountDistributions:
         with pytest.raises(InvalidArgumentError):
             build()
 
-    @pytest.mark.parametrize("dist", [
-        Poisson(1.3),
-        TruncatedZeta(6.0, 50, p0=0.2),
-        TwoPoint(0.4, 2),
-    ])
+    @pytest.mark.parametrize("dist", list(_CHI_SQUARE_TAGS))
     def test_count_marginals_chi_square(self, dist):
         # Empirical count distribution matches the pmf at the 0.1% level.
-        rng = substream(77, "chi", dist.label())
+        rng = substream(77, "chi", _CHI_SQUARE_TAGS[dist])
         draws = dist.sample(rng, 10000)
         top = int(draws.max())
         observed = np.bincount(draws, minlength=top + 1).astype(float)
@@ -105,13 +106,16 @@ class TestCountDistributions:
 
     def test_zeta_second_moment_stable_across_seeds(self):
         d = TruncatedZeta(6.0, 10**6)
+        z = np.arange(1, 10**6 + 1, dtype=float)
+        w = z**-6.0
+        w /= w.sum()
         second = []
         for seed in range(4):
             rng = substream(seed, "zeta-stab")
             draws = d.sample(rng, 20000).astype(float)
             second.append((draws**2).mean())
         assert np.std(second) < 0.2
-        assert np.mean(second) == pytest.approx(d.moment(2), rel=0.1)
+        assert np.mean(second) == pytest.approx(float((w * z**2).sum()), rel=0.1)
 
 
 class _FixedDraws:
@@ -144,8 +148,7 @@ class TestZetaLaw:
         pmf, cdf = zeta_tables_oracle(s, cap)
         law = TruncatedZeta(s, cap, p0)
         ks = np.arange(1, cap + 1, dtype=float)
-        for l in range(1, 5):
-            assert law.moment(l) == (1.0 - p0) * float((pmf * ks**l).sum())
+        assert law.mean == (1.0 - p0) * float((pmf * ks).sum())
         assert law.pmf(0) == p0
         assert law.pmf(1) == (1.0 - p0) * float(pmf[0])
         assert law.pmf(cap) == (1.0 - p0) * float(pmf[-1])
@@ -212,6 +215,30 @@ class TestSamplePointSet:
             assert point_cell(16, x, y) == idx
             x0, x1, y0, y1 = cell_bounds(16, idx)
             assert x0 <= x <= x1 and y0 <= y <= y1
+
+    def test_top_draw_stays_in_the_outer_cells(self):
+        # x0 + u*h with u one ulp below 1 rounds past 1 on the last row or
+        # column for some sides (93 among them); inner edges are not checked.
+        u = np.nextafter(1.0, 0.0)
+        for side in range(2, 301):
+            n = side * side
+            ps = sample_point_set(n, Deterministic(1), "uniform_in_cell",
+                                  _FixedDraws(np.full(2 * n, u)))
+            assert ps.points.max() <= 1.0
+            for idx in range(side - 1, n, side):  # the last column
+                x0, x1, _, _ = cell_bounds(n, idx)
+                x, y = ps.points[idx]
+                assert x0 <= x <= x1 and point_cell(n, x, y) % side == side - 1
+            for idx in range(n - side, n):  # the last row
+                _, _, y0, y1 = cell_bounds(n, idx)
+                x, y = ps.points[idx]
+                assert y0 <= y <= y1 and point_cell(n, x, y) // side == side - 1
+            assert point_cell(n, *ps.points[n - 1]) == n - 1
+            # the outer ring of cells spans what the whole set does in x and y
+            r, c = np.divmod(ps.cell, side)
+            ring = (r == 0) | (c == 0) | (r == side - 1) | (c == side - 1)
+            assert np.array_equal(np.ptp(ps.points[ring], axis=0), np.ptp(ps.points, axis=0))
+            tsp_strip(ps.points[ring], 1.0)
 
     def test_reproducibility_bytes(self):
         a = sample_point_set(100, Poisson(2.0), "grid_spread", substream(31, "pointset"))

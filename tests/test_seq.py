@@ -117,8 +117,11 @@ class TestEssentialProbability:
     def test_sum_bounded_by_suffix_lis(self):
         est = essential_probability(25, 6, [0.1, 0.9, 0.4, 0.6, 0.2],
                                     resamples=1500, rng=substream(10, "essential", 25, 6))
+        # the same 1500 suffixes, one random(20) each, redrawn from the stream
+        rng = substream(10, "essential", 25, 6)
+        suffix_lis = np.array([lis(rng.random(20)) for _ in range(1500)])
         total = est.a_hat.sum()
-        budget = est.suffix_lis_mean + 3 * est.suffix_lis_se \
+        budget = suffix_lis.mean() + 3 * suffix_lis.std(ddof=1) / math.sqrt(1500) \
             + 3 * math.sqrt((est.standard_error**2).sum())
         assert total <= budget
 
