@@ -7,8 +7,8 @@ E(X_i^l | X_1+...+X_{i-1}).  Every bound is computed in two steps: a
 moment curve (orders, log_bounds) holding the log moment bound for each
 even order up to a cap, then tail_curve, which applies Markov's
 inequality to each order and keeps the best at every t of a grid.  The
-fixed-order Chernoff corollaries pick m by a rule instead and give one t
-at a time.
+Chernoff corollaries are moment curves too, which stop at the highest
+order that a grid's largest t can need.
 
 All moment bounds are computed and stored in natural-log domain:
 (48*n*m)^(m/2) overflows double precision already for modest m.
@@ -23,8 +23,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import IncompleteProfileError, InvalidArgumentError, OutOfRegimeError, \
-    SizeLimitError
+from .errors import IncompleteProfileError, InvalidArgumentError, SizeLimitError
 
 __all__ = [
     "BoundMethod",
@@ -42,9 +41,10 @@ __all__ = [
     "tail_curve",
     "tail_bound",
     "optimize_m",
+    "chernoff_corollary_curve",
     "chernoff_corollary_bound",
+    "general_chernoff_curve",
     "general_chernoff_bound",
-    "nearest_even",
 ]
 
 _LOG_11_5 = math.log(11.0 / 5.0)
@@ -61,14 +61,11 @@ class BoundMethod(str, Enum):
 
 # Generic constants of the bound family.  C_THEOREM1 is the explicit
 # constant of the closed-form moment bound (48*n*m)^(m/2).  C_MAIN plays the
-# same role in the typical/worst-case bound.  C_MOPT is the c in the
-# moment-order rule m = t^2/(c*n); the Markov-minimizing choice for a
-# (c1*n*m)^(m/2) moment bound is C_MOPT = e*c1.  None of these are sharp;
-# tests treat them as dominance/shape parameters, never as reproducible
-# absolutes.
+# same role in the typical/worst-case bound and the general Chernoff bound.
+# Neither is sharp; tests treat them as dominance/shape parameters, never
+# as reproducible absolutes.
 C_THEOREM1 = 48.0
 C_MAIN = 48.0
-C_MOPT = 48.0 * math.e
 
 # The highest order of a moment curve.  A curve holds m_max/2 orders, and
 # the closed form costs about 40 bytes an order: at the cap it peaks near
@@ -97,16 +94,9 @@ def _check_even_order(m, name="m"):
         raise InvalidArgumentError(f"{name} must be an even integer >= 2, got {m!r}")
 
 
-def nearest_even(x, hi=None):
-    """Nearest even integer to x, clamped to [2, hi].
-
-    Exact half-way ties resolve by round-half-to-even on x/2.
-    """
-    m = 2 * int(round(x / 2.0))
-    m = max(2, m)
-    if hi is not None:
-        m = min(m, hi)
-    return m
+def _check_t(t):
+    if not t > 0:
+        raise InvalidArgumentError(f"t must be > 0, got {t!r}")
 
 
 def _even_floor(n):
@@ -243,7 +233,6 @@ class TailBoundResult:
     moment_bound: float  # log domain
     tail_probability: float
     method: BoundMethod
-    rate_constant: float | None = None  # realized c in the method's exp form, if any
 
     def __post_init__(self):
         expected = markov_tail(self.moment_bound, self.m_used, self.t)
@@ -276,7 +265,9 @@ def theorem1_closed_curve(n, m_max):
     orders = _orders_through(m_max)
     with np.errstate(over="ignore"):
         log_bounds = (orders / 2.0) * np.log(C_THEOREM1 * n * orders)
-    _require_finite(log_bounds[-1], f"n={n}: the log moment bound")
+    # the JSON output could not hold an infinite log moment bound
+    if not math.isfinite(log_bounds[-1]):
+        raise InvalidArgumentError(f"n={n}: the log moment bound overflows a double")
     return orders, log_bounds
 
 
@@ -399,8 +390,7 @@ def markov_tail(moment_bound, m, t):
     """min(1, exp(moment_bound - m*log t)): Markov's inequality applied to
     the m-th moment, with moment_bound in log domain."""
     _check_even_order(m)
-    if not t > 0:
-        raise InvalidArgumentError(f"t must be > 0, got {t!r}")
+    _check_t(t)
     log_p = moment_bound - m * math.log(t)
     return 1.0 if log_p >= 0.0 else math.exp(log_p)
 
@@ -418,24 +408,26 @@ def tail_curve(orders, log_bounds, t_grid):
 
     (orders, log_bounds) is a moment curve: ascending even orders and their
     log-domain moment bounds.  At each t the order with the smallest
-    p = min(1, exp(log_bound - m*log t)) wins; ties resolve to the smaller
-    m (weakest hypothesis), including when every p is clamped to 1 or
-    underflows to 0.
+    log p = min(0, log_bound - m*log t) wins; ties on equal log p resolve
+    to the smaller m (weakest hypothesis), including the clamp at 0.  Only
+    the winning entries are exponentiated, so where p underflows to 0 the
+    order is still the minimiser.
     """
     orders = np.asarray(orders)
     log_bounds = np.asarray(log_bounds, dtype=float)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     bad = t_grid[~(t_grid > 0)]
     if bad.size:
-        raise InvalidArgumentError(f"t must be > 0, got {float(bad[0])!r}")
+        _check_t(float(bad[0]))
     # math.log and math.exp, as in markov_tail: each p is bitwise the value
-    # a scan over m computes, so near-ties break the same way.
+    # markov_tail gives its order.
     log_t = np.array([math.log(t) for t in t_grid])
-    log_p = log_bounds[None, :] - orders[None, :] * log_t[:, None]
-    p = np.array([[1.0 if x >= 0.0 else math.exp(x) for x in row] for row in log_p])
-    best = np.argmin(p, axis=1)  # first minimum: the smallest m
+    log_p = log_bounds - np.outer(log_t, orders)
+    np.minimum(log_p, 0.0, out=log_p)
+    best = np.argmin(log_p, axis=1)  # first minimum: the smallest m
+    chosen = log_p[np.arange(len(t_grid)), best]
     return TailCurve(m_used=orders[best], moment_bound=log_bounds[best],
-                     tail_probability=p[np.arange(len(t_grid)), best])
+                     tail_probability=np.array([math.exp(x) for x in chosen.tolist()]))
 
 
 def tail_bound(orders, log_bounds, t, method: BoundMethod):
@@ -462,68 +454,69 @@ def optimize_m(bound_fn: Callable[[int], float], t, m_max,
     return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)
 
 
-def _require_finite(value, what):
-    """Refuse a value that overflows a double: t*t of a Chernoff rule (past
-    t of about 1.34e154), from which no order can be chosen, or a log moment
-    bound, which the JSON output could not hold."""
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{what} overflows a double")
+def _top_order(m_star, cap=MAX_CURVE_ORDER):
+    """The highest order of a Chernoff curve whose Markov log p is convex in
+    m with its real minimiser at or below m_star for every t of a grid: the
+    even ceiling of m_star, but at most the even floor of cap and
+    MAX_CURVE_ORDER, and at least 2.  On even orders a convex function is
+    least next to its real minimiser, so no t of the grid needs a higher
+    order."""
+    top = 2 * math.ceil(min(m_star, MAX_CURVE_ORDER) / 2)
+    return max(2, min(top, 2 * math.floor(min(cap, MAX_CURVE_ORDER) / 2)))
 
 
-def _fixed_order_bound(moment, m, t, scale, method, what):
-    """Markov on the m-th moment of a fixed-order Chernoff rule, with the c
-    of p = exp(-c*t^2/scale) as rate_constant; -log p is the log-domain
-    exponent when p has underflowed to 0.0, so a rate stays finite."""
-    _require_finite(moment, f"{what}: the log moment bound")
-    p = markov_tail(moment, m, t)
-    neg_log_p = -math.log(p) if p > 0.0 else -(moment - m * math.log(t))
-    rate = 0.0 if p >= 1.0 else neg_log_p * scale / (t * t)
-    return TailBoundResult(t=float(t), m_used=m, moment_bound=moment,
-                           tail_probability=p, method=method, rate_constant=rate)
+def chernoff_corollary_curve(n, sigma2, t_max):
+    """Moment curve (orders, log bounds) of variables with all conditional
+    even moments <= sigma2 (through the order used) and strong negative
+    correlation, for every order that a t <= t_max can need.
 
-
-def chernoff_corollary_bound(n, sigma2, t):
-    """Tail bound for variables with all conditional even moments <= sigma2
-    (through the order used) and strong negative correlation, for
-    0 < t <= n*sigma2.
-
-    Applies the closed-form bound to the sigma-scaled variables with the
-    moment order m = nearest even integer to t^2/(C_MOPT*n*sigma2), clamped
-    to [2, n]: tail <= (C_THEOREM1*n*m*sigma2/t^2)^(m/2).  rate_constant is
-    the realized c in the equivalent form exp(-c*t^2/(n*sigma2)).
+    It is the closed form applied to the sigma-scaled variables
+    Y_i = X_i/sigma: E(sum X_i)^m = sigma^m E(sum Y_i)^m <=
+    (C_THEOREM1*n*m*sigma2)^(m/2), theorem1_closed_curve(n, .) plus
+    (m/2)*log sigma2.  The closed form asks E(Y_i^l | Y_1+...+Y_{i-1}) <=
+    (n/m)^((l-2)/2) l! for even l <= m, and here E(Y_i^l | ...) <=
+    sigma2^(1-l/2) = (1/sigma2)^((l-2)/2).  That is within the hypothesis
+    at every l once m <= n*sigma2, and at m = 2 always (l = 2 asks
+    E Y_i^2 <= 2), so the orders stop at max(2, n*sigma2).  Markov's log p
+    is (m/2)*log(C_THEOREM1*n*sigma2*m) - m*log t, convex in m with its
+    real minimiser at t^2/(e*C_THEOREM1*n*sigma2), so the orders also stop
+    at the even ceiling of that at t_max (see _top_order).
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     if not sigma2 > 0:
         raise InvalidArgumentError("sigma2 must be > 0")
-    if not t > 0:
-        raise InvalidArgumentError("t must be > 0")
-    if t > n * sigma2:
-        raise OutOfRegimeError(
-            f"t={t} exceeds n*sigma2={n * sigma2}; the bound requires t <= n*sigma2"
-        )
-    _require_finite(t * t, f"t={t!r}: t*t")
-    m = nearest_even(t * t / (C_MOPT * n * sigma2), hi=max(2, _even_floor(n)))
-    moment = (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2)
-    return _fixed_order_bound(moment, m, t, n * sigma2, BoundMethod.CHERNOFF_COROLLARY,
-                              f"n={n}, sigma2={sigma2!r}")
+    _check_t(t_max)
+    # t_max / sqrt(e*c1*n*sigma2), one factor at a time so nothing overflows
+    root = t_max / math.sqrt(math.e * C_THEOREM1) / math.sqrt(n) / math.sqrt(sigma2)
+    orders, log_bounds = theorem1_closed_curve(n, _top_order(root * root, n * sigma2))
+    return orders, log_bounds + (orders / 2.0) * math.log(sigma2)
 
 
-def general_chernoff_bound(nu, t):
-    """Tail bound for sums of independent centered Bernoulli-type variables
-    with nu = sum of the individual means.
+def chernoff_corollary_bound(n, sigma2, t):
+    """Tail bound at t of chernoff_corollary_curve(n, sigma2, t)."""
+    return tail_bound(*chernoff_corollary_curve(n, sigma2, t), t,
+                      BoundMethod.CHERNOFF_COROLLARY)
 
-    Uses m = nearest even integer >= 2 to t^2/(2*(nu+t)) and the moment
-    bound (C_MAIN*m*(nu+m))^(m/2), so tail <= (C_MAIN*m*(nu+m)/t^2)^(m/2).
-    rate_constant is the realized c in exp(-c*t^2/(2*(nu+t))).
+
+def general_chernoff_curve(nu, t_max):
+    """Moment curve (C_MAIN*m*(nu+m))^(m/2) of sums of independent centered
+    Bernoulli-type variables with nu = sum of the individual means, for
+    every order that a t <= t_max can need.
+
+    Markov's log p = (m/2)*log(C_MAIN*m*(nu+m)) - m*log t is convex in m,
+    and its derivative in m is at least log(m*sqrt(e*C_MAIN)/t), so its
+    real minimiser is below t/sqrt(e*C_MAIN); the orders stop at the even
+    ceiling of that at t_max (see _top_order).  The log is taken factor by
+    factor, so a large nu does not overflow.
     """
     if not nu > 0:
         raise InvalidArgumentError("nu must be > 0")
-    if not t > 0:
-        raise InvalidArgumentError("t must be > 0")
-    _require_finite(t * t, f"t={t!r}: t*t")
-    m = nearest_even(t * t / (2.0 * (nu + t)))
-    moment = (m / 2.0) * math.log(C_MAIN * m * (nu + m))
-    return _fixed_order_bound(moment, m, t, 2.0 * (nu + t), BoundMethod.GENERAL_CHERNOFF,
-                              f"nu={nu!r}, t={t!r}")
+    _check_t(t_max)
+    orders = _orders_through(_top_order(t_max / math.sqrt(math.e * C_MAIN)))
+    return orders, (orders / 2.0) * (np.log(C_MAIN * orders) + np.log(nu + orders))
 
+
+def general_chernoff_bound(nu, t):
+    """Tail bound at t of general_chernoff_curve(nu, t)."""
+    return tail_bound(*general_chernoff_curve(nu, t), t, BoundMethod.GENERAL_CHERNOFF)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError,
-InvalidArgumentError, IncompleteProfileError and OutOfRegimeError -> 2,
+InvalidArgumentError and IncompleteProfileError -> 2,
 HypothesisViolationError -> 3, SizeLimitError -> 4 (a size cap, or a
 budget such as the simplex's MAX_PIVOTS).
 """
@@ -18,10 +18,6 @@ class IncompleteProfileError(ValueError):
         self.i = i
         self.l = l
         super().__init__(f"profile is missing a bound for variable i={i}, order l={l}")
-
-
-class OutOfRegimeError(ValueError):
-    """The inputs violate a precondition of the bound being evaluated."""
 
 
 class SizeLimitError(RuntimeError):

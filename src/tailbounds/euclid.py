@@ -125,8 +125,11 @@ def tsp_exact(points):
     # Greedy lexicographic reconstruction: extend with the smallest city
     # whose completion cost still meets the optimum.  The completion from
     # city j+1 through remaining\{j} back to 0 is the reverse of the path
-    # 0 -> remaining\{j} -> j+1, i.e. cost[remaining, j] by symmetry.
-    tol = 1e-9 * (1.0 + best)
+    # 0 -> remaining\{j} -> j+1, i.e. cost[remaining, j] by symmetry.  A
+    # tour's n edges summed in two orders differ by at most about 2n
+    # rounding errors of best, so only that much slack is allowed: the
+    # order returned has length best up to rounding.
+    tol = 2 * n * np.finfo(float).eps * best
     order = [0]
     remaining = full
     last = 0

@@ -5,7 +5,7 @@ run (execute an experiment config), scale (scaling study over sizes),
 report (recompute a summary from a record CSV).
 
 Exit codes: 0 success, 2 config error or an argument outside a bound's
-domain or regime, 3 hypothesis-violation refusal, 4 size-limit error.
+domain, 3 hypothesis-violation refusal, 4 size-limit error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from ..bounds import TypicalProfile
 from ..errors import ConfigError, HypothesisViolationError, IncompleteProfileError, \
-    InvalidArgumentError, OutOfRegimeError, SizeLimitError
+    InvalidArgumentError, SizeLimitError
 from .config import load_config, load_profile, read_text
 from .runner import bound_source, records_from_csv, run_experiment, scaling_study, \
     summarize
@@ -41,15 +41,16 @@ METHOD_OPTIONS = {
 BOUND_OPTIONS = ("profile", "n", "sigma2", "nu", "m_max")
 
 
-def _result_json(res):
+def _result_json(t, method, curve):
+    """The bound command's JSON of the one point of a TailCurve at t."""
+    moment_bound = float(curve.moment_bound[0])
     return json.dumps({
-        "t": res.t,
-        "m_used": res.m_used,
+        "t": t,
+        "m_used": int(curve.m_used[0]),
         # a zero moment bound: JSON has no -Infinity
-        "log_moment_bound": None if res.moment_bound == -math.inf else res.moment_bound,
-        "tail_probability": res.tail_probability,
-        "method": res.method.value,
-        "rate_constant": res.rate_constant,
+        "log_moment_bound": None if moment_bound == -math.inf else moment_bound,
+        "tail_probability": float(curve.tail_probability[0]),
+        "method": method.value,
     }, indent=2)
 
 
@@ -83,8 +84,9 @@ def cmd_bound(args):
                 raise ConfigError(flag, f"required by --method {args.method}")
         elif dest not in reads:
             raise ConfigError(flag, f"not read by --method {args.method}")
-    _, _, tail_at, _ = bound_source(*_bound_request(args))
-    print(_result_json(tail_at(args.t)))
+    source, m_max = _bound_request(args)
+    method, _, curve = bound_source(source, [args.t], m_max)
+    print(_result_json(args.t, method, curve))
     return EXIT_OK
 
 
@@ -203,7 +205,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvalidArgumentError, IncompleteProfileError, OutOfRegimeError) as exc:
+    except (InvalidArgumentError, IncompleteProfileError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisViolationError as exc:

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bounds import BoundMethod, TypicalProfile, \
-    chernoff_corollary_bound, general_chernoff_bound, jl_envelope_curve, \
-    main_theorem_curve, tail_bound, tail_curve, theorem1_closed_curve, \
-    theorem1_recursion_curve
-from ..errors import ConfigError, InvalidArgumentError, OutOfRegimeError, SizeLimitError
+from ..bounds import BoundMethod, TypicalProfile, chernoff_corollary_curve, \
+    general_chernoff_curve, jl_envelope_curve, main_theorem_curve, tail_curve, \
+    theorem1_closed_curve, theorem1_recursion_curve
+from ..errors import ConfigError, InvalidArgumentError, SizeLimitError
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import AUX_KEYS, REPLICATE_FNS, ROW_FNS, STREAM_SITES, \
     experiment_extras, pre_run_gate
@@ -86,9 +85,7 @@ class ConcentrationSummary:
             "sd": self.sd,
             "t_grid": list(map(float, self.t_grid)),
             "empirical": list(map(float, self.empirical)),
-            # A nan point is out of the bound's regime; JSON has no NaN.
-            "bound": None if self.bound is None else
-            [None if math.isnan(b) else float(b) for b in self.bound],
+            "bound": None if self.bound is None else list(map(float, self.bound)),
             "bound_method": self.bound_method,
             "verdicts": self.verdicts,
             "extras": self.extras,
@@ -417,59 +414,36 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)
 
 
-def _per_point(tail_at):
-    """tails of a source that picks its order per t: tail_at's tail
-    probability at each t of a grid, nan where it raises OutOfRegimeError."""
-    def tails(t_grid):
-        curve = []
-        for t in t_grid:
-            try:
-                curve.append(tail_at(float(t)).tail_probability)
-            except OutOfRegimeError:
-                curve.append(math.nan)
-        return np.array(curve)
-    return tails
-
-
-def bound_source(source, m_max=None):
-    """(method, JSON-able record of the source, tail_at, tails) of a bound
-    source, where tail_at(t) is the TailBoundResult of Pr(|sum| >= t) and
-    tails(t_grid) the array of its tail probabilities over a grid, nan
-    where the source is out of its regime.
+def bound_source(source, t_grid, m_max=None):
+    """(method, JSON-able record of the source, TailCurve over t_grid) of a
+    bound source: its moment curve, built once, and Markov's inequality
+    minimised over it at every t of t_grid.
 
     source selects how moment information is obtained:
-      {"kind": "bernoulli", "n", "nu"}          analytic, corollary bound
-      {"kind": "hetero_bernoulli", "nus"}       analytic, general bound
+      {"kind": "bernoulli", "n", "nu"}          analytic, corollary curve
+      {"kind": "hetero_bernoulli", "nus"}       analytic, general curve
       {"kind": "closed", "n"}                   closed form (c1*n*m)^(m/2)
       {"kind": "jl", "n", "k"}                  analytic projection envelope
       {"kind": "profile", "profile": ...}       explicit MomentProfile /
                                                 TypicalProfile
 
-    The Chernoff corollaries fix m per t by their own rule, and tail_at
-    raises OutOfRegimeError outside their regime.  Every other source
-    builds its moment curve here, once; tail_at minimises Markov's
-    inequality over it at one t and tails over a whole grid in one
-    tail_curve call, with the same p at each t.  An m_max other than None
-    is used as given (so 0 is refused).  With None, the closed form and a
-    MomentProfile stop at n rounded down to even (a MomentProfile also at
-    its highest order) and a TypicalProfile at its highest order.
+    The two Chernoff curves stop at the highest order that the largest t
+    of t_grid can need (see their docstrings) and do not read m_max.  For
+    the rest, an m_max other than None is used as given (so 0 is refused).
+    With None, the closed form and a MomentProfile stop at n rounded down
+    to even (a MomentProfile also at its highest order) and a
+    TypicalProfile at its highest order.
     """
     kind = source["kind"]
     if kind == "bernoulli":
         n, nu = source["n"], source["nu"]
-
-        def tail_at(t):
-            return chernoff_corollary_bound(n, nu, t)
-        return (BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu}, tail_at,
-                _per_point(tail_at))
-    if kind == "hetero_bernoulli":
+        method, record = BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu}
+        curve = chernoff_corollary_curve(n, nu, float(np.max(t_grid)))
+    elif kind == "hetero_bernoulli":
         nu = float(np.sum(source["nus"]))
-
-        def tail_at(t):
-            return general_chernoff_bound(nu, t)
-        return (BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu}, tail_at,
-                _per_point(tail_at))
-    if kind == "closed":
+        method, record = BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu}
+        curve = general_chernoff_curve(nu, float(np.max(t_grid)))
+    elif kind == "closed":
         n = source["n"]
         method, record = BoundMethod.THEOREM1_CLOSED, {"kind": kind, "n": n}
         if m_max is None:
@@ -498,29 +472,26 @@ def bound_source(source, m_max=None):
             curve = theorem1_recursion_curve(profile, m_max)
     else:
         raise InvalidArgumentError(f"unknown profile source {kind!r}")
-    return (method, record, lambda t: tail_bound(*curve, t, method),
-            lambda t_grid: tail_curve(*curve, t_grid).tail_probability)
+    return method, record, tail_curve(*curve, t_grid)
 
 
 def compare_bound(records, bound_method, profile_source, summary=None):
     """Evaluate the bound of profile_source (see bound_source) over the
     summary's t-grid and attach per-t dominance verdicts (empirical <=
     bound + 3 binomial SEs).  bound_method is a caller's label and is not
-    read: the source determines the method.  Where a Chernoff corollary is
-    out of its regime the bound is nan and the verdict True.
+    read: the source determines the method.
     """
     if len(records) < MIN_BOUND_RECORDS:
         raise InvalidArgumentError(
             f"compare_bound needs at least {MIN_BOUND_RECORDS} records")
     if summary is None:
         summary = summarize(records)
-    method, record, _, tails = bound_source(profile_source)
-    curve = tails(summary.t_grid)
-    # A nan bound is out of the bound's regime: nothing is claimed there.
-    summary.verdicts = [math.isnan(bnd) or bool(emp <= bnd + VERDICT_SE_MULTIPLIER
-                                                * _binomial_se(emp, len(records)))
-                        for emp, bnd in zip(summary.empirical, curve.tolist())]
-    summary.bound = curve
+    method, record, curve = bound_source(profile_source, summary.t_grid)
+    bound = curve.tail_probability
+    summary.verdicts = [bool(emp <= bnd + VERDICT_SE_MULTIPLIER
+                             * _binomial_se(emp, len(records)))
+                        for emp, bnd in zip(summary.empirical, bound.tolist())]
+    summary.bound = bound
     summary.bound_method = method.value
     summary.extras["bound_profile"] = record
     return summary

@@ -237,7 +237,11 @@ def cell_bounds(n_cells, index):
 
 
 def point_cell(n_cells, x, y):
-    """Owning cell of a point of the unit square under the half-open rule."""
+    """Owning cell of a point of the unit square under the half-open rule,
+    read as int(x * side).  It is not the owner of a uniform_in_cell draw
+    on an inner edge: a draw at u = 0 is x0 = c*h, which can read as cell
+    c - 1, and one at u just below 1 rounds onto, or at most one ulp past,
+    the next cell's lower edge.  A PointSet's cell column owns its points."""
     side = _side(n_cells)
     c = min(int(x * side), side - 1)
     r = min(int(y * side), side - 1)
@@ -278,8 +282,9 @@ def sample_point_set(n_cells, count_dist, placement, rng):
     x0, y0 = c * h, r * h
     if placement is PlacementStrategy.UNIFORM_IN_CELL:
         # Cell i owns rows [S, E) and draws 2S..2S+k-1 (x) then 2S+k..2E-1 (y).
-        # With u a few ulp below 1, x0 + u*h can round past the outer edge
-        # side*h of the last row or column, so coordinates are clamped to it.
+        # With u a few ulp below 1, x0 + u*h can round onto or one ulp past
+        # an upper edge.  Past the outer edge side*h of the last row or
+        # column it would leave the square, so coordinates are clamped to it.
         u = rng.random(2 * len(cell))
         top = side * h
         xy = (np.minimum(x0 + u[row + first] * h, top),

@@ -12,9 +12,10 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp
 
 import tailbounds
+from tailbounds.bounds import C_MAIN, C_THEOREM1
 from tailbounds.euclid import SpanningTree, Tour
 
 
@@ -66,34 +67,61 @@ def theorem1_recursion_oracle(profile, m):
 
 
 def optimize_m_oracle(bound_fn, t, m_max):
-    """(tail, m, log moment bound) minimizing min(1, exp(bound_fn(m) -
-    m*log t)) by a scan over even m <= m_max; a strict comparison keeps
-    the smallest m on ties."""
+    """(tail, m, log moment bound) minimizing log p = min(0, bound_fn(m) -
+    m*log t) by a scan over even m <= m_max; a strict comparison keeps
+    the smallest m on ties, and the tail is exp of the least log p."""
     best = None
     for m in range(2, m_max + 1, 2):
         mb = bound_fn(m)
-        log_p = mb - m * math.log(t)
-        p = 1.0 if log_p >= 0.0 else math.exp(log_p)
-        if best is None or p < best[0]:
-            best = (p, m, mb)
-    return best
+        log_p = min(0.0, mb - m * math.log(t))
+        if best is None or log_p < best[0]:
+            best = (log_p, m, mb)
+    return math.exp(best[0]), best[1], best[2]
 
 
-def binomial_tail_exact(n, p, t):
-    """Pr(|S - n*p| >= t) for S ~ Binomial(n, p), the law of a chernoff sum
-    of n Bernoulli(p) variables centred at its mean: the pmf terms, each
-    from math.lgamma in log domain, summed with math.fsum."""
+def _nearest_even(x, hi=None):
+    """The even integer nearest x (half-way ties by round-half-to-even on
+    x/2), at least 2 and at most hi."""
+    m = max(2, 2 * int(round(x / 2.0)))
+    return m if hi is None else min(m, hi)
+
+
+def chernoff_corollary_rule(n, sigma2, t):
+    """(log p, m) of the fixed-order rule that the Chernoff corollary used
+    before it became a moment curve, for 0 < t <= n*sigma2: Markov's
+    inequality on (C_THEOREM1*n*m*sigma2)^(m/2) at the order m nearest
+    t^2/(e*C_THEOREM1*n*sigma2), even and in [2, n rounded down to even];
+    log p is clamped at 0."""
+    m = _nearest_even(t * t / (math.e * C_THEOREM1 * n * sigma2), hi=max(2, n - n % 2))
+    return min(0.0, (m / 2.0) * math.log(C_THEOREM1 * n * m * sigma2) - m * math.log(t)), m
+
+
+def general_chernoff_rule(nu, t):
+    """(log p, m) of the fixed-order rule that the general Chernoff bound
+    used before it became a moment curve: Markov's inequality on
+    (C_MAIN*m*(nu+m))^(m/2) at the even order m >= 2 nearest
+    t^2/(2*(nu+t)); log p is clamped at 0."""
+    m = _nearest_even(t * t / (2.0 * (nu + t)))
+    return min(0.0, (m / 2.0) * math.log(C_MAIN * m * (nu + m)) - m * math.log(t)), m
+
+
+def log_binomial_tail_exact(n, p, t):
+    """log Pr(|S - n*p| >= t) for S ~ Binomial(n, p), the law of a chernoff
+    sum of n Bernoulli(p) variables centred at its mean: a log-sum-exp of
+    the log pmf terms, each from math.lgamma; -inf where no term is that
+    far from the mean."""
     log_p, log_q = math.log(p), math.log1p(-p)
-    return min(1.0, math.fsum(
-        math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                 + k * log_p + (n - k) * log_q)
-        for k in range(n + 1) if abs(k - n * p) >= t))
+    terms = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+             + k * log_p + (n - k) * log_q
+             for k in range(n + 1) if abs(k - n * p) >= t]
+    return min(0.0, float(logsumexp(terms))) if terms else -math.inf
 
 
-def gaussian_tail_exact(n, t):
-    """Pr(|Z| >= t) for Z ~ N(0, n), the law of a gauss_sum of n standard
-    normals."""
-    return math.erfc(t / math.sqrt(2 * n))
+def log_gaussian_tail_exact(n, t):
+    """log Pr(|Z| >= t) for Z ~ N(0, n), the law of a gauss_sum of n
+    standard normals: log 2 + log Phi(-t/sqrt(n)), which stays finite far
+    past where erfc underflows."""
+    return min(0.0, math.log(2.0) + float(log_ndtr(-t / math.sqrt(n))))
 
 
 def jl_trend_oracle(family, n, k, samples, seed):

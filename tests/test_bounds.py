@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from conftest import binomial_tail_exact, gaussian_tail_exact, optimize_m_oracle, \
+from conftest import chernoff_corollary_rule, general_chernoff_rule, \
+    log_binomial_tail_exact, log_gaussian_tail_exact, optimize_m_oracle, \
     rademacher_moment_exact, theorem1_recursion_oracle
 from tailbounds import bounds
 from tailbounds.bounds import (
+    C_MAIN,
+    C_THEOREM1,
     MAX_CURVE_ORDER,
     _orders_through,
     _logsumexp_rows,
@@ -19,12 +23,12 @@ from tailbounds.bounds import (
     TailBoundResult,
     TypicalProfile,
     chernoff_corollary_bound,
+    chernoff_corollary_curve,
     general_chernoff_bound,
     jl_envelope_curve,
     main_theorem_bound,
     main_theorem_curve,
     markov_tail,
-    nearest_even,
     optimize_m,
     tail_curve,
     theorem1_closed_curve,
@@ -34,10 +38,10 @@ from tailbounds.bounds import (
 from tailbounds.errors import (
     IncompleteProfileError,
     InvalidArgumentError,
-    OutOfRegimeError,
     SizeLimitError,
 )
-from tailbounds.harness.runner import bound_source
+from tailbounds.harness.config import MAX_CHERNOFF_N
+from tailbounds.harness.runner import T_GRID_HI, T_GRID_LO, T_GRID_POINTS, bound_source
 
 
 def closed_point(n, m):
@@ -400,8 +404,16 @@ class TestOptimizeM:
 
 class TestChernoffCorollary:
     def test_out_of_regime(self):
-        with pytest.raises(OutOfRegimeError):
-            chernoff_corollary_bound(1000, 0.5, 501.0)
+        # Past t = n*sigma2 the curve still bounds the tail, from the orders
+        # m <= n*sigma2 that meet the hypothesis.
+        res = chernoff_corollary_bound(1000, 0.5, 501.0)
+        assert res.m_used <= 500
+        assert res.tail_probability < chernoff_corollary_bound(1000, 0.5, 500.0).tail_probability
+        # The minimiser t^2/(e*48*n*sigma2), about 766 here, is above the
+        # cap n*sigma2 = 10, so the cap's order wins.
+        res = chernoff_corollary_bound(10, 1.0, 1000.0)
+        assert res.m_used == 10
+        assert res.tail_probability == pytest.approx((48 * 10 * 10 / 1000.0**2) ** 5, rel=1e-12)
 
     def test_boundary_accepted(self):
         res = chernoff_corollary_bound(1000, 0.5, 500.0)
@@ -411,16 +423,9 @@ class TestChernoffCorollary:
     def test_bernoulli_setting(self):
         res = chernoff_corollary_bound(1000, 0.5, 100.0)
         assert res.method is BoundMethod.CHERNOFF_COROLLARY
-        assert res.m_used == 2  # t^2/(c_mopt n sigma2) ~ 0.15 clamps to 2
-        # exponent reported in the exp(-c t^2/(n sigma2)) form
+        assert res.m_used == 2  # the real minimiser t^2/(e*48*n*sigma2) is about 0.15
         expected = markov_tail(res.moment_bound, res.m_used, 100.0)
         assert res.tail_probability == pytest.approx(expected)
-
-    def test_rate_constant_realized(self):
-        res = chernoff_corollary_bound(1000, 0.5, 450.0)
-        assert res.tail_probability < 1
-        back = math.exp(-res.rate_constant * 450.0**2 / (1000 * 0.5))
-        assert back == pytest.approx(res.tail_probability, rel=1e-9)
 
     def test_tail_non_increasing_in_t(self):
         ts = np.linspace(5, 500, 40)
@@ -430,27 +435,21 @@ class TestChernoffCorollary:
 
     def test_m_clamped_to_n(self):
         res = chernoff_corollary_bound(5, 1.0, 5.0)
-        assert res.m_used <= 4  # even floor of n
+        assert res.m_used <= 4  # even floor of n*sigma2
 
 
 class TestGeneralChernoff:
     def test_hand_rule_m(self):
-        res = general_chernoff_bound(100, 50)
-        # t^2/(2(nu+t)) = 2500/300 ~ 8.33 -> nearest even 8
-        assert res.m_used == 8
-        expected = (48 * 8 * 108 / 2500) ** 4
-        assert res.tail_probability == pytest.approx(min(1.0, expected))
+        res = general_chernoff_bound(4.0, 120.0)
+        # (48*m*(4+m)/120^2)^(m/2) is 0.04, 0.0114, 0.008 and 0.0105 at
+        # m = 2, 4, 6, 8: least at 6, below t/sqrt(48e) ~ 10.5
+        assert res.m_used == 6
+        assert res.tail_probability == pytest.approx((48 * 6 * 10 / 120.0**2) ** 3, rel=1e-12)
 
     def test_small_t_clamps(self):
         res = general_chernoff_bound(100, 1e-6)
         assert res.m_used == 2
         assert res.tail_probability == 1.0
-
-    def test_rate_constant_realized(self):
-        res = general_chernoff_bound(4.0, 120.0)
-        if res.tail_probability < 1:
-            back = math.exp(-res.rate_constant * 120.0**2 / (2 * (4.0 + 120.0)))
-            assert back == pytest.approx(res.tail_probability, rel=1e-9)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidArgumentError):
@@ -464,51 +463,105 @@ class TestHoeffdingAzuma:
     closed-form curve for |X_i| <= 1."""
 
     def test_method_and_shape(self):
-        method, _, tail_at, _ = bound_source({"kind": "closed", "n": 100})
+        method, _, curve = bound_source({"kind": "closed", "n": 100}, [20, 60, 80, 120, 200])
         assert method is BoundMethod.THEOREM1_CLOSED
-        assert tail_at(80.0).m_used <= 100
-        ps = [tail_at(t).tail_probability for t in (20, 60, 120, 200)]
+        assert curve.m_used.max() <= 100
+        ps = curve.tail_probability
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
 
 class TestUnderflowedTail:
-    """When Markov's p underflows to 0.0, rate_constant comes from the
-    log-domain exponent -(moment_bound - m*log t) instead of -log p."""
+    """When Markov's p underflows to 0.0, the order is still the one with
+    the least log p, not the smallest order whose p underflows."""
 
     def test_chernoff_corollary(self):
-        res = chernoff_corollary_bound(100_000, 3.0, 290_000.0)
+        t = 290_000.0
+        res = chernoff_corollary_bound(100_000, 3.0, t)
         assert res.tail_probability == 0.0
-        log_p = res.moment_bound - res.m_used * math.log(290_000.0)
-        assert res.rate_constant == -log_p * (100_000 * 3.0) / 290_000.0**2
+        orders, log_bounds = chernoff_corollary_curve(100_000, 3.0, t)
+        assert res.m_used == orders[np.argmin(log_bounds - orders * math.log(t))]
+        # the real minimiser t^2/(e*48*n*sigma2) is about 2148.5
+        assert res.m_used in (2148, 2150)
 
 
 class TestOverflowingSquare:
-    """Past t of about 1.34e154, t*t overflows a double."""
+    """Past t of about 1.34e154, t*t overflows a double; the curves never
+    square t, and take their logs factor by factor."""
 
     @pytest.mark.parametrize("bound", [lambda t: general_chernoff_bound(1.0, t),
                                        lambda t: chernoff_corollary_bound(10, 1e199, t)],
                              ids=["general", "corollary"])
-    def test_chernoff_rules_refuse_t(self, bound):
-        with pytest.raises(InvalidArgumentError, match=r"t=1e\+200: t\*t overflows"):
-            bound(1e200)
+    def test_chernoff_curves_bound_t(self, bound):
+        res = bound(1e200)
+        assert res.m_used == MAX_CURVE_ORDER
+        assert res.tail_probability == 0.0
 
-    @pytest.mark.parametrize("bound, named", [
-        (lambda: general_chernoff_bound(1e307, 1.0), "nu=1e+307, t=1.0"),
-        (lambda: general_chernoff_bound(1.0, 1.3e154), "nu=1.0, t=1.3e+154"),
-        (lambda: chernoff_corollary_bound(4, 1.7976931348623157e308, 4e153),
-         "n=4, sigma2=1.7976931348623157e+308"),
-    ])
-    def test_chernoff_rules_refuse_overflowing_moment(self, bound, named):
-        # t*t is finite here, but the log moment bound would be inf
-        with pytest.raises(InvalidArgumentError) as refused:
-            bound()
-        assert str(refused.value) == f"{named}: the log moment bound overflows a double"
+    @pytest.mark.parametrize("bound", [
+        lambda: general_chernoff_bound(1e307, 1.0),
+        lambda: general_chernoff_bound(1.0, 1.3e154),
+        lambda: chernoff_corollary_bound(4, 1.7976931348623157e308, 4e153),
+    ], ids=["nu", "t", "sigma2"])
+    def test_chernoff_curves_keep_the_moment_finite(self, bound):
+        res = bound()
+        assert math.isfinite(res.moment_bound)
+        assert 0.0 <= res.tail_probability <= 1.0
 
-    def test_corollary_rate_below_the_overflow(self):
-        n, sigma2, t = 2, 1e300, 1.3e154
+
+def _log_tails(curve, grid):
+    """log p = min(0, moment_bound - m_used*log t) of a TailCurve over grid,
+    or of a TailBoundResult at its t: finite where p has underflowed to 0."""
+    return np.minimum(0.0, curve.moment_bound - curve.m_used * np.log(grid))
+
+
+class TestChernoffCurvesBelowTheirRules:
+    """Each Chernoff curve, minimised, is at or below the fixed-order rule it
+    replaced (kept in conftest as the oracle), on random (n, sigma2, t) with
+    t <= n*sigma2; the general curve reads nu = n*sigma2.  The slack covers
+    the last bits of logs taken in another order at the rule's order."""
+
+    @given(st.integers(min_value=1, max_value=10**6),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_corollary(self, n, sigma2, frac):
+        t = frac * n * sigma2
+        rule, m = chernoff_corollary_rule(n, sigma2, t)
+        slack = 1e-12 * m * (abs(math.log(C_THEOREM1 * n * m)) + abs(math.log(sigma2)))
         res = chernoff_corollary_bound(n, sigma2, t)
-        assert 0.0 < res.tail_probability < 1.0
-        assert res.rate_constant == -math.log(res.tail_probability) * (n * sigma2) / (t * t)
+        assert _log_tails(res, res.t) <= rule + slack
+
+    @given(st.integers(min_value=1, max_value=10**6),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_general(self, n, sigma2, frac):
+        nu = n * sigma2
+        t = frac * nu
+        rule, m = general_chernoff_rule(nu, t)
+        slack = 1e-12 * m * (abs(math.log(C_MAIN * m)) + abs(math.log(nu + m)))
+        res = general_chernoff_bound(nu, t)
+        assert _log_tails(res, res.t) <= rule + slack
+
+
+@pytest.mark.parametrize("nu", [0.0875, 0.5, 0.999])
+@pytest.mark.parametrize("kind", ["bernoulli", "hetero_bernoulli"])
+def test_chernoff_curve_cost_at_the_size_cap(kind, nu):
+    # A chernoff run at MAX_CHERNOFF_N builds its bound over the summary's
+    # 20-point grid out to 6 sd; the curve stops at the order the grid's
+    # largest t can need, not at n*sigma2, so this stays small.
+    n = MAX_CHERNOFF_N
+    sd = math.sqrt(n * nu * (1 - nu))
+    grid = np.linspace(T_GRID_LO * sd, T_GRID_HI * sd, T_GRID_POINTS)
+    source = ({"kind": kind, "n": n, "nu": nu} if kind == "bernoulli"
+              else {"kind": kind, "nus": np.full(n, nu)})
+    tracemalloc.start()
+    try:
+        _, _, curve = bound_source(source, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve.tail_probability) == T_GRID_POINTS
+    assert peak < 5 * 2**20
 
 
 @st.composite
@@ -622,14 +675,16 @@ class TestTailCurve:
         assert list(curve.moment_bound) == [5.0, 5.0]
 
     def test_every_p_underflows_to_zero(self):
-        curve = tail_curve([2, 4, 6], [-800.0, -900.0, -1000.0], [1.0])
-        assert curve.m_used[0] == 2
+        # every p is 0.0, but log p still has a least order
+        curve = tail_curve([2, 4, 6], [-800.0, -1000.0, -900.0], [1.0])
+        assert curve.m_used[0] == 4
+        assert curve.moment_bound[0] == -1000.0
         assert curve.tail_probability[0] == 0.0
 
     def test_underflow_beats_a_positive_tail(self):
         # exp(-700) > 0 loses to the orders whose p underflows; of those
-        # the smaller wins.
-        curve = tail_curve([2, 4, 6], [-700.0, -800.0, -900.0], [1.0])
+        # the least log p wins.
+        curve = tail_curve([2, 4, 6], [-700.0, -900.0, -800.0], [1.0])
         assert curve.m_used[0] == 4
         assert curve.tail_probability[0] == 0.0
 
@@ -653,50 +708,56 @@ def _exact_tail_grid(sd):
     return np.geomspace(0.5 * sd, 40.0 * sd, 40)
 
 
-def _recursion_tails(n, moment, grid):
+def _recursion_curve(n, moment, grid):
     """The Theorem 1 recursion to order 64 on n variables whose every even
     moment E X_i^l is moment(l), Markov-minimised over grid."""
     profile = MomentProfile.uniform(n, {l: moment(l) for l in range(2, 65, 2)})
-    return tail_curve(*theorem1_recursion_curve(profile, 64), grid).tail_probability
+    return tail_curve(*theorem1_recursion_curve(profile, 64), grid)
 
 
 class TestExactTails:
     """Every bound dominates the exact tail of a sum whose law is known, out
-    to 40 sd, far past the few sd where Monte Carlo sees a tail.  The
-    variables are independent and centred, so strongly negatively
-    correlated, and their exact moments are the profile.  Where the
-    recursion is below 1 it stays 27 to 34 times above the exact tail, and
-    lowering its coefficient 11/5 to 1/2 puts it below the exact tail.
-    The general Chernoff rule is 1 on every grid point here."""
+    to 40 sd, far past the few sd where Monte Carlo sees a tail.  Both sides
+    are compared in log domain, so a bound and a tail that underflow to 0
+    are still compared.  The variables are independent and centred, so
+    strongly negatively correlated, and their exact moments are the
+    profile.  Where the recursion is below 1 it stays 27 to 34 times above
+    the exact tail, and lowering its coefficient 11/5 to 1/2 puts it below
+    the exact tail.  Each Chernoff curve is below 1 somewhere on every
+    Binomial law here."""
 
     @pytest.mark.parametrize("n, p", [(1000, 0.5), (1000, 0.05), (200, 0.5)])
     def test_binomial_sum(self, n, p):
         var = p * (1 - p)  # bounds every even moment of a centred Bernoulli(p)
         grid = _exact_tail_grid(math.sqrt(n * var))
-        exact = np.array([binomial_tail_exact(n, p, t) for t in grid])
-        tails = {
-            "closed": tail_curve(*theorem1_closed_curve(n, n), grid).tail_probability,
-            "recursion": _recursion_tails(n, lambda l: p * (1 - p)**l + (1 - p) * p**l, grid),
-            "corollary": np.array([chernoff_corollary_bound(n, var, t).tail_probability
-                                   if t <= n * var else 1.0 for t in grid]),
-            "general": np.array([general_chernoff_bound(n * p, t).tail_probability
-                                 for t in grid]),
+        exact = np.array([log_binomial_tail_exact(n, p, t) for t in grid])
+        curves = {
+            "closed": tail_curve(*theorem1_closed_curve(n, n), grid),
+            "recursion": _recursion_curve(n, lambda l: p * (1 - p)**l + (1 - p) * p**l, grid),
+            "corollary": bound_source({"kind": "bernoulli", "n": n, "nu": var}, grid)[2],
+            "general": bound_source({"kind": "hetero_bernoulli", "nus": np.full(n, p)},
+                                    grid)[2],
         }
-        for name, tail in tails.items():
-            assert (tail >= exact).all(), (name, grid[tail < exact])
-        assert (tails["recursion"] < 1).any()
+        for name, curve in curves.items():
+            log_tail = _log_tails(curve, grid)
+            assert (log_tail >= exact).all(), (name, grid[log_tail < exact])
+            if name != "closed":
+                assert (log_tail < 0).any(), name
 
     @pytest.mark.parametrize("n", [1000, 200])
     def test_gaussian_sum(self, n):
         grid = _exact_tail_grid(math.sqrt(n))
-        exact = np.array([gaussian_tail_exact(n, t) for t in grid])
+        exact = np.array([log_gaussian_tail_exact(n, t) for t in grid])
         # E Z^l = (l - 1)!! for a standard normal Z
-        recursion = _recursion_tails(n, lambda l: float(math.prod(range(l - 1, 0, -2))),
-                                     grid)
-        closed = tail_curve(*theorem1_closed_curve(n, n), grid).tail_probability
-        for name, tail in (("closed", closed), ("recursion", recursion)):
-            assert (tail >= exact).all(), (name, grid[tail < exact])
-        assert (recursion < 1).any() and (closed < 1).any()
+        curves = {
+            "closed": tail_curve(*theorem1_closed_curve(n, n), grid),
+            "recursion": _recursion_curve(
+                n, lambda l: float(math.prod(range(l - 1, 0, -2))), grid),
+        }
+        for name, curve in curves.items():
+            log_tail = _log_tails(curve, grid)
+            assert (log_tail >= exact).all(), (name, grid[log_tail < exact])
+            assert (log_tail < 0).any(), name
 
 
 class TestMomentProfile:
@@ -724,8 +785,3 @@ class TestMomentProfile:
             build(n)
 
 
-def test_nearest_even_rounding():
-    assert nearest_even(0.2) == 2
-    assert nearest_even(3.2) == 4
-    assert nearest_even(8.33) == 8
-    assert nearest_even(11.1, hi=8) == 8

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (best_random_permutation_tour, mst_prim_oracle, mst_weight_brute,
-                      run_python, tsp_2opt_oracle)
+                      run_python, tour_length_oracle, tsp_2opt_oracle)
 from tailbounds import euclid
 from tailbounds.errors import InvalidArgumentError, SizeLimitError
 from tailbounds.euclid import (
@@ -71,14 +71,24 @@ class TestTspExact:
         assert tour.order.tolist() == [0, 1, 3, 2]
 
     def test_tour_at_the_tolerance_counts_as_optimal(self):
+        # Here the completion of the lexicographically first optimal order,
+        # summed from the other end, is one ulp above the optimum: rounding
+        # within the tolerance still counts.
+        points = [(0.58, 0.72), (0.48, 0.58), (0.33, 0.74), (0.24, 0.16), (0.09, 0.9)]
+        tour = tsp_exact(points)
+        assert tour.order.tolist() == [0, 1, 3, 4, 2]
+        assert tour.length == pytest.approx(tour_length_oracle(points, [0, 1, 3, 4, 2]),
+                                            rel=1e-15)
+
+    def test_tour_past_the_tolerance_is_not_optimal(self):
         # On a line, 0 -> 1 -> 2 -> 3 -> 0 runs back over the 1.5e-9 gap
-        # between cities 2 and 1, so it is longer than the optimum 2.0 by
-        # the reconstruction's tolerance 1e-9 * (1 + 2.0) to the last bit.
-        # A completion that meets the tolerance exactly still counts.
+        # between cities 2 and 1, so it is 3e-9 longer than the optimum
+        # 2.0: the first optimal order goes out to city 3 before city 2.
         points = [(0.0, 0.0), (0.2500000014999999, 0.0), (0.25, 0.0), (1.0, 0.0)]
         tour = tsp_exact(points)
+        assert tour.order.tolist() == [0, 1, 3, 2]
         assert tour.length == 2.0
-        assert tour.order.tolist() == [0, 1, 2, 3]
+        assert tour_length_oracle(points, [0, 1, 3, 2]) == pytest.approx(2.0, rel=1e-15)
 
 
 class TestTspStrip:

@@ -934,12 +934,9 @@ class TestCompareBound:
         summary = compare_bound(bernoulli_records, "chernoff_corollary",
                                 {"kind": "bernoulli", "n": 400, "nu": 0.5})
         desc = summary.extras["bound_profile"]
-        redo = [
-            chernoff_corollary_bound(desc["n"], desc["nu"], float(t)).tail_probability
-            if t <= desc["n"] * desc["nu"] else math.nan
-            for t in summary.t_grid
-        ]
-        assert np.allclose(np.nan_to_num(redo), np.nan_to_num(summary.bound))
+        redo = [chernoff_corollary_bound(desc["n"], desc["nu"], float(t)).tail_probability
+                for t in summary.t_grid]
+        assert redo == summary.bound.tolist()
 
     @pytest.mark.parametrize("source, label", [
         ({"kind": "closed", "n": 9}, "Theorem1Closed"),
@@ -951,19 +948,20 @@ class TestCompareBound:
          "MainTheorem"),
     ], ids=["closed", "jl", "moment_profile", "typical_profile"])
     def test_tail_at_matches_compare_bound(self, source, label):
-        # The bound command prints bound_source's tail_at at one t;
+        # The bound command prints bound_source's tail at one t;
         # compare_bound evaluates the same moment curve over the whole grid
         # in one call, and each point is the same double.
         from tailbounds.harness.runner import bound_source
 
         records = records_of(40.0 * substream(44, "spread").standard_normal(300))
         summary = compare_bound(records, None, source)
-        method, record, tail_at, _ = bound_source(source)
+        method, record, _ = bound_source(source, summary.t_grid)
         assert summary.bound_method == method.value == label
         assert summary.extras["bound_profile"] == record
         assert (summary.bound < 1.0).any()
         assert [b.hex() for b in summary.bound.tolist()] == [
-            tail_at(float(t)).tail_probability.hex() for t in summary.t_grid]
+            bound_source(source, [t])[2].tail_probability[0].hex()
+            for t in summary.t_grid.tolist()]
 
 
 class TestBuiltOnce:
@@ -1461,26 +1459,27 @@ class TestCli:
 
     def test_bound_subcommand(self, capsys):
         code = cli.main(["bound", "--method", "general-chernoff",
-                         "--nu", "100", "--t", "50"])
+                         "--nu", "4", "--t", "120"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["m_used"] == 8
+        assert payload["m_used"] == 6
+        assert payload["tail_probability"] == pytest.approx(0.008, rel=1e-12)
         assert payload["method"] == "GeneralChernoff"
 
     def test_bound_with_underflowed_tail_is_valid_json(self):
-        # Markov's p underflows to 0.0 here; the rate then comes from the
-        # log-domain exponent and must be a finite JSON number
+        # Markov's p underflows to 0.0 here; the order is still the one
+        # with the least log p
         code, stdout, err = run_cli("bound", "--method", "chernoff-corollary",
                                     "--n", "100000", "--sigma2", "3", "--t", "290000")
         assert code == 0, err
         assert "Traceback" not in err
         payload = strict_json(stdout)
         assert payload["tail_probability"] == 0.0
-        assert math.isfinite(payload["rate_constant"]) and payload["rate_constant"] > 0
+        assert payload["m_used"] == 2148
 
-    def test_run_out_of_regime_bound_is_null(self, tmp_path):
-        # past t = n*nu = 2 the corollary claims nothing: a null point,
-        # never a bare NaN, with a true verdict
+    def test_run_past_n_nu_has_a_bound(self, tmp_path):
+        # past t = n*nu = 2 the corollary curve still bounds the tail, from
+        # order 2: a number at every grid point, never null
         cfg = tmp_path / "chernoff.json"
         cfg.write_text(json.dumps({"schema_version": 1, "experiment": "chernoff",
                                    "replicates": 200, "base_seed": 1,
@@ -1488,22 +1487,22 @@ class TestCli:
         code, stdout, err = run_cli("run", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert code == 0, err
         payload = strict_json(stdout)
-        nulls = [b is None for b in payload["bound"]]
-        assert nulls == [t > 2 for t in payload["t_grid"]]
-        assert any(nulls) and not all(nulls)
-        assert all(v for v, null in zip(payload["verdicts"], nulls) if null)
+        assert any(t > 2 for t in payload["t_grid"])
+        assert all(isinstance(b, float) and 0 < b <= 1 for b in payload["bound"])
+        assert all(payload["verdicts"])
 
     @pytest.mark.parametrize("argv", [
         ["--method", "general-chernoff", "--nu", "1", "--t", "1e200"],
         ["--method", "chernoff-corollary", "--n", "10", "--sigma2", "1e199", "--t", "1e200"],
     ], ids=["general", "corollary"])
     def test_bound_at_overflowing_t_squared(self, argv):
-        # t*t overflows a double, so the order rule cannot choose m
+        # t*t overflows a double, but the curves never square t: the bound
+        # comes from the highest order a curve holds
         code, stdout, err = run_cli("bound", *argv)
-        assert code == 2
-        assert "Traceback" not in err
-        assert "t=1e+200: t*t overflows a double" in err
-        assert stdout == ""
+        assert code == 0, err
+        payload = strict_json(stdout)
+        assert payload["m_used"] == MAX_CURVE_ORDER
+        assert payload["tail_probability"] == 0.0
 
     def test_oversized_main_curve_refused_before_evaluating(self, tmp_path, monkeypatch):
         def spy(profile, m):
@@ -1998,10 +1997,10 @@ class TestCliBadInput:
         (["--method", "theorem1-closed", "--t", "5"], "--n"),
         (["--method", "theorem1-recursion", "--t", "5"], "--profile"),
         (["--method", "main", "--t", "5"], "--profile"),
-        # InvalidArgumentError and OutOfRegimeError from the bound itself.
+        # InvalidArgumentError from the bound itself.
         (["--method", "general-chernoff", "--nu", "100", "--t", "-1"], "t must be > 0"),
-        (["--method", "chernoff-corollary", "--n", "10", "--sigma2", "0.1",
-          "--t", "5"], "n*sigma2"),
+        (["--method", "chernoff-corollary", "--n", "10", "--sigma2", "0",
+          "--t", "5"], "sigma2 must be > 0"),
         # A set flag the method does not read; the profile is not opened.
         (["--method", "chernoff-corollary", "--n", "100", "--sigma2", "1", "--t", "5",
           "--m-max", "8"], "--m-max: not read by --method chernoff-corollary"),

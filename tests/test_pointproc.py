@@ -118,6 +118,19 @@ class TestCountDistributions:
         assert np.mean(second) == pytest.approx(float((w * z**2).sum()), rel=0.1)
 
 
+def _assert_draws_in_their_cells(ps):
+    """Each point of a uniform_in_cell PointSet lies in its cell's closed
+    bounds or at most one ulp past an upper edge, where x0 + u*h rounds.
+    point_cell is not the check: on an inner edge it may name the
+    neighbouring cell."""
+    side = math.isqrt(ps.n_cells)
+    h = 1.0 / side
+    r, c = np.divmod(ps.cell, side)
+    low = np.column_stack([c * h, r * h])
+    high = np.nextafter(np.column_stack([(c + 1) * h, (r + 1) * h]), 2.0)
+    assert ((low <= ps.points) & (ps.points <= high)).all()
+
+
 class _FixedDraws:
     """A Generator stand-in whose every random(size) returns the given draws."""
 
@@ -193,8 +206,7 @@ class TestSamplePointSet:
                               substream(0, "pointset"))
         assert ps.total_points == 4
         assert ps.cell.tolist() == [0, 1, 2, 3]
-        owners = [point_cell(4, x, y) for x, y in ps.points]
-        assert owners == [0, 1, 2, 3]
+        _assert_draws_in_their_cells(ps)
 
     def test_poisson_total_concentrates(self):
         # total over 400 cells is Poisson(400); |T-400| <= 80 this often
@@ -211,10 +223,28 @@ class TestSamplePointSet:
         ps = sample_point_set(16, TwoPoint(0.3, 3), placement, substream(9, "pointset"))
         assert ps.points.shape == (len(ps.cell), 2)
         assert (np.diff(ps.cell) >= 0).all()
+        if placement is PlacementStrategy.UNIFORM_IN_CELL:
+            _assert_draws_in_their_cells(ps)
+            return
         for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
             assert point_cell(16, x, y) == idx
             x0, x1, y0, y1 = cell_bounds(16, idx)
             assert x0 <= x <= x1 and y0 <= y <= y1
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "top"])
+    def test_end_draws_stay_within_an_ulp_of_their_cell(self, u):
+        # At u = 0 a draw is its cell's lower-left corner, on which
+        # point_cell may name the cell before; one ulp below 1 it lands on
+        # or one ulp past the next cell's lower edge on most sides.
+        for side in range(2, 301):
+            n = side * side
+            ps = sample_point_set(n, Deterministic(1), "uniform_in_cell",
+                                  _FixedDraws(np.full(2 * n, u)))
+            _assert_draws_in_their_cells(ps)
+            if u == 0.0:
+                r, c = np.divmod(ps.cell, side)
+                h = 1.0 / side
+                assert np.array_equal(ps.points, np.column_stack([c * h, r * h]))
 
     def test_top_draw_stays_in_the_outer_cells(self):
         # x0 + u*h with u one ulp below 1 rounds past 1 on the last row or
@@ -290,6 +320,5 @@ class TestSamplePointSet:
         ps = sample_point_set(n, Poisson(1.5), "uniform_in_cell",
                               substream(seed, "pointset"))
         assert (np.diff(ps.cell) >= 0).all()
-        for idx, (x, y) in zip(ps.cell.tolist(), ps.points.tolist()):
-            assert point_cell(n, x, y) == idx
+        _assert_draws_in_their_cells(ps)
 
