@@ -448,7 +448,8 @@ def optimize_m(bound_fn: Callable[[int], float], t, m_max,
     bound_fn maps an even order m to a log-domain moment bound.  This is
     the single-t view of tail_curve over the moment curve of bound_fn;
     callers with a whole t-grid build the curve once and call tail_curve.
-    Callers that know the number of variables n should pass m_max <= n.
+    m_max is used as given: the harness's default order cap (n rounded down
+    to even for Theorem 1) is applied in runner.bound_source alone.
     """
     orders = _orders_through(m_max)
     return tail_bound(orders, [bound_fn(int(m)) for m in orders], t, method)

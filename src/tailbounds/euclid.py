@@ -193,6 +193,9 @@ def _dist(x0, y0, x1, y1):
     return np.sqrt(dx * dx + dy * dy)
 
 
+# Full 2-opt sweeps tsp_2opt runs before it stops without convergence.
+TSP_2OPT_MAX_PASSES = 40
+
 # Most rows of the 2-opt sweep tested in one distance block, and most
 # distances in one block: rows * (n - i + 1) <= 2^17, so the sweep's
 # buffers take 2.2 MB plus 34 bytes a point.  A single row fills a block
@@ -201,7 +204,7 @@ _SWEEP_BLOCK_CAP = 64
 _SWEEP_BLOCK_ENTRIES = 1 << 17
 
 
-def tsp_2opt(points, start: Tour, max_passes=50):
+def tsp_2opt(points, start: Tour, max_passes=TSP_2OPT_MAX_PASSES):
     """Improve a tour by 2-exchanges until no improvement remains or
     max_passes full sweeps have run.
 

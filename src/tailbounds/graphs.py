@@ -144,7 +144,7 @@ def _greedy_clique(masks, n):
     return best
 
 
-def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
+def chromatic_exact(G: Graph):
     """Exact chromatic number by DSATUR branch and bound.
 
     The search colours the uncoloured vertex of most saturated colours
@@ -152,13 +152,14 @@ def chromatic_exact(G: Graph, cap=CHROMATIC_EXACT_CAP):
     order, so its first leaf is the DSATUR colouring.  It stops when the
     best colouring reaches the greedy clique bound.
 
-    Raises SizeLimitError above the vertex cap or when the branch and bound
-    visits more than CHROMATIC_NODE_BUDGET nodes, so callers never silently
-    get a heuristic value.
+    Raises SizeLimitError above CHROMATIC_EXACT_CAP vertices or when the
+    branch and bound visits more than CHROMATIC_NODE_BUDGET nodes, so
+    callers never silently get a heuristic value.
     """
     n = G.n
-    if n > cap:
-        raise SizeLimitError(f"exact coloring capped at {cap} vertices, got {n}")
+    if n > CHROMATIC_EXACT_CAP:
+        raise SizeLimitError(f"exact coloring capped at {CHROMATIC_EXACT_CAP} vertices, "
+                             f"got {n}")
     masks = G.neighbor_masks()
     lb = _greedy_clique(masks, n)
     budget = CHROMATIC_NODE_BUDGET

@@ -54,25 +54,23 @@ def _result_json(t, method, curve):
     }, indent=2)
 
 
-def _bound_request(args):
-    """The bound source and order cap of a bound command.  Without --m-max
-    the closed form stops at n rounded down to even, and a profile runs to
-    its highest order, even above n."""
+def _bound_source(args):
+    """The bound source of a bound command; runner.bound_source applies
+    --m-max, or its default order cap when it is not set."""
     if args.method == "chernoff-corollary":
-        return {"kind": "bernoulli", "n": args.n, "nu": args.sigma2}, None
+        return {"kind": "bernoulli", "n": args.n, "sigma2": args.sigma2}
     if args.method == "general-chernoff":
-        return {"kind": "hetero_bernoulli", "nus": [args.nu]}, None
+        return {"kind": "hetero_bernoulli", "nus": [args.nu]}
     if args.method == "theorem1-closed":
-        return {"kind": "closed", "n": args.n}, args.m_max
+        return {"kind": "closed", "n": args.n}
     profile = load_profile(args.profile)
     if args.method == "theorem1-recursion":
         base = profile.base if isinstance(profile, TypicalProfile) else profile
-        m_max = max(base.orders) if args.m_max is None else args.m_max
-        return {"kind": "profile", "profile": base}, m_max
+        return {"kind": "profile", "profile": base}
     if not isinstance(profile, TypicalProfile):
         raise ConfigError("$", "the main bound needs a typical profile "
                                "(with 'L' and 'delta')")
-    return {"kind": "profile", "profile": profile}, args.m_max
+    return {"kind": "profile", "profile": profile}
 
 
 def cmd_bound(args):
@@ -84,8 +82,7 @@ def cmd_bound(args):
                 raise ConfigError(flag, f"required by --method {args.method}")
         elif dest not in reads:
             raise ConfigError(flag, f"not read by --method {args.method}")
-    source, m_max = _bound_request(args)
-    method, _, curve = bound_source(source, [args.t], m_max)
+    method, _, curve = bound_source(_bound_source(args), [args.t], args.m_max)
     print(_result_json(args.t, method, curve))
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..bounds import MomentProfile, TypicalProfile
 from ..errors import ConfigError, SizeLimitError
-from ..graphs import EdgeProbabilityMatrix
+from ..graphs import CHROMATIC_EXACT_CAP, EdgeProbabilityMatrix
 from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution
 from ..pointproc import Deterministic, PlacementStrategy, Poisson, TruncatedZeta, TwoPoint
 from ..seq import RadialBetaMixture, SphereUniform
@@ -110,16 +111,15 @@ def _check_keys(mapping, allowed, path):
 # The JSON values a typed field accepts, and how it names them, by the type
 # it returns.
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
-            tuple: ((list,), "a list"), bool: ((bool,), "true or false"),
-            str: ((str,), "a string")}
+            tuple: ((list,), "a list"), str: ((str,), "a string")}
 
 
 def typed_value(value, path, kind, low=None):
-    """value as kind (int, float, tuple, bool or str), at least low; the kind
+    """value as kind (int, float, tuple or str), at least low; the kind
     [float] takes a list of floats as a float64 array, each checked as the
-    float kind at its index (path[i]).  Only the bool kind takes true and
-    false: bool is a subclass of int, so they would pass a bare isinstance
-    for the numeric kinds.  The float kind refuses NaN and +-Infinity, which
+    float kind at its index (path[i]).  No kind takes true or false: bool
+    is a subclass of int, so they would pass a bare isinstance for the
+    numeric kinds.  The float kind refuses NaN and +-Infinity, which
     Python's json reads as floats, and integers too large for a float (the
     comparison is exact and raises nothing)."""
     if kind == [float]:
@@ -136,7 +136,7 @@ def typed_value(value, path, kind, low=None):
         return np.array([typed_value(item, f"{path}[{i}]", float, low)
                          for i, item in enumerate(items)], dtype=float)
     accepts, name = _ACCEPTS[kind]
-    ok = isinstance(value, accepts) and (kind is bool or not isinstance(value, bool)) \
+    ok = isinstance(value, accepts) and not isinstance(value, bool) \
         and (kind is not float or abs(value) <= sys.float_info.max) \
         and (low is None or value >= low)
     _require(ok, path, f"must be {name}" + ("" if low is None else f" >= {low}"))
@@ -151,44 +151,49 @@ def typed_field(spec, key, path, kind, low=None, default=_REQUIRED):
     return typed_value(spec[key], f"{path}.{key}", kind, low)
 
 
-def _build(path, ctor, *args):
-    """ctor(*args), with a domain error reported as a ConfigError at path."""
+def _build(path, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs), a domain error reported as a ConfigError at path."""
     try:
-        return ctor(*args)
+        return ctor(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-# kind -> (constructor, its arguments as (key, type, lower bound, default)).
+def _kind(ctor, *fields):
+    """(ctor, its keyword arguments as (key, type, lower bound), the keys
+    without a default): ctor holds every default, so those are required."""
+    return ctor, fields, {key for key, arg in inspect.signature(ctor).parameters.items()
+                          if arg.default is arg.empty}
+
+
 _COUNT_DISTS = {
-    "poisson": (Poisson, [("mean", float, None, 1.0)]),
-    "zeta": (TruncatedZeta, [("s", float, None, _REQUIRED), ("cap", int, 1, 10**6),
-                             ("p0", float, None, 0.0)]),
-    "two_point": (TwoPoint, [("p0", float, None, _REQUIRED), ("value", int, 1, _REQUIRED)]),
-    "deterministic": (Deterministic, [("k", int, 0, _REQUIRED)]),
+    "poisson": _kind(Poisson, ("mean", float, None)),
+    "zeta": _kind(TruncatedZeta, ("s", float, None), ("cap", int, 1), ("p0", float, None)),
+    "two_point": _kind(TwoPoint, ("p0", float, None), ("value", int, 1)),
+    "deterministic": _kind(Deterministic, ("k", int, 0)),
 }
 _VECTOR_FAMILIES = {
-    "sphere": (SphereUniform, []),
-    "radial_beta": (RadialBetaMixture, [("scale", float, None, 1.2),
-                                        ("a", float, None, 8.0), ("b", float, None, 2.0)]),
+    "sphere": _kind(SphereUniform),
+    "radial_beta": _kind(RadialBetaMixture, ("scale", float, None), ("a", float, None),
+                         ("b", float, None)),
 }
 _ITEM_DISTS = {
-    "lower_bound": (lower_bound_distribution, [("k", int, 4, _REQUIRED)]),
-    "explicit": (ItemDistribution, [("sizes", [float], None, _REQUIRED),
-                                    ("probs", [float], None, _REQUIRED)]),
+    "lower_bound": _kind(lower_bound_distribution, ("k", int, 4)),
+    "explicit": _kind(ItemDistribution, ("sizes", [float], None), ("probs", [float], None)),
 }
 
 
 def _from_kind(spec, path, table, what):
-    """The object a {"kind": ..., ...} spec describes, built from table."""
+    """The object a {"kind": ..., ...} spec describes, built from table with
+    the keys the spec holds."""
     _require(isinstance(spec, dict), path, "must be an object with a 'kind'")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in table:
         raise ConfigError(f"{path}.kind", f"unknown {what} {kind!r}")
-    ctor, fields = table[kind]
+    ctor, fields, required = table[kind]
     _check_keys(spec, {"kind", *(key for key, *_ in fields)}, path)
-    return _build(path, ctor, *(typed_field(spec, key, path, typ, low, default)
-                                for key, typ, low, default in fields))
+    return _build(path, ctor, **{key: typed_field(spec, key, path, typ, low)
+                                 for key, typ, low in fields if key in spec or key in required})
 
 
 def _placement(spec, path):
@@ -198,12 +203,9 @@ def _placement(spec, path):
         raise ConfigError(path, f"unknown placement {spec!r}") from None
 
 
-_GRID_KEYS = ("n_cells", "count_dist", "placement")
-
-
-def _validate_grid(params, path, keys=_GRID_KEYS):
+def _validate_grid(params, path):
     out = dict(params)
-    _check_keys(params, keys, path)
+    _check_keys(params, {"n_cells", "count_dist", "placement"}, path)
     n_cells = typed_field(params, "n_cells", path, int, low=4)
     if n_cells > MAX_CELLS:
         raise SizeLimitError(f"{path}.n_cells: above MAX_CELLS = {MAX_CELLS}")
@@ -223,14 +225,6 @@ def _validate_grid(params, path, keys=_GRID_KEYS):
                              f"MAX_EXPECTED_POINTS = {MAX_EXPECTED_POINTS}")
     out["placement"] = _placement(params.get("placement", "uniform_in_cell"),
                                   f"{path}.placement")
-    return out
-
-
-def _validate_tsp(params, path):
-    """The grid fields plus max_passes, the 2-opt sweep cap, which mwst
-    does not read."""
-    out = _validate_grid(params, path, (*_GRID_KEYS, "max_passes"))
-    out["max_passes"] = typed_field(params, "max_passes", path, int, low=0, default=40)
     return out
 
 
@@ -275,7 +269,7 @@ def _probability_matrix(n, spec, path):
 
 
 def _validate_chromatic(params, path):
-    _check_keys(params, {"n", "p_spec", "method", "exact_cap"}, path)
+    _check_keys(params, {"n", "p_spec", "method"}, path)
     n = typed_field(params, "n", path, int, low=1)
     if n > MAX_CHROMATIC_N:
         raise SizeLimitError(f"{path}.n: above MAX_CHROMATIC_N = {MAX_CHROMATIC_N}")
@@ -284,13 +278,12 @@ def _validate_chromatic(params, path):
     method = params.get("method", "auto")
     _require(method in ("auto", "exact", "greedy"), f"{path}.method",
              "must be auto, exact, or greedy")
-    exact_cap = typed_field(params, "exact_cap", path, int, low=0, default=30)
     if method == "auto":
-        method = "exact" if n <= exact_cap else "greedy"
-    if method == "exact" and n > exact_cap:
-        raise SizeLimitError(f"{path}.exact_cap: exact coloring of n = {n} vertices "
-                             f"is above exact_cap = {exact_cap}")
-    return {"n": n, "P": P, "method": method, "exact_cap": exact_cap}
+        method = "exact" if n <= CHROMATIC_EXACT_CAP else "greedy"
+    if method == "exact" and n > CHROMATIC_EXACT_CAP:
+        raise SizeLimitError(f"{path}.n: exact coloring of n = {n} vertices is above "
+                             f"CHROMATIC_EXACT_CAP = {CHROMATIC_EXACT_CAP}")
+    return {"n": n, "P": P, "method": method}
 
 
 def _validate_jl(params, path):
@@ -312,13 +305,12 @@ def _validate_jl(params, path):
 
 
 def _validate_binpack(params, path):
-    _check_keys(params, {"dist", "n_items", "maximal_only"}, path)
+    _check_keys(params, {"dist", "n_items"}, path)
     n_items = typed_field(params, "n_items", path, int, low=1)
     if n_items > MAX_ITEMS:
         raise SizeLimitError(f"{path}.n_items: above MAX_ITEMS = {MAX_ITEMS}")
     dist = _from_kind(params.get("dist"), f"{path}.dist", _ITEM_DISTS, "distribution")
-    maximal_only = typed_field(params, "maximal_only", path, bool, default=True)
-    bin_types = _build(f"{path}.dist", enumerate_bin_types, dist, maximal_only)
+    bin_types = _build(f"{path}.dist", enumerate_bin_types, dist)
     return {"dist": dist, "bin_types": bin_types, "n_items": n_items}
 
 
@@ -358,7 +350,7 @@ def _validate_chernoff(params, path):
 
 
 _VALIDATORS = {
-    "tsp": _validate_tsp,
+    "tsp": _validate_grid,
     "mwst": _validate_grid,
     "chromatic": _validate_chromatic,
     "jl": _validate_jl,

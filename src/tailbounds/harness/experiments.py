@@ -20,11 +20,10 @@ run_gauss_sum, the same draw and sum on one row, is its per-replicate
 oracle.
 
 The parameters are the validated dict of config.parse_config, so every
-domain object is built once per config and only read here:
-  tsp         n_cells, count_dist, placement, max_passes
-  mwst        n_cells, count_dist, placement
-  chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy),
-              exact_cap
+domain object is built once per config and only read here.  No solver
+setting is among them (every solver runs with its own defaults); they are:
+  tsp, mwst   n_cells, count_dist, placement
+  chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy)
   jl          n, k, family, gate_samples (at least 100)
   binpack     dist (ItemDistribution), bin_types (BinTypeSet), n_items
   chernoff    n, nus (per-variable means), thresholds (their raw-word
@@ -49,20 +48,20 @@ from ..seq import check_jl_hypotheses, jl_projection_statistic, lis, sample_unit
 from .rng import substream
 
 
-def _tsp_value(points, params):
+def _tsp_value(points):
     s = len(points)
     if s == 0:
         return 0.0, "empty"
     if s <= TSP_EXACT_MAX_POINTS:
         return tsp_exact(points).length, "exact"
     start = tsp_strip(points, alpha=1.0)
-    return tsp_2opt(points, start, max_passes=params["max_passes"]).length, "2opt_strip"
+    return tsp_2opt(points, start).length, "2opt_strip"
 
 
 def run_tsp(params, rng):
     points = sample_point_set(params["n_cells"], params["count_dist"],
                               params["placement"], rng).points
-    value, solver = _tsp_value(points, params)
+    value, solver = _tsp_value(points)
     return value, {"n_points": len(points), "solver": solver}
 
 
@@ -76,10 +75,7 @@ def run_mwst(params, rng):
 def run_chromatic(params, rng):
     g = sample_graph(params["P"], rng)
     method = params["method"]
-    if method == "exact":
-        chi = chromatic_exact(g, cap=params["exact_cap"])
-    else:
-        chi = chromatic_greedy(g)
+    chi = chromatic_exact(g) if method == "exact" else chromatic_greedy(g)
     return float(chi), {"solver": method, "edges": int(g.adj.sum() // 2)}
 
 

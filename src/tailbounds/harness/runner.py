@@ -390,14 +390,17 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
 
 
 def _attach_default_bound(config, records, summary):
-    """Attach the analytic bound curve for experiments that define one.
+    """Attach the analytic bound curve for experiments that define one.  A
+    chernoff run of equal means nu takes the corollary with sigma2 =
+    nu(1 - nu), which bounds every even centred moment of a Bernoulli(nu).
 
     A run with fewer than MIN_BOUND_RECORDS replicates keeps its summary
     without a bound curve and gets a warning instead."""
     params = config.parameters
     if config.experiment == "chernoff":
-        source = ({"kind": "bernoulli", "n": params["n"], "nu": params["nu"]}
-                  if "nu" in params else {"kind": "hetero_bernoulli", "nus": params["nus"]})
+        nu = params.get("nu")
+        source = ({"kind": "bernoulli", "n": params["n"], "sigma2": nu * (1 - nu)}
+                  if nu is not None else {"kind": "hetero_bernoulli", "nus": params["nus"]})
     elif config.experiment == "jl":
         source = {"kind": "jl", "n": params["n"], "k": params["k"]}
     else:
@@ -420,7 +423,7 @@ def bound_source(source, t_grid, m_max=None):
     minimised over it at every t of t_grid.
 
     source selects how moment information is obtained:
-      {"kind": "bernoulli", "n", "nu"}          analytic, corollary curve
+      {"kind": "bernoulli", "n", "sigma2"}      analytic, corollary curve
       {"kind": "hetero_bernoulli", "nus"}       analytic, general curve
       {"kind": "closed", "n"}                   closed form (c1*n*m)^(m/2)
       {"kind": "jl", "n", "k"}                  analytic projection envelope
@@ -432,13 +435,14 @@ def bound_source(source, t_grid, m_max=None):
     the rest, an m_max other than None is used as given (so 0 is refused).
     With None, the closed form and a MomentProfile stop at n rounded down
     to even (a MomentProfile also at its highest order) and a
-    TypicalProfile at its highest order.
+    TypicalProfile at its highest order: the one order-cap rule of run,
+    compare_bound and the bound command.
     """
     kind = source["kind"]
     if kind == "bernoulli":
-        n, nu = source["n"], source["nu"]
-        method, record = BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "nu": nu}
-        curve = chernoff_corollary_curve(n, nu, float(np.max(t_grid)))
+        n, sigma2 = source["n"], source["sigma2"]
+        method, record = BoundMethod.CHERNOFF_COROLLARY, {"kind": kind, "n": n, "sigma2": sigma2}
+        curve = chernoff_corollary_curve(n, sigma2, float(np.max(t_grid)))
     elif kind == "hetero_bernoulli":
         nu = float(np.sum(source["nus"]))
         method, record = BoundMethod.GENERAL_CHERNOFF, {"kind": kind, "nu_total": nu}

@@ -82,15 +82,16 @@ class BinTypeSet:
 
     sizes: tuple
     rows: np.ndarray  # (s, r) nonnegative integers, lexicographically sorted
-    maximal_only: bool
 
     @property
     def count(self):
         return self.rows.shape[0]
 
 
-def enumerate_bin_types(dist: ItemDistribution, maximal_only=False):
-    """All (or all maximal) feasible bin types, lexicographically ordered.
+def enumerate_bin_types(dist: ItemDistribution, maximal_only=True):
+    """The maximal (or, with maximal_only False, all) feasible bin types,
+    lexicographically ordered.  Every bin type fits inside a maximal one,
+    so the covering LP has the same value over either set.
 
     Guarded to r <= 8 atoms and minimum size 0.05 to keep the enumeration
     bounded; aborts past 10^6 types.
@@ -128,7 +129,7 @@ def enumerate_bin_types(dist: ItemDistribution, maximal_only=False):
             if all(z > slack + tol for z in sizes):
                 keep.append(i)
         arr = arr[keep]
-    return BinTypeSet(sizes=sizes, rows=arr, maximal_only=maximal_only)
+    return BinTypeSet(sizes=sizes, rows=arr)
 
 
 @dataclass

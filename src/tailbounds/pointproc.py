@@ -42,7 +42,7 @@ __all__ = [
 class Poisson:
     """Poisson cell counts; all moments finite."""
 
-    mean: float
+    mean: float = 1.0
 
     def __post_init__(self):
         if not self.mean >= 0:

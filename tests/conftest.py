@@ -152,7 +152,7 @@ def _distance_matrix_oracle(points):
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def tsp_2opt_oracle(points, start, max_passes=50):
+def tsp_2opt_oracle(points, start, max_passes):
     """The 2-opt sweep row by row on the dense s x s distance matrix: for
     each i in ascending order, reverse order[i..j] for the first j with
     d[a,seg] + d[b,nxt] - d[a,b] - d[seg,nxt] < -1e-12; stop after a sweep

@@ -92,7 +92,7 @@ def test_criterion_3_chernoff_dominance():
     cfg = _config("chernoff", 100000, 20260808, n=1000, nu=0.5)
     records = run_replicates(cfg)
     summary = compare_bound(records, "chernoff_corollary",
-                            {"kind": "bernoulli", "n": 1000, "nu": 0.5})
+                            {"kind": "bernoulli", "n": 1000, "sigma2": 0.25})
     assert summary.dominated
     fs = np.array([r.f for r in records])
     dev = np.abs(fs - fs.mean())
@@ -100,7 +100,7 @@ def test_criterion_3_chernoff_dominance():
     for t in (20, 40, 60, 80, 100):
         emp = float((dev >= t).mean())
         se = math.sqrt(max(emp * (1 - emp), 0.0) / n_rec)
-        bound = chernoff_corollary_bound(1000, 0.5, float(t)).tail_probability
+        bound = chernoff_corollary_bound(1000, 0.25, float(t)).tail_probability
         assert emp <= bound + 3 * se
 
     # heterogeneous means, alternating 0.1 / 0.9
@@ -197,7 +197,7 @@ def test_criterion_8_lp_internal_checks():
     sandwich_failures = 0
     for trial in range(1000):
         d = random_distribution(rng)
-        types = enumerate_bin_types(d, maximal_only=True)
+        types = enumerate_bin_types(d)
         counts = [int(c) for c in rng.integers(0, 60, d.r)]
         sol = solve_packing_lp(types, counts)
         if sol.duality_gap > 1e-9 * (1 + abs(sol.value)):

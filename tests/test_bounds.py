@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -552,7 +553,7 @@ def test_chernoff_curve_cost_at_the_size_cap(kind, nu):
     n = MAX_CHERNOFF_N
     sd = math.sqrt(n * nu * (1 - nu))
     grid = np.linspace(T_GRID_LO * sd, T_GRID_HI * sd, T_GRID_POINTS)
-    source = ({"kind": kind, "n": n, "nu": nu} if kind == "bernoulli"
+    source = ({"kind": kind, "n": n, "sigma2": nu * (1 - nu)} if kind == "bernoulli"
               else {"kind": kind, "nus": np.full(n, nu)})
     tracemalloc.start()
     try:
@@ -703,6 +704,18 @@ class TestTailCurve:
             tail_curve([2, 4], [1.0, 2.0], [1.0, t])
 
 
+def test_centred_bernoulli_moments_within_the_variance():
+    # E(X - nu)^l = nu (1 - nu)^l + (1 - nu) nu^l <= nu (1 - nu) for even l
+    # >= 2, with equality at l = 2: the corollary's sigma2 of a chernoff
+    # run.  Exact in rationals, on nu = k/64.
+    for k in range(1, 64):
+        nu = Fraction(k, 64)
+        var = nu * (1 - nu)
+        moments = [nu * (1 - nu)**l + (1 - nu) * nu**l for l in range(2, 65, 2)]
+        assert moments[0] == var
+        assert all(m <= var for m in moments), nu
+
+
 def _exact_tail_grid(sd):
     """40 points of a log t-grid from half a standard deviation to 40."""
     return np.geomspace(0.5 * sd, 40.0 * sd, 40)
@@ -734,7 +747,7 @@ class TestExactTails:
         curves = {
             "closed": tail_curve(*theorem1_closed_curve(n, n), grid),
             "recursion": _recursion_curve(n, lambda l: p * (1 - p)**l + (1 - p) * p**l, grid),
-            "corollary": bound_source({"kind": "bernoulli", "n": n, "nu": var}, grid)[2],
+            "corollary": bound_source({"kind": "bernoulli", "n": n, "sigma2": var}, grid)[2],
             "general": bound_source({"kind": "hetero_bernoulli", "nus": np.full(n, p)},
                                     grid)[2],
         }

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import tailbounds
 from tailbounds.bounds import MAX_CURVE_ORDER, MAX_MAIN_CURVE_TERMS, \
     MAX_RECURSION_MATRIX_BYTES, MomentProfile, TypicalProfile
-from tailbounds import bounds, packing, pointproc
+from tailbounds import bounds, graphs, packing, pointproc
 from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgumentError, \
     SizeLimitError
 from tailbounds.harness import cli, config, experiments, runner
@@ -32,6 +32,7 @@ from tailbounds.harness.runner import (
     ConcentrationSummary,
     ExperimentRecord,
     Records,
+    bound_source,
     compare_bound,
     records_from_csv,
     records_to_csv,
@@ -41,7 +42,7 @@ from tailbounds.harness.runner import (
     summarize,
     _run_block,
 )
-from tailbounds.packing import lower_bound_distribution
+from tailbounds.packing import enumerate_bin_types, lower_bound_distribution, solve_packing_lp
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
@@ -240,10 +241,10 @@ class TestConfigSchema:
         # SHA-256 of the canonical JSON of experiment and raw parameters:
         # key order does not matter.
         assert a == "efd50435ad06"
-        params = {"n_cells": 16, "placement": "corner_bunch", "max_passes": 5,
+        params = {"n_cells": 16, "placement": "corner_bunch",
                   "count_dist": {"p0": 0.35, "s": 6.0, "kind": "zeta"}}
         reordered = {"count_dist": {"kind": "zeta", "s": 6.0, "p0": 0.35},
-                     "max_passes": 5, "placement": "corner_bunch", "n_cells": 16}
+                     "placement": "corner_bunch", "n_cells": 16}
         assert make_config(experiment="tsp", parameters=params).param_hash() \
             == make_config(experiment="tsp", parameters=reordered).param_hash()
 
@@ -255,29 +256,72 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_maximal_only_must_be_a_json_bool(self, value):
-        with pytest.raises(ConfigError, match=r"\$\.parameters\.maximal_only"):
+        # maximal_only is no config key: a run always enumerates the maximal
+        # bin types, so any value of it, a JSON bool or not, is refused.
+        with pytest.raises(ConfigError, match=r"\$\.parameters\.maximal_only: unknown key"):
             make_config(experiment="binpack",
                         parameters={"dist": {"kind": "lower_bound", "k": 4},
                                     "n_items": 10, "maximal_only": value})
 
     @pytest.mark.parametrize("value", [False, True])
     def test_maximal_only_bool(self, value):
+        # A run's bin types are the maximal ones, and the LP value over them
+        # is the value over either enumeration.
+        dist = lower_bound_distribution(5)
         cfg = make_config(experiment="binpack",
-                          parameters={"dist": {"kind": "lower_bound", "k": 4},
-                                      "n_items": 10, "maximal_only": value})
-        assert cfg.parameters["bin_types"].maximal_only is value
+                          parameters={"dist": {"kind": "lower_bound", "k": 5},
+                                      "n_items": 10})
+        types = cfg.parameters["bin_types"]
+        assert types.rows.tolist() == enumerate_bin_types(dist).rows.tolist()
+        for counts in ([3, 1], [7, 2], [0, 5]):
+            assert solve_packing_lp(types, counts).value == pytest.approx(
+                solve_packing_lp(enumerate_bin_types(dist, maximal_only=value),
+                                 counts).value, rel=1e-12)
+
+    # One config per experiment that sets every parameter key it accepts:
+    # 20 keys in all.  No key sets a solver option.
+    EVERY_KEY = {
+        "tsp": {"n_cells": 4, "count_dist": {"kind": "poisson"}, "placement": "corner_bunch"},
+        "mwst": {"n_cells": 4, "count_dist": {"kind": "poisson"}, "placement": "corner_bunch"},
+        "chromatic": {"n": 4, "p_spec": {"kind": "uniform", "p": 0.5}, "method": "greedy"},
+        "jl": {"n": 10, "k": 2, "family": {"kind": "sphere"}, "gate_samples": 100},
+        "binpack": {"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10},
+        "lis": {"n": 5},
+        "chernoff": {"n": 5, "nu": 0.3, "nus": {"kind": "alternating", "values": [0.2]}},
+        "gauss_sum": {"n": 5},
+    }
+
+    def test_accepted_parameter_keys_are_pinned(self, tmp_path, capsys):
+        assert set(self.EVERY_KEY) == set(config.SCALE_KEYS)
+        assert sum(map(len, self.EVERY_KEY.values())) == 20
+        every = {key for params in self.EVERY_KEY.values() for key in params}
+        for experiment, params in self.EVERY_KEY.items():
+            make_config(experiment=experiment, parameters=params)
+            for key in sorted(every - set(params)):
+                with pytest.raises(ConfigError, match=rf"^\$\.parameters\.{key}: unknown key$"):
+                    make_config(experiment=experiment, parameters={**params, key: 1})
+        # The solver settings that no run varied are constants, not keys.
+        path = tmp_path / "cfg.json"
+        for experiment, key in [("tsp", "max_passes"), ("chromatic", "exact_cap"),
+                                ("binpack", "maximal_only")]:
+            path.write_text(json.dumps({
+                "schema_version": 1, "experiment": experiment, "replicates": 1,
+                "parameters": {**self.EVERY_KEY[experiment], key: 1}}))
+            assert cli.main(["run", str(path)]) == 2
+            assert capsys.readouterr().err == \
+                f"config error: $.parameters.{key}: unknown key\n"
 
     @pytest.mark.parametrize("experiment, parameters, path", [
         ("lis", {"n": True}, "n"),
         ("tsp", {"n_cells": True}, "n_cells"),
-        ("tsp", {"n_cells": 16, "max_passes": True}, "max_passes"),
+        ("tsp", {"n_cells": 16.0}, "n_cells"),
         ("tsp", {"n_cells": 16, "count_dist": {"kind": "zeta", "s": 6.0, "cap": True}},
          "count_dist.cap"),
         ("tsp", {"n_cells": 16, "count_dist": {"kind": "two_point", "p0": 0.5,
                                                "value": True}}, "count_dist.value"),
         ("tsp", {"n_cells": 16, "count_dist": {"kind": "deterministic", "k": True}},
          "count_dist.k"),
-        ("chromatic", {"n": 5, "exact_cap": True}, "exact_cap"),
+        ("chromatic", {"n": True}, "n"),
         ("jl", {"n": 10, "k": True}, "k"),
         ("jl", {"n": 10, "k": 2, "gate_samples": True}, "gate_samples"),
         ("binpack", {"n_items": True, "dist": {"kind": "lower_bound", "k": 4}}, "n_items"),
@@ -845,14 +889,14 @@ class TestCompareBound:
 
     def test_bernoulli_dominated(self, bernoulli_records):
         summary = compare_bound(bernoulli_records, "chernoff_corollary",
-                                {"kind": "bernoulli", "n": 400, "nu": 0.5})
+                                {"kind": "bernoulli", "n": 400, "sigma2": 0.25})
         assert summary.bound_method == "ChernoffCorollary"
         assert summary.dominated
 
     def test_constant_functional_trivially_dominated(self):
         records = records_of([2.0] * 200)
         summary = compare_bound(records, "chernoff_corollary",
-                                {"kind": "bernoulli", "n": 100, "nu": 0.5})
+                                {"kind": "bernoulli", "n": 100, "sigma2": 0.25})
         assert (summary.empirical == 0).all()
         assert summary.dominated
 
@@ -920,7 +964,7 @@ class TestCompareBound:
     def test_needs_enough_records(self):
         records = records_of(range(10))
         with pytest.raises(InvalidArgumentError):
-            compare_bound(records, "any", {"kind": "bernoulli", "n": 10, "nu": 0.5})
+            compare_bound(records, "any", {"kind": "bernoulli", "n": 10, "sigma2": 0.25})
 
     def test_unknown_profile_kind(self):
         records = records_of(range(150))
@@ -932,9 +976,9 @@ class TestCompareBound:
         from tailbounds.bounds import chernoff_corollary_bound
 
         summary = compare_bound(bernoulli_records, "chernoff_corollary",
-                                {"kind": "bernoulli", "n": 400, "nu": 0.5})
+                                {"kind": "bernoulli", "n": 400, "sigma2": 0.25})
         desc = summary.extras["bound_profile"]
-        redo = [chernoff_corollary_bound(desc["n"], desc["nu"], float(t)).tail_probability
+        redo = [chernoff_corollary_bound(desc["n"], desc["sigma2"], float(t)).tail_probability
                 for t in summary.t_grid]
         assert redo == summary.bound.tolist()
 
@@ -951,8 +995,6 @@ class TestCompareBound:
         # The bound command prints bound_source's tail at one t;
         # compare_bound evaluates the same moment curve over the whole grid
         # in one call, and each point is the same double.
-        from tailbounds.harness.runner import bound_source
-
         records = records_of(40.0 * substream(44, "spread").standard_normal(300))
         summary = compare_bound(records, None, source)
         method, record, _ = bound_source(source, summary.t_grid)
@@ -1539,22 +1581,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "MainTheorem"
 
-    def test_bound_profile_runs_to_highest_order_above_n(self, tmp_path, capsys):
-        # Without --m-max the command runs the recursion to the profile's
-        # highest order even above n; capping at n would give m 4, p 0.0241.
+    def test_bound_profile_stops_at_n(self, tmp_path, capsys):
+        # Without --m-max the command stops the recursion at n, as run and
+        # compare_bound do; the profile's highest order would give m 8,
+        # p 0.00416.
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"n": 4, "M": {"2": 1, "4": 3, "6": 15, "8": 105}}))
         assert cli.main(["bound", "--method", "theorem1-recursion",
                          "--profile", str(profile), "--t", "12"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["m_used"] == 8
-        assert payload["tail_probability"] == 0.004160013453223825
+        assert payload["m_used"] == 4
+        assert payload["tail_probability"] == 0.024079861111111107
 
     @pytest.mark.parametrize("method, profile", [
         ("theorem1-recursion", {"n": 10, "M": {"2": 1, "4": 3, "6": 15, "8": 105}}),
         ("main", {"n": 10, "M": {"2": 1, "4": 3, "6": 15, "8": 105},
                   "L": {"2": 0.5, "4": 2, "6": 9, "8": 50},
                   "delta": {"2": 0.01, "4": 0.02, "6": 0.05, "8": 0.1}}),
+        # orders above n: both stop at n
+        ("theorem1-recursion", {"n": 4, "M": {"2": 1, "4": 3, "6": 15, "8": 105}}),
     ])
     def test_bound_command_matches_compare_bound(self, tmp_path, capsys, method, profile):
         path = tmp_path / "profile.json"
@@ -1778,16 +1823,21 @@ class TestCli:
             make_config(experiment="binpack", parameters={**binpack,
                                                           "n_items": config.MAX_ITEMS + 1})
 
-    @pytest.mark.parametrize("exact_cap, refused", [(8, False), (7, True)])
-    def test_exact_coloring_cap_checked_at_parse(self, exact_cap, refused):
-        parameters = {"n": 8, "method": "exact", "exact_cap": exact_cap}
+    @pytest.mark.parametrize("n, refused", [(graphs.CHROMATIC_EXACT_CAP, False),
+                                            (graphs.CHROMATIC_EXACT_CAP + 1, True)])
+    def test_exact_coloring_cap_checked_at_parse(self, n, refused):
+        parameters = {"n": n, "method": "exact"}
         if refused:
-            with pytest.raises(SizeLimitError, match=r"\$\.parameters\.exact_cap: exact "
-                                                     r"coloring of n = 8 vertices"):
+            with pytest.raises(SizeLimitError, match=rf"\$\.parameters\.n: exact coloring "
+                                                     rf"of n = {n} vertices is above "
+                                                     r"CHROMATIC_EXACT_CAP = 30"):
                 make_config(experiment="chromatic", parameters=parameters)
         else:
             assert make_config(experiment="chromatic",
                                parameters=parameters).parameters["method"] == "exact"
+        # auto takes the exact solver at and below the cap, greedy above it
+        auto = make_config(experiment="chromatic", parameters={"n": n}).parameters
+        assert auto["method"] == ("greedy" if refused else "exact")
 
     @pytest.mark.parametrize("output", [5, True, ["r.csv"]])
     def test_output_must_be_a_string(self, output):
@@ -1936,7 +1986,7 @@ FUZZ_CONFIGS = [
         "n": 8, "nus": {"kind": "alternating", "values": [0.2, 0.7]}}}, ["4", "5", "6"]),
     ({"experiment": "tsp", "parameters": {
         "n_cells": 4, "count_dist": {"kind": "poisson", "mean": 1.0},
-        "placement": "uniform_in_cell", "max_passes": 5}}, ["4", "9", "16"]),
+        "placement": "uniform_in_cell"}}, ["4", "9", "16"]),
     ({"experiment": "tsp", "parameters": {
         "n_cells": 4, "count_dist": {"kind": "two_point", "p0": 0.5, "value": 2}}},
      ["4", "9", "16"]),
@@ -1945,7 +1995,7 @@ FUZZ_CONFIGS = [
         "placement": "corner_bunch"}}, ["4", "9", "16"]),
     ({"experiment": "chromatic", "parameters": {
         "n": 5, "p_spec": {"kind": "two_block", "p_in": 0.8, "p_out": 0.1, "split": 0.5},
-        "method": "exact", "exact_cap": 10}}, ["4", "5", "6"]),
+        "method": "exact"}}, ["4", "5", "6"]),
     ({"experiment": "chromatic", "parameters": {
         "n": 2, "p_spec": {"kind": "matrix", "p": [[0, 0.5], [0.5, 0]]}}}, None),
     ({"experiment": "jl", "parameters": {
@@ -1953,7 +2003,7 @@ FUZZ_CONFIGS = [
         "family": {"kind": "radial_beta", "scale": 1.2, "a": 8.0, "b": 2.0}}},
      ["4", "5", "6"]),
     ({"experiment": "binpack", "parameters": {
-        "dist": {"kind": "lower_bound", "k": 5}, "n_items": 20, "maximal_only": True}},
+        "dist": {"kind": "lower_bound", "k": 5}, "n_items": 20}},
      ["4", "5", "6"]),
     ({"experiment": "binpack", "parameters": {
         "dist": {"kind": "explicit", "sizes": [0.5, 0.3], "probs": [0.4, 0.6]},
@@ -2211,7 +2261,7 @@ class TestCliBadInput:
          "$.parameters.p_spec.p[1]: must be a list of n = 2 numbers"),
         ("binpack", {"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10,
                      "maximal_only": "false"}, "$.parameters.maximal_only"),
-        # mwst runs no 2-opt, so it has no pass cap to set
+        # No grid experiment has a pass cap to set
         ("mwst", {"n_cells": 16, "max_passes": 40}, "$.parameters.max_passes"),
         ("binpack", {"dist": {"kind": "explicit", "sizes": [0.5, 0.3],
                               "probs": [-0.4, 1.4]}, "n_items": 10},
@@ -2392,6 +2442,19 @@ class TestCliBadInput:
         assert summary["bound"] is None
         assert any("no bound curve" in w and "50" in w for w in summary["warnings"])
         assert "warning: chernoff: no bound curve" in err
+
+
+def test_chernoff_run_takes_the_bernoulli_variance():
+    # Every even centred moment of Bernoulli(nu) is at most nu(1 - nu), so
+    # a run hands the corollary that variance, not nu.
+    cfg = make_config(experiment="chernoff", replicates=100,
+                      parameters={"n": 100, "nu": 0.3})
+    _, summary = run_experiment(cfg)
+    assert summary.extras["bound_profile"] == {"kind": "bernoulli", "n": 100,
+                                               "sigma2": 0.3 * (1 - 0.3)}
+    assert summary.bound.tolist() == bound_source(
+        {"kind": "bernoulli", "n": 100, "sigma2": 0.21}, summary.t_grid)[2] \
+        .tail_probability.tolist()
 
 
 @pytest.mark.parametrize("replicates, attached", [(99, False), (100, True)])

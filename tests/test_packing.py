@@ -63,18 +63,18 @@ class TestLowerBoundDistribution:
 class TestEnumerateBinTypes:
     def test_two_size_example(self):
         d = ItemDistribution((0.6, 0.5), (0.5, 0.5))
-        full = enumerate_bin_types(d)
+        full = enumerate_bin_types(d, maximal_only=False)
         assert full.rows.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0]]
-        maximal = enumerate_bin_types(d, maximal_only=True)
+        maximal = enumerate_bin_types(d)
         assert maximal.rows.tolist() == [[0, 2], [1, 0]]
 
     def test_single_unit_size(self):
         d = ItemDistribution((1.0,), (1.0,))
-        assert enumerate_bin_types(d, maximal_only=True).rows.tolist() == [[1]]
+        assert enumerate_bin_types(d).rows.tolist() == [[1]]
 
     def test_third_fits_twice(self):
         d = ItemDistribution((0.34,), (1.0,))
-        assert enumerate_bin_types(d, maximal_only=True).rows.tolist() == [[2]]
+        assert enumerate_bin_types(d).rows.tolist() == [[2]]
 
     def test_guards(self):
         with pytest.raises(InvalidArgumentError):
@@ -87,11 +87,11 @@ class TestEnumerateBinTypes:
         # eight atoms of size 0.05 admit C(28, 8) ~ 3.1M fill vectors
         d = ItemDistribution(tuple([0.05] * 8), tuple([1 / 8] * 8))
         with pytest.raises(SizeLimitError):
-            enumerate_bin_types(d)
+            enumerate_bin_types(d, maximal_only=False)
 
     def test_rows_feasible_and_sorted(self):
         d = ItemDistribution((0.55, 0.3, 0.2), (0.4, 0.3, 0.3))
-        ts = enumerate_bin_types(d)
+        ts = enumerate_bin_types(d, maximal_only=False)
         loads = ts.rows @ np.array(d.sizes)
         assert (loads <= 1 + 1e-9).all()
         assert ts.rows.tolist() == sorted(ts.rows.tolist())
@@ -100,19 +100,19 @@ class TestEnumerateBinTypes:
 class TestSolvePackingLp:
     def test_half_sizes(self):
         d = ItemDistribution((0.5,), (1.0,))
-        sol = solve_packing_lp(enumerate_bin_types(d), [10])
+        sol = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), [10])
         assert sol.value == pytest.approx(5.0)
         assert sol.y.tolist() == pytest.approx([0.5])
 
     def test_worked_example(self):
         d = ItemDistribution((0.6, 0.5), (0.5, 0.5))
-        sol = solve_packing_lp(enumerate_bin_types(d), [3, 4])
+        sol = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), [3, 4])
         assert sol.value == pytest.approx(5.0)
         assert sol.duality_gap <= 1e-9
 
     def test_zero_counts(self):
         d = ItemDistribution((0.6, 0.5), (0.5, 0.5))
-        sol = solve_packing_lp(enumerate_bin_types(d), [0, 0])
+        sol = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), [0, 0])
         assert sol.value == 0.0
         assert np.allclose(sol.x, 0.0)
 
@@ -120,7 +120,7 @@ class TestSolvePackingLp:
     def test_matches_vertex_enumeration_oracle(self, seed):
         rng = np.random.default_rng(900 + seed)
         d = random_distribution(rng, max_atoms=3)
-        types = enumerate_bin_types(d, maximal_only=True)
+        types = enumerate_bin_types(d)
         if types.count > 7:
             pytest.skip("keep the oracle's combination count small")
         counts = [int(c) for c in rng.integers(0, 12, d.r)]
@@ -132,7 +132,7 @@ class TestSolvePackingLp:
     def test_strong_duality_and_structure(self, seed):
         rng = np.random.default_rng(1300 + seed)
         d = random_distribution(rng)
-        types = enumerate_bin_types(d, maximal_only=True)
+        types = enumerate_bin_types(d)
         counts = [int(c) for c in rng.integers(0, 50, d.r)]
         sol = solve_packing_lp(types, counts)
         assert sol.duality_gap <= 1e-9 * (1 + abs(sol.value))
@@ -149,7 +149,7 @@ class TestSolvePackingLp:
 
     def test_exact_rational_matches_float(self):
         d = ItemDistribution((0.6, 0.5), (0.5, 0.5))
-        types = enumerate_bin_types(d)
+        types = enumerate_bin_types(d, maximal_only=False)
         a = solve_packing_lp(types, [3, 4])
         b = solve_packing_lp(types, [3, 4], exact=True)
         assert a.value == pytest.approx(b.value, abs=1e-12)
@@ -160,9 +160,8 @@ class TestSolvePackingLp:
         for _ in range(10):
             d = random_distribution(rng)
             counts = [int(c) for c in rng.integers(0, 30, d.r)]
-            v_full = solve_packing_lp(enumerate_bin_types(d), counts).value
-            v_max = solve_packing_lp(enumerate_bin_types(d, maximal_only=True),
-                                     counts).value
+            v_full = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), counts).value
+            v_max = solve_packing_lp(enumerate_bin_types(d), counts).value
             assert v_full == pytest.approx(v_max, abs=1e-9)
 
 
@@ -171,7 +170,7 @@ class TestInsertionSandwich:
     def test_delta_between_dual_and_pure_type_cost(self, seed):
         rng = np.random.default_rng(2200 + seed)
         d = random_distribution(rng)
-        types = enumerate_bin_types(d, maximal_only=True)
+        types = enumerate_bin_types(d)
         counts = [int(c) for c in rng.integers(0, 40, d.r)]
         sol = solve_packing_lp(types, counts)
         k = int(rng.integers(0, d.r))
@@ -185,12 +184,12 @@ class TestInsertionSandwich:
 class TestRoundUp:
     def test_integral_solution_unchanged(self):
         d = ItemDistribution((0.5,), (1.0,))
-        sol = solve_packing_lp(enumerate_bin_types(d), [10])
+        sol = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), [10])
         assert lp_round_up(sol) == 5
 
     def test_fractional_rounds_each_basic_variable(self):
         d = ItemDistribution((0.6, 0.5), (0.5, 0.5))
-        sol = solve_packing_lp(enumerate_bin_types(d), [5, 3])
+        sol = solve_packing_lp(enumerate_bin_types(d, maximal_only=False), [5, 3])
         total = lp_round_up(sol)
         assert math.ceil(sol.value - 1e-9) <= total <= sol.value + d.r
 
@@ -198,7 +197,7 @@ class TestRoundUp:
     def test_exact_optimum_bracketed(self, seed):
         rng = np.random.default_rng(3100 + seed)
         d = random_distribution(rng, max_atoms=2)
-        types = enumerate_bin_types(d, maximal_only=True)
+        types = enumerate_bin_types(d)
         counts = [int(c) for c in rng.integers(0, 7, d.r)]
         if sum(counts) == 0 or sum(counts) > 12:
             counts = [min(c, 6) for c in counts]
