@@ -27,6 +27,7 @@ row per step instead (O(s^2) time).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -294,10 +295,13 @@ _RADIUS_FACTOR = 2.0
 # both ends: about 35 for a uniform cloud at the starting R, 143 at 2R.
 _PAIRS_PER_SITE = 192
 # Candidate pairs the grid may generate in all, whatever the number of
-# sites: building G_R and running Prim on it peaks near 15 bytes a
-# candidate, about 30 MB at this cap, which a uniform cloud of about 6e4
+# sites: building G_R and running Prim on it peaks near 12 bytes a
+# candidate, about 25 MB at this cap, which a uniform cloud of about 6e4
 # sites reaches.
 _MAX_PAIRS = 1 << 21
+# Candidate pairs of one shift that _radius_graph tests at once: its
+# temporaries, about ten per candidate, stay near 80 bytes times this.
+_SHIFT_SLICE = 1 << 16
 # The bucket side exceeds R by this relative margin.  Rounding in the bucket
 # index and in _dist moves a pair by at most ~4 ulp of the bbox span and of
 # R, so no pair with _dist <= R lands two buckets apart while a grid axis has
@@ -419,31 +423,51 @@ def _radius_graph(x, y, r):
     for k in shifts[4:]:   # own bucket, then (1, 0) (-1, 1) (0, 1) (1, 1): each pair once
         b = bucket + k
         c = count[b]
-        u = np.repeat(sites, c)
-        v = by_bucket[np.repeat(start[b] - np.cumsum(c) + c, c) + np.arange(len(u))]
-        if k == 0:
-            once = u < v   # never (u, u)
-            u, v = u[once], v[once]
-        w = _dist(x[u], y[u], x[v], y[v])
-        close = w <= r
-        us.append(u[close])
-        vs.append(v[close])
-        ws.append(w[close])
-    us, vs, ws = np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+        # runs of sites with about _SHIFT_SLICE candidates each, in site order
+        # (a run is empty where one site has more)
+        ends = np.cumsum(c)
+        cuts = np.searchsorted(ends, np.arange(_SHIFT_SLICE, ends[-1], _SHIFT_SLICE))
+        for lo, hi in itertools.pairwise([0, *cuts.tolist(), m]):
+            cs = c[lo:hi]
+            u = np.repeat(sites[lo:hi], cs)
+            v = by_bucket[np.repeat(start[b[lo:hi]] - np.cumsum(cs) + cs, cs) + np.arange(len(u))]
+            if k == 0:
+                once = u < v   # never (u, u)
+                u, v = u[once], v[once]
+            w = _dist(x[u], y[u], x[v], y[v])
+            close = w <= r
+            us.append(u[close])
+            vs.append(v[close])
+            ws.append(w[close])
+    # Each array is dropped once used, the last slice's first, and no step
+    # holds much more than the keys and their CSR order.
+    del b, c, cs, u, v, once, w, close
+    ws = np.concatenate(ws)
     if not ws.all():
         return None
-    # each array is dropped once used, to stay below the peak of the loop
-    del u, v, w
-    levels, rank = np.unique(ws, return_inverse=True)
+    # levels, rank = np.unique(ws, return_inverse=True), with fewer arrays alive
+    order = np.argsort(ws)
+    ws = ws[order]
+    first = np.empty(len(ws), dtype=bool)
+    first[:1] = True
+    np.not_equal(ws[1:], ws[:-1], out=first[1:])
+    levels = ws[first]
+    del ws
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    del order, first
+    us, vs = np.concatenate(us), np.concatenate(vs)
     tail = np.concatenate([us, vs])
     by_tail = np.argsort(tail, kind="stable")
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=m), out=ptr[1:])
-    del tail, ws
-    us += rank * m
-    vs += rank * m
+    del tail
+    rank *= m
+    us += rank
+    vs += rank
+    del rank
     key = np.concatenate([vs, us])
-    del us, vs, rank
+    del us, vs
     return ptr.tolist(), key[by_tail], levels
 
 

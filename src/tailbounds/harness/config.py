@@ -329,6 +329,7 @@ def _validate_chernoff(params, path):
         raise SizeLimitError(f"{path}.n: above MAX_CHERNOFF_N = {MAX_CHERNOFF_N}")
     out = {"n": n}
     if "nus" in params:
+        _require("nu" not in params, f"{path}.nus", f"cannot be set together with {path}.nu")
         spec = params["nus"]
         _require(isinstance(spec, dict) and spec.get("kind") == "alternating",
                  f"{path}.nus", "must be {'kind': 'alternating', 'values': [...]}")

@@ -3,9 +3,9 @@
 Every experiment is one replicate function fn(params, rng) -> (f, aux) in
 REPLICATE_FNS, where f is the functional value and aux a dict of
 auxiliary metrics whose keys are always AUX_KEYS[experiment].  rng is a
-numpy Generator on a Philox that the runner re-keys with rng.restream to
-(seed, STREAM_SITES[experiment]) before each call, so it draws what a new
-substream(seed, site) draws.  The seed is derived_seed(base_seed,
+numpy Generator on a Philox that the runner re-keys with rng.rekey to
+the key of (seed, STREAM_SITES[experiment]) before each call, so it draws
+what a new substream(seed, site) draws.  The seed is derived_seed(base_seed,
 replicate), which the runner takes from rng.derived_seeds and writes to
 the record's seed column.  All randomness
 flows from that seed through counter-based streams, so results do not

@@ -5,10 +5,13 @@ Records are a pure function of the configuration: every replicate draws
 from its own counter-based stream, each block of replicates formats its
 own CSV rows, and the blocks are written in replicate order, so the
 output bytes do not depend on the worker count; after a failure they
-hold every replicate before the first one that raised.  A block calls
-its experiment's replicate function once per replicate, except for an
-experiment of experiments.ROW_FNS (gauss_sum): its replicates draw into
-the rows of one matrix, which is reduced in one call per chunk.
+hold every replicate before the first one that raised.  A block sets its
+streams up in bulk: it derives its seeds and stream keys STREAM_CHUNK
+replicates at a time and re-keys one Philox per replicate through one
+state dict.  It calls its experiment's replicate function once per
+replicate, except for an experiment of experiments.ROW_FNS (gauss_sum):
+its replicates draw into the rows of one matrix, which is reduced in one
+call per chunk.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from ..errors import ConfigError, InvalidArgumentError, SizeLimitError
 from .config import ExperimentConfig, SCALE_KEYS, with_parameters
 from .experiments import AUX_KEYS, REPLICATE_FNS, ROW_FNS, STREAM_SITES, \
     experiment_extras, pre_run_gate
-from .rng import derived_seeds, restream
+from .rng import derived_seeds, philox_state, rekey, stream_keys
 
 T_GRID_POINTS = 20
 T_GRID_LO = 0.5   # in units of the empirical standard deviation
@@ -41,6 +44,9 @@ MIN_BOUND_RECORDS = 100
 # float64 entries (1 MB) in the chunk of rows that a ROW_FNS block draws
 # into before it reduces them.
 ROW_CHUNK_ENTRIES = 2**17
+# Replicates whose seeds and stream keys a block derives at once, so a
+# block holds at most this many keys, whatever its length.
+STREAM_CHUNK = 2**10
 CSV_HEADER = ["experiment", "replicate", "seed", "param_hash", "f"]
 # A pool forks all its workers at once, each a copy of this interpreter
 # with numpy loaded (about 25 MB resident on Linux, Python 3.11), so 64
@@ -226,59 +232,67 @@ def _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes):
     """Run replicates start..stop-1 one call at a time, appending the seed,
     f and aux of each to seeds, fs and auxes as it completes.
 
-    One Generator on one Philox serves the block: for each seed the Philox
-    is re-keyed to (seed, STREAM_SITES[experiment]) and
+    One Generator on one Philox serves the block.  The seeds and their keys
+    to STREAM_SITES[experiment] are derived STREAM_CHUNK replicates at a
+    time (rng.derived_seeds, rng.stream_keys); for each, the Philox is
+    re-keyed through one state dict (rng.rekey) and
     REPLICATE_FNS[experiment] is called on the Generator.  A replicate
     whose aux keys are not AUX_KEYS[experiment] raises a ValueError naming
     it."""
     fn, site, keys = REPLICATE_FNS[experiment], STREAM_SITES[experiment], AUX_KEYS[experiment]
     key_set = set(keys)
-    rng = np.random.Generator(np.random.Philox(0))
-    for seed in derived_seeds(base_seed, start, stop):
-        restream(rng.bit_generator, seed, site)
-        f, aux = fn(params, rng)
-        if aux.keys() != key_set:
-            raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
-                             f"{sorted(aux)} are not {list(keys)}")
-        seeds.append(seed)
-        fs.append(float(f))
-        auxes.append(aux)
+    bit_generator, state = np.random.Philox(0), philox_state()
+    rng = np.random.Generator(bit_generator)
+    for first in range(start, stop, STREAM_CHUNK):
+        chunk_seeds = derived_seeds(base_seed, first, min(first + STREAM_CHUNK, stop))
+        for seed, key in zip(chunk_seeds, stream_keys(chunk_seeds, site)):
+            rekey(bit_generator, state, key)
+            f, aux = fn(params, rng)
+            if aux.keys() != key_set:
+                raise ValueError(f"{experiment} replicate {start + len(fs)}: aux keys "
+                                 f"{sorted(aux)} are not {list(keys)}")
+            seeds.append(seed)
+            fs.append(float(f))
+            auxes.append(aux)
 
 
 def _run_rows(experiment, params, base_seed, start, stop, seeds, fs):
     """_run_each for an experiment of ROW_FNS, whose replicates have no aux.
 
-    Each replicate re-keys the Philox as _run_each does and draws into the
-    next row of a chunk of at most ROW_CHUNK_ENTRIES entries (one row when
-    a row is longer); a full chunk is reduced in one call.  When a
-    replicate raises, the rows drawn before it are reduced before the
-    exception leaves."""
+    The replicates run a chunk at a time: at most STREAM_CHUNK of them, and
+    at most ROW_CHUNK_ENTRIES entries of rows (one row when a row is
+    longer).  A chunk's seeds and keys are derived as _run_each derives
+    them; each replicate re-keys the Philox as _run_each does and draws
+    into the next row of the chunk, and the chunk is reduced in one call.
+    When a replicate raises, the rows drawn before it are reduced, and
+    their seeds kept, before the exception leaves."""
     draw, reduce = ROW_FNS[experiment]
     site, n = STREAM_SITES[experiment], params["n"]
-    rng = np.random.Generator(np.random.Philox(0))
-    chunk = np.empty((min(stop - start, max(1, ROW_CHUNK_ENTRIES // n)), n))
-    filled = 0
-    try:
-        for seed in derived_seeds(base_seed, start, stop):
-            if filled == len(chunk):
-                fs.extend(reduce(chunk).tolist())
-                filled = 0
-            restream(rng.bit_generator, seed, site)
-            draw(params, rng, chunk[filled])
-            seeds.append(seed)
-            filled += 1
-    finally:
-        fs.extend(reduce(chunk[:filled]).tolist())
+    bit_generator, state = np.random.Philox(0), philox_state()
+    rng = np.random.Generator(bit_generator)
+    rows = max(1, min(stop - start, STREAM_CHUNK, ROW_CHUNK_ENTRIES // n))
+    chunk = np.empty((rows, n))
+    for first in range(start, stop, rows):
+        chunk_seeds = derived_seeds(base_seed, first, min(first + rows, stop))
+        filled = 0
+        try:
+            for key in stream_keys(chunk_seeds, site):
+                rekey(bit_generator, state, key)
+                draw(params, rng, chunk[filled])
+                filled += 1
+        finally:
+            seeds.extend(chunk_seeds[:filled])
+            fs.extend(reduce(chunk[:filled]).tolist())
 
 
 def _run_block(experiment, params, base_seed, param_hash, start, stop):
     """(text, seeds, fs, aux, error) of replicates start..stop-1: the one
     way a block runs, with one worker or many.
 
-    The seeds come from rng.derived_seeds.  An experiment of ROW_FNS runs
-    as rows (_run_rows), every other one call per replicate (_run_each).
-    The first replicate that raises ends the block.  text holds the rows
-    of the replicates before it, as records_to_csv writes them; seeds
+    An experiment of ROW_FNS runs as rows (_run_rows), every other one call
+    per replicate (_run_each).  The first replicate that raises ends the
+    block.  text holds the rows of the replicates before it, as
+    records_to_csv writes them, each row formatted in one pass; seeds
     (uint64), fs (float64) and aux (one list per aux key) are their
     columns; error is that exception, or None."""
     seeds, fs, auxes, error = [], [], [], None
@@ -289,12 +303,16 @@ def _run_block(experiment, params, base_seed, param_hash, start, stop):
             _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes)
     except Exception as exc:
         error = exc
-    aux = {key: [a[key] for a in auxes] for key in AUX_KEYS[experiment]}
-    rows = [f"{experiment},{start + i},{seed},{param_hash},{f!r}"
-            for i, (seed, f) in enumerate(zip(seeds, fs))]
-    for column in aux.values():
-        rows = [f"{row},{_cell(value)}" for row, value in zip(rows, column)]
-    return _Block(("".join(row + "\n" for row in rows), np.array(seeds, dtype=np.uint64),
+    keys = AUX_KEYS[experiment]
+    aux = {key: [a[key] for a in auxes] for key in keys}
+    lead, mid = f"{experiment},", f",{param_hash},"
+    if keys:
+        rows = [f"{lead}{r},{seed}{mid}{f!r},{','.join([_cell(a[key]) for key in keys])}\n"
+                for r, seed, f, a in zip(range(start, stop), seeds, fs, auxes)]
+    else:
+        rows = [f"{lead}{r},{seed}{mid}{f!r}\n"
+                for r, seed, f in zip(range(start, stop), seeds, fs)]
+    return _Block(("".join(rows), np.array(seeds, dtype=np.uint64),
                    np.array(fs, dtype=np.float64), aux, error))
 
 
@@ -346,6 +364,15 @@ def _check_workers(workers):
         raise SizeLimitError(f"--workers: {workers} is above MAX_WORKERS = {MAX_WORKERS}")
 
 
+def _empirical_tail(fs, mean, t_grid):
+    """(|fs - mean| >= t).mean() for each t of t_grid, from one sorted copy
+    of the deviations: those >= t are the ones that sort at or after t,
+    less the NaNs, which numpy sorts last and which are >= no t (nor is
+    any deviation >= a NaN t)."""
+    dev = np.sort(np.abs(fs - mean))
+    return (np.searchsorted(dev, np.nan) - np.searchsorted(dev, t_grid)) / len(dev)
+
+
 def summarize(records, extras=None, warnings=None):
     """Concentration summary of Records' f column (recomputable from CSV)."""
     fs = records.f
@@ -353,8 +380,7 @@ def summarize(records, extras=None, warnings=None):
     sd = float(fs.std(ddof=1)) if len(fs) > 1 else None
     scale = sd if sd else 1.0
     t_grid = np.linspace(T_GRID_LO * scale, T_GRID_HI * scale, T_GRID_POINTS)
-    dev = np.abs(fs - mean)
-    empirical = np.array([float((dev >= t).mean()) for t in t_grid])
+    empirical = _empirical_tail(fs, mean, t_grid)
     return ConcentrationSummary(
         experiment=records.experiment, replicates=len(fs), mean=mean, sd=sd,
         t_grid=t_grid, empirical=empirical, extras=dict(extras or {}),

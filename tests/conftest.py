@@ -28,6 +28,12 @@ def substream_oracle(base_seed, *tags):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def empirical_tail_oracle(fs, mean, t_grid):
+    """Pr-hat(|f - mean| >= t) for each t of t_grid, one pass over fs per t."""
+    dev = np.abs(np.asarray(fs, dtype=np.float64) - mean)
+    return np.array([float((dev >= t).mean()) for t in t_grid])
+
+
 def rademacher_moment_exact(n, m):
     """E(X_1+...+X_n)^m for i.i.d. +/-1 signs, exact by enumerating the
     number of -1 coordinates (2^n outcomes grouped by count)."""

@@ -27,7 +27,8 @@ from tailbounds.errors import ConfigError, HypothesisViolationError, InvalidArgu
 from tailbounds.harness import cli, config, experiments, runner
 from tailbounds.harness.config import MAX_CHERNOFF_N, MAX_CHROMATIC_N, MAX_EXPECTED_POINTS, \
     MAX_JL_GATE_ENTRIES, MAX_SEQUENCE_N, parse_config
-from tailbounds.harness.rng import derived_seed, derived_seeds, restream, substream
+from tailbounds.harness.rng import _key, derived_seed, derived_seeds, philox_state, rekey, \
+    restream, stream_keys, substream
 from tailbounds.harness.runner import (
     ConcentrationSummary,
     ExperimentRecord,
@@ -46,8 +47,8 @@ from tailbounds.packing import enumerate_bin_types, lower_bound_distribution, so
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
 from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
 
-from conftest import (run_binpack, run_chernoff, run_gauss_sum, run_lis, run_python,
-                      substream_oracle)
+from conftest import (empirical_tail_oracle, run_binpack, run_chernoff, run_gauss_sum, run_lis,
+                      run_python, substream_oracle)
 
 
 def records_of(fs):
@@ -190,6 +191,37 @@ class TestRngStreams:
         assert list(derived_seeds(base_seed, start, stop)) == \
             [derived_seed(base_seed, r) for r in range(start, stop)]
 
+    # Every site a stream is keyed to: each experiment's and the JL gate's.
+    SITES = sorted({*experiments.STREAM_SITES.values(), "jl-check"})
+
+    @given(base_seed=st.integers(0, 2**63 - 1), start=st.integers(0, 10**6),
+           count=st.integers(0, 6), site=st.sampled_from(SITES), extra=stream_tags,
+           names=draw_names)
+    @example(base_seed=0, start=0, count=0, site="gauss", extra=(), names=["random"])
+    @example(base_seed=2**63 - 1, start=0, count=1, site="chernoff", extra=(),
+             names=["random"])
+    @settings(max_examples=80, deadline=None)
+    def test_stream_keys_and_rekey_match_restream(self, base_seed, start, count, site, extra,
+                                                  names):
+        # A block's keys in one pass are _key's, and one Philox re-keyed
+        # through one reused state dict, after partial and odd 32-bit draws,
+        # has restream's state and draws each time.
+        seeds = derived_seeds(base_seed, start, start + count)
+        tags = (site, *extra)
+        keys = stream_keys(seeds, *tags)
+        assert type(seeds) is list and type(keys) is list
+        assert keys == [_key(seed, tags) for seed in seeds]
+        bit_generator, state = np.random.Philox(0), philox_state()
+        generator = np.random.Generator(bit_generator)
+        for seed, key in zip(seeds, keys):
+            generator.integers(0, 10, size=3, dtype=np.uint32)
+            assert rekey(bit_generator, state, key) is bit_generator
+            new = restream(np.random.Philox(0), seed, *tags)
+            assert repr(bit_generator.state) == repr(new.state)
+            assert state == {**philox_state(), "state": {"counter": (0, 0, 0, 0), "key": key}}
+            assert _same_draws(_draws(generator, names),
+                               _draws(np.random.Generator(new), names))
+
 
 class TestConfigSchema:
     def test_unknown_top_level_key(self):
@@ -279,7 +311,9 @@ class TestConfigSchema:
                                  counts).value, rel=1e-12)
 
     # One config per experiment that sets every parameter key it accepts:
-    # 20 keys in all.  No key sets a solver option.
+    # 20 keys in all.  No key sets a solver option.  A config may set only
+    # one key of each EXCLUSIVE pair, so each is accepted without the other.
+    EXCLUSIVE = {"chernoff": ("nu", "nus")}
     EVERY_KEY = {
         "tsp": {"n_cells": 4, "count_dist": {"kind": "poisson"}, "placement": "corner_bunch"},
         "mwst": {"n_cells": 4, "count_dist": {"kind": "poisson"}, "placement": "corner_bunch"},
@@ -296,10 +330,13 @@ class TestConfigSchema:
         assert sum(map(len, self.EVERY_KEY.values())) == 20
         every = {key for params in self.EVERY_KEY.values() for key in params}
         for experiment, params in self.EVERY_KEY.items():
-            make_config(experiment=experiment, parameters=params)
-            for key in sorted(every - set(params)):
-                with pytest.raises(ConfigError, match=rf"^\$\.parameters\.{key}: unknown key$"):
-                    make_config(experiment=experiment, parameters={**params, key: 1})
+            for left_out in self.EXCLUSIVE.get(experiment, [None]):
+                accepted = {key: value for key, value in params.items() if key != left_out}
+                make_config(experiment=experiment, parameters=accepted)
+                for key in sorted(every - set(params)):
+                    with pytest.raises(ConfigError,
+                                       match=rf"^\$\.parameters\.{key}: unknown key$"):
+                        make_config(experiment=experiment, parameters={**accepted, key: 1})
         # The solver settings that no run varied are constants, not keys.
         path = tmp_path / "cfg.json"
         for experiment, key in [("tsp", "max_passes"), ("chromatic", "exact_cap"),
@@ -310,6 +347,14 @@ class TestConfigSchema:
             assert cli.main(["run", str(path)]) == 2
             assert capsys.readouterr().err == \
                 f"config error: $.parameters.{key}: unknown key\n"
+        # Both keys of a pair exit 2, naming both.
+        for experiment, (first, second) in self.EXCLUSIVE.items():
+            path.write_text(json.dumps({
+                "schema_version": 1, "experiment": experiment, "replicates": 1,
+                "parameters": self.EVERY_KEY[experiment]}))
+            assert cli.main(["run", str(path)]) == 2
+            assert capsys.readouterr().err == (f"config error: $.parameters.{second}: cannot "
+                                               f"be set together with $.parameters.{first}\n")
 
     @pytest.mark.parametrize("experiment, parameters, path", [
         ("lis", {"n": True}, "n"),
@@ -466,19 +511,19 @@ class TestChernoffBlock:
     def test_raise_leaves_the_completed_prefix(self, monkeypatch):
         calls = []
 
-        def restream_failing_third(bit_generator, seed, *tags):
-            calls.append(seed)
+        def rekey_failing_third(bit_generator, state, key):
+            calls.append(key)
             if len(calls) == 3:
-                raise RuntimeError("restream failed")
-            return restream(bit_generator, seed, *tags)
+                raise RuntimeError("rekey failed")
+            return rekey(bit_generator, state, key)
 
-        monkeypatch.setattr(runner, "restream", restream_failing_third)
+        monkeypatch.setattr(runner, "rekey", rekey_failing_third)
         params = make_config(experiment="chernoff", parameters={"n": 20, "nu": 0.4}).parameters
         block = _run_block("chernoff", params, 1234, "h", 5, 10)
         seeds = [derived_seed(1234, r) for r in (5, 6)]
         error = block_error(block, "chernoff", 5, seeds,
                             [run_chernoff(params, s) for s in seeds])
-        assert type(error) is RuntimeError and str(error) == "restream failed"
+        assert type(error) is RuntimeError and str(error) == "rekey failed"
 
 
 # Per-replicate oracles that build their own substream from the seed.
@@ -525,19 +570,19 @@ class TestStreamBlocks:
     def test_raise_leaves_the_completed_prefix(self, monkeypatch):
         calls = []
 
-        def restream_failing_third(bit_generator, seed, *tags):
-            calls.append(seed)
+        def rekey_failing_third(bit_generator, state, key):
+            calls.append(key)
             if len(calls) == 3:
-                raise RuntimeError("restream failed")
-            return restream(bit_generator, seed, *tags)
+                raise RuntimeError("rekey failed")
+            return rekey(bit_generator, state, key)
 
-        monkeypatch.setattr(runner, "restream", restream_failing_third)
+        monkeypatch.setattr(runner, "rekey", rekey_failing_third)
         params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
         block = _run_block("gauss_sum", params, 1234, "h", 5, 10)
         seeds = [derived_seed(1234, r) for r in (5, 6)]
         error = block_error(block, "gauss_sum", 5, seeds,
                             [run_gauss_sum(params, s) for s in seeds])
-        assert type(error) is RuntimeError and str(error) == "restream failed"
+        assert type(error) is RuntimeError and str(error) == "rekey failed"
 
 
 class TestGaussRows:
@@ -570,20 +615,20 @@ class TestGaussRows:
         # was summed and one row of the second was drawn.
         calls = []
 
-        def restream_failing_fifth(bit_generator, seed, *tags):
-            calls.append(seed)
+        def rekey_failing_fifth(bit_generator, state, key):
+            calls.append(key)
             if len(calls) == 5:
-                raise RuntimeError("restream failed")
-            return restream(bit_generator, seed, *tags)
+                raise RuntimeError("rekey failed")
+            return rekey(bit_generator, state, key)
 
-        monkeypatch.setattr(runner, "restream", restream_failing_fifth)
+        monkeypatch.setattr(runner, "rekey", rekey_failing_fifth)
         monkeypatch.setattr(runner, "ROW_CHUNK_ENTRIES", 3 * 20)
         params = make_config(experiment="gauss_sum", parameters={"n": 20}).parameters
         block = _run_block("gauss_sum", params, 1234, "h", 5, 15)
         seeds = [derived_seed(1234, r) for r in range(5, 9)]
         error = block_error(block, "gauss_sum", 5, seeds,
                             [run_gauss_sum(params, s) for s in seeds])
-        assert type(error) is RuntimeError and str(error) == "restream failed"
+        assert type(error) is RuntimeError and str(error) == "rekey failed"
 
     def test_block_holds_one_chunk(self):
         # 200 replicates of 5000 normals: a chunk holds 26 rows (1.04 MB),
@@ -739,14 +784,14 @@ class TestRunExperiment:
         cfg = make_config(replicates=40)
         clean = tmp_path / "clean.csv"
         run_experiment(cfg, workers=1, out=str(clean))
-        failing_seed = derived_seed(cfg.base_seed, failing)
+        [failing_key] = stream_keys([derived_seed(cfg.base_seed, failing)], "lis")
 
-        def restream_failing(bit_generator, seed, *tags):
-            if seed == failing_seed:
+        def rekey_failing(bit_generator, state, key):
+            if key == failing_key:
                 raise RuntimeError(f"replicate {failing} exploded\nsecond line")
-            return restream(bit_generator, seed, *tags)
+            return rekey(bit_generator, state, key)
 
-        monkeypatch.setattr(runner, "restream", restream_failing)
+        monkeypatch.setattr(runner, "rekey", rekey_failing)
         out = tmp_path / "partial.csv"
         with pytest.raises(RuntimeError, match=f"replicate {failing} exploded"):
             run_experiment(cfg, workers=workers, out=str(out))
@@ -876,6 +921,36 @@ class TestRunExperiment:
         _, summary = run_experiment(make_config(replicates=80))
         emp = summary.empirical
         assert all(a >= b for a, b in zip(emp, emp[1:]))
+
+    # f values from a small pool, so deviations tie with one another, and
+    # t grids that hold deviations themselves, so ties fall on grid points.
+    tail_values = st.lists(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 7.5]),
+                           min_size=1, max_size=40)
+
+    @given(fs=tail_values | st.lists(st.floats(), min_size=1, max_size=40),
+           picks=st.lists(st.integers(0, 39), max_size=6),
+           others=st.lists(st.floats(), max_size=6))
+    @example(fs=[1.0, 1.0, 3.0], picks=[0, 2], others=[])
+    @example(fs=[math.inf, 0.0], picks=[1], others=[math.nan])
+    @example(fs=[math.nan], picks=[0], others=[0.0, -0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_empirical_tail_matches_per_t_oracle(self, fs, picks, others):
+        fs = np.array(fs)
+        with np.errstate(all="ignore"):
+            mean = float(fs.mean())
+            dev = np.abs(fs - mean)
+        t_grid = np.array([dev[i % len(dev)] for i in picks] + others)
+        with np.errstate(all="ignore"):
+            got, want = (tail(fs, mean, t_grid)
+                         for tail in (runner._empirical_tail, empirical_tail_oracle))
+        assert got.tolist() == want.tolist()
+
+    @given(fs=tail_values)
+    @settings(max_examples=100, deadline=None)
+    def test_summary_tail_matches_per_t_oracle(self, fs):
+        summary = summarize(records_of(fs))
+        assert summary.empirical.tolist() == \
+            empirical_tail_oracle(fs, summary.mean, summary.t_grid).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -1058,9 +1133,9 @@ class TestBuiltOnce:
         original = rng.derived_seeds
 
         def counted(*args):
-            for seed in original(*args):
-                taken.append(seed)
-                yield seed
+            seeds = original(*args)
+            taken.extend(seeds)
+            return seeds
 
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("tailbounds") and module is not None \
@@ -1075,6 +1150,55 @@ class TestBuiltOnce:
             assert taken == [r.seed for r in records] == \
                 [derived_seed(cfg.base_seed, r) for r in range(25)]
         assert derived == []
+
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("gauss_sum", {"n": 30}), ("chernoff", {"n": 30, "nu": 0.5})])
+    def test_stream_setup_work_per_replicate(self, monkeypatch, experiment, parameters):
+        # A block of k replicates builds one Philox and one state dict,
+        # starts 2k + 1 SHA-256 hashes (the seed prefix, a copy of it per
+        # seed, one per key) and re-keys k times through that one dict: no
+        # replicate formats a key with _key or builds a state with restream.
+        from tailbounds.harness import rng
+
+        k = 25
+        seeds = derived_seeds(1234, 0, k)
+        hashes, digests, states = [], [], []
+
+        class CountedSha256:
+            def __init__(self, h):
+                hashes.append(1)
+                self.h = h
+
+            def copy(self):
+                return CountedSha256(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                digests.append(1)
+                return self.h.digest()
+
+        def counted_rekey(bit_generator, state, key):
+            states.append(state)
+            return rekey(bit_generator, state, key)
+
+        monkeypatch.setattr(rng, "hashlib", types.SimpleNamespace(
+            sha256=lambda data=b"": CountedSha256(hashlib.sha256(data))))
+        monkeypatch.setattr(runner, "rekey", counted_rekey)
+        philoxes, philox = [], np.random.Philox
+        for owner in (np.random, rng):
+            monkeypatch.setattr(owner, "Philox", lambda seed: philoxes.append(1) or philox(seed))
+        built = self._count(monkeypatch, rng, "philox_state")
+        keyed = self._count(monkeypatch, rng, "_key")
+        restreamed = self._count(monkeypatch, rng, "restream")
+        params = make_config(experiment=experiment, parameters=parameters).parameters
+        block = _run_block(experiment, params, 1234, "h", 0, k)
+        assert block[4] is None and block[1].tolist() == seeds
+        assert (len(philoxes), len(built)) == (1, 1)
+        assert (len(hashes), len(digests)) == (2 * k + 1, 2 * k)
+        assert len(states) == k and all(state is states[0] for state in states)
+        assert (keyed, restreamed) == ([], [])
 
     def test_param_hash_computed_once_per_run(self, monkeypatch):
         from tailbounds.harness.config import ExperimentConfig
@@ -1319,7 +1443,7 @@ class TestCli:
         def allocate(*args):
             raise AssertionError("a replicate stream was built before the size check")
 
-        monkeypatch.setattr(runner, "restream", allocate)
+        monkeypatch.setattr(runner, "rekey", allocate)
         monkeypatch.setitem(experiments.REPLICATE_FNS, experiment, allocate)
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({
