@@ -2,7 +2,11 @@
 replicate runs.  Unknown keys are rejected with the offending field path.
 
 Validation is the one place that turns JSON into run inputs: it builds
-each domain object once and stores it in place of its JSON spec."""
+each domain object once and stores it in place of its JSON spec.
+
+EXPERIMENTS holds one Experiment record per experiment: its validator and
+every other fact the harness knows of it but its replicate function.  The
+runner reads an experiment's entry, never its name."""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -22,6 +27,8 @@ from ..graphs import CHROMATIC_EXACT_CAP, EdgeProbabilityMatrix
 from ..packing import ItemDistribution, enumerate_bin_types, lower_bound_distribution
 from ..pointproc import Deterministic, PlacementStrategy, Poisson, TruncatedZeta, TwoPoint
 from ..seq import RadialBetaMixture, SphereUniform
+from .experiments import binpack_extras, binpack_warnings, chernoff_bound_source, \
+    chromatic_extras, draw_gauss, jl_bound_source, jl_extras, jl_gate, row_sums
 
 SCHEMA_VERSION = 1
 
@@ -44,23 +51,23 @@ _REQUIRED = object()
 # peak of 25 bytes a variable, so 125 MB at MAX_CHERNOFF_N.  A gauss_sum or
 # lis replicate holds one draw of n float64 values (lis adds its patience
 # piles, about 2 sqrt(n) entries): a tracemalloc peak of 8.0 to 8.2 bytes
-# a variable, so about 80 MB at MAX_SEQUENCE_N.  A chromatic config builds
+# a variable, so at most 82 MB at MAX_SEQUENCE_N.  A chromatic config builds
 # its n x n probability matrix at parse, which peaks at 25 traced bytes
 # per n^2 (n = 500 and 1000, every p_spec kind), and a replicate's graph
 # draw adds about 19 bytes per n^2 while that matrix is held: 100 MB and
 # about 180 MB in all at MAX_CHROMATIC_N.  The jl gate draws and squares a
 # samples x n matrix in place, max(100, gate_samples) samples: a peak of
-# 16.0 traced bytes per n * samples (sphere and radial_beta, n = 1000 and
-# 4000, 2000 samples), so 128 MB at MAX_JL_GATE_ENTRIES.  A grid also
-# draws one count per cell, and sample_point_set peaks at 24 traced bytes
-# a cell, whatever the count law, when the cells hold no points, so about
-# 24 MB at MAX_CELLS.  Binpack
+# 16 traced bytes per n * samples and 8 per sample (sphere and radial_beta,
+# n = 1 to 4000), so 128 MB at MAX_JL_GATE_ENTRIES when n is large and at
+# most 192 MB, at n = 1.  A grid also draws one count per cell, and
+# sample_point_set peaks at 24 traced bytes a cell, whatever the count law,
+# when the cells hold no points, so about 24 MB at MAX_CELLS.  Binpack
 # counts come from numpy's multinomial, which takes n_items as a C long,
 # and the LP reads them as floats, exact up to MAX_ITEMS.  The parent of a
 # run holds each replicate's seed and f (16 bytes) plus its aux values,
-# and its traced peak per replicate, measured at 2e4 and 8e4 replicates
-# in process, is 67 bytes for chernoff and 132 for binpack (whose aux
-# holds a float and an int), so at most about 130 MB at MAX_REPLICATES.
+# and its traced peak per replicate, measured at 10^3 to 8e4 replicates
+# in process, is 62 bytes for chernoff and 164 to 178 for binpack (whose
+# aux holds a float and an int), so at most 180 MB at MAX_REPLICATES.
 MAX_ZETA_CAP = 10**7
 MAX_EXPECTED_POINTS = 10**6
 MAX_CELLS = 10**6
@@ -94,7 +101,9 @@ class ExperimentConfig:
 
     @property
     def warnings(self):
-        return _regime_warnings(self.experiment, self.parameters)
+        """The regime warnings of the experiment's entry, or none."""
+        warn = EXPERIMENTS[self.experiment].warnings
+        return warn(self.parameters) if warn else []
 
 
 def _require(cond, path, message):
@@ -309,7 +318,8 @@ def _validate_binpack(params, path):
     n_items = typed_field(params, "n_items", path, int, low=1)
     if n_items > MAX_ITEMS:
         raise SizeLimitError(f"{path}.n_items: above MAX_ITEMS = {MAX_ITEMS}")
-    dist = _from_kind(params.get("dist"), f"{path}.dist", _ITEM_DISTS, "distribution")
+    _require("dist" in params, f"{path}.dist", "is required")
+    dist = _from_kind(params["dist"], f"{path}.dist", _ITEM_DISTS, "distribution")
     bin_types = _build(f"{path}.dist", enumerate_bin_types, dist)
     return {"dist": dist, "bin_types": bin_types, "n_items": n_items}
 
@@ -350,27 +360,47 @@ def _validate_chernoff(params, path):
     return {**out, "nus": nus, "thresholds": thresholds, "total": nus.sum()}
 
 
-_VALIDATORS = {
-    "tsp": _validate_grid,
-    "mwst": _validate_grid,
-    "chromatic": _validate_chromatic,
-    "jl": _validate_jl,
-    "binpack": _validate_binpack,
-    "lis": _validate_n,
-    "chernoff": _validate_chernoff,
-    "gauss_sum": _validate_n,
-}
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """What the harness knows of one experiment but its replicate function
+    (experiments.REPLICATE_FNS); a hook left None does nothing."""
+    validate: Callable        # (raw parameters, path) -> validated parameters
+    scale_key: str            # the parameter a scaling study varies
+    site: str                 # the stream site its Philox is keyed to, with each seed
+    aux_keys: tuple = ()      # every replicate's aux keys, sorted: the CSV's aux_ order
+    # (draw, reduce) when a replicate draws one row of params["n"] float64
+    # and reduces it to f, with no aux: a block runs a chunk of rows at a time
+    rows: tuple | None = None
+    gate: Callable | None = None          # config -> None; refuses before any replicate
+    extras: Callable | None = None        # params -> summary extras no replicate changes
+    warnings: Callable | None = None      # params -> regime warnings that do not refuse
+    bound_source: Callable | None = None  # params -> the bound_source of its bound curve
 
-# Parameter that a scaling study varies, per experiment.
-SCALE_KEYS = {
-    "tsp": "n_cells",
-    "mwst": "n_cells",
-    "chromatic": "n",
-    "jl": "n",
-    "binpack": "n_items",
-    "lis": "n",
-    "chernoff": "n",
-    "gauss_sum": "n",
+
+# Every experiment, in the order that parse_config names them.  Their
+# validated parameters, which no solver setting is among (every solver runs
+# with its own defaults):
+#   tsp, mwst   n_cells, count_dist, placement
+#   chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy)
+#   jl          n, k, family, gate_samples (at least 100)
+#   binpack     dist (ItemDistribution), bin_types (BinTypeSet), n_items
+#   chernoff    n, nus (per-variable means), thresholds (their raw-word
+#               thresholds), total (sum of the means), nu when they are all
+#               equal
+#   lis, gauss_sum  n
+EXPERIMENTS = {
+    "tsp": Experiment(_validate_grid, "n_cells", "pointset", ("n_points", "solver")),
+    "mwst": Experiment(_validate_grid, "n_cells", "pointset", ("n_points", "solver")),
+    "chromatic": Experiment(_validate_chromatic, "n", "graph", ("edges", "solver"),
+                            extras=chromatic_extras),
+    "jl": Experiment(_validate_jl, "n", "unitvec", ("centered",), gate=jl_gate,
+                     extras=jl_extras, bound_source=jl_bound_source),
+    "binpack": Experiment(_validate_binpack, "n_items", "binpack", ("duality_gap", "rounded"),
+                          extras=binpack_extras, warnings=binpack_warnings),
+    "lis": Experiment(_validate_n, "n", "lis"),
+    "chernoff": Experiment(_validate_chernoff, "n", "chernoff",
+                           bound_source=chernoff_bound_source),
+    "gauss_sum": Experiment(_validate_n, "n", "gauss", rows=(draw_gauss, row_sums)),
 }
 
 
@@ -384,8 +414,8 @@ def parse_config(raw: dict):
     _require(version == SCHEMA_VERSION, "$.schema_version",
              f"must be {SCHEMA_VERSION}")
     exp = raw.get("experiment")
-    _require(isinstance(exp, str) and exp in _VALIDATORS, "$.experiment",
-             f"must be one of {', '.join(_VALIDATORS)}")
+    _require(isinstance(exp, str) and exp in EXPERIMENTS, "$.experiment",
+             f"must be one of {', '.join(EXPERIMENTS)}")
     replicates = typed_field(raw, "replicates", "$", int, low=1)
     if replicates > MAX_REPLICATES:
         raise SizeLimitError(f"$.replicates: above MAX_REPLICATES = {MAX_REPLICATES}")
@@ -393,7 +423,7 @@ def parse_config(raw: dict):
     params = raw.get("parameters", {})
     _require(isinstance(params, dict), "$.parameters", "must be an object")
     return ExperimentConfig(
-        experiment=exp, parameters=_VALIDATORS[exp](params, "$.parameters"),
+        experiment=exp, parameters=EXPERIMENTS[exp].validate(params, "$.parameters"),
         raw_parameters=params, replicates=replicates, base_seed=base_seed,
         output=typed_field(raw, "output", "$", str, default=None))
 
@@ -403,7 +433,7 @@ def with_parameters(config, raw_parameters):
     parse_config validates them."""
     return dataclasses.replace(
         config, raw_parameters=raw_parameters,
-        parameters=_VALIDATORS[config.experiment](raw_parameters, "$.parameters"))
+        parameters=EXPERIMENTS[config.experiment].validate(raw_parameters, "$.parameters"))
 
 
 def read_text(path):
@@ -462,23 +492,3 @@ def load_profile(path):
     return TypicalProfile.from_values(base, _values_map(raw["L"], "$.L"),
                                       _values_map(raw["delta"], "$.delta"))
 
-
-def _regime_warnings(experiment, params):
-    """Regime checks that warn rather than refuse."""
-    if experiment != "binpack":
-        return []
-    dist = params["dist"]
-    n = params["n_items"]
-    logn = math.log(n) if n > 1 else 1.0
-    warnings = []
-    if min(dist.probs) < 1.0 / logn:
-        warnings.append(
-            "binpack: some atom probability is below 1/log(n_items); the "
-            "concentration regime is not guaranteed"
-        )
-    if dist.mu > 1.0 / (dist.r**2 * logn):
-        warnings.append(
-            "binpack: mean item size exceeds 1/(r^2 log n); the "
-            "concentration regime is not guaranteed"
-        )
-    return warnings

@@ -1,35 +1,26 @@
-"""Per-experiment replicate functions.
+"""Per-experiment replicate functions, and the gate, extras, warnings and
+bound-source hooks that some entries of config.EXPERIMENTS hold.
 
 Every experiment is one replicate function fn(params, rng) -> (f, aux) in
 REPLICATE_FNS, where f is the functional value and aux a dict of
-auxiliary metrics whose keys are always AUX_KEYS[experiment].  rng is a
-numpy Generator on a Philox that the runner re-keys with rng.rekey to
-the key of (seed, STREAM_SITES[experiment]) before each call, so it draws
-what a new substream(seed, site) draws.  The seed is derived_seed(base_seed,
-replicate), which the runner takes from rng.derived_seeds and writes to
-the record's seed column.  All randomness
-flows from that seed through counter-based streams, so results do not
-depend on execution order or worker count.  tsp and mwst share the site
-"pointset", so at equal seeds and grid parameters they see one point set.
-chernoff reads raw words from rng.bit_generator and compares them with
-per-variable thresholds, which gives exactly the values of the
-Generator's uniforms compared with the means.  gauss_sum is also in
-ROW_FNS as its draw and its reduction: the runner draws a block's
-replicates into the rows of one matrix and sums them in one call, and
-run_gauss_sum, the same draw and sum on one row, is its per-replicate
-oracle.
+auxiliary metrics whose keys are always its entry's aux_keys.  params is
+the validated dict of config.parse_config, so every domain object is
+built once per config and only read here.
 
-The parameters are the validated dict of config.parse_config, so every
-domain object is built once per config and only read here.  No solver
-setting is among them (every solver runs with its own defaults); they are:
-  tsp, mwst   n_cells, count_dist, placement
-  chromatic   n, P (EdgeProbabilityMatrix), method (exact or greedy)
-  jl          n, k, family, gate_samples (at least 100)
-  binpack     dist (ItemDistribution), bin_types (BinTypeSet), n_items
-  chernoff    n, nus (per-variable means), thresholds (their raw-word
-              thresholds), total (sum of the means), nu when they are all
-              equal
-  lis, gauss_sum  n
+rng is a numpy Generator on a Philox that the runner re-keys with rng.rekey
+to the key of (seed, site) before each call, so it draws what a new
+substream(seed, site) draws.  The seed is derived_seed(base_seed,
+replicate), which the runner takes from rng.derived_seeds and writes to
+the record's seed column.  All randomness flows from that seed through
+counter-based streams, so results do not depend on execution order or
+worker count.  tsp and mwst share the site "pointset", so at equal seeds
+and grid parameters they see one point set.  chernoff reads raw words from
+rng.bit_generator and compares them with per-variable thresholds, which
+gives exactly the values of the Generator's uniforms compared with the
+means.  gauss_sum's entry also holds its draw and its reduction as rows:
+the runner draws a block's replicates into the rows of one matrix and sums
+them in one call, and run_gauss_sum, the same draw and sum on one row, is
+its per-replicate oracle.
 """
 
 from __future__ import annotations
@@ -120,6 +111,8 @@ def run_gauss_sum(params, rng):
     return float(row_sums(draw_gauss(params, rng, np.empty(params["n"])))), {}
 
 
+# Kept apart from config.EXPERIMENTS: the runner looks each function up here
+# when a block runs, so a profiler or a test may replace one.
 REPLICATE_FNS = {
     "tsp": run_tsp,
     "mwst": run_mwst,
@@ -131,70 +124,75 @@ REPLICATE_FNS = {
     "gauss_sum": run_gauss_sum,
 }
 
-# Experiments whose replicate draws one row of params["n"] float64 and
-# reduces it to f, with no aux: (draw, reduce), the draw and reduction of
-# their REPLICATE_FNS entry.  A block runs them a chunk of rows at a time.
-ROW_FNS = {"gauss_sum": (draw_gauss, row_sums)}
 
-# The keys of every replicate's aux dict, in the order of their aux_ columns
-# in the records CSV (sorted).
-AUX_KEYS = {
-    "tsp": ("n_points", "solver"),
-    "mwst": ("n_points", "solver"),
-    "chromatic": ("edges", "solver"),
-    "jl": ("centered",),
-    "binpack": ("duality_gap", "rounded"),
-    "lis": (),
-    "chernoff": (),
-    "gauss_sum": (),
-}
-
-# The stream site each experiment's Philox is keyed to, with its seed.
-STREAM_SITES = {
-    "tsp": "pointset",
-    "mwst": "pointset",
-    "chromatic": "graph",
-    "jl": "unitvec",
-    "binpack": "binpack",
-    "lis": "lis",
-    "chernoff": "chernoff",
-    "gauss_sum": "gauss",
-}
+def jl_gate(config):
+    """Refuse a jl config whose projection hypotheses fail, before any
+    replicate runs: check_jl_hypotheses on the config's own stream."""
+    params = config.parameters
+    n, k = params["n"], params["k"]
+    report = check_jl_hypotheses(params["family"], n, k, params["gate_samples"],
+                                 substream(config.base_seed, "jl-check"))
+    if not report.passed:
+        raise HypothesisViolationError(
+            f"$.parameters: projection hypotheses violated at n = {n}, k = {k}: "
+            + "; ".join(report.reasons()),
+            report=report,
+        )
 
 
-def pre_run_gate(config):
-    """Hypothesis gates that must refuse before any replicate runs."""
-    if config.experiment == "jl":
-        params = config.parameters
-        n, k = params["n"], params["k"]
-        report = check_jl_hypotheses(params["family"], n, k, params["gate_samples"],
-                                     substream(config.base_seed, "jl-check"))
-        if not report.passed:
-            raise HypothesisViolationError(
-                f"$.parameters: projection hypotheses violated at n = {n}, k = {k}: "
-                + "; ".join(report.reasons()),
-                report=report,
-            )
-        return report
-    return None
+def jl_extras(params):
+    """A jl run is summarized only after jl_gate passed."""
+    return {"jl_gate_passed": True}
 
 
-def experiment_extras(config):
-    """Experiment-level reported quantities that do not depend on replicates."""
-    if config.experiment == "chromatic":
-        P = config.parameters["P"]
-        n = P.n
-        pbar = P.mean_probability
-        extras = {
-            "mean_edge_probability": pbar,
-            "envelope_n_sqrtp_logn": n * math.sqrt(pbar) * math.log(max(n, 2)),
-        }
-        if n <= graphs.MAD_MAX_N:
-            extras["mad_p"] = mad(P)
-            extras["envelope_mad_logn"] = extras["mad_p"] * math.log(max(n, 2))
-        return extras
-    if config.experiment == "binpack":
-        dist = config.parameters["dist"]
-        return {"mu": dist.mu, "sigma2": dist.sigma2,
-                "variance_scale": config.parameters["n_items"] * (dist.mu**3 + dist.sigma2)}
-    return {}
+def chromatic_extras(params):
+    """The envelopes a chromatic run reports next to its replicates."""
+    P = params["P"]
+    n = P.n
+    pbar = P.mean_probability
+    extras = {
+        "mean_edge_probability": pbar,
+        "envelope_n_sqrtp_logn": n * math.sqrt(pbar) * math.log(max(n, 2)),
+    }
+    if n <= graphs.MAD_MAX_N:
+        extras["mad_p"] = mad(P)
+        extras["envelope_mad_logn"] = extras["mad_p"] * math.log(max(n, 2))
+    return extras
+
+
+def binpack_extras(params):
+    dist = params["dist"]
+    return {"mu": dist.mu, "sigma2": dist.sigma2,
+            "variance_scale": params["n_items"] * (dist.mu**3 + dist.sigma2)}
+
+
+def binpack_warnings(params):
+    """Regime checks that warn rather than refuse."""
+    dist = params["dist"]
+    n = params["n_items"]
+    logn = math.log(n) if n > 1 else 1.0
+    warnings = []
+    if min(dist.probs) < 1.0 / logn:
+        warnings.append(
+            "binpack: some atom probability is below 1/log(n_items); the "
+            "concentration regime is not guaranteed"
+        )
+    if dist.mu > 1.0 / (dist.r**2 * logn):
+        warnings.append(
+            "binpack: mean item size exceeds 1/(r^2 log n); the "
+            "concentration regime is not guaranteed"
+        )
+    return warnings
+
+
+def chernoff_bound_source(params):
+    """Equal means nu take the corollary with sigma2 = nu(1 - nu), which
+    bounds every even centred moment of a Bernoulli(nu)."""
+    nu = params.get("nu")
+    if nu is not None:
+        return {"kind": "bernoulli", "n": params["n"], "sigma2": nu * (1 - nu)}
+    return {"kind": "hetero_bernoulli", "nus": params["nus"]}
+
+
+def jl_bound_source(params):
+    return {"kind": "jl", "n": params["n"], "k": params["k"]}

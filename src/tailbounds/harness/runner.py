@@ -9,9 +9,12 @@ hold every replicate before the first one that raised.  A block sets its
 streams up in bulk: it derives its seeds and stream keys STREAM_CHUNK
 replicates at a time and re-keys one Philox per replicate through one
 state dict.  It calls its experiment's replicate function once per
-replicate, except for an experiment of experiments.ROW_FNS (gauss_sum):
-its replicates draw into the rows of one matrix, which is reduced in one
-call per chunk.
+replicate, except for an experiment whose entry has rows (gauss_sum): its
+replicates draw into the rows of one matrix, which is reduced in one call
+per chunk.
+
+All the runner knows of an experiment but its replicate function is its
+entry in config.EXPERIMENTS, which a block reads once.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from ..bounds import BoundMethod, TypicalProfile, chernoff_corollary_curve, \
     general_chernoff_curve, jl_envelope_curve, main_theorem_curve, tail_curve, \
     theorem1_closed_curve, theorem1_recursion_curve
 from ..errors import ConfigError, InvalidArgumentError, SizeLimitError
-from .config import ExperimentConfig, SCALE_KEYS, with_parameters
-from .experiments import AUX_KEYS, REPLICATE_FNS, ROW_FNS, STREAM_SITES, \
-    experiment_extras, pre_run_gate
+from .config import EXPERIMENTS, ExperimentConfig, with_parameters
+from .experiments import REPLICATE_FNS
 from .rng import derived_seeds, philox_state, rekey, stream_keys
 
 T_GRID_POINTS = 20
@@ -41,8 +43,8 @@ T_GRID_LO = 0.5   # in units of the empirical standard deviation
 T_GRID_HI = 6.0
 VERDICT_SE_MULTIPLIER = 3.0
 MIN_BOUND_RECORDS = 100
-# float64 entries (1 MB) in the chunk of rows that a ROW_FNS block draws
-# into before it reduces them.
+# float64 entries (1 MB) in the chunk of rows that a block of an experiment
+# with rows draws into before it reduces them.
 ROW_CHUNK_ENTRIES = 2**17
 # Replicates whose seeds and stream keys a block derives at once, so a
 # block holds at most this many keys, whatever its length.
@@ -228,18 +230,18 @@ class _Block(tuple):
         return _Block, ((*columns, error),)
 
 
-def _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes):
-    """Run replicates start..stop-1 one call at a time, appending the seed,
-    f and aux of each to seeds, fs and auxes as it completes.
+def _run_each(experiment, entry, params, base_seed, start, stop, seeds, fs, auxes):
+    """Run replicates start..stop-1 of experiment, whose EXPERIMENTS entry
+    is entry, one call at a time, appending the seed, f and aux of each to
+    seeds, fs and auxes as it completes.
 
     One Generator on one Philox serves the block.  The seeds and their keys
-    to STREAM_SITES[experiment] are derived STREAM_CHUNK replicates at a
-    time (rng.derived_seeds, rng.stream_keys); for each, the Philox is
-    re-keyed through one state dict (rng.rekey) and
-    REPLICATE_FNS[experiment] is called on the Generator.  A replicate
-    whose aux keys are not AUX_KEYS[experiment] raises a ValueError naming
-    it."""
-    fn, site, keys = REPLICATE_FNS[experiment], STREAM_SITES[experiment], AUX_KEYS[experiment]
+    to entry.site are derived STREAM_CHUNK replicates at a time
+    (rng.derived_seeds, rng.stream_keys); for each, the Philox is re-keyed
+    through one state dict (rng.rekey) and REPLICATE_FNS[experiment] is
+    called on the Generator.  A replicate whose aux keys are not
+    entry.aux_keys raises a ValueError naming it."""
+    fn, site, keys = REPLICATE_FNS[experiment], entry.site, entry.aux_keys
     key_set = set(keys)
     bit_generator, state = np.random.Philox(0), philox_state()
     rng = np.random.Generator(bit_generator)
@@ -256,8 +258,9 @@ def _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes):
             auxes.append(aux)
 
 
-def _run_rows(experiment, params, base_seed, start, stop, seeds, fs):
-    """_run_each for an experiment of ROW_FNS, whose replicates have no aux.
+def _run_rows(entry, params, base_seed, start, stop, seeds, fs):
+    """_run_each for an experiment whose entry has rows, (draw, reduce):
+    its replicates have no aux.
 
     The replicates run a chunk at a time: at most STREAM_CHUNK of them, and
     at most ROW_CHUNK_ENTRIES entries of rows (one row when a row is
@@ -266,8 +269,7 @@ def _run_rows(experiment, params, base_seed, start, stop, seeds, fs):
     into the next row of the chunk, and the chunk is reduced in one call.
     When a replicate raises, the rows drawn before it are reduced, and
     their seeds kept, before the exception leaves."""
-    draw, reduce = ROW_FNS[experiment]
-    site, n = STREAM_SITES[experiment], params["n"]
+    (draw, reduce), site, n = entry.rows, entry.site, params["n"]
     bit_generator, state = np.random.Philox(0), philox_state()
     rng = np.random.Generator(bit_generator)
     rows = max(1, min(stop - start, STREAM_CHUNK, ROW_CHUNK_ENTRIES // n))
@@ -289,21 +291,22 @@ def _run_block(experiment, params, base_seed, param_hash, start, stop):
     """(text, seeds, fs, aux, error) of replicates start..stop-1: the one
     way a block runs, with one worker or many.
 
-    An experiment of ROW_FNS runs as rows (_run_rows), every other one call
-    per replicate (_run_each).  The first replicate that raises ends the
-    block.  text holds the rows of the replicates before it, as
+    An experiment whose entry has rows runs as rows (_run_rows), every
+    other one call per replicate (_run_each).  The first replicate that
+    raises ends the block.  text holds the rows of the replicates before it, as
     records_to_csv writes them, each row formatted in one pass; seeds
     (uint64), fs (float64) and aux (one list per aux key) are their
     columns; error is that exception, or None."""
+    entry = EXPERIMENTS[experiment]
     seeds, fs, auxes, error = [], [], [], None
     try:
-        if experiment in ROW_FNS:
-            _run_rows(experiment, params, base_seed, start, stop, seeds, fs)
+        if entry.rows:
+            _run_rows(entry, params, base_seed, start, stop, seeds, fs)
         else:
-            _run_each(experiment, params, base_seed, start, stop, seeds, fs, auxes)
+            _run_each(experiment, entry, params, base_seed, start, stop, seeds, fs, auxes)
     except Exception as exc:
         error = exc
-    keys = AUX_KEYS[experiment]
+    keys = entry.aux_keys
     aux = {key: [a[key] for a in auxes] for key in keys}
     lead, mid = f"{experiment},", f",{param_hash},"
     if keys:
@@ -329,7 +332,7 @@ def run_replicates(config: ExperimentConfig, workers=1, out=None):
     raised, so out holds every replicate before the first one that
     raised, whatever the worker count."""
     n, experiment = config.replicates, config.experiment
-    keys = AUX_KEYS[experiment]
+    keys = EXPERIMENTS[experiment].aux_keys
     param_hash = config.param_hash()
     seeds, fs, aux = [], [], {key: [] for key in keys}
     if out is not None:
@@ -393,10 +396,15 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
 
     Returns (records, summary), records as Records.  A mid-run replicate
     failure leaves the completed prefix (see run_replicates) plus a
-    '# error ...' trailer in the file before re-raising.
+    '# error ...' trailer in the file before re-raising.  The summary takes
+    the extras and warnings of the experiment's entry, and the bound curve
+    of its bound source; a run with fewer than MIN_BOUND_RECORDS replicates
+    gets a warning instead of that curve.
     """
     _check_workers(workers)
-    gate_report = pre_run_gate(config)
+    entry = EXPERIMENTS[config.experiment]
+    if entry.gate:
+        entry.gate(config)
     path = out or config.output
     # Opened before the first replicate, so a bad path fails before any work.
     with open(path, "w") if path else contextlib.nullcontext() as fh:
@@ -407,36 +415,17 @@ def run_experiment(config: ExperimentConfig, workers=1, out=None):
                 message = " ".join(str(exc).splitlines())  # keep the trailer one line
                 fh.write(f"# error experiment={config.experiment} message={message}\n")
             raise
-    extras = experiment_extras(config)
-    if gate_report is not None:
-        extras["jl_gate_passed"] = True
+    extras = entry.extras(config.parameters) if entry.extras else {}
     summary = summarize(records, extras=extras, warnings=config.warnings)
-    summary = _attach_default_bound(config, records, summary)
-    return records, summary
-
-
-def _attach_default_bound(config, records, summary):
-    """Attach the analytic bound curve for experiments that define one.  A
-    chernoff run of equal means nu takes the corollary with sigma2 =
-    nu(1 - nu), which bounds every even centred moment of a Bernoulli(nu).
-
-    A run with fewer than MIN_BOUND_RECORDS replicates keeps its summary
-    without a bound curve and gets a warning instead."""
-    params = config.parameters
-    if config.experiment == "chernoff":
-        nu = params.get("nu")
-        source = ({"kind": "bernoulli", "n": params["n"], "sigma2": nu * (1 - nu)}
-                  if nu is not None else {"kind": "hetero_bernoulli", "nus": params["nus"]})
-    elif config.experiment == "jl":
-        source = {"kind": "jl", "n": params["n"], "k": params["k"]}
-    else:
-        return summary
+    if not entry.bound_source:
+        return records, summary
     if len(records) < MIN_BOUND_RECORDS:
         summary.warnings.append(
             f"{config.experiment}: no bound curve attached; the bound comparison "
             f"needs at least {MIN_BOUND_RECORDS} replicates, got {len(records)}")
-        return summary
-    return compare_bound(records, None, source, summary=summary)
+        return records, summary
+    return records, compare_bound(records, None, entry.bound_source(config.parameters),
+                                  summary=summary)
 
 
 def _binomial_se(p_hat, n):
@@ -558,9 +547,9 @@ class ScalingStudy:
 def scaling_study(config: ExperimentConfig, n_list, workers=1, out=None):
     """Run the experiment at each n and fit the log-sd versus log-n slope.
 
-    Every size is validated, then every size passes pre_run_gate, before
-    any replicate runs, as run_experiment gates its one size; so no gate
-    draws when some size is refused.  Only then is the file `out` opened
+    Every size is validated, then every size passes its experiment's gate,
+    before any replicate runs, as run_experiment gates its one size; so no
+    gate draws when some size is refused.  Only then is the file `out` opened
     (so a refused study leaves it as it was, and a bad path fails before
     any replicate runs); the study's JSON is written to it at the end.
     Each size's validated config is built again for its gate and its run,
@@ -573,15 +562,16 @@ def scaling_study(config: ExperimentConfig, n_list, workers=1, out=None):
     if distinct < 3:
         raise InvalidArgumentError("--n-list: need at least 3 distinct sizes for a "
                                    f"slope fit, got {distinct}")
-    key = SCALE_KEYS[config.experiment]
+    entry = EXPERIMENTS[config.experiment]
 
     def at_size(n):
-        return with_parameters(config, {**config.raw_parameters, key: int(n)})
+        return with_parameters(config, {**config.raw_parameters, entry.scale_key: int(n)})
 
     for n in n_list:
         at_size(n)
-    for n in n_list:
-        pre_run_gate(at_size(n))
+    if entry.gate:
+        for n in n_list:
+            entry.gate(at_size(n))
     with open(out, "w") if out else contextlib.nullcontext() as fh:
         rows = [_scaling_row(at_size(n), n, workers) for n in n_list]
         xs = np.log([row.n for row in rows])

@@ -45,7 +45,8 @@ from tailbounds.harness.runner import (
 )
 from tailbounds.packing import enumerate_bin_types, lower_bound_distribution, solve_packing_lp
 from tailbounds.pointproc import Poisson, TruncatedZeta, TwoPoint
-from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors
+from tailbounds.seq import GaussianIid, RadialBetaMixture, SphereUniform, _draw_vectors, \
+    check_jl_hypotheses
 
 from conftest import (empirical_tail_oracle, run_binpack, run_chernoff, run_gauss_sum, run_lis,
                       run_python, substream_oracle)
@@ -109,7 +110,7 @@ def block_error(block, experiment, start, seeds, oracle):
     assert fs.dtype == np.float64
     assert [f.hex() for f in fs.tolist()] == [float(f).hex() for f, _ in oracle]
     assert aux == {key: [a[key] for _, a in oracle]
-                   for key in experiments.AUX_KEYS[experiment]}
+                   for key in config.EXPERIMENTS[experiment].aux_keys}
     records = [ExperimentRecord(experiment, start + i, seed, "h", f, a)
                for i, (seed, (f, a)) in enumerate(zip(seeds, oracle))]
     assert text == records_to_csv(records).split("\n", 1)[1]
@@ -192,7 +193,7 @@ class TestRngStreams:
             [derived_seed(base_seed, r) for r in range(start, stop)]
 
     # Every site a stream is keyed to: each experiment's and the JL gate's.
-    SITES = sorted({*experiments.STREAM_SITES.values(), "jl-check"})
+    SITES = sorted({*(entry.site for entry in config.EXPERIMENTS.values()), "jl-check"})
 
     @given(base_seed=st.integers(0, 2**63 - 1), start=st.integers(0, 10**6),
            count=st.integers(0, 6), site=st.sampled_from(SITES), extra=stream_tags,
@@ -326,7 +327,7 @@ class TestConfigSchema:
     }
 
     def test_accepted_parameter_keys_are_pinned(self, tmp_path, capsys):
-        assert set(self.EVERY_KEY) == set(config.SCALE_KEYS)
+        assert set(self.EVERY_KEY) == set(config.EXPERIMENTS)
         assert sum(map(len, self.EVERY_KEY.values())) == 20
         every = {key for params in self.EVERY_KEY.values() for key in params}
         for experiment, params in self.EVERY_KEY.items():
@@ -550,7 +551,7 @@ class TestStreamBlocks:
     replicate function on a new substream per seed, bit for bit, and
     against the seed oracle where conftest has one."""
 
-    @pytest.mark.parametrize("experiment", sorted(config._VALIDATORS))
+    @pytest.mark.parametrize("experiment", sorted(config.EXPERIMENTS))
     @given(size=st.integers(1, 300), base_seed=st.integers(0, 2**63 - 1),
            start=st.integers(0, 10**6), count=st.integers(0, 12))
     @example(size=1, base_seed=0, start=0, count=3)
@@ -561,7 +562,7 @@ class TestStreamBlocks:
             experiment, size)).parameters
         block = _run_block(experiment, params, base_seed, "h", start, start + count)
         expected = [derived_seed(base_seed, r) for r in range(start, start + count)]
-        fn, site = experiments.REPLICATE_FNS[experiment], experiments.STREAM_SITES[experiment]
+        fn, site = experiments.REPLICATE_FNS[experiment], config.EXPERIMENTS[experiment].site
         oracle = [fn(params, substream(seed, site)) for seed in expected]
         assert block_error(block, experiment, start, expected, oracle) is None
         if experiment in SEED_ORACLES:
@@ -852,7 +853,7 @@ class TestRunExperiment:
                 (read.experiment, read.replicate, read.seed, read.param_hash)
             assert got.f.hex() == read.f.hex()
             assert got.aux == read.aux and sorted(got.aux) == list(
-                experiments.AUX_KEYS[experiment])
+                config.EXPERIMENTS[experiment].aux_keys)
         assert [r.replicate for r in records] == list(range(30))
         assert records[-1] == records[29] == back[29]
         assert records[3:6] == back[3:6] == [records[i] for i in range(3, 6)]
@@ -2038,7 +2039,7 @@ def test_benchmark_trace_names_resolve(monkeypatch):
     for module_name, func_name, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), func_name, None)), \
             f"{module_name}.{func_name}"
-    assert sorted(runner.REPLICATE_FNS) == sorted(config._VALIDATORS)
+    assert sorted(runner.REPLICATE_FNS) == sorted(config.EXPERIMENTS)
 
 
 def test_benchmark_setup_runs(monkeypatch):
@@ -2415,6 +2416,9 @@ class TestCliBadInput:
         ("chromatic", {"n": 2, "p_spec": {"kind": "matrix",
                                           "p": [[0, math.nan], [math.nan, 0]]}},
          "$.parameters.p_spec.p[0][1]: must be a finite number"),
+        # A missing spec is required, as a missing number is.
+        ("binpack", {"n_items": 3}, "$.parameters.dist: is required"),
+        ("jl", {"n": 10}, "$.parameters.k: is required"),
     ])
     def test_bad_parameter_field(self, tmp_path, experiment, parameters, named):
         out = tmp_path / "records.csv"
@@ -2625,3 +2629,145 @@ class TestExperimentExtras:
         )
         records, _ = run_experiment(cfg)
         assert all(r.f >= 1 for r in records)
+
+
+def run_toy(params, rng):
+    draws = rng.standard_normal(params["n"])
+    return float(draws.sum()), {"positive": int((draws > 0).sum())}
+
+
+class TestExperimentsTable:
+    def test_entries_agree(self):
+        assert sorted(experiments.REPLICATE_FNS) == sorted(config.EXPERIMENTS)
+        for name, entry in config.EXPERIMENTS.items():
+            assert list(entry.aux_keys) == sorted(entry.aux_keys), name  # the CSV order
+            assert entry.rows is None or entry.aux_keys == (), name
+            assert entry.scale_key in TestConfigSchema.EVERY_KEY[name], name
+
+    def test_one_entry_adds_an_experiment(self, tmp_path, capsys, monkeypatch):
+        # an entry in EXPERIMENTS and a replicate function are all it takes:
+        # runs at 1 and 2 workers, a scaling study and report all read them
+        gated = []
+        monkeypatch.setitem(config.EXPERIMENTS, "toy", config.Experiment(
+            config._validate_n, "n", "toy", ("positive",),
+            gate=lambda cfg: gated.append(cfg.parameters["n"]),
+            extras=lambda params: {"twice_n": 2 * params["n"]},
+            warnings=lambda params: ["toy: a warning"],
+            bound_source=lambda params: {"kind": "closed", "n": params["n"]}))
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "toy", run_toy)
+        cfg = make_config(experiment="toy", replicates=100, parameters={"n": 8})
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"records{workers}.csv"
+            records, summary = run_experiment(cfg, workers=workers, out=str(out))
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("experiment,replicate,seed,param_hash,f,aux_positive\n")
+        seeds = [derived_seed(1234, r) for r in range(100)]
+        assert [(rec.seed, rec.f, rec.aux) for rec in records] == [
+            (seed, *run_toy({"n": 8}, substream(seed, "toy"))) for seed in seeds]
+        assert gated == [8, 8]
+        assert summary.extras == {"twice_n": 16, "bound_profile": {"kind": "closed", "n": 8}}
+        assert summary.warnings == ["toy: a warning"]
+        assert summary.bound_method == bounds.BoundMethod.THEOREM1_CLOSED.value
+        study = scaling_study(cfg, [4, 8, 16], workers=2)
+        assert gated[2:] == [4, 8, 16]
+        assert [row.n for row in study.rows] == [4, 8, 16]
+        assert study.rows[1].mean == summary.mean
+        assert cli.main(["report", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["experiment"], report["mean"], report["sd"]) == \
+            ("toy", summary.mean, summary.sd)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _zeta_table_peak(cap, tmp_path):
+    # the full CDF table: s = 1.5 keeps every one of the cap entries
+    for cached in (pointproc._zeta_normaliser, pointproc._zeta_cdf):
+        cached.cache_clear()
+    try:
+        return _traced_peak(pointproc._zeta_cdf, 1.5, cap)
+    finally:
+        for cached in (pointproc._zeta_normaliser, pointproc._zeta_cdf):
+            cached.cache_clear()
+
+
+def _point_set_peak(points, tmp_path):
+    counts = pointproc.Deterministic(points // 100)
+    return _traced_peak(pointproc.sample_point_set, 100, counts,
+                        pointproc.PlacementStrategy.UNIFORM_IN_CELL, substream(1, "pointset"))
+
+
+def _parent_peak(replicates, tmp_path):
+    # what the parent holds per replicate, with binpack's aux: a float and
+    # an int too large for Python's cache of small ints
+    def binpack_like(params, rng):
+        return float(rng.random()), {"duality_gap": float(rng.random()),
+                                     "rounded": 600 + int(rng.integers(100))}
+
+    cfg = make_config(experiment="binpack", replicates=replicates,
+                      parameters={"dist": {"kind": "lower_bound", "k": 4}, "n_items": 10})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(experiments.REPLICATE_FNS, "binpack", binpack_like)
+        return _traced_peak(run_replicates, cfg)
+
+
+def _chernoff_peak(n, tmp_path):
+    def parse_and_run():
+        cfg = make_config(experiment="chernoff", replicates=1, parameters={"n": n})
+        experiments.run_chernoff(cfg.parameters, substream(1, "chernoff"))
+    return _traced_peak(parse_and_run)
+
+
+def _sequence_peak(run):
+    return lambda n, tmp_path: _traced_peak(run, {"n": n}, substream(1, "sequence"))
+
+
+def _jl_gate_peak(samples, tmp_path):
+    # n = 1, where the gate's 8 bytes a sample weigh most per entry
+    return _traced_peak(check_jl_hypotheses, SphereUniform(), 1, 1, samples,
+                        substream(1, "jl-check"))
+
+
+def _profile_peak(entries, tmp_path):
+    n = entries // 9  # three orders in each of M, L and delta, each a list of n
+    path = tmp_path / f"profile{n}.json"
+    orders = {str(m): [i / (7 * n) for i in range(n)] for m in (2, 4, 6)}
+    path.write_text(json.dumps({"n": n, "M": orders, "L": orders, "delta": orders}))
+    return _traced_peak(config.load_profile, str(path))
+
+
+class TestCapBudgets:
+    """Each size cap of config times the traced bytes a unit costs, measured
+    at a small size, fits the budget stated in the comment above the caps.
+    The cost is the growth of the peak from size to twice size, per unit,
+    to the tenth of a byte the comment states; no test runs at a cap."""
+
+    @pytest.mark.parametrize("cap, budget, peak, size", [
+        ("MAX_ZETA_CAP", 80.1e6, _zeta_table_peak, 10**5),
+        ("MAX_EXPECTED_POINTS", 120e6, _point_set_peak, 5000),
+        ("MAX_REPLICATES", 180e6, _parent_peak, 2000),
+        ("MAX_CHERNOFF_N", 125e6, _chernoff_peak, 10**5),
+        ("MAX_SEQUENCE_N", 82e6, _sequence_peak(experiments.run_gauss_sum), 10**5),
+        ("MAX_SEQUENCE_N", 82e6, _sequence_peak(experiments.run_lis), 2 * 10**4),
+        ("MAX_JL_GATE_ENTRIES", 192e6, _jl_gate_peak, 10**4),
+        ("MAX_PROFILE_ENTRIES", 43e6, _profile_peak, 9000),
+    ], ids=["zeta", "points", "replicates", "chernoff", "gauss_sum", "lis", "jl", "profile"])
+    def test_cap_fits_its_memory_budget(self, tmp_path, cap, budget, peak, size):
+        peak(size, tmp_path)  # a first call builds what later calls reuse
+        per_unit = (peak(2 * size, tmp_path) - peak(size, tmp_path)) / size
+        assert 0 < round(per_unit, 1) * getattr(config, cap) <= budget, per_unit
+
+    def test_item_counts_up_to_the_cap_are_exact_floats(self):
+        # the LP reads each count as a float: every integer up to MAX_ITEMS is
+        # one when the spacing of floats just below it is at most 1
+        assert math.ulp(config.MAX_ITEMS - 1) <= 1
+        assert int(float(config.MAX_ITEMS)) == config.MAX_ITEMS

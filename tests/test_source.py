@@ -79,3 +79,48 @@ def test_readme_constants_match_the_package():
         assert held == values, f"README states {name} = {values}, the package {held}"
     assert {"MAX_RECURSION_MATRIX_BYTES", "MAX_PROFILE_ENTRIES", "MAX_CHERNOFF_N",
             "C_MAIN", "TSP_2OPT_MAX_PASSES"} <= stated.keys()
+
+
+def _experiment_branches(tree):
+    """Line numbers of the comparisons in tree of a name or attribute called
+    experiment with a string literal, or with a collection holding one."""
+    def is_experiment(node):
+        return (isinstance(node, ast.Name) and node.id == "experiment") \
+            or (isinstance(node, ast.Attribute) and node.attr == "experiment")
+
+    def holds_a_string(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(item, ast.Constant) and isinstance(item.value, str)
+                   for item in items)
+
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(map(is_experiment, [node.left, *node.comparators]))
+            and any(map(holds_a_string, [node.left, *node.comparators]))]
+
+
+def test_no_code_branches_on_an_experiment_name():
+    # what the harness knows of an experiment is its entry in
+    # config.EXPERIMENTS, so no code tests which experiment it runs
+    assert _experiment_branches(ast.parse(
+        'if config.experiment == "jl" or "chernoff" != experiment:\n'
+        '    pass\n'
+        'ok = experiment in ("binpack", "lis") or kind == "jl"\n')) == [1, 1, 3]
+    root = Path(tailbounds.__file__).resolve().parent
+    found = [f"{path.relative_to(root.parent)}:{line}"
+             for path in sorted(root.rglob("*.py"))
+             for line in _experiment_branches(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_readme_module_names_resolve():
+    # every `module.NAME` in README.md, or `module.NAME(...)`, whose module
+    # is a tailbounds module names an attribute of it; `bounds.py` is a file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name.rsplit(".", 1)[1]: importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(tailbounds.__path__, "tailbounds.")}
+    named = [(module, name) for module, name
+             in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)(?:\([^`]*\))?`", readme)
+             if module in modules and name != "py"]
+    assert len(named) >= 5
+    assert [f"{module}.{name}" for module, name in named
+            if not hasattr(modules[module], name)] == []
